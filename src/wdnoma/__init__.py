@@ -8,7 +8,6 @@ extracts delay-Doppler targets from the residual echo with 2D-OMP.
 
 __version__ = "0.1.0"
 
-from .signals import ComplexSignal, Domain
 from .transforms import ChirpParams
 
-__all__ = ["ComplexSignal", "Domain", "ChirpParams", "__version__"]
+__all__ = ["ChirpParams", "__version__"]

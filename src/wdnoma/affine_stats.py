@@ -15,7 +15,6 @@ import numpy as np
 from scipy import stats as sps
 
 from .channel import PathSet, apply_dd_channel_samples
-from .signals import ComplexSignal, Domain, expect
 from .transforms import daft_samples, idft_samples
 from .waveforms import SystemConfig, constellation
 
@@ -47,12 +46,6 @@ class GaussianityReport:
     fitted_mean: float
     fitted_std: float
     n_samples: int
-
-
-def affine_view_ofdm(x_dl: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    """DAFT of the CP-free OFDM time signal: s_A = daft(idft(x))."""
-    X = expect(x_dl, Domain.FREQUENCY, cfg.N)
-    return ComplexSignal(daft_samples(idft_samples(X), cfg.chirp), Domain.AFFINE)
 
 
 def empirical_stats(trials: int, cfg: SystemConfig, channel: PathSet | None,

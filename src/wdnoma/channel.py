@@ -1,4 +1,4 @@
-"""Delay-Doppler channels, AWGN, and received-signal composition.
+"""Delay-Doppler path channels and the quantization of physical targets.
 
 A channel is a sum of paths, each applying a cyclic delay and a diagonal
 Doppler phase ramp over one prefixed frame of length L:
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .signals import ComplexSignal, Domain, expect
 from .waveforms import SystemConfig
 
 
@@ -71,28 +70,34 @@ def path_from_bin(gain: complex, delay_samples: int, kappa: int, N: int, frame_l
                 doppler_norm=doppler_bin_to_norm(kappa, N, frame_len))
 
 
-def target_to_path(t: PhysicalTarget, cfg: SystemConfig, frame_len: int | None = None) -> Path:
-    """Quantize a physical target to an on-grid (delay, Doppler) path.
+def quantize_target(range_m: float, velocity_mps: float, cfg: SystemConfig) -> tuple:
+    """(delay in samples, integer Doppler bin) of a physical target.
 
     Round-trip delay 2r/c maps to samples at the rate N*delta_f; round-trip
     Doppler 2 f_c v / c maps to the nearest integer bin at subcarrier
     resolution.
     """
+    tau = 2.0 * range_m / SPEED_OF_LIGHT
+    delay = int(round(tau * cfg.sample_rate))
+    nu_hz = 2.0 * cfg.f_c * velocity_mps / SPEED_OF_LIGHT
+    return delay, int(round(nu_hz / cfg.delta_f))
+
+
+def target_to_path(t: PhysicalTarget, cfg: SystemConfig, frame_len: int | None = None) -> Path:
+    """Quantize a physical target to an on-grid (delay, Doppler) path."""
     if frame_len is None:
         frame_len = cfg.frame_len_cp
-    tau = 2.0 * t.range_m / SPEED_OF_LIGHT
-    delay = int(round(tau * cfg.sample_rate))
+    delay, kappa = quantize_target(t.range_m, t.velocity_mps, cfg)
     prefix = frame_len - cfg.N
     if delay > prefix:
         raise ValueError(
             f"target delay {delay} samples exceeds the prefix length {prefix}")
-    nu_hz = 2.0 * cfg.f_c * t.velocity_mps / SPEED_OF_LIGHT
-    kappa = int(round(nu_hz / cfg.delta_f))
     return path_from_bin(t.rcs_gain, delay, kappa, cfg.N, frame_len)
 
 
 def apply_dd_channel_samples(s: np.ndarray, ch: PathSet) -> np.ndarray:
-    """Channel application on raw arrays (last axis = time)."""
+    """Apply the delay-Doppler channel along the last (time) axis; O(P*L),
+    no matrix materialized."""
     L = s.shape[-1]
     if L != ch.frame_len:
         raise ValueError(f"signal length {L} != channel frame length {ch.frame_len}")
@@ -102,12 +107,6 @@ def apply_dd_channel_samples(s: np.ndarray, ch: PathSet) -> np.ndarray:
         ramp = np.exp(-2j * np.pi * p.doppler_norm * n / L)
         out += p.gain * np.roll(s * ramp, p.delay_samples, axis=-1)
     return out
-
-
-def apply_dd_channel(s: ComplexSignal, ch: PathSet) -> ComplexSignal:
-    """Apply the delay-Doppler channel; O(P*L), no matrix materialized."""
-    x = expect(s, Domain.TIME, ch.frame_len)
-    return ComplexSignal(apply_dd_channel_samples(x, ch), Domain.TIME)
 
 
 def build_uplink_channel(taps: int, doppler_bins, rng: np.random.Generator,
@@ -129,25 +128,3 @@ def build_uplink_channel(taps: int, doppler_bins, rng: np.random.Generator,
     kappas = rng.choice(bins, size=taps)
     paths = [path_from_bin(gains[i], i, int(kappas[i]), N, frame_len) for i in range(taps)]
     return PathSet(tuple(paths), frame_len)
-
-
-def awgn(s: ComplexSignal, sigma2: float, rng: np.random.Generator) -> ComplexSignal:
-    """Add circularly-symmetric complex Gaussian noise of total variance sigma2."""
-    if sigma2 < 0:
-        raise ValueError("noise variance must be non-negative")
-    if sigma2 == 0:
-        return ComplexSignal(s.samples.copy(), s.domain)
-    L = len(s)
-    w = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * np.sqrt(sigma2 / 2.0)
-    return ComplexSignal(s.samples + w, s.domain)
-
-
-def compose_received(r_ul: ComplexSignal, r_dl: ComplexSignal, offset_db: float,
-                     sigma2: float, rng: np.random.Generator) -> ComplexSignal:
-    """r = r_ul + g * r_dl + w with amplitude g = 10^(offset_db / 20)."""
-    a = expect(r_ul, Domain.TIME)
-    b = expect(r_dl, Domain.TIME)
-    if len(a) != len(b):
-        raise ValueError(f"uplink frame ({len(a)}) and echo frame ({len(b)}) lengths differ")
-    g = 0.0 if offset_db == -np.inf else 10.0 ** (offset_db / 20.0)
-    return awgn(ComplexSignal(a + g * b, Domain.TIME), sigma2, rng)

@@ -4,7 +4,8 @@ The affine subcarrier grid is split into a channel guard G1, a noise
 estimation guard G2 and the data region D. Integer-Doppler channels spread
 every data symbol over at most kappa_max bins on one side and
 kappa_max + 2*N*c1*max_delay bins on the other, so the interior of G2 stays
-free of data leakage; that interior is the NPE sampling window.
+free of data leakage; that interior is the NPE sampling window. The
+PD-NOMA OFDM frame uses the full grid, with no guards.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .signals import ComplexSignal, Domain, expect
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,12 @@ def allocate_frame(N: int, guard1_start: int, K1: int, guard2_start: int, K2: in
                        kappa_max=kappa_max, npe_window=window)
 
 
-def embed_data(symbols: np.ndarray, layout) -> ComplexSignal:
-    """Place data symbols (ascending index order) into a zero-guarded frame."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != (layout.data.size,):
-        raise ValueError(f"expected {layout.data.size} data symbols, got {symbols.shape}")
-    frame = np.zeros(layout.N, dtype=np.complex128)
-    frame[layout.data] = symbols
-    return ComplexSignal(frame, _frame_domain(layout))
-
-
-def extract_data(frame: ComplexSignal, layout) -> np.ndarray:
-    """Read the data positions back out (guards ignored)."""
-    s = expect(frame, _frame_domain(layout), layout.N)
-    return s[layout.data].copy()
-
-
-def _frame_domain(layout) -> Domain:
-    return Domain.DELAY_DOPPLER if isinstance(layout, OtfsFrameLayout) else Domain.AFFINE
+def full_grid_layout(N: int, kappa_max: int) -> FrameLayout:
+    """Every bin carries data: no guards and an empty NPE window (the
+    PD-NOMA OFDM frame, whose receiver treats the echo as white noise)."""
+    empty = np.zeros(0, dtype=np.int64)
+    return FrameLayout(N=N, guard1=empty, guard2=empty, data=np.arange(N),
+                       kappa_max=kappa_max, npe_window=empty)
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,28 @@ from .channel import (
     apply_dd_channel_samples,
     build_uplink_channel,
     path_from_bin,
+    quantize_target,
     target_to_path,
 )
-from .frame import FrameLayout, OtfsFrameLayout, allocate_frame, allocate_otfs_frame
-from .receiver import build_equivalent_channel
+from .frame import (
+    FrameLayout,
+    OtfsFrameLayout,
+    allocate_frame,
+    allocate_otfs_frame,
+    full_grid_layout,
+)
+from .receiver import (
+    build_equivalent_channel,
+    estimate_noise_power,
+    mmse_detect,
+    reconstruct_and_cancel,
+)
 from .sensing import (
     build_dictionary,
     estimate_to_physical,
     matched_squared_errors,
     omp_2d,
 )
-from .signals import ComplexSignal, Domain
 from .transforms import ChirpParams
 from .waveforms import (
     SystemConfig,
@@ -121,6 +132,22 @@ class ExperimentConfig:
             raise ValueError("uplink delay spread exceeds the prefix length")
         if max(abs(b) for b in self.channel.doppler_bins) > self.frame.kappa_max:
             raise ValueError("uplink Doppler bins exceed kappa_max")
+        # every drawn target must quantize onto the 2D-OMP grid; quantization
+        # is monotone, so checking the bounds covers the whole box
+        lo_r, hi_r = self.channel.range_bounds
+        if lo_r < 0:
+            raise ValueError(f"range_bounds[0] = {lo_r} must be non-negative")
+        far_delay, _ = quantize_target(hi_r, 0.0, self.system)
+        if far_delay > self.system.L_cp - 1:
+            raise ValueError(
+                f"range_bounds[1] = {hi_r} m quantizes to delay {far_delay}, beyond "
+                f"the sensing delay grid 0..{self.system.L_cp - 1}")
+        for v in self.channel.velocity_bounds:
+            _, kappa = quantize_target(0.0, v, self.system)
+            if abs(kappa) > self.frame.kappa_max:
+                raise ValueError(
+                    f"velocity bound {v} m/s quantizes to Doppler bin {kappa}, "
+                    f"beyond kappa_max = {self.frame.kappa_max}")
         # fail early if the guard layouts are inconsistent
         afdm_layout(self)
         otfs_layout(self)
@@ -205,6 +232,11 @@ def otfs_layout(cfg: ExperimentConfig) -> OtfsFrameLayout:
                                cfg.frame.otfs_guard_cols, cfg.frame.kappa_max)
 
 
+def _layouts(cfg: ExperimentConfig) -> dict:
+    return {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg),
+            "ofdm": full_grid_layout(cfg.system.N, cfg.frame.kappa_max)}
+
+
 # ---------------------------------------------------------------------------
 # Per-trial simulation
 # ---------------------------------------------------------------------------
@@ -268,20 +300,18 @@ class _TrialContext:
             return self._uplinks[waveform]
         cfg, sys_ = self._cfg, self._cfg.system
         bps = int(np.log2(sys_.M))
-        n_data = sys_.N if waveform == "ofdm" else layout.n_data
+        n_data = layout.n_data
         bits = _rng(cfg.sweep.master_seed, self._trial, f"bits_{waveform}").integers(
             0, 2, n_data * bps)
         syms = qam_map(bits, sys_.M)
+        frame = np.zeros(sys_.N, dtype=np.complex128)
+        frame[layout.data] = syms
         if waveform == "afdm":
-            frame = np.zeros(sys_.N, dtype=np.complex128)
-            frame[layout.data] = syms
             s = afdm_mod_samples(frame, sys_.chirp, sys_.L_cpp)
         elif waveform == "otfs":
-            frame = np.zeros(sys_.N, dtype=np.complex128)
-            frame[layout.data] = syms
             s = otfs_mod_samples(frame, sys_.N1, sys_.N2, sys_.L_cp)
         else:
-            s = ofdm_mod_samples(syms, sys_.L_cp)
+            s = ofdm_mod_samples(frame, sys_.L_cp)
         r_ul = apply_dd_channel_samples(s, self.ul_ps)
         out = {"bits": bits, "syms": syms, "r_ul": r_ul, "n_data": n_data,
                "p_ul": n_data / sys_.N}
@@ -306,7 +336,7 @@ def _detect_group(cfg, ctx, snr_db, waveform, modes, layout, keep_chain=False):
     """Run demod + MMSE for all requested modes of one waveform group.
 
     Returns {mode: (bit_errors, n_bits)} plus, when keep_chain, the pieces
-    the sensing stage needs (received frame, hard symbols, path set).
+    the sensing stage needs (received frame and hard symbols).
     """
     sys_ = cfg.system
     up = ctx.uplink(waveform, layout)
@@ -314,39 +344,34 @@ def _detect_group(cfg, ctx, snr_db, waveform, modes, layout, keep_chain=False):
 
     if waveform == "afdm":
         d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
-        echo_core = g * ctx.r_dl[sys_.L_cpp:]
     elif waveform == "otfs":
         d = otfs_demod_samples(r, sys_.N1, sys_.N2, sys_.L_cp)
-        echo_core = g * ctx.r_dl[sys_.L_cp:]
     else:
         d = ofdm_demod_samples(r, sys_.L_cp)
-        echo_core = g * ctx.r_dl[sys_.L_cp:]
-    echo_bin_power = float(np.mean(np.abs(echo_core) ** 2))
+    # L_cp == L_cpp, so every waveform's core window is r[L_cp:]
+    echo_bin_power = float(np.mean(np.abs(g * ctx.r_dl[sys_.L_cp:]) ** 2))
 
-    H = build_equivalent_channel(ctx.ul_ps, sys_, waveform).matrix
-    G = H.conj().T
-    gram = G @ H
-    rhs = G @ d
-
-    results = {}
-    chain = {}
+    sigma2s = []
     for mode in modes:
         if mode.endswith("_no_npe"):
-            s2 = sigma2
+            sigma2s.append(sigma2)
         elif mode.endswith("_npe"):
-            s2 = float(np.mean(np.abs(d[layout.npe_window]) ** 2))
+            sigma2s.append(estimate_noise_power(d, layout))
         else:  # genie-style total noise (channel noise + measured echo power)
-            s2 = sigma2 + echo_bin_power
-        A = gram.copy()
-        A.flat[:: sys_.N + 1] += s2
-        x = np.linalg.solve(A, rhs)
-        data = x if waveform == "ofdm" else x[layout.data]
-        bits_hat = qam_demap_hard(data, sys_.M)
+            sigma2s.append(sigma2 + echo_bin_power)
+
+    # H is not bound here, so mmse_detect frees it first, with its own N x N
+    # temporaries; holding H until this function returns changed the heap
+    # layout and raised the N = 1024 peak RSS by 4 MB
+    xs = mmse_detect(build_equivalent_channel(ctx.ul_ps, sys_, waveform).matrix, d, sigma2s)
+    results = {}
+    chain = {}
+    for mode, x in zip(modes, xs):
+        bits_hat = qam_demap_hard(x[layout.data], sys_.M)
         errs = int(np.count_nonzero(bits_hat != up["bits"]))
         results[mode] = (errs, up["bits"].size)
         if keep_chain:
-            chain[mode] = {"r": r, "hard_syms": qam_map(bits_hat, sys_.M), "g": g,
-                           "sigma2": sigma2}
+            chain[mode] = {"r": r, "hard_syms": qam_map(bits_hat, sys_.M)}
     return results, chain
 
 
@@ -374,20 +399,11 @@ def _sense_trial(cfg, trial, snr_db, mode, layouts):
     layout = layouts[waveform]
     _, chain = _detect_group(cfg, ctx, snr_db, waveform, [mode], layout, keep_chain=True)
     piece = chain[mode]
+    residual = reconstruct_and_cancel(piece["r"], ctx.ul_ps, piece["hard_syms"], layout,
+                                      sys_, waveform)
 
-    frame = np.zeros(sys_.N, dtype=np.complex128)
-    frame[layout.data] = piece["hard_syms"]
-    if waveform == "afdm":
-        s_hat = afdm_mod_samples(frame, sys_.chirp, sys_.L_cpp)
-    elif waveform == "otfs":
-        s_hat = otfs_mod_samples(frame, sys_.N1, sys_.N2, sys_.L_cp)
-    else:
-        s_hat = ofdm_mod_samples(frame, sys_.L_cp)
-    residual = piece["r"] - apply_dd_channel_samples(s_hat, ctx.ul_ps)
-
-    dic = build_dictionary(ComplexSignal(ctx.s_dl, Domain.TIME),
-                           sensing_tau_grid(cfg), sensing_nu_grid(cfg), sys_.N)
-    result = omp_2d(ComplexSignal(residual, Domain.TIME), dic, len(ctx.targets))
+    dic = build_dictionary(ctx.s_dl, sensing_tau_grid(cfg), sensing_nu_grid(cfg), sys_.N)
+    result = omp_2d(residual, dic, len(ctx.targets))
     estimates = [estimate_to_physical(e, sys_) for e in result.targets]
 
     err_r, ref_r, err_v, ref_v = matched_squared_errors(estimates, ctx.targets)
@@ -426,12 +442,12 @@ def _chunks(n_trials: int, size: int = 64):
 
 
 def _ber_chunk(cfg, snr_db, trials, modes):
-    layouts = {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg), "ofdm": None}
+    layouts = _layouts(cfg)
     return [_ber_trial(cfg, t, snr_db, modes, layouts) for t in trials]
 
 
 def _sense_chunk(cfg, snr_db, trials, mode):
-    layouts = {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg), "ofdm": None}
+    layouts = _layouts(cfg)
     return [_sense_trial(cfg, t, snr_db, mode, layouts) for t in trials]
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .channel import PathSet, PhysicalTarget, apply_dd_channel_samples, path_from_bin
-from .signals import ComplexSignal, Domain, expect
 from .waveforms import SystemConfig
 
 
@@ -24,7 +23,6 @@ class Dictionary:
     atoms: np.ndarray        # (n_tau, n_nu, L)
     tau_grid: np.ndarray     # delays in samples
     nu_grid: np.ndarray      # integer Doppler bins
-    source_frame: np.ndarray
     atom_norms: np.ndarray   # (n_tau, n_nu)
 
     @property
@@ -48,11 +46,14 @@ class OmpResult:
     residual: np.ndarray
 
 
-def build_dictionary(s_dl: ComplexSignal, tau_grid, nu_grid, N: int) -> Dictionary:
-    """Atoms are the transmit frame pushed through each unit (tau, nu) path,
-    so a recovered gain is directly comparable to the channel gain."""
-    s = expect(s_dl, Domain.TIME)
-    L = len(s_dl)
+def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
+    """Atoms are the transmit time frame ``s_dl`` pushed through each unit
+    (tau, nu) path, so a recovered gain is directly comparable to the
+    channel gain."""
+    s = np.asarray(s_dl, dtype=np.complex128)
+    if s.ndim != 1:
+        raise ValueError(f"expected a 1-D transmit frame, got shape {s.shape}")
+    L = s.size
     tau_grid = np.asarray(list(tau_grid), dtype=np.int64)
     nu_grid = np.asarray(list(nu_grid), dtype=np.int64)
     if tau_grid.size == 0 or nu_grid.size == 0:
@@ -66,11 +67,10 @@ def build_dictionary(s_dl: ComplexSignal, tau_grid, nu_grid, N: int) -> Dictiona
         for i, tau in enumerate(tau_grid):
             atoms[i, j] = np.roll(shifted, int(tau))
     norms = np.linalg.norm(atoms, axis=-1)
-    return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid,
-                      source_frame=s.copy(), atom_norms=norms)
+    return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid, atom_norms=norms)
 
 
-def omp_2d(residual: ComplexSignal, dic: Dictionary, P: int,
+def omp_2d(residual: np.ndarray, dic: Dictionary, P: int,
            residual_threshold: float | None = None) -> OmpResult:
     """Greedy 2D grid search with per-iteration joint least-squares refit.
 
@@ -82,7 +82,7 @@ def omp_2d(residual: ComplexSignal, dic: Dictionary, P: int,
         raise ValueError("need at least one target")
     if P > dic.grid_size:
         raise ValueError(f"P = {P} exceeds the {dic.grid_size}-atom grid")
-    r0 = expect(residual, Domain.TIME)
+    r0 = np.asarray(residual, dtype=np.complex128)
     n_tau, n_nu, L = dic.atoms.shape
     if r0.shape != (L,):
         raise ValueError("residual length does not match the dictionary atoms")

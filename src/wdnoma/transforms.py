@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ComplexSignal, Domain, expect
-
 
 @dataclass(frozen=True)
 class ChirpParams:
@@ -54,7 +52,8 @@ def chirp_vector(N: int, c: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Array kernels (operate on the last axis; shared with batched callers)
+# Array kernels (operate on the last axis; shared with batched callers).
+# Prefix lengths are validated once, by SystemConfig.
 # ---------------------------------------------------------------------------
 
 def dft_samples(x: np.ndarray) -> np.ndarray:
@@ -93,74 +92,3 @@ def add_cpp_samples(x: np.ndarray, L_cpp: int, c1: float) -> np.ndarray:
     N = x.shape[-1]
     prefix = cpp_prefix_phases(N, L_cpp, c1) * x[..., -L_cpp:]
     return np.concatenate([prefix, x], axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Signal-level operations
-# ---------------------------------------------------------------------------
-
-def dft(x: ComplexSignal, N: int | None = None) -> ComplexSignal:
-    """Normalized N-point DFT; time -> frequency."""
-    s = expect(x, Domain.TIME, N)
-    return ComplexSignal(dft_samples(s), Domain.FREQUENCY)
-
-
-def idft(X: ComplexSignal, N: int | None = None) -> ComplexSignal:
-    """Inverse of dft; frequency -> time."""
-    s = expect(X, Domain.FREQUENCY, N)
-    return ComplexSignal(idft_samples(s), Domain.TIME)
-
-
-def chirp_diag_apply(x: ComplexSignal, c: float, conjugate: bool = False) -> ComplexSignal:
-    """Pointwise multiply by exp(-j 2 pi c n^2) (or its conjugate)."""
-    v = chirp_vector(len(x), c)
-    if conjugate:
-        v = v.conj()
-    return ComplexSignal(x.samples * v, x.domain)
-
-
-def daft(x: ComplexSignal, p: ChirpParams, N: int | None = None) -> ComplexSignal:
-    """Discrete affine Fourier transform; time -> affine."""
-    s = expect(x, Domain.TIME, N)
-    return ComplexSignal(daft_samples(s, p), Domain.AFFINE)
-
-
-def idaft(y: ComplexSignal, p: ChirpParams, N: int | None = None) -> ComplexSignal:
-    """Inverse DAFT; affine -> time."""
-    s = expect(y, Domain.AFFINE, N)
-    return ComplexSignal(idaft_samples(s, p), Domain.TIME)
-
-
-def _check_prefix(L: int, N: int):
-    if L < 0:
-        raise ValueError("prefix length must be non-negative")
-    if L >= N:
-        raise ValueError(f"prefix length {L} must be smaller than the block length {N}")
-
-
-def add_cp(x: ComplexSignal, L_cp: int) -> ComplexSignal:
-    """Prepend the last L_cp samples (cyclic prefix)."""
-    s = expect(x, Domain.TIME)
-    _check_prefix(L_cp, len(x))
-    return ComplexSignal(add_cp_samples(s, L_cp), Domain.TIME)
-
-
-def remove_cp(x: ComplexSignal, L_cp: int) -> ComplexSignal:
-    """Drop the first L_cp samples."""
-    s = expect(x, Domain.TIME)
-    _check_prefix(L_cp, len(x) - L_cp)
-    return ComplexSignal(s[L_cp:].copy(), Domain.TIME)
-
-
-def add_cpp(x: ComplexSignal, L_cpp: int, p: ChirpParams, N: int | None = None) -> ComplexSignal:
-    """Prepend a chirp-periodic prefix: last L_cpp samples with CPP phases."""
-    s = expect(x, Domain.TIME, N)
-    _check_prefix(L_cpp, len(x))
-    return ComplexSignal(add_cpp_samples(s, L_cpp, p.c1), Domain.TIME)
-
-
-def remove_cpp(x: ComplexSignal, L_cpp: int) -> ComplexSignal:
-    """Drop the first L_cpp samples (the prefix phases are discarded with them)."""
-    s = expect(x, Domain.TIME)
-    _check_prefix(L_cpp, len(x) - L_cpp)
-    return ComplexSignal(s[L_cpp:].copy(), Domain.TIME)

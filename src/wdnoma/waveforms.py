@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import ComplexSignal, Domain, expect
 from .transforms import (
     ChirpParams,
     add_cp_samples,
@@ -136,6 +135,7 @@ def constellation(M: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ofdm_mod_samples(X: np.ndarray, L_cp: int) -> np.ndarray:
+    """IDFT + cyclic prefix; frequency -> time, length N + L_cp."""
     return add_cp_samples(idft_samples(X), L_cp)
 
 
@@ -144,6 +144,7 @@ def ofdm_demod_samples(r: np.ndarray, L_cp: int) -> np.ndarray:
 
 
 def afdm_mod_samples(X: np.ndarray, chirp: ChirpParams, L_cpp: int) -> np.ndarray:
+    """IDAFT + chirp-periodic prefix; affine -> time, length N + L_cpp."""
     return add_cpp_samples(idaft_samples(X, chirp), L_cpp, chirp.c1)
 
 
@@ -152,6 +153,11 @@ def afdm_demod_samples(r: np.ndarray, chirp: ChirpParams, L_cpp: int) -> np.ndar
 
 
 def otfs_mod_samples(X: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray:
+    """Inverse DFT across the Doppler dimension + cyclic prefix.
+
+    The delay-Doppler vector is delay-major: entry n2*N1 + n1 is delay bin
+    n1, Doppler bin n2.
+    """
     # delay-major vector -> (N2, N1) grid slices; IDFT runs across Doppler
     grid = X.reshape(X.shape[:-1] + (N2, N1))
     s = (np.fft.ifft(grid, axis=-2) * np.sqrt(N2)).reshape(X.shape)
@@ -162,44 +168,3 @@ def otfs_demod_samples(r: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray
     y = r[..., L_cp:]
     grid = y.reshape(y.shape[:-1] + (N2, N1))
     return (np.fft.fft(grid, axis=-2) / np.sqrt(N2)).reshape(y.shape)
-
-
-# ---------------------------------------------------------------------------
-# Modulator / demodulator pairs
-# ---------------------------------------------------------------------------
-
-def ofdm_modulate(x: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    """IDFT + cyclic prefix; frequency -> time, length N + L_cp."""
-    X = expect(x, Domain.FREQUENCY, cfg.N)
-    return ComplexSignal(ofdm_mod_samples(X, cfg.L_cp), Domain.TIME)
-
-
-def ofdm_demodulate(r: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    X = expect(r, Domain.TIME, cfg.frame_len_cp)
-    return ComplexSignal(ofdm_demod_samples(X, cfg.L_cp), Domain.FREQUENCY)
-
-
-def afdm_modulate(x: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    """IDAFT + chirp-periodic prefix; affine -> time, length N + L_cpp."""
-    X = expect(x, Domain.AFFINE, cfg.N)
-    return ComplexSignal(afdm_mod_samples(X, cfg.chirp, cfg.L_cpp), Domain.TIME)
-
-
-def afdm_demodulate(r: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    X = expect(r, Domain.TIME, cfg.frame_len_cpp)
-    return ComplexSignal(afdm_demod_samples(X, cfg.chirp, cfg.L_cpp), Domain.AFFINE)
-
-
-def otfs_modulate(x: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    """Inverse DFT across the Doppler dimension + cyclic prefix.
-
-    The delay-Doppler vector is delay-major: entry n2*N1 + n1 is delay bin
-    n1, Doppler bin n2.
-    """
-    X = expect(x, Domain.DELAY_DOPPLER, cfg.N)
-    return ComplexSignal(otfs_mod_samples(X, cfg.N1, cfg.N2, cfg.L_cp), Domain.TIME)
-
-
-def otfs_demodulate(r: ComplexSignal, cfg: SystemConfig) -> ComplexSignal:
-    X = expect(r, Domain.TIME, cfg.frame_len_cp)
-    return ComplexSignal(otfs_demod_samples(X, cfg.N1, cfg.N2, cfg.L_cp), Domain.DELAY_DOPPLER)

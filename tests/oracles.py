@@ -6,6 +6,7 @@ so a match between the two is meaningful evidence, not a tautology.
 """
 
 import numpy as np
+from scipy.linalg import lstsq
 
 
 def dense_dft(N: int) -> np.ndarray:
@@ -102,6 +103,34 @@ def dense_mmse(H: np.ndarray, d: np.ndarray, sigma2: float) -> np.ndarray:
     """Textbook regularized solve via explicit inversion (test-only)."""
     N = H.shape[0]
     return np.linalg.inv(H.conj().T @ H + sigma2 * np.eye(N)) @ H.conj().T @ d
+
+
+def lstsq_mmse(H: np.ndarray, d: np.ndarray, sigma2: float) -> np.ndarray:
+    """Solve (H^H H + sigma2 I) x = H^H d without forming the normal equations.
+
+    Least squares on the stacked system [H; sqrt(sigma2) I] keeps the
+    conditioning of H itself; the normal equations square it, which matters
+    in the near-noiseless case where the regularizer vanishes. With
+    sigma2 = 0 this is exact zero-forcing; a rank-deficient H is reported as
+    a LinAlgError.
+    """
+    if sigma2 < 0:
+        raise ValueError("sigma2 must be non-negative")
+    N = H.shape[0]
+    A = np.vstack([H, np.sqrt(sigma2) * np.eye(N, dtype=np.complex128)])
+    b = np.concatenate([d, np.zeros(N, dtype=np.complex128)])
+    x, _, rank, _ = lstsq(A, b, lapack_driver="gelsy")
+    if sigma2 == 0 and rank < N:
+        raise np.linalg.LinAlgError(
+            f"equivalent channel is rank deficient ({rank} < {N}) and sigma2 = 0")
+    return x
+
+
+def embed(syms: np.ndarray, layout) -> np.ndarray:
+    """Zero-guarded frame with ``syms`` on the layout's data bins."""
+    frame = np.zeros(layout.N, dtype=np.complex128)
+    frame[layout.data] = syms
+    return frame
 
 
 def random_complex(rng, n: int) -> np.ndarray:

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import random_complex
-from wdnoma.affine_stats import (
-    affine_view_ofdm,
-    empirical_stats,
-    gaussianity_check,
-    write_report_csv,
-)
+from wdnoma.affine_stats import empirical_stats, gaussianity_check, write_report_csv
 from wdnoma.channel import PathSet, path_from_bin
-from wdnoma.signals import ComplexSignal, Domain
-from wdnoma.transforms import ChirpParams
+from wdnoma.transforms import ChirpParams, daft_samples, idft_samples
 from wdnoma.waveforms import SystemConfig
 
 rng = np.random.default_rng(61)
@@ -25,18 +19,22 @@ def make_cfg(N=64):
                         chirp=ChirpParams.for_max_doppler(2, N), N1=8, N2=N // 8)
 
 
+def _affine_view(X, cfg):
+    # the affine view empirical_stats takes of a CP-free OFDM frame
+    return daft_samples(idft_samples(X), cfg.chirp)
+
+
 def test_affine_view_preserves_energy():
     cfg = make_cfg()
-    x = ComplexSignal(random_complex(rng, 64), Domain.FREQUENCY)
-    y = affine_view_ofdm(x, cfg)
-    assert y.domain == Domain.AFFINE
-    assert abs(np.linalg.norm(y.samples) - np.linalg.norm(x.samples)) < 1e-10
+    x = random_complex(rng, 64)
+    y = _affine_view(x, cfg)
+    assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-10
 
 
 def test_affine_view_zero_input():
     cfg = make_cfg()
-    y = affine_view_ofdm(ComplexSignal(np.zeros(64), Domain.FREQUENCY), cfg)
-    assert np.all(y.samples == 0)
+    y = _affine_view(np.zeros(64, dtype=np.complex128), cfg)
+    assert np.all(y == 0)
 
 
 def test_empirical_stats_whiteness_small():

@@ -1,4 +1,9 @@
-"""Delay-Doppler channel tests: dense oracle, linearity, statistics."""
+"""Delay-Doppler channel tests: dense oracle, linearity, statistics, and
+the composition of the received frame."""
+
+import json
+from dataclasses import replace
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -8,23 +13,17 @@ from wdnoma.channel import (
     Path,
     PathSet,
     PhysicalTarget,
-    apply_dd_channel,
-    awgn,
+    apply_dd_channel_samples,
     build_uplink_channel,
-    compose_received,
     doppler_bin_to_norm,
     path_from_bin,
     target_to_path,
 )
-from wdnoma.signals import ComplexSignal, Domain
+from wdnoma.harness import _TrialContext, afdm_layout, config_from_dict
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import SystemConfig
 
 rng = np.random.default_rng(23)
-
-
-def _time(x):
-    return ComplexSignal(np.asarray(x, dtype=np.complex128), Domain.TIME)
 
 
 def _as_tuples(ps):
@@ -37,7 +36,7 @@ def test_two_path_dense_oracle():
     ps = PathSet(paths, L)
     H = dense_channel(L, _as_tuples(ps))
     x = random_complex(rng, L)
-    got = apply_dd_channel(_time(x), ps).samples
+    got = apply_dd_channel_samples(x, ps)
     assert np.max(np.abs(got - H @ x)) < 1e-12
 
 
@@ -51,29 +50,29 @@ def test_dense_oracle_many_random_cases():
         ps = PathSet(paths, L)
         H = dense_channel(L, _as_tuples(ps))
         x = random_complex(rng, L)
-        got = apply_dd_channel(_time(x), ps).samples
+        got = apply_dd_channel_samples(x, ps)
         assert np.max(np.abs(got - H @ x)) < 1e-12
 
 
 def test_identity_path_is_identity():
     ps = PathSet((Path(1.0, 0, 0.0),), 16)
     x = random_complex(rng, 16)
-    assert np.max(np.abs(apply_dd_channel(_time(x), ps).samples - x)) < 1e-14
+    assert np.max(np.abs(apply_dd_channel_samples(x, ps) - x)) < 1e-14
 
 
 def test_channel_is_linear():
     ps = PathSet((Path(0.5, 2, 1.0), Path(0.2j, 5, -2.0)), 32)
     x, y = random_complex(rng, 32), random_complex(rng, 32)
     a, b = 1.3 - 0.2j, -0.7j
-    lhs = apply_dd_channel(_time(a * x + b * y), ps).samples
-    rhs = a * apply_dd_channel(_time(x), ps).samples + b * apply_dd_channel(_time(y), ps).samples
+    lhs = apply_dd_channel_samples(a * x + b * y, ps)
+    rhs = a * apply_dd_channel_samples(x, ps) + b * apply_dd_channel_samples(y, ps)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_pure_delay_is_circular_shift():
     ps = PathSet((Path(1.0, 5, 0.0),), 16)
     x = random_complex(rng, 16)
-    got = apply_dd_channel(_time(x), ps).samples
+    got = apply_dd_channel_samples(x, ps)
     assert np.max(np.abs(got - np.roll(x, 5))) < 1e-14
 
 
@@ -82,7 +81,7 @@ def test_doppler_bin_convention():
     assert doppler_bin_to_norm(2, 256, 272) == 2 * 272 / 256
     p = path_from_bin(1.0, 0, 1, 8, 10)
     x = np.ones(10, dtype=np.complex128)
-    got = apply_dd_channel(_time(x), PathSet((p,), 10)).samples
+    got = apply_dd_channel_samples(x, PathSet((p,), 10))
     n = np.arange(10)
     assert np.max(np.abs(got - np.exp(-2j * np.pi * n / 8))) < 1e-12
 
@@ -95,7 +94,7 @@ def test_path_validation():
     with pytest.raises(ValueError):
         PathSet((Path(1.0, 16, 0.0),), 16)
     with pytest.raises(ValueError):
-        apply_dd_channel(_time(np.zeros(8)), PathSet((Path(1.0, 0, 0.0),), 16))
+        apply_dd_channel_samples(np.zeros(8), PathSet((Path(1.0, 0, 0.0),), 16))
 
 
 def test_build_uplink_channel_unit_power():
@@ -119,23 +118,39 @@ def test_build_uplink_channel_structure():
         build_uplink_channel(2, [], np.random.default_rng(1), 64, 72)
 
 
+def _desk_context(trial=0, **system):
+    raw = json.loads((FsPath(__file__).parent.parent / "configs" / "desk.json").read_text())
+    cfg = config_from_dict(raw)
+    if system:
+        cfg = replace(cfg, system=replace(cfg.system, **system))
+    ctx = _TrialContext(cfg, trial)
+    return ctx, ctx.uplink("afdm", afdm_layout(cfg))
+
+
 def test_awgn_variance_and_zero_case():
-    s = _time(np.zeros(50_000))
-    noisy = awgn(s, 0.25, np.random.default_rng(3))
-    assert abs(np.mean(np.abs(noisy.samples) ** 2) - 0.25) < 0.01
-    clean = awgn(s, 0.0, np.random.default_rng(3))
-    assert np.all(clean.samples == 0)
-    with pytest.raises(ValueError):
-        awgn(s, -1.0, np.random.default_rng(3))
+    # the sweep's noise w = r - r_ul - g * r_dl, at the SNR that makes sigma2 = 0.25
+    w = []
+    for trial in range(200):
+        ctx, up = _desk_context(trial)
+        r, sigma2, g = ctx.compose(up, 10 * np.log10(up["p_ul"] / 0.25))
+        w.append(r - up["r_ul"] - g * ctx.r_dl)
+    assert sigma2 == pytest.approx(0.25)
+    assert abs(np.mean(np.abs(np.concatenate(w)) ** 2) - 0.25) < 0.01
+    clean, sigma2, g = ctx.compose(up, np.inf)
+    assert sigma2 == 0.0
+    assert np.array_equal(clean, up["r_ul"] + g * ctx.r_dl)
 
 
 def test_compose_received_amplitude_scaling():
-    a = _time(np.ones(8))
-    b = _time(np.full(8, 2.0))
-    out = compose_received(a, b, -20.0, 0.0, np.random.default_rng(0))
-    assert np.allclose(out.samples, 1.0 + 0.1 * 2.0)
-    silent = compose_received(a, b, -np.inf, 0.0, np.random.default_rng(0))
-    assert np.allclose(silent.samples, 1.0)
+    # r = r_ul + g * r_dl + w with amplitude g = 10^(offset_db / 20) * sqrt(p_ul / targets)
+    ctx, up = _desk_context()
+    r, _, g = ctx.compose(up, np.inf)
+    assert g == pytest.approx(0.1 * np.sqrt(up["p_ul"] / len(ctx.targets)))
+    assert np.allclose(r, up["r_ul"] + g * ctx.r_dl)
+    ctx, up = _desk_context(echo_power_offset_db=-np.inf)
+    silent, _, g = ctx.compose(up, np.inf)
+    assert g == 0.0
+    assert np.allclose(silent, up["r_ul"])
 
 
 def test_target_quantization():

@@ -3,19 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import random_complex
+from oracles import embed, random_complex
 from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
-from wdnoma.frame import (
-    allocate_frame,
-    allocate_otfs_frame,
-    embed_data,
-    extract_data,
-)
-from wdnoma.signals import Domain
+from wdnoma.frame import allocate_frame, allocate_otfs_frame, full_grid_layout
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import afdm_demod_samples, afdm_mod_samples, otfs_demod_samples, otfs_mod_samples
-
-rng = np.random.default_rng(31)
 
 
 def test_partition_is_exact():
@@ -25,6 +17,10 @@ def test_partition_is_exact():
     assert np.array_equal(all_bins, np.arange(256))
     assert layout.n_data == 192
     assert np.all(np.isin(layout.npe_window, layout.guard2))
+    # the PD-NOMA OFDM frame: all bins are data, no NPE window
+    full = full_grid_layout(256, 2)
+    assert np.array_equal(full.data, np.arange(256))
+    assert full.guard1.size == full.guard2.size == full.npe_window.size == 0
 
 
 def test_npe_window_size_with_delay_coupling():
@@ -55,19 +51,6 @@ def test_allocate_frame_validation():
         allocate_frame(64, 0, 8, 8, 8, 0, 0.001, 0)  # non-integer 2Nc1
 
 
-def test_embed_extract_roundtrip():
-    layout = allocate_frame(N=64, guard1_start=0, K1=8, guard2_start=8, K2=8,
-                            kappa_max=1, c1=3 / 128, max_delay=1)
-    syms = random_complex(rng, layout.n_data)
-    frame = embed_data(syms, layout)
-    assert frame.domain == Domain.AFFINE
-    assert np.all(frame.samples[layout.guard1] == 0)
-    assert np.all(frame.samples[layout.guard2] == 0)
-    assert np.array_equal(extract_data(frame, layout), syms)
-    with pytest.raises(ValueError):
-        embed_data(syms[:-1], layout)
-
-
 @pytest.mark.parametrize("trial", range(10))
 def test_afdm_leakage_containment(trial):
     """Integer-Doppler channels leave the NPE window exactly data-free."""
@@ -83,8 +66,8 @@ def test_afdm_leakage_containment(trial):
         for _ in range(3))
     ps = PathSet(paths, N + L_cpp)
     syms = random_complex(g, layout.n_data)
-    frame = embed_data(syms, layout)
-    r = apply_dd_channel_samples(afdm_mod_samples(frame.samples, chirp, L_cpp), ps)
+    frame = embed(syms, layout)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, chirp, L_cpp), ps)
     d = afdm_demod_samples(r, chirp, L_cpp)
     assert np.max(np.abs(d[layout.npe_window])) < 1e-10
 
@@ -126,7 +109,7 @@ def test_otfs_leakage_containment(trial):
         for _ in range(3))
     ps = PathSet(paths, L)
     syms = random_complex(g, layout.n_data)
-    frame = embed_data(syms, layout)
-    r = apply_dd_channel_samples(otfs_mod_samples(frame.samples, N1, N2, 16), ps)
+    frame = embed(syms, layout)
+    r = apply_dd_channel_samples(otfs_mod_samples(frame, N1, N2, 16), ps)
     d = otfs_demod_samples(r, N1, N2, 16)
     assert np.max(np.abs(d[layout.npe_window])) < 1e-10

@@ -1,6 +1,8 @@
 """Experiment harness tests: config parsing, seeding, determinism, CLI."""
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,8 @@ from wdnoma.harness import (
 )
 from wdnoma.channel import target_to_path
 
-CONFIG = Path(__file__).parent.parent / "configs" / "desk.json"
+ROOT = Path(__file__).parent.parent
+CONFIG = ROOT / "configs" / "desk.json"
 
 
 def small_raw(**over):
@@ -40,6 +43,8 @@ def test_load_example_config():
     assert cfg.sweep.modes == MODES
     # c1 defaulted from kappa_max: (2*1 + 1)/(2N)
     assert cfg.system.chirp.shift_factor(256) == 3
+    # the paper-scale config passes the same parse-time checks
+    assert load_config(ROOT / "perfbench" / "paper.json").system.N == 1024
 
 
 def test_config_rejects_unknown_keys():
@@ -69,6 +74,26 @@ def test_config_cross_validation():
         config_from_dict(small_raw(system={"L_cp": 8}))
     with pytest.raises(ValueError, match="trials"):
         config_from_dict(small_raw(sweep={"trials": 0}))
+
+
+def test_config_rejects_negative_range():
+    with pytest.raises(ValueError, match="range_bounds"):
+        config_from_dict(small_raw(channel={"range_bounds": [-1.0, 50.0]}))
+
+
+def test_config_rejects_range_beyond_delay_grid():
+    # desk: 7.68 MHz sampling, so 292.8 m is delay 15 (the last OMP grid
+    # delay, L_cp - 1) and 315 m is delay 16, which the prefix still admits
+    config_from_dict(small_raw(channel={"range_bounds": [0.0, 292.8]}))
+    with pytest.raises(ValueError, match="range_bounds"):
+        config_from_dict(small_raw(channel={"range_bounds": [310.0, 315.0]}))
+
+
+def test_config_rejects_velocity_beyond_kappa_max():
+    # 28 GHz at 30 kHz spacing: 300 m/s is Doppler bin 2 > kappa_max = 1
+    for bounds in ([0.0, 300.0], [-300.0, 0.0]):
+        with pytest.raises(ValueError, match="kappa_max"):
+            config_from_dict(small_raw(channel={"velocity_bounds": bounds}))
 
 
 def test_config_hash_is_content_addressed():
@@ -205,3 +230,16 @@ def test_cli_repeat_runs_byte_identical(tmp_path):
         outs.append(out)
     for f in ("ber_wdnoma_afdm_npe.csv", "ber_pdnoma_ofdm.csv"):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
+def test_cli_sense_default_modes(tmp_path):
+    # every default mode completes, PD-NOMA OFDM included
+    out = tmp_path / "sense"
+    assert main(["sense", "--config", str(CONFIG), "--out", str(out),
+                 "--trials", "2", "--snr", "30"]) == 0
+    files = sorted(out.glob("nmse_*.csv"))
+    assert len(files) == 2 * len(MODES)
+    for f in files:
+        with open(f) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert all(math.isfinite(float(row[k])) for k in ("metric", "ci_halfwidth"))

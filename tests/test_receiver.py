@@ -1,23 +1,22 @@
 """Receiver tests: equivalent channel vs dense oracle, NPE, MMSE, cancellation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import dense_equivalent_channel, dense_mmse, random_complex
-from wdnoma.channel import PathSet, apply_dd_channel, awgn, path_from_bin
-from wdnoma.frame import allocate_frame, embed_data
+from oracles import dense_equivalent_channel, dense_mmse, embed, random_complex
+from wdnoma import harness
+from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
+from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
-    EquivalentChannel,
-    NoiseEstimate,
     build_equivalent_channel,
-    demodulate_frame,
     estimate_noise_power,
     mmse_detect,
     reconstruct_and_cancel,
 )
-from wdnoma.signals import ComplexSignal, Domain
 from wdnoma.transforms import ChirpParams
-from wdnoma.waveforms import SystemConfig, afdm_modulate
+from wdnoma.waveforms import SystemConfig, afdm_demod_samples, afdm_mod_samples
 
 rng = np.random.default_rng(41)
 
@@ -88,44 +87,59 @@ def test_mmse_matches_dense_normal_equation_oracle():
     cfg = make_cfg(N=N)
     for _ in range(20):
         H = random_complex(rng, N * N).reshape(N, N) / np.sqrt(N)
-        ps = PathSet((path_from_bin(1.0, 0, 0, N, N + 4),), N + 4)
-        eq = EquivalentChannel(matrix=H, source=ps)
-        d = ComplexSignal(random_complex(rng, N), Domain.AFFINE)
-        got = mmse_detect(d, eq, 0.1).samples
-        ref = dense_mmse(H, d.samples, 0.1)
+        d = random_complex(rng, N)
+        (got,) = mmse_detect(H, d, [0.1])
+        ref = dense_mmse(H, d, 0.1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_mmse_zero_noise_is_zero_forcing():
     N = 16
     H = random_complex(rng, N * N).reshape(N, N)
-    ps = PathSet((path_from_bin(1.0, 0, 0, N, N + 4),), N + 4)
-    eq = EquivalentChannel(matrix=H, source=ps)
-    d = ComplexSignal(random_complex(rng, N), Domain.AFFINE)
-    x = mmse_detect(d, eq, 0.0).samples
-    assert np.max(np.abs(x - np.linalg.solve(H, d.samples))) < 1e-8
+    d = random_complex(rng, N)
+    (x,) = mmse_detect(H, d, [0.0])
+    assert np.max(np.abs(x - np.linalg.solve(H, d))) < 1e-8
 
 
 def test_mmse_singular_zero_noise_fails():
     N = 8
     H = np.zeros((N, N), dtype=np.complex128)
-    ps = PathSet((path_from_bin(1.0, 0, 0, N, N + 2),), N + 2)
-    eq = EquivalentChannel(matrix=H, source=ps)
-    d = ComplexSignal(random_complex(rng, N), Domain.AFFINE)
+    d = random_complex(rng, N)
     with pytest.raises(np.linalg.LinAlgError):
-        mmse_detect(d, eq, 0.0)
+        mmse_detect(H, d, [0.0])
     with pytest.raises(ValueError):
-        mmse_detect(d, eq, -1.0)
+        mmse_detect(H, d, [-1.0])
 
 
 def test_mmse_scalar_shrinkage():
     # H = I, sigma2 = 1 -> x = d / 2
     N = 8
-    ps = PathSet((path_from_bin(1.0, 0, 0, N, N + 2),), N + 2)
-    eq = EquivalentChannel(matrix=np.eye(N, dtype=np.complex128), source=ps)
-    d = ComplexSignal(random_complex(rng, N), Domain.AFFINE)
-    x = mmse_detect(d, eq, 1.0).samples
-    assert np.max(np.abs(x - d.samples / 2)) < 1e-12
+    d = random_complex(rng, N)
+    (x,) = mmse_detect(np.eye(N, dtype=np.complex128), d, [1.0])
+    assert np.max(np.abs(x - d / 2)) < 1e-12
+
+
+def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
+    # the sweep's own per-mode MMSE outputs, captured on one desk trial
+    cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "desk.json")
+    calls = []
+
+    def recording_mmse(H, d, sigma2s):
+        out = mmse_detect(H, d, sigma2s)
+        calls.append((H, d, list(sigma2s), out))
+        return out
+
+    monkeypatch.setattr(harness, "mmse_detect", recording_mmse)
+    modes = harness.MODES[:3]
+    assert all(harness._WAVEFORM_OF_MODE[m] == "afdm" for m in modes)
+    ctx = harness._TrialContext(cfg, 0)
+    for snr_db in (0.0, 35.0):
+        harness._detect_group(cfg, ctx, snr_db, "afdm", modes, harness.afdm_layout(cfg))
+    assert len(calls) == 2
+    for H, d, sigma2s, out in calls:
+        assert len(out) == len(modes)
+        for s2, x in zip(sigma2s, out):
+            assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
 
 
 def _layout_and_cfg():
@@ -143,37 +157,37 @@ def test_estimate_noise_power_pure_noise():
     trials = 400
     for _ in range(trials):
         w = (g.standard_normal(64) + 1j * g.standard_normal(64)) * np.sqrt(0.3 / 2)
-        d = ComplexSignal(w, Domain.AFFINE)
-        acc += estimate_noise_power(d, layout).sigma2_hat
+        acc += estimate_noise_power(w, layout)
     assert abs(acc / trials - 0.3) < 0.02
+    # the full OFDM grid has no guard to sample
     with pytest.raises(ValueError):
-        NoiseEstimate(-1.0, 4)
+        estimate_noise_power(w, full_grid_layout(64, 1))
 
 
 def test_perfect_cancellation_no_noise():
     cfg, layout = _layout_and_cfg()
     g = np.random.default_rng(17)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
-    frame = embed_data(syms, layout)
+    frame = embed(syms, layout)
     ps = PathSet((path_from_bin(0.7 - 0.1j, 1, 1, 64, 72),
                   path_from_bin(0.2j, 2, -1, 64, 72)), 72)
-    r = apply_dd_channel(afdm_modulate(frame, cfg), ps)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
     res = reconstruct_and_cancel(r, ps, syms, layout, cfg)
-    assert np.max(np.abs(res.samples)) < 1e-10
+    assert np.max(np.abs(res)) < 1e-10
 
 
 def test_cancellation_residual_is_echo_plus_noise():
     cfg, layout = _layout_and_cfg()
     g = np.random.default_rng(18)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
-    frame = embed_data(syms, layout)
+    frame = embed(syms, layout)
     ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
-    r_ul = apply_dd_channel(afdm_modulate(frame, cfg), ps)
+    r_ul = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
     echo = random_complex(g, 72)
     w = random_complex(g, 72) * 0.1
-    r = ComplexSignal(r_ul.samples + 0.1 * echo + w, Domain.TIME)
+    r = r_ul + 0.1 * echo + w
     res = reconstruct_and_cancel(r, ps, syms, layout, cfg)
-    assert np.max(np.abs(res.samples - (0.1 * echo + w))) < 1e-10
+    assert np.max(np.abs(res - (0.1 * echo + w))) < 1e-10
 
 
 def test_cancellation_error_energy_via_linearity():
@@ -181,21 +195,20 @@ def test_cancellation_error_energy_via_linearity():
     cfg, layout = _layout_and_cfg()
     g = np.random.default_rng(19)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
-    frame = embed_data(syms, layout)
+    frame = embed(syms, layout)
     ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
-    r = apply_dd_channel(afdm_modulate(frame, cfg), ps)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
     bad = syms.copy()
     bad[5] += 2.0
     res = reconstruct_and_cancel(r, ps, bad, layout, cfg)
-    err_frame = embed_data(bad - syms, layout)
-    expected = apply_dd_channel(afdm_modulate(err_frame, cfg), ps)
-    assert abs(np.sum(np.abs(res.samples) ** 2)
-               - np.sum(np.abs(expected.samples) ** 2)) < 1e-10
+    err_frame = embed(bad - syms, layout)
+    expected = apply_dd_channel_samples(afdm_mod_samples(err_frame, cfg.chirp, cfg.L_cpp), ps)
+    assert abs(np.sum(np.abs(res) ** 2) - np.sum(np.abs(expected) ** 2)) < 1e-10
 
 
 def test_demodulate_frame_roundtrip():
     cfg, layout = _layout_and_cfg()
     syms = random_complex(rng, layout.n_data)
-    frame = embed_data(syms, layout)
-    d = demodulate_frame(afdm_modulate(frame, cfg), cfg)
-    assert np.max(np.abs(d.samples - frame.samples)) < 1e-12
+    frame = embed(syms, layout)
+    d = afdm_demod_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), cfg.chirp, cfg.L_cpp)
+    assert np.max(np.abs(d - frame)) < 1e-12

@@ -13,7 +13,6 @@ from wdnoma.sensing import (
     omp_2d,
 )
 from wdnoma.channel import PhysicalTarget
-from wdnoma.signals import ComplexSignal, Domain
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import SystemConfig
 
@@ -26,7 +25,7 @@ def make_cfg(N=16, N1=4, N2=4):
 
 
 def _frame(L=20):
-    return ComplexSignal(random_complex(rng, L), Domain.TIME)
+    return random_complex(rng, L)
 
 
 def _atom_oracle(s, tau, kappa, N):
@@ -43,7 +42,7 @@ def test_dictionary_atoms_match_formula_oracle():
     assert dic.atoms.shape == (4, 4, 20)
     for i, tau in enumerate(dic.tau_grid):
         for j, kappa in enumerate(dic.nu_grid):
-            ref = _atom_oracle(s.samples, int(tau), int(kappa), 16)
+            ref = _atom_oracle(s, int(tau), int(kappa), 16)
             assert np.max(np.abs(dic.atoms[i, j] - ref)) < 1e-12
 
 
@@ -59,7 +58,7 @@ def test_omp_single_atom_exact():
     s = _frame()
     dic = build_dictionary(s, range(4), range(-2, 3), N=16)
     truth = 2.5 * dic.atoms[3, np.where(dic.nu_grid == 1)[0][0]]
-    out = omp_2d(ComplexSignal(truth, Domain.TIME), dic, 1)
+    out = omp_2d(truth, dic, 1)
     (est,) = out.targets
     assert (est.tau_hat, est.nu_hat) == (3, 1)
     assert abs(est.gain_hat - 2.5) < 1e-10
@@ -70,7 +69,7 @@ def test_omp_single_atom_exact():
 def test_omp_multi_target_exact_recovery(k):
     cfg = make_cfg(N=64, N1=8, N2=8)
     L = 64 + 8
-    s = ComplexSignal(random_complex(rng, L), Domain.TIME)
+    s = random_complex(rng, L)
     dic = build_dictionary(s, range(8), range(-3, 4), N=64)
     g = np.random.default_rng(100 + k)
     cells = g.choice(8 * 7, size=k, replace=False)
@@ -81,7 +80,7 @@ def test_omp_multi_target_exact_recovery(k):
         i, j = divmod(int(c), 7)
         y += gain * dic.atoms[i, j]
         truth[(int(dic.tau_grid[i]), int(dic.nu_grid[j]))] = gain
-    out = omp_2d(ComplexSignal(y, Domain.TIME), dic, k)
+    out = omp_2d(y, dic, k)
     init_energy = float(np.sum(np.abs(y) ** 2))
     assert out.residual_energy < 1e-8 * init_energy
     for est in out.targets:
@@ -94,7 +93,7 @@ def test_omp_residual_threshold_stops_early():
     s = _frame()
     dic = build_dictionary(s, range(4), range(-2, 3), N=16)
     y = 1.5 * dic.atoms[2, 0]
-    out = omp_2d(ComplexSignal(y, Domain.TIME), dic, 3, residual_threshold=1e-12)
+    out = omp_2d(y, dic, 3, residual_threshold=1e-12)
     assert len(out.targets) == 1  # the single atom explains everything
 
 
@@ -102,11 +101,11 @@ def test_omp_validation():
     s = _frame()
     dic = build_dictionary(s, range(2), range(2), N=16)
     with pytest.raises(ValueError):
-        omp_2d(ComplexSignal(s.samples, Domain.TIME), dic, 0)
+        omp_2d(s, dic, 0)
     with pytest.raises(ValueError):
-        omp_2d(ComplexSignal(s.samples, Domain.TIME), dic, 5)
+        omp_2d(s, dic, 5)
     with pytest.raises(ValueError):
-        omp_2d(ComplexSignal(random_complex(rng, 7), Domain.TIME), dic, 1)
+        omp_2d(random_complex(rng, 7), dic, 1)
 
 
 def test_estimate_to_physical_inverts_quantization():

@@ -9,17 +9,14 @@ from oracles import (
     dense_otfs_w,
     random_complex,
 )
-from wdnoma.signals import ComplexSignal, Domain
+from wdnoma.receiver import _mod_demod_fns
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import (
     SystemConfig,
-    afdm_demodulate,
-    afdm_modulate,
+    afdm_mod_samples,
     constellation,
-    ofdm_demodulate,
-    ofdm_modulate,
-    otfs_demodulate,
-    otfs_modulate,
+    ofdm_mod_samples,
+    otfs_mod_samples,
     qam_demap_hard,
     qam_map,
 )
@@ -86,7 +83,7 @@ def test_ofdm_matches_dense_oracle():
     cfg = make_cfg()
     B = dense_ofdm_mod(cfg.N, cfg.L_cp)
     x = random_complex(rng, cfg.N)
-    got = ofdm_modulate(ComplexSignal(x, Domain.FREQUENCY), cfg).samples
+    got = ofdm_mod_samples(x, cfg.L_cp)
     assert np.max(np.abs(got - B @ x)) < 1e-12
 
 
@@ -95,7 +92,7 @@ def test_afdm_matches_dense_oracle():
     B = dense_afdm_mod(cfg.N, cfg.L_cpp, cfg.chirp.c1, cfg.chirp.c2)
     for _ in range(10):
         x = random_complex(rng, cfg.N)
-        got = afdm_modulate(ComplexSignal(x, Domain.AFFINE), cfg).samples
+        got = afdm_mod_samples(x, cfg.chirp, cfg.L_cpp)
         assert np.max(np.abs(got - B @ x)) < 1e-12
 
 
@@ -104,7 +101,7 @@ def test_otfs_matches_dense_kronecker_oracle():
     W = dense_otfs_w(cfg.N1, cfg.N2, cfg.L_cp)
     for _ in range(10):
         x = random_complex(rng, cfg.N)
-        got = otfs_modulate(ComplexSignal(x, Domain.DELAY_DOPPLER), cfg).samples
+        got = otfs_mod_samples(x, cfg.N1, cfg.N2, cfg.L_cp)
         assert np.max(np.abs(got - W @ x)) < 1e-12
 
 
@@ -112,35 +109,35 @@ def test_otfs_n2_equal_one_reduces_to_cp_only():
     cfg = SystemConfig(N=8, M=4, f_c=28e9, delta_f=30e3, L_cp=2, L_cpp=2,
                        chirp=ChirpParams(0.0), N1=8, N2=1)
     x = random_complex(rng, 8)
-    got = otfs_modulate(ComplexSignal(x, Domain.DELAY_DOPPLER), cfg).samples
+    got = otfs_mod_samples(x, cfg.N1, cfg.N2, cfg.L_cp)
     assert np.allclose(got[2:], x, atol=1e-13)
     assert np.allclose(got[:2], x[-2:], atol=1e-13)
 
 
-@pytest.mark.parametrize("mod,demod,domain", [
-    (ofdm_modulate, ofdm_demodulate, Domain.FREQUENCY),
-    (afdm_modulate, afdm_demodulate, Domain.AFFINE),
-    (otfs_modulate, otfs_demodulate, Domain.DELAY_DOPPLER),
-])
-def test_modulator_roundtrip(mod, demod, domain):
+# each waveform's modulator/demodulator pair, named with its symbol domain
+WAVEFORMS = ("ofdm", "afdm", "otfs")
+DOMAINS = ("frequency", "affine", "delay_doppler")
+
+
+@pytest.mark.parametrize("waveform", WAVEFORMS, ids=[
+    f"{w}_modulate-{w}_demodulate-{dom}" for w, dom in zip(WAVEFORMS, DOMAINS)])
+def test_modulator_roundtrip(waveform):
     cfg = make_cfg(N=64, L=8, N1=8, N2=8)
+    mod, demod = _mod_demod_fns(cfg, waveform)
     x = random_complex(rng, cfg.N)
-    back = demod(mod(ComplexSignal(x, domain), cfg), cfg)
-    assert back.domain == domain
-    assert np.max(np.abs(back.samples - x)) < 1e-12
+    back = demod(mod(x))
+    assert np.max(np.abs(back - x)) < 1e-12
 
 
-@pytest.mark.parametrize("mod,domain", [
-    (ofdm_modulate, Domain.FREQUENCY),
-    (afdm_modulate, Domain.AFFINE),
-    (otfs_modulate, Domain.DELAY_DOPPLER),
-])
-def test_modulator_energy_with_prefix_overhead(mod, domain):
+@pytest.mark.parametrize("waveform", WAVEFORMS, ids=[
+    f"{w}_modulate-{dom}" for w, dom in zip(WAVEFORMS, DOMAINS)])
+def test_modulator_energy_with_prefix_overhead(waveform):
     # prefix copies tail samples with unit-magnitude weights, so
     # ||s||^2 = ||x||^2 + ||tail||^2 exactly
     cfg = make_cfg(N=32, L=8, N1=8, N2=4)
+    mod, _ = _mod_demod_fns(cfg, waveform)
     x = random_complex(rng, cfg.N)
-    s = mod(ComplexSignal(x, domain), cfg).samples
+    s = mod(x)
     core = s[8:]
     assert abs(np.sum(np.abs(s) ** 2)
                - np.sum(np.abs(x) ** 2) - np.sum(np.abs(core[-8:]) ** 2)) < 1e-10
@@ -149,8 +146,8 @@ def test_modulator_energy_with_prefix_overhead(mod, domain):
 
 def test_zero_in_zero_out():
     cfg = make_cfg()
-    z = ComplexSignal(np.zeros(cfg.N), Domain.AFFINE)
-    assert np.all(afdm_modulate(z, cfg).samples == 0)
+    z = np.zeros(cfg.N, dtype=np.complex128)
+    assert np.all(afdm_mod_samples(z, cfg.chirp, cfg.L_cpp) == 0)
 
 
 # ---------------------------------------------------------------------------
