@@ -360,10 +360,7 @@ def _detect_group(cfg, ctx, snr_db, waveform, modes, layout, keep_chain=False):
         else:  # genie-style total noise (channel noise + measured echo power)
             sigma2s.append(sigma2 + echo_bin_power)
 
-    # H is not bound here, so mmse_detect frees it first, with its own N x N
-    # temporaries; holding H until this function returns changed the heap
-    # layout and raised the N = 1024 peak RSS by 4 MB
-    xs = mmse_detect(build_equivalent_channel(ctx.ul_ps, sys_, waveform).matrix, d, sigma2s)
+    xs = mmse_detect(build_equivalent_channel(ctx.ul_ps, sys_, waveform).sparse, d, sigma2s)
     results = {}
     chain = {}
     for mode, x in zip(modes, xs):

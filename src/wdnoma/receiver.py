@@ -2,16 +2,23 @@
 noise power estimation (NPE), MMSE detection, and reconstruction and
 cancellation of the detected uplink signal.
 
+The equivalent channel H is sparse: with integer Doppler each of the P
+paths is one phase-weighted shift per column, so H has at most P nonzeros
+per column and the Gram matrix H^H H at most P(P-1)+1 shifted diagonals
+(cyclic diagonals for OFDM and AFDM, 2D cyclic shifts of the delay-Doppler
+grid for OTFS).
+
 MMSE formulation. ``mmse_detect`` solves the normal equations
-(H^H H + sigma2 I) x = H^H d with a dense LU solve per sigma2, sharing H^H
-and the Gram matrix across the sigma2 values of one waveform group. Every
-pinned curve comes from this formulation. Squaring H squares its condition
-number, but in every sweep mode sigma2 stays bounded away from zero: noise
-at SNR <= 35 dB plus the echo at -20 dB. So
-cond(H^H H + sigma2 I) <= (s_max^2 + sigma2) / sigma2 stays bounded, where
-s_max is the largest singular value of H. Exactness on noiseless chains,
-where sigma2 -> 0 and a near-singular H matters, is checked against the
-stacked least-squares oracle in the tests, not by this solver.
+(H^H H + sigma2 I) x = H^H d with one sparse LU factorization and solve per
+sigma2, sharing H^H, the Gram matrix and H^H d across the sigma2 values of
+one waveform group. Every pinned curve comes from this formulation.
+Squaring H squares its condition number, but in every sweep mode sigma2
+stays bounded away from zero: noise at SNR <= 35 dB plus the echo at
+-20 dB. So cond(H^H H + sigma2 I) <= (s_max^2 + sigma2) / sigma2 stays
+bounded, where s_max is the largest singular value of H. Exactness on
+noiseless chains, where sigma2 -> 0 and a near-singular H matters, is
+checked against the stacked least-squares oracle in the tests, not by this
+solver.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import splu
 
 from .channel import PathSet, apply_dd_channel_samples
 from .waveforms import (
@@ -34,8 +43,12 @@ from .waveforms import (
 
 @dataclass(frozen=True)
 class EquivalentChannel:
-    matrix: np.ndarray
-    source: PathSet
+    sparse: csr_matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the channel, for tests and oracles."""
+        return self.sparse.toarray()
 
 
 def estimate_noise_power(d: np.ndarray, layout) -> float:
@@ -60,42 +73,93 @@ def _mod_demod_fns(cfg: SystemConfig, waveform: str):
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
-def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
-    """N x N transmit-domain equivalent channel, built by impulse probing.
+def _integer_bin(doppler_norm: float, N: int, frame_len: int) -> int:
+    raw = doppler_norm * N / frame_len
+    kappa = int(round(raw))
+    if abs(raw - kappa) > 1e-9:
+        raise ValueError(f"Doppler of {raw} bins is not an integer; the equivalent "
+                         "channel is built for integer Doppler bins only")
+    return kappa
 
-    Column i is demod(channel(mod(e_i))); the probe never materializes the
-    five-matrix product. Path delays must fit inside the prefix.
+
+def _path_entries(waveform: str, cfg: SystemConfig, k: np.ndarray, delay: int, kappa: int):
+    """Column index and value for each row k of one path's shift.
+
+    The path's gain and its prefix phase exp(-j 2 pi kappa L / N) are left
+    out; integer products are reduced mod N (or N2) before scaling to keep
+    the phases exact.
     """
-    mod, demod = _mod_demod_fns(cfg, waveform)
-    prefix = ch.frame_len - cfg.N
+    N, l = cfg.N, delay
+    if waveform == "ofdm":
+        return (k + kappa) % N, np.exp(-2j * np.pi * (k * l % N) / N)
+    if waveform == "afdm":
+        c1, c2 = cfg.chirp.c1, cfg.chirp.c2
+        shifted = k + kappa + cfg.chirp.shift_factor(N) * l
+        col = shifted % N
+        phase = ((kappa - shifted) * l % N) / N + c1 * l * l - c2 * (k * k - col * col)
+        return col, np.exp(2j * np.pi * phase)
+    if waveform == "otfs":
+        N1, N2 = cfg.N1, cfg.N2
+        k2, n1 = np.divmod(k, N1)
+        wrap, delay_col = np.divmod(n1 - l, N1)     # wrap = floor((n1 - l) / N1) <= 0
+        doppler = k2 + kappa
+        phase = -(kappa * (n1 - l) % N) / N + (doppler * wrap % N2) / N2
+        return (doppler % N2) * N1 + delay_col, np.exp(2j * np.pi * phase)
+    raise ValueError(f"unknown waveform {waveform!r}")
+
+
+def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
+    """N x N transmit-domain equivalent channel demod(channel(mod(.))).
+
+    With integer Doppler each path is one phase-weighted shift per column
+    (for AFDM, the H_p of Bemani, Ksairi & Kountouris, IEEE TWC 2023), so H
+    is built from closed-form entries in O(P N) as a sparse CSR matrix with
+    at most P nonzeros per row. Path delays must fit inside the prefix and
+    Doppler must sit on an integer bin; paths sharing a shift are summed.
+    """
+    N = cfg.N
+    prefix = cfg.L_cpp if waveform == "afdm" else cfg.L_cp
     if ch.max_delay > prefix:
         raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
-    E = np.eye(cfg.N, dtype=np.complex128)
-    responses = demod(apply_dd_channel_samples(mod(E), ch))
-    return EquivalentChannel(matrix=responses.T.copy(), source=ch)
+    if ch.frame_len != N + prefix:
+        raise ValueError(f"channel frame length {ch.frame_len} != N + prefix = {N + prefix}")
+    k = np.arange(N)
+    cols, vals = [], []
+    for p in ch.paths:
+        kappa = _integer_bin(p.doppler_norm, N, ch.frame_len)
+        col, val = _path_entries(waveform, cfg, k, p.delay_samples, kappa)
+        cols.append(col)
+        vals.append(p.gain * np.exp(-2j * np.pi * (kappa * prefix % N) / N) * val)
+    rows = np.tile(k, len(ch.paths))
+    H = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(N, N))
+    return EquivalentChannel(sparse=H)
 
 
-def mmse_detect(H: np.ndarray, d: np.ndarray, sigma2s) -> list:
+def mmse_detect(H, d: np.ndarray, sigma2s) -> list:
     """Solve (H^H H + s2 I) x = H^H d for each s2 in ``sigma2s``.
 
-    H^H, the Gram matrix and the right-hand side are formed once; each s2
-    gets its own regularized copy of the Gram matrix and one dense solve,
-    so only one N x N system is held at a time. With s2 = 0 this is
-    zero-forcing; an exactly singular system raises LinAlgError.
+    H may be sparse or dense; it is used as a sparse matrix. H^H, the Gram
+    matrix and the right-hand side are formed once; each s2 gets one sparse
+    LU factorization and solve. With s2 = 0 this is zero-forcing; an exactly
+    singular system raises LinAlgError.
     """
+    H = csr_matrix(H)
     N = H.shape[0]
     if d.shape != (N,):
         raise ValueError(f"signal length {d.shape} does not match the {N}x{N} channel")
     if any(s2 < 0 for s2 in sigma2s):
         raise ValueError("noise variances must be non-negative")
     G = H.conj().T
-    gram = G @ H
+    gram = (G @ H).tocsc()
     rhs = G @ d
+    eye = identity(N, dtype=np.complex128, format="csc")
     out = []
     for s2 in sigma2s:
-        A = gram.copy()
-        A.flat[:: N + 1] += s2
-        out.append(np.linalg.solve(A, rhs))
+        try:
+            lu = splu(gram + s2 * eye)
+        except RuntimeError as exc:   # SuperLU reports an exactly singular factor
+            raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2}") from exc
+        out.append(lu.solve(rhs))
     return out
 
 

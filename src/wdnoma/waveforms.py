@@ -131,7 +131,7 @@ def constellation(M: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched modulator kernels (last-axis layout, reused by the receiver probes)
+# Batched modulator kernels (last-axis layout)
 # ---------------------------------------------------------------------------
 
 def ofdm_mod_samples(X: np.ndarray, L_cp: int) -> np.ndarray:

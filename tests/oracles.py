@@ -92,11 +92,25 @@ def dense_ofdm_mod(N: int, L_cp: int) -> np.ndarray:
     return dense_cp_add(N, L_cp) @ dense_dft(N).conj().T
 
 
-def dense_equivalent_channel(N: int, L_cpp: int, c1: float, c2: float, paths) -> np.ndarray:
-    """Five-matrix product DAFT R H_ltv A_cpp DAFT^H for the AFDM chain."""
-    A = dense_daft(N, c1, c2)
-    return (A @ dense_prefix_remove(N, L_cpp) @ dense_channel(N + L_cpp, paths)
-            @ dense_cpp_add(N, L_cpp, c1) @ A.conj().T)
+def dense_equivalent_channel(N: int, L: int, c1: float, c2: float, paths,
+                             waveform: str = "afdm", N1: int = 1) -> np.ndarray:
+    """Five-matrix product demod R H_ltv A mod for one waveform chain.
+
+    AFDM: DAFT R H A_cpp DAFT^H; OTFS: W^H R H A_cp W with
+    W = F_N2^H kron I_N1 (``N1`` delay bins); OFDM: F R H A_cp F^H. Each
+    modulator's core R A W is unitary, so its conjugate transpose is the
+    demodulator.
+    """
+    if waveform == "afdm":
+        mod = dense_afdm_mod(N, L, c1, c2)
+    elif waveform == "otfs":
+        mod = dense_otfs_w(N1, N // N1, L)
+    elif waveform == "ofdm":
+        mod = dense_ofdm_mod(N, L)
+    else:
+        raise ValueError(f"unknown waveform {waveform!r}")
+    R = dense_prefix_remove(N, L)
+    return (R @ mod).conj().T @ R @ dense_channel(N + L, paths) @ mod
 
 
 def dense_mmse(H: np.ndarray, d: np.ndarray, sigma2: float) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_criterion_1_transform_correctness():
         assert np.max(np.abs(got - dense_channel(L, triples) @ x)) < tol
         cases += 1
 
-    # equivalent channel H_a^eq via impulse probing vs dense five-matrix product
+    # equivalent channel H_a^eq, built analytically, vs dense five-matrix product
     cfg = SystemConfig(N=32, M=4, f_c=28e9, delta_f=30e3, L_cp=8, L_cpp=8,
                        chirp=ChirpParams.for_max_doppler(2, 32), N1=8, N2=4)
     for _ in range(40):

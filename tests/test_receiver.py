@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense_equivalent_channel, dense_mmse, embed, random_complex
 from wdnoma import harness
-from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
+from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
     build_equivalent_channel,
@@ -58,6 +59,54 @@ def test_equivalent_channel_random_dense_oracle():
         Href = dense_equivalent_channel(16, 4, cfg.chirp.c1, cfg.chirp.c2,
                                         _paths_as_tuples(ps))
         assert np.max(np.abs(H - Href)) < 1e-11
+
+
+@st.composite
+def _chains(draw):
+    """A small system and 1-4 integer-Doppler paths with delays up to the
+    prefix, including delays past the OTFS delay axis (l >= N1).
+
+    A nonzero c2 is drawn below 1/(2N), the AFDM design range. With c2 near
+    1 the c2 n^2 chirp phases reach thousands of radians, and float64
+    roundoff alone, in the oracle and the build alike, moves entries by
+    more than 1e-11 (1.3e-11 seen at N = 64).
+    """
+    N1 = draw(st.sampled_from([2, 4, 8]))
+    N2 = draw(st.sampled_from([2, 4, 8]))
+    N = N1 * N2
+    L = draw(st.integers(0, N - 1))
+    kappa_max = draw(st.integers(0, 3))
+    c2 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 / (2 * N))))
+    cfg = SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
+                       chirp=ChirpParams(ChirpParams.for_max_doppler(kappa_max, N).c1, c2),
+                       N1=N1, N2=N2)
+    path = st.builds(lambda re, im, l, kappa: path_from_bin(complex(re, im), l, kappa, N, N + L),
+                     st.floats(-2, 2), st.floats(-2, 2), st.integers(0, L),
+                     st.integers(-kappa_max, kappa_max))
+    return cfg, PathSet(tuple(draw(st.lists(path, min_size=1, max_size=4))), N + L)
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain=_chains())
+def test_analytic_equivalent_channel_matches_dense_oracle(waveform, chain):
+    cfg, ps = chain
+    H = build_equivalent_channel(ps, cfg, waveform).matrix
+    Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
+                                    _paths_as_tuples(ps), waveform, cfg.N1)
+    assert np.max(np.abs(H - Href)) < 1e-11
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+def test_equivalent_channel_rejects_fractional_doppler(waveform):
+    cfg = make_cfg(N=16, L=4)
+    for bins in (0.5, 1e-6, -1.25):
+        ps = PathSet((ChannelPath(1.0, 1, bins * 20 / 16),), 20)
+        with pytest.raises(ValueError, match="integer"):
+            build_equivalent_channel(ps, cfg, waveform)
+    # one bin up to roundoff is still an integer bin
+    ps = PathSet((ChannelPath(1.0, 1, (1 + 1e-12) * 20 / 16),), 20)
+    assert build_equivalent_channel(ps, cfg, waveform).sparse.nnz == 16
 
 
 def test_equivalent_channel_single_path_sparsity():
@@ -139,7 +188,7 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
     for H, d, sigma2s, out in calls:
         assert len(out) == len(modes)
         for s2, x in zip(sigma2s, out):
-            assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
+            assert np.max(np.abs(x - dense_mmse(H.toarray(), d, s2))) < 1e-9
 
 
 def _layout_and_cfg():
