@@ -360,7 +360,7 @@ def _detect_group(cfg, ctx, snr_db, waveform, modes, layout, keep_chain=False):
         else:  # genie-style total noise (channel noise + measured echo power)
             sigma2s.append(sigma2 + echo_bin_power)
 
-    xs = mmse_detect(build_equivalent_channel(ctx.ul_ps, sys_, waveform).sparse, d, sigma2s)
+    xs = mmse_detect(build_equivalent_channel(ctx.ul_ps, sys_, waveform), d, sigma2s)
     results = {}
     chain = {}
     for mode, x in zip(modes, xs):
@@ -451,7 +451,8 @@ def _sense_chunk(cfg, snr_db, trials, mode):
 def _run_chunks(fn, args_list, workers: int):
     if workers <= 1:
         return [fn(*a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a worker without a chunk would only add a fork and an exit
+    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
         return list(pool.map(fn, *zip(*args_list)))
 
 

@@ -8,10 +8,20 @@ per column and the Gram matrix H^H H at most P(P-1)+1 shifted diagonals
 (cyclic diagonals for OFDM and AFDM, 2D cyclic shifts of the delay-Doppler
 grid for OTFS).
 
+H factors as T H_t T^H, where T is the waveform's unitary transform (DFT,
+DAFT, or the DFT across the OTFS Doppler axis) and H_t is the channel on the
+N core time samples after prefix removal: one phase-ramped cyclic delay per
+path. Where the Gram matrix of H puts its diagonals depends on the drawn
+Doppler bins, and so does the fill-in of its LU factors; the Gram matrix of
+H_t has its diagonals at the delay differences only.
+
 MMSE formulation. ``mmse_detect`` solves the normal equations
 (H^H H + sigma2 I) x = H^H d with one sparse LU factorization and solve per
-sigma2, sharing H^H, the Gram matrix and H^H d across the sigma2 values of
-one waveform group. Every pinned curve comes from this formulation.
+sigma2, sharing the Gram matrix and the right-hand side across the sigma2
+values of one waveform group. Given an ``EquivalentChannel`` it solves them
+in the time domain, x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same
+equations in a unitary change of basis, so the factorization costs the same
+for every Doppler draw. Every pinned curve comes from this formulation.
 Squaring H squares its condition number, but in every sweep mode sigma2
 stays bounded away from zero: noise at SNR <= 35 dB plus the echo at
 -20 dB. So cond(H^H H + sigma2 I) <= (s_max^2 + sigma2) / sigma2 stays
@@ -30,6 +40,7 @@ from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .channel import PathSet, apply_dd_channel_samples
+from .transforms import cpp_prefix_phases
 from .waveforms import (
     SystemConfig,
     afdm_demod_samples,
@@ -43,11 +54,21 @@ from .waveforms import (
 
 @dataclass(frozen=True)
 class EquivalentChannel:
-    sparse: csr_matrix
+    """Transform-domain equivalent channel H = T H_t T^H of one waveform."""
+
+    paths: PathSet
+    cfg: SystemConfig
+    waveform: str
+    time: csr_matrix     # H_t: the core-sample channel after prefix removal
+
+    @property
+    def sparse(self) -> csr_matrix:
+        """H from closed-form entries, as a CSR matrix."""
+        return _transform_domain_channel(self.paths, self.cfg, self.waveform)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense copy of the channel, for tests and oracles."""
+        """Dense copy of H, for tests and oracles."""
         return self.sparse.toarray()
 
 
@@ -60,16 +81,19 @@ def estimate_noise_power(d: np.ndarray, layout) -> float:
     return float(np.mean(np.abs(d[window]) ** 2))
 
 
-def _mod_demod_fns(cfg: SystemConfig, waveform: str):
+def _mod_demod_fns(cfg: SystemConfig, waveform: str, prefixed: bool = True):
+    """The waveform's modulator and demodulator; without the prefix they are
+    the unitary transforms T^H and T."""
+    L_cp, L_cpp = (cfg.L_cp, cfg.L_cpp) if prefixed else (0, 0)
     if waveform == "afdm":
-        return (lambda X: afdm_mod_samples(X, cfg.chirp, cfg.L_cpp),
-                lambda r: afdm_demod_samples(r, cfg.chirp, cfg.L_cpp))
+        return (lambda X: afdm_mod_samples(X, cfg.chirp, L_cpp),
+                lambda r: afdm_demod_samples(r, cfg.chirp, L_cpp))
     if waveform == "otfs":
-        return (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, cfg.L_cp),
-                lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, cfg.L_cp))
+        return (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, L_cp),
+                lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, L_cp))
     if waveform == "ofdm":
-        return (lambda X: ofdm_mod_samples(X, cfg.L_cp),
-                lambda r: ofdm_demod_samples(r, cfg.L_cp))
+        return (lambda X: ofdm_mod_samples(X, L_cp),
+                lambda r: ofdm_demod_samples(r, L_cp))
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
@@ -108,21 +132,21 @@ def _path_entries(waveform: str, cfg: SystemConfig, k: np.ndarray, delay: int, k
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
-def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
-    """N x N transmit-domain equivalent channel demod(channel(mod(.))).
-
-    With integer Doppler each path is one phase-weighted shift per column
-    (for AFDM, the H_p of Bemani, Ksairi & Kountouris, IEEE TWC 2023), so H
-    is built from closed-form entries in O(P N) as a sparse CSR matrix with
-    at most P nonzeros per row. Path delays must fit inside the prefix and
-    Doppler must sit on an integer bin; paths sharing a shift are summed.
-    """
+def _prefix_length(ch: PathSet, cfg: SystemConfig, waveform: str) -> int:
+    if waveform not in ("afdm", "otfs", "ofdm"):
+        raise ValueError(f"unknown waveform {waveform!r}")
     N = cfg.N
     prefix = cfg.L_cpp if waveform == "afdm" else cfg.L_cp
     if ch.max_delay > prefix:
         raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
     if ch.frame_len != N + prefix:
         raise ValueError(f"channel frame length {ch.frame_len} != N + prefix = {N + prefix}")
+    return prefix
+
+
+def _transform_domain_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> csr_matrix:
+    N = cfg.N
+    prefix = _prefix_length(ch, cfg, waveform)
     k = np.arange(N)
     cols, vals = [], []
     for p in ch.paths:
@@ -131,24 +155,43 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
         cols.append(col)
         vals.append(p.gain * np.exp(-2j * np.pi * (kappa * prefix % N) / N) * val)
     rows = np.tile(k, len(ch.paths))
-    H = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(N, N))
-    return EquivalentChannel(sparse=H)
+    return csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(N, N))
 
 
-def mmse_detect(H, d: np.ndarray, sigma2s) -> list:
-    """Solve (H^H H + s2 I) x = H^H d for each s2 in ``sigma2s``.
+def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
+    """N x N transmit-domain equivalent channel demod(channel(mod(.))).
 
-    H may be sparse or dense; it is used as a sparse matrix. H^H, the Gram
-    matrix and the right-hand side are formed once; each s2 gets one sparse
-    LU factorization and solve. With s2 = 0 this is zero-forcing; an exactly
-    singular system raises LinAlgError.
+    With integer Doppler each path is one phase-weighted shift per column
+    (for AFDM, the H_p of Bemani, Ksairi & Kountouris, IEEE TWC 2023), so H
+    (``.sparse``) is built from closed-form entries in O(P N) as a sparse CSR
+    matrix with at most P nonzeros per row. The time-domain factor H_t
+    (``.time``) is built here, also in O(P N): core sample i receives
+    h e^{-j 2 pi kappa (L + i - l) / N} times sample (i - l) mod N, weighted
+    by the chirp-periodic prefix phase for AFDM when i < l. Path delays must
+    fit inside the prefix and Doppler must sit on an integer bin; paths
+    sharing a shift are summed.
     """
-    H = csr_matrix(H)
+    N = cfg.N
+    prefix = _prefix_length(ch, cfg, waveform)
+    prefix_phase = (cpp_prefix_phases(N, prefix, cfg.chirp.c1) if waveform == "afdm"
+                    else np.ones(prefix))
+    i = np.arange(N)
+    cols, vals = [], []
+    for p in ch.paths:
+        kappa = _integer_bin(p.doppler_norm, N, ch.frame_len)
+        l = p.delay_samples
+        src = prefix + i - l          # frame index of the sample core sample i receives
+        val = p.gain * np.exp(-2j * np.pi * (kappa * src % N) / N)
+        val[:l] *= prefix_phase[src[:l]]
+        cols.append((i - l) % N)
+        vals.append(val)
+    rows = np.tile(i, len(ch.paths))
+    H_t = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(N, N))
+    return EquivalentChannel(paths=ch, cfg=cfg, waveform=waveform, time=H_t)
+
+
+def _solve_normal_equations(H: csr_matrix, d: np.ndarray, sigma2s) -> list:
     N = H.shape[0]
-    if d.shape != (N,):
-        raise ValueError(f"signal length {d.shape} does not match the {N}x{N} channel")
-    if any(s2 < 0 for s2 in sigma2s):
-        raise ValueError("noise variances must be non-negative")
     G = H.conj().T
     gram = (G @ H).tocsc()
     rhs = G @ d
@@ -156,11 +199,35 @@ def mmse_detect(H, d: np.ndarray, sigma2s) -> list:
     out = []
     for s2 in sigma2s:
         try:
-            lu = splu(gram + s2 * eye)
+            # Hermitian positive definite for s2 > 0: diagonal pivots are
+            # stable, and with the natural order the fill-in of a cyclic band
+            # stays inside the band and its last rows and columns.
+            lu = splu(gram + s2 * eye, permc_spec="NATURAL", diag_pivot_thresh=0.0)
         except RuntimeError as exc:   # SuperLU reports an exactly singular factor
             raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2}") from exc
         out.append(lu.solve(rhs))
     return out
+
+
+def mmse_detect(H, d: np.ndarray, sigma2s) -> list:
+    """Solve (H^H H + s2 I) x = H^H d for each s2 in ``sigma2s``.
+
+    H is an ``EquivalentChannel`` or a matrix, sparse or dense. The Gram
+    matrix and the right-hand side are formed once; each s2 gets one sparse
+    LU factorization and solve. An ``EquivalentChannel`` is solved through
+    its time-domain factor H_t: d goes to the time domain by T^H and each
+    solution comes back by T. With s2 = 0 this is zero-forcing; an exactly
+    singular system raises LinAlgError.
+    """
+    N = H.cfg.N if isinstance(H, EquivalentChannel) else H.shape[0]
+    if d.shape != (N,):
+        raise ValueError(f"signal length {d.shape} does not match the {N}x{N} channel")
+    if any(s2 < 0 for s2 in sigma2s):
+        raise ValueError("noise variances must be non-negative")
+    if isinstance(H, EquivalentChannel):
+        to_time, from_time = _mod_demod_fns(H.cfg, H.waveform, prefixed=False)
+        return [from_time(z) for z in _solve_normal_equations(H.time, to_time(d), sigma2s)]
+    return _solve_normal_equations(csr_matrix(H), d, sigma2s)
 
 
 def reconstruct_and_cancel(r: np.ndarray, ch: PathSet, x_hat: np.ndarray,

@@ -179,6 +179,25 @@ def test_run_ber_worker_count_invariance():
                [(p.metric, p.errors_counted) for p in b[mode]]
 
 
+def test_pool_starts_no_idle_workers(monkeypatch):
+    # one chunk per SNR point (trials < chunk size): one worker, not two
+    from concurrent.futures import ProcessPoolExecutor
+
+    from wdnoma import harness
+
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = config_from_dict(small_raw())
+    run_ber(cfg, workers=2)
+    assert sizes == [1] * len(cfg.sweep.snr_db)
+
+
 def test_run_sensing_output_structure():
     cfg = config_from_dict(small_raw(sweep={"modes": ["wdnoma_afdm_npe"],
                                             "snr_db": [30.0], "trials": 3}))

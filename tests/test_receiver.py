@@ -11,6 +11,7 @@ from wdnoma import harness
 from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
+    _mod_demod_fns,
     build_equivalent_channel,
     estimate_noise_power,
     mmse_detect,
@@ -64,15 +65,16 @@ def test_equivalent_channel_random_dense_oracle():
 @st.composite
 def _chains(draw):
     """A small system and 1-4 integer-Doppler paths with delays up to the
-    prefix, including delays past the OTFS delay axis (l >= N1).
+    prefix, including delays past the OTFS delay axis (l >= N1). An odd N
+    makes the AFDM chirp-periodic prefix phases differ from 1.
 
     A nonzero c2 is drawn below 1/(2N), the AFDM design range. With c2 near
     1 the c2 n^2 chirp phases reach thousands of radians, and float64
     roundoff alone, in the oracle and the build alike, moves entries by
     more than 1e-11 (1.3e-11 seen at N = 64).
     """
-    N1 = draw(st.sampled_from([2, 4, 8]))
-    N2 = draw(st.sampled_from([2, 4, 8]))
+    N1 = draw(st.sampled_from([2, 3, 4, 8]))
+    N2 = draw(st.sampled_from([2, 3, 4, 8]))
     N = N1 * N2
     L = draw(st.integers(0, N - 1))
     kappa_max = draw(st.integers(0, 3))
@@ -95,6 +97,36 @@ def test_analytic_equivalent_channel_matches_dense_oracle(waveform, chain):
     Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
                                     _paths_as_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-11
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain=_chains())
+def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
+    # H = T H_t T^H, and MMSE through H_t solves the normal equations of H
+    cfg, ps = chain
+    eq = build_equivalent_channel(ps, cfg, waveform)
+    to_time, from_time = _mod_demod_fns(cfg, waveform, prefixed=False)
+    H = eq.matrix
+    rotated = from_time((eq.time @ to_time(np.eye(cfg.N)).T).T).T
+    assert np.max(np.abs(rotated - H)) < 1e-11
+    d = random_complex(np.random.default_rng(cfg.N + len(ps.paths)), cfg.N)
+    for s2, x in zip((0.05, 1.0), mmse_detect(eq, d, (0.05, 1.0))):
+        assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+def test_time_domain_gram_pattern_ignores_doppler(waveform):
+    # the factorization's structure depends on the path delays alone
+    cfg = make_cfg(N=16, L=4, kappa_max=1)
+    patterns = set()
+    for kappas in ((0, 0, 0), (-1, 0, 1), (1, 1, -1)):
+        ps = PathSet(tuple(path_from_bin(0.6 + 0.3j * l, l, kappa, 16, 20)
+                           for l, kappa in enumerate(kappas)), 20)
+        H_t = build_equivalent_channel(ps, cfg, waveform).time
+        gram = (H_t.conj().T @ H_t).tocoo()
+        patterns.add(frozenset(zip(gram.row.tolist(), gram.col.tolist())))
+    assert len(patterns) == 1
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
@@ -188,7 +220,7 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
     for H, d, sigma2s, out in calls:
         assert len(out) == len(modes)
         for s2, x in zip(sigma2s, out):
-            assert np.max(np.abs(x - dense_mmse(H.toarray(), d, s2))) < 1e-9
+            assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
 def _layout_and_cfg():
