@@ -12,23 +12,32 @@ H factors as T H_t T^H, where T is the waveform's unitary transform (DFT,
 DAFT, or the DFT across the OTFS Doppler axis) and H_t is the channel on the
 N core time samples after prefix removal: one phase-ramped cyclic delay per
 path. Where the Gram matrix of H puts its diagonals depends on the drawn
-Doppler bins, and so does the fill-in of its LU factors; the Gram matrix of
+Doppler bins, and so would the fill-in of its factors; the Gram matrix of
 H_t has its diagonals at the delay differences only.
 
 MMSE formulation. ``mmse_detect`` solves the normal equations
-(H^H H + sigma2 I) x = H^H d with one sparse LU factorization and solve per
-sigma2, sharing the Gram matrix and the right-hand side across the sigma2
-values of one waveform group. Given an ``EquivalentChannel`` it solves them
-in the time domain, x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same
-equations in a unitary change of basis, so the factorization costs the same
-for every Doppler draw. Every pinned curve comes from this formulation.
-Squaring H squares its condition number, but in every sweep mode sigma2
-stays bounded away from zero: noise at SNR <= 35 dB plus the echo at
--20 dB. So cond(H^H H + sigma2 I) <= (s_max^2 + sigma2) / sigma2 stays
-bounded, where s_max is the largest singular value of H. Exactness on
-noiseless chains, where sigma2 -> 0 and a near-singular H matters, is
-checked against the stacked least-squares oracle in the tests, not by this
-solver.
+(H^H H + sigma2 I) x = H^H d, one factorization and solve per sigma2, and
+shares the Gram matrix and the right-hand side across the sigma2 values of
+one waveform group. It solves them in the time domain,
+x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same equations in a
+unitary change of basis. With the distinct path delays l_1 < ... < l_D,
+A = H_t^H H_t + sigma2 I is a cyclic band of half-width b = l_D - l_1:
+A[j, (j + o) mod N] is nonzero only for |o| <= b, the same for every
+Doppler draw. The band is built straight from H_t's per-delay tap vectors,
+and the system is solved with the last b unknowns as a border: every
+wrapped (corner) entry of A lies in the border rows or columns, so the
+leading (N - b) x (N - b) block is a plain Hermitian band, factored by
+LAPACK banded Cholesky (``pbtrf``, then triangular band solves with
+``tbtrs``), and the b x b Schur complement is solved densely. This is the
+natural elimination order, in O(b^2 N) work per sigma2.
+
+Every pinned curve comes from this formulation. Squaring H squares its
+condition number, but in every sweep mode sigma2 stays bounded away from
+zero: noise at SNR <= 35 dB plus the echo at -20 dB. So
+cond(H^H H + sigma2 I) <= (s_max^2 + sigma2) / sigma2 stays bounded, where
+s_max is the largest singular value of H. Exactness on noiseless chains,
+where sigma2 -> 0 and a near-singular H matters, is checked against the
+stacked least-squares oracle in the tests, not by this solver.
 """
 
 from __future__ import annotations
@@ -36,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import splu
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse import csr_matrix
 
 from .channel import PathSet, apply_dd_channel_samples
 from .transforms import cpp_prefix_phases
@@ -59,7 +68,17 @@ class EquivalentChannel:
     paths: PathSet
     cfg: SystemConfig
     waveform: str
-    time: csr_matrix     # H_t: the core-sample channel after prefix removal
+    delays: tuple        # distinct path delays, ascending
+    taps: np.ndarray     # (len(delays), N): H_t[i, (i - delays[q]) mod N] = taps[q, i]
+
+    @property
+    def time(self) -> csr_matrix:
+        """H_t, the core-sample channel after prefix removal, as a CSR matrix."""
+        N = self.cfg.N
+        i = np.arange(N)
+        cols = np.concatenate([(i - l) % N for l in self.delays])
+        return csr_matrix((self.taps.ravel(), (np.tile(i, len(self.delays)), cols)),
+                          shape=(N, N))
 
     @property
     def sparse(self) -> csr_matrix:
@@ -164,70 +183,107 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
     With integer Doppler each path is one phase-weighted shift per column
     (for AFDM, the H_p of Bemani, Ksairi & Kountouris, IEEE TWC 2023), so H
     (``.sparse``) is built from closed-form entries in O(P N) as a sparse CSR
-    matrix with at most P nonzeros per row. The time-domain factor H_t
-    (``.time``) is built here, also in O(P N): core sample i receives
+    matrix with at most P nonzeros per row; it is built only when asked for.
+    What is built here, also in O(P N), is the time-domain factor H_t as one
+    tap vector per distinct delay: core sample i receives
     h e^{-j 2 pi kappa (L + i - l) / N} times sample (i - l) mod N, weighted
     by the chirp-periodic prefix phase for AFDM when i < l. Path delays must
     fit inside the prefix and Doppler must sit on an integer bin; paths
-    sharing a shift are summed.
+    sharing a delay are summed.
     """
     N = cfg.N
     prefix = _prefix_length(ch, cfg, waveform)
     prefix_phase = (cpp_prefix_phases(N, prefix, cfg.chirp.c1) if waveform == "afdm"
                     else np.ones(prefix))
+    delays = tuple(sorted({p.delay_samples for p in ch.paths}))
+    taps = np.zeros((len(delays), N), dtype=np.complex128)
     i = np.arange(N)
-    cols, vals = [], []
     for p in ch.paths:
         kappa = _integer_bin(p.doppler_norm, N, ch.frame_len)
         l = p.delay_samples
         src = prefix + i - l          # frame index of the sample core sample i receives
         val = p.gain * np.exp(-2j * np.pi * (kappa * src % N) / N)
         val[:l] *= prefix_phase[src[:l]]
-        cols.append((i - l) % N)
-        vals.append(val)
-    rows = np.tile(i, len(ch.paths))
-    H_t = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(N, N))
-    return EquivalentChannel(paths=ch, cfg=cfg, waveform=waveform, time=H_t)
+        taps[delays.index(l)] += val
+    return EquivalentChannel(paths=ch, cfg=cfg, waveform=waveform, delays=delays, taps=taps)
 
 
-def _solve_normal_equations(H: csr_matrix, d: np.ndarray, sigma2s) -> list:
-    N = H.shape[0]
-    G = H.conj().T
-    gram = (G @ H).tocsc()
-    rhs = G @ d
-    eye = identity(N, dtype=np.complex128, format="csc")
+_pbtrf, _tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.complex128)
+
+
+def _gram_band(delays: tuple, taps: np.ndarray) -> dict:
+    """Upper half of H_t^H H_t as {o >= 0: v} with entry [j, (j + o) mod N]
+    = v[j], summed over the delay pairs with l_a - l_c = o."""
+    band = {}
+    for a, la in enumerate(delays):
+        # pairs (a, c <= a): the delays are ascending, so l_a - l_c >= 0
+        rolled = np.roll(taps[a].conj() * taps[:a + 1], -la, axis=1)
+        for lc, v in zip(delays, rolled):
+            band[la - lc] = band.get(la - lc, 0) + v
+    return band
+
+
+def _solve_band_with_border(band: dict, rhs: np.ndarray, sigma2s) -> list:
+    """Solve (A0 + s2 I) x = rhs for each s2, A0 the Hermitian cyclic band
+    whose upper half is ``band``.
+
+    The last b unknowns (b the half-width) form the border. The leading
+    n = N - b block holds no wrapped entry, so it is a plain band with
+    half-width b, factored by banded Cholesky; the b x b Schur complement
+    is solved densely. For b = 0 the border is empty.
+    """
+    N = rhs.size
+    b = max(band)
+    n = N - b
+    # upper band storage of the leading block: ab[b - o, k] = A0[k - o, k]
+    ab = np.zeros((b + 1, n), dtype=np.complex128)
+    for o, v in band.items():
+        ab[b - o, o:] = v[:max(n - o, 0)]
+    # the border columns A0[:, n:]; with 2b >= N several offsets share an entry
+    border = np.zeros((N, b), dtype=np.complex128)
+    k = np.arange(n, N)
+    for o, v in band.items():
+        rows = (k - o) % N
+        border[rows, k - n] += v[rows]              # A0[k - o, k]
+        if o:
+            border[(k + o) % N, k - n] += v[k].conj()   # A0[k + o, k] = conj(A0[k, k + o])
+    A12, A22 = border[:n], border[n:]
     out = []
     for s2 in sigma2s:
-        try:
-            # Hermitian positive definite for s2 > 0: diagonal pivots are
-            # stable, and with the natural order the fill-in of a cyclic band
-            # stays inside the band and its last rows and columns.
-            lu = splu(gram + s2 * eye, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        except RuntimeError as exc:   # SuperLU reports an exactly singular factor
-            raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2}") from exc
-        out.append(lu.solve(rhs))
+        a = ab.copy()
+        a[b] += s2
+        c, info = _pbtrf(a, overwrite_ab=1)      # A11 = U^H U
+        if info > 0:      # a leading minor is not positive definite
+            raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2}")
+        # U^{-H} [rhs_1, A12] in one triangular band solve; the Schur
+        # complement is then A22 + s2 I - W^H W
+        w, _ = _tbtrs(c, np.column_stack((rhs[:n], A12)), trans="C")
+        w1, W = w[:, 0], w[:, 1:]
+        x2 = np.linalg.solve(A22 + s2 * np.eye(b) - W.conj().T @ W, rhs[n:] - W.conj().T @ w1)
+        x1, _ = _tbtrs(c, (w1 - W @ x2)[:, None])
+        out.append(np.concatenate((x1[:, 0], x2)))
     return out
 
 
-def mmse_detect(H, d: np.ndarray, sigma2s) -> list:
+def mmse_detect(H: EquivalentChannel, d: np.ndarray, sigma2s) -> list:
     """Solve (H^H H + s2 I) x = H^H d for each s2 in ``sigma2s``.
 
-    H is an ``EquivalentChannel`` or a matrix, sparse or dense. The Gram
-    matrix and the right-hand side are formed once; each s2 gets one sparse
-    LU factorization and solve. An ``EquivalentChannel`` is solved through
-    its time-domain factor H_t: d goes to the time domain by T^H and each
-    solution comes back by T. With s2 = 0 this is zero-forcing; an exactly
-    singular system raises LinAlgError.
+    The equations are solved through H's time-domain factor H_t: d goes to
+    the time domain by T^H, the Gram band of H_t and the right-hand side
+    H_t^H T^H d are formed once, each s2 gets one banded Cholesky
+    factorization and solve, and each solution comes back by T. With s2 = 0
+    this is zero-forcing; an exactly singular system raises LinAlgError.
     """
-    N = H.cfg.N if isinstance(H, EquivalentChannel) else H.shape[0]
+    N = H.cfg.N
     if d.shape != (N,):
         raise ValueError(f"signal length {d.shape} does not match the {N}x{N} channel")
     if any(s2 < 0 for s2 in sigma2s):
         raise ValueError("noise variances must be non-negative")
-    if isinstance(H, EquivalentChannel):
-        to_time, from_time = _mod_demod_fns(H.cfg, H.waveform, prefixed=False)
-        return [from_time(z) for z in _solve_normal_equations(H.time, to_time(d), sigma2s)]
-    return _solve_normal_equations(csr_matrix(H), d, sigma2s)
+    to_time, from_time = _mod_demod_fns(H.cfg, H.waveform, prefixed=False)
+    y = to_time(d)
+    rhs = sum(np.roll(t.conj() * y, -l) for l, t in zip(H.delays, H.taps))
+    return [from_time(z) for z in _solve_band_with_border(_gram_band(H.delays, H.taps),
+                                                          rhs, sigma2s)]
 
 
 def reconstruct_and_cancel(r: np.ndarray, ch: PathSet, x_hat: np.ndarray,

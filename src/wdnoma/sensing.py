@@ -61,11 +61,11 @@ def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
     if tau_grid.max() >= L or tau_grid.min() < 0:
         raise ValueError("delay grid exceeds the frame length")
     atoms = np.empty((tau_grid.size, nu_grid.size, L), dtype=np.complex128)
+    # delayed[i, n] = (n - tau_i) mod L: all cyclic delays of one replica in one gather
+    delayed = (np.arange(L) - tau_grid[:, None]) % L
     for j, kappa in enumerate(nu_grid):
         path = path_from_bin(1.0, 0, int(kappa), N, L)
-        shifted = apply_dd_channel_samples(s, PathSet((path,), L))
-        for i, tau in enumerate(tau_grid):
-            atoms[i, j] = np.roll(shifted, int(tau))
+        atoms[:, j] = apply_dd_channel_samples(s, PathSet((path,), L))[delayed]
     norms = np.linalg.norm(atoms, axis=-1)
     return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid, atom_norms=norms)
 

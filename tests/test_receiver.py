@@ -1,5 +1,6 @@
 """Receiver tests: equivalent channel vs dense oracle, NPE, MMSE, cancellation."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dense_equivalent_channel, dense_mmse, embed, random_complex
-from wdnoma import harness
+from wdnoma import harness, receiver
 from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
@@ -163,29 +164,52 @@ def test_equivalent_channel_rejects_long_delay():
         build_equivalent_channel(ps, cfg)
 
 
+def _channel(cfg, paths, waveform="afdm"):
+    """EquivalentChannel of (gain, delay, kappa) paths on ``cfg``."""
+    frame_len = cfg.N + cfg.L_cp
+    ps = PathSet(tuple(path_from_bin(h, l, kappa, cfg.N, frame_len) for h, l, kappa in paths),
+                 frame_len)
+    return build_equivalent_channel(ps, cfg, waveform)
+
+
+def _dominant_path(g, cfg, n_small):
+    """A unit path at delay 0 plus ``n_small`` paths of gain below 0.1 at
+    random delays: cond(H) <= (1 + 0.1 n) / (1 - 0.1 n) by construction."""
+    small = [(0.1 * complex(*g.uniform(-0.7, 0.7, 2)), int(g.integers(0, cfg.L_cp + 1)),
+              int(g.integers(-1, 2))) for _ in range(n_small)]
+    return [(1.0, 0, int(g.integers(-1, 2)))] + small
+
+
 def test_mmse_matches_dense_normal_equation_oracle():
     N = 16
     cfg = make_cfg(N=N)
-    for _ in range(20):
-        H = random_complex(rng, N * N).reshape(N, N) / np.sqrt(N)
-        d = random_complex(rng, N)
+    g = np.random.default_rng(101)
+    for trial in range(20):
+        paths = [(complex(*g.standard_normal(2)), int(g.integers(0, 5)), int(g.integers(-1, 2)))
+                 for _ in range(int(g.integers(1, 4)))]
+        H = _channel(cfg, paths, ("afdm", "otfs", "ofdm")[trial % 3])
+        d = random_complex(g, N)
         (got,) = mmse_detect(H, d, [0.1])
-        ref = dense_mmse(H, d, 0.1)
+        ref = dense_mmse(H.matrix, d, 0.1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_mmse_zero_noise_is_zero_forcing():
     N = 16
-    H = random_complex(rng, N * N).reshape(N, N)
-    d = random_complex(rng, N)
-    (x,) = mmse_detect(H, d, [0.0])
-    assert np.max(np.abs(x - np.linalg.solve(H, d))) < 1e-8
+    cfg = make_cfg(N=N)
+    g = np.random.default_rng(102)
+    for waveform in ("afdm", "otfs", "ofdm"):
+        H = _channel(cfg, _dominant_path(g, cfg, 3), waveform)
+        d = random_complex(g, N)
+        (x,) = mmse_detect(H, d, [0.0])
+        assert np.max(np.abs(x - np.linalg.solve(H.matrix, d))) < 1e-8
 
 
 def test_mmse_singular_zero_noise_fails():
     N = 8
-    H = np.zeros((N, N), dtype=np.complex128)
-    d = random_complex(rng, N)
+    cfg = make_cfg(N=N, N1=4, N2=2)
+    H = _channel(cfg, [(0.0, 0, 0), (0.0, 2, 1)])
+    d = random_complex(np.random.default_rng(103), N)
     with pytest.raises(np.linalg.LinAlgError):
         mmse_detect(H, d, [0.0])
     with pytest.raises(ValueError):
@@ -193,11 +217,50 @@ def test_mmse_singular_zero_noise_fails():
 
 
 def test_mmse_scalar_shrinkage():
-    # H = I, sigma2 = 1 -> x = d / 2
+    # one unit path at delay 0 gives H = I; sigma2 = 1 -> x = d / 2
     N = 8
-    d = random_complex(rng, N)
-    (x,) = mmse_detect(np.eye(N, dtype=np.complex128), d, [1.0])
+    H = _channel(make_cfg(N=N, N1=4, N2=2), [(1.0, 0, 0)])
+    d = random_complex(np.random.default_rng(104), N)
+    (x,) = mmse_detect(H, d, [1.0])
     assert np.max(np.abs(x - d / 2)) < 1e-12
+
+
+# (N1, N2, prefix, paths): b = largest - smallest distinct delay is the
+# half-width of the Gram band and the size of the solve's border
+_BAND_EDGE_CASES = {
+    "single_delay": (4, 4, 4, [(1.0, 2, 1)]),
+    "wide_spread": (2, 3, 5, [(1.0, 0, 1), (0.15j, 2, -1), (-0.1, 3, 0)]),      # 2b = N
+    "full_spread": (2, 2, 3, [(1.0, 0, 0), (0.2, 1, 1), (0.1j, 3, -1)]),  # b = N - 1; o = 1, -3 alias
+    "shared_delay": (4, 4, 4, [(1.0, 1, -1), (0.3j, 1, 1), (0.1, 3, 0)]),
+}
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+@pytest.mark.parametrize("case", sorted(_BAND_EDGE_CASES))
+def test_mmse_band_solve_edge_cases(case, waveform):
+    N1, N2, prefix, paths = _BAND_EDGE_CASES[case]
+    cfg = make_cfg(N=N1 * N2, L=prefix, N1=N1, N2=N2)
+    H = _channel(cfg, paths, waveform)
+    assert H.delays == tuple(sorted({l for _, l, _ in paths}))
+    d = random_complex(np.random.default_rng(105), cfg.N)
+    sigma2s = (0.0, 0.01, 0.5, 2.0)
+    xs = mmse_detect(H, d, sigma2s)
+    assert len(xs) == len(sigma2s)
+    # every case has one dominant path, so H is nonsingular and sigma2 = 0 is zero-forcing
+    assert np.max(np.abs(xs[0] - np.linalg.solve(H.matrix, d))) < 1e-9
+    for s2, x in zip(sigma2s, xs):
+        assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+def test_mmse_rejects_bad_inputs():
+    H = _channel(make_cfg(N=16), [(1.0, 0, 0), (0.5, 2, 1)])
+    d = random_complex(np.random.default_rng(106), 16)
+    with pytest.raises(ValueError):
+        mmse_detect(H, d, [0.1, -1e-3])
+    with pytest.raises(ValueError):
+        mmse_detect(H, d[:15], [0.1])
+    with pytest.raises(ValueError):
+        mmse_detect(H, np.concatenate((d, d)), [0.1])
 
 
 def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
@@ -221,6 +284,17 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
         assert len(out) == len(modes)
         for s2, x in zip(sigma2s, out):
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+def test_sweep_builds_no_sparse_matrix(monkeypatch):
+    # the sweep's channel build and MMSE solve work on tap vectors and a band
+    def no_sparse(*args, **kwargs):
+        raise AssertionError("the sweep built a scipy.sparse matrix")
+
+    monkeypatch.setattr(receiver, "csr_matrix", no_sparse)
+    cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "desk.json")
+    cfg = replace(cfg, sweep=replace(cfg.sweep, trials=1, snr_db=(20.0,)))
+    assert set(harness.run_ber(cfg)) == set(harness.MODES)
 
 
 def _layout_and_cfg():
