@@ -83,16 +83,14 @@ def quantize_target(range_m: float, velocity_mps: float, cfg: SystemConfig) -> t
     return delay, int(round(nu_hz / cfg.delta_f))
 
 
-def target_to_path(t: PhysicalTarget, cfg: SystemConfig, frame_len: int | None = None) -> Path:
-    """Quantize a physical target to an on-grid (delay, Doppler) path."""
-    if frame_len is None:
-        frame_len = cfg.frame_len_cp
+def target_to_path(t: PhysicalTarget, cfg: SystemConfig) -> Path:
+    """Quantize a physical target to an on-grid (delay, Doppler) path over
+    the cyclic-prefixed frame."""
     delay, kappa = quantize_target(t.range_m, t.velocity_mps, cfg)
-    prefix = frame_len - cfg.N
-    if delay > prefix:
+    if delay > cfg.L_cp:
         raise ValueError(
-            f"target delay {delay} samples exceeds the prefix length {prefix}")
-    return path_from_bin(t.rcs_gain, delay, kappa, cfg.N, frame_len)
+            f"target delay {delay} samples exceeds the prefix length {cfg.L_cp}")
+    return path_from_bin(t.rcs_gain, delay, kappa, cfg.N, cfg.frame_len_cp)
 
 
 def apply_dd_channel_samples(s: np.ndarray, ch: PathSet) -> np.ndarray:

@@ -21,7 +21,6 @@ class FrameLayout:
     guard1: np.ndarray     # channel-guard indices (contiguous mod N)
     guard2: np.ndarray     # NPE-guard indices (contiguous mod N)
     data: np.ndarray       # ascending data indices
-    kappa_max: int
     npe_window: np.ndarray  # subset of guard2
 
     @property
@@ -61,16 +60,15 @@ def allocate_frame(N: int, guard1_start: int, K1: int, guard2_start: int, K2: in
     mask[g1] = False
     mask[g2] = False
     data = np.nonzero(mask)[0]
-    return FrameLayout(N=N, guard1=g1, guard2=g2, data=data,
-                       kappa_max=kappa_max, npe_window=window)
+    return FrameLayout(N=N, guard1=g1, guard2=g2, data=data, npe_window=window)
 
 
-def full_grid_layout(N: int, kappa_max: int) -> FrameLayout:
+def full_grid_layout(N: int) -> FrameLayout:
     """Every bin carries data: no guards and an empty NPE window (the
     PD-NOMA OFDM frame, whose receiver treats the echo as white noise)."""
     empty = np.zeros(0, dtype=np.int64)
     return FrameLayout(N=N, guard1=empty, guard2=empty, data=np.arange(N),
-                       kappa_max=kappa_max, npe_window=empty)
+                       npe_window=empty)
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +78,8 @@ def full_grid_layout(N: int, kappa_max: int) -> FrameLayout:
 @dataclass(frozen=True)
 class OtfsFrameLayout:
     N: int
-    N1: int
-    N2: int
-    guard_cols: np.ndarray
     data_cols: np.ndarray
     data: np.ndarray        # delay-major bin indices
-    kappa_max: int
     npe_window: np.ndarray  # delay-major bin indices
 
     @property
@@ -115,5 +109,4 @@ def allocate_otfs_frame(N1: int, N2: int, guard_cols_per_edge: int, kappa_max: i
     N = N1 * N2
     data = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in data_cols]))
     window = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in window_cols]))
-    return OtfsFrameLayout(N=N, N1=N1, N2=N2, guard_cols=guard_cols, data_cols=data_cols,
-                           data=data, kappa_max=kappa_max, npe_window=window)
+    return OtfsFrameLayout(N=N, data_cols=data_cols, data=data, npe_window=window)

@@ -121,9 +121,18 @@ class ExperimentConfig:
     sweep: SweepConfig
 
     def __post_init__(self):
-        if self.sweep.trials < 1:
-            raise ValueError("trials must be >= 1")
-        for m in self.sweep.modes:
+        sw = self.sweep
+        if not sw.snr_db or not np.all(np.isfinite(sw.snr_db)):
+            raise ValueError(f"snr_db must be a non-empty list of finite values, got {sw.snr_db}")
+        # bool is an int subclass, but true/false are not a count or a seed
+        if isinstance(sw.trials, bool) or not isinstance(sw.trials, int) or sw.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {sw.trials!r}")
+        if isinstance(sw.master_seed, bool) or not isinstance(sw.master_seed, int) \
+                or sw.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {sw.master_seed!r}")
+        if not sw.modes:
+            raise ValueError("modes must name at least one receiver mode")
+        for m in sw.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
         if self.system.L_cp != self.system.L_cpp:
@@ -234,7 +243,7 @@ def otfs_layout(cfg: ExperimentConfig) -> OtfsFrameLayout:
 
 def _layouts(cfg: ExperimentConfig) -> dict:
     return {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg),
-            "ofdm": full_grid_layout(cfg.system.N, cfg.frame.kappa_max)}
+            "ofdm": full_grid_layout(cfg.system.N)}
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +301,9 @@ class _TrialContext:
 
         self._cfg = cfg
         self._trial = trial
-        self._uplinks = {}
 
     def uplink(self, waveform: str, layout):
-        """Transmit bits, frame and received uplink signal for one waveform."""
-        if waveform in self._uplinks:
-            return self._uplinks[waveform]
+        """Transmit bits and received uplink signal for one waveform."""
         cfg, sys_ = self._cfg, self._cfg.system
         bps = int(np.log2(sys_.M))
         n_data = layout.n_data
@@ -313,10 +319,7 @@ class _TrialContext:
         else:
             s = ofdm_mod_samples(frame, sys_.L_cp)
         r_ul = apply_dd_channel_samples(s, self.ul_ps)
-        out = {"bits": bits, "syms": syms, "r_ul": r_ul, "n_data": n_data,
-               "p_ul": n_data / sys_.N}
-        self._uplinks[waveform] = out
-        return out
+        return {"bits": bits, "r_ul": r_ul, "p_ul": n_data / sys_.N}
 
     def compose(self, up, snr_db: float):
         """Superimpose echo (at the configured offset) and scaled noise.

@@ -2,18 +2,13 @@
 noise power estimation (NPE), MMSE detection, and reconstruction and
 cancellation of the detected uplink signal.
 
-The equivalent channel H is sparse: with integer Doppler each of the P
-paths is one phase-weighted shift per column, so H has at most P nonzeros
-per column and the Gram matrix H^H H at most P(P-1)+1 shifted diagonals
-(cyclic diagonals for OFDM and AFDM, 2D cyclic shifts of the delay-Doppler
-grid for OTFS).
-
-H factors as T H_t T^H, where T is the waveform's unitary transform (DFT,
-DAFT, or the DFT across the OTFS Doppler axis) and H_t is the channel on the
-N core time samples after prefix removal: one phase-ramped cyclic delay per
-path. Where the Gram matrix of H puts its diagonals depends on the drawn
-Doppler bins, and so would the fill-in of its factors; the Gram matrix of
-H_t has its diagonals at the delay differences only.
+The equivalent channel H factors as T H_t T^H, where T is the waveform's
+unitary transform (DFT, DAFT, or the DFT across the OTFS Doppler axis) and
+H_t is the channel on the N core time samples after prefix removal: one
+phase-ramped cyclic delay per path. H_t is what is built and solved with;
+H itself is formed densely only on request, for tests and oracles. The
+Gram matrix of H_t has its diagonals at the path delay differences only,
+whatever the drawn Doppler bins.
 
 MMSE formulation. ``mmse_detect`` solves the normal equations
 (H^H H + sigma2 I) x = H^H d, one factorization and solve per sigma2, and
@@ -46,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse import csr_matrix
 
 from .channel import PathSet, apply_dd_channel_samples
 from .transforms import cpp_prefix_phases
@@ -65,30 +59,18 @@ from .waveforms import (
 class EquivalentChannel:
     """Transform-domain equivalent channel H = T H_t T^H of one waveform."""
 
-    paths: PathSet
     cfg: SystemConfig
     waveform: str
     delays: tuple        # distinct path delays, ascending
     taps: np.ndarray     # (len(delays), N): H_t[i, (i - delays[q]) mod N] = taps[q, i]
 
     @property
-    def time(self) -> csr_matrix:
-        """H_t, the core-sample channel after prefix removal, as a CSR matrix."""
-        N = self.cfg.N
-        i = np.arange(N)
-        cols = np.concatenate([(i - l) % N for l in self.delays])
-        return csr_matrix((self.taps.ravel(), (np.tile(i, len(self.delays)), cols)),
-                          shape=(N, N))
-
-    @property
-    def sparse(self) -> csr_matrix:
-        """H from closed-form entries, as a CSR matrix."""
-        return _transform_domain_channel(self.paths, self.cfg, self.waveform)
-
-    @property
     def matrix(self) -> np.ndarray:
         """Dense copy of H, for tests and oracles."""
-        return self.sparse.toarray()
+        to_time, from_time = _mod_demod_fns(self.cfg, self.waveform, prefixed=False)
+        cols = to_time(np.eye(self.cfg.N))      # row k: column k of T^H
+        rotated = sum(t * np.roll(cols, l, axis=-1) for l, t in zip(self.delays, self.taps))
+        return from_time(rotated).T
 
 
 def estimate_noise_power(d: np.ndarray, layout) -> float:
@@ -125,32 +107,6 @@ def _integer_bin(doppler_norm: float, N: int, frame_len: int) -> int:
     return kappa
 
 
-def _path_entries(waveform: str, cfg: SystemConfig, k: np.ndarray, delay: int, kappa: int):
-    """Column index and value for each row k of one path's shift.
-
-    The path's gain and its prefix phase exp(-j 2 pi kappa L / N) are left
-    out; integer products are reduced mod N (or N2) before scaling to keep
-    the phases exact.
-    """
-    N, l = cfg.N, delay
-    if waveform == "ofdm":
-        return (k + kappa) % N, np.exp(-2j * np.pi * (k * l % N) / N)
-    if waveform == "afdm":
-        c1, c2 = cfg.chirp.c1, cfg.chirp.c2
-        shifted = k + kappa + cfg.chirp.shift_factor(N) * l
-        col = shifted % N
-        phase = ((kappa - shifted) * l % N) / N + c1 * l * l - c2 * (k * k - col * col)
-        return col, np.exp(2j * np.pi * phase)
-    if waveform == "otfs":
-        N1, N2 = cfg.N1, cfg.N2
-        k2, n1 = np.divmod(k, N1)
-        wrap, delay_col = np.divmod(n1 - l, N1)     # wrap = floor((n1 - l) / N1) <= 0
-        doppler = k2 + kappa
-        phase = -(kappa * (n1 - l) % N) / N + (doppler * wrap % N2) / N2
-        return (doppler % N2) * N1 + delay_col, np.exp(2j * np.pi * phase)
-    raise ValueError(f"unknown waveform {waveform!r}")
-
-
 def _prefix_length(ch: PathSet, cfg: SystemConfig, waveform: str) -> int:
     if waveform not in ("afdm", "otfs", "ofdm"):
         raise ValueError(f"unknown waveform {waveform!r}")
@@ -163,29 +119,11 @@ def _prefix_length(ch: PathSet, cfg: SystemConfig, waveform: str) -> int:
     return prefix
 
 
-def _transform_domain_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> csr_matrix:
-    N = cfg.N
-    prefix = _prefix_length(ch, cfg, waveform)
-    k = np.arange(N)
-    cols, vals = [], []
-    for p in ch.paths:
-        kappa = _integer_bin(p.doppler_norm, N, ch.frame_len)
-        col, val = _path_entries(waveform, cfg, k, p.delay_samples, kappa)
-        cols.append(col)
-        vals.append(p.gain * np.exp(-2j * np.pi * (kappa * prefix % N) / N) * val)
-    rows = np.tile(k, len(ch.paths))
-    return csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(N, N))
-
-
 def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
     """N x N transmit-domain equivalent channel demod(channel(mod(.))).
 
-    With integer Doppler each path is one phase-weighted shift per column
-    (for AFDM, the H_p of Bemani, Ksairi & Kountouris, IEEE TWC 2023), so H
-    (``.sparse``) is built from closed-form entries in O(P N) as a sparse CSR
-    matrix with at most P nonzeros per row; it is built only when asked for.
-    What is built here, also in O(P N), is the time-domain factor H_t as one
-    tap vector per distinct delay: core sample i receives
+    What is built, in O(P N), is the time-domain factor H_t as one tap
+    vector per distinct delay: core sample i receives
     h e^{-j 2 pi kappa (L + i - l) / N} times sample (i - l) mod N, weighted
     by the chirp-periodic prefix phase for AFDM when i < l. Path delays must
     fit inside the prefix and Doppler must sit on an integer bin; paths
@@ -205,7 +143,7 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
         val = p.gain * np.exp(-2j * np.pi * (kappa * src % N) / N)
         val[:l] *= prefix_phase[src[:l]]
         taps[delays.index(l)] += val
-    return EquivalentChannel(paths=ch, cfg=cfg, waveform=waveform, delays=delays, taps=taps)
+    return EquivalentChannel(cfg=cfg, waveform=waveform, delays=delays, taps=taps)
 
 
 _pbtrf, _tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.complex128)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .channel import PathSet, PhysicalTarget, apply_dd_channel_samples, path_from_bin
+from .channel import PathSet, apply_dd_channel_samples, path_from_bin
 from .waveforms import SystemConfig
 
 
@@ -43,7 +43,6 @@ class TargetEstimate:
 class OmpResult:
     targets: list
     residual_energy: float
-    residual: np.ndarray
 
 
 def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
@@ -70,13 +69,10 @@ def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
     return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid, atom_norms=norms)
 
 
-def omp_2d(residual: np.ndarray, dic: Dictionary, P: int,
-           residual_threshold: float | None = None) -> OmpResult:
+def omp_2d(residual: np.ndarray, dic: Dictionary, P: int) -> OmpResult:
     """Greedy 2D grid search with per-iteration joint least-squares refit.
 
-    Runs exactly P iterations (P = known target count). When
-    ``residual_threshold`` is set, iteration stops early once the residual
-    energy drops below threshold * initial energy.
+    Runs exactly P iterations (P = known target count).
     """
     if P < 1:
         raise ValueError("need at least one target")
@@ -88,14 +84,9 @@ def omp_2d(residual: np.ndarray, dic: Dictionary, P: int,
         raise ValueError("residual length does not match the dictionary atoms")
     A = dic.atoms.reshape(n_tau * n_nu, L)
     norms = dic.atom_norms.reshape(-1)
-    init_energy = float(np.sum(np.abs(r0) ** 2))
     r = r0.copy()
     selected: list[int] = []
-    gains = np.zeros(0, dtype=np.complex128)
     for _ in range(P):
-        if residual_threshold is not None and \
-                np.sum(np.abs(r) ** 2) <= residual_threshold * init_energy:
-            break
         corr = np.abs(A.conj() @ r) / norms
         idx = int(np.argmax(corr))
         selected.append(idx)
@@ -108,8 +99,7 @@ def omp_2d(residual: np.ndarray, dic: Dictionary, P: int,
         targets.append(TargetEstimate(tau_hat=int(dic.tau_grid[i]),
                                       nu_hat=int(dic.nu_grid[j]),
                                       gain_hat=complex(g)))
-    return OmpResult(targets=targets, residual_energy=float(np.sum(np.abs(r) ** 2)),
-                     residual=r)
+    return OmpResult(targets=targets, residual_energy=float(np.sum(np.abs(r) ** 2)))
 
 
 def estimate_to_physical(e: TargetEstimate, cfg: SystemConfig) -> TargetEstimate:
@@ -152,16 +142,3 @@ def matched_squared_errors(estimates, truths):
     err_v = sum(abs(e.velocity_mps - t.velocity_mps) ** 2 for e, t in pairs)
     ref_v = sum(abs(t.velocity_mps) ** 2 for _, t in pairs)
     return err_r, ref_r, err_v, ref_v
-
-
-@dataclass(frozen=True)
-class NmseReport:
-    range_nmse: float
-    velocity_nmse: float
-
-
-def nmse(estimates, truths) -> NmseReport:
-    """Sum ||x_hat - x||^2 / sum ||x||^2, per parameter."""
-    err_r, ref_r, err_v, ref_v = matched_squared_errors(estimates, truths)
-    return NmseReport(range_nmse=err_r / ref_r if ref_r > 0 else 0.0,
-                      velocity_nmse=err_v / ref_v if ref_v > 0 else 0.0)

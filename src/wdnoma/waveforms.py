@@ -6,7 +6,7 @@ demodulators are exact inverses over an ideal channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,7 +18,7 @@ def test_partition_is_exact():
     assert layout.n_data == 192
     assert np.all(np.isin(layout.npe_window, layout.guard2))
     # the PD-NOMA OFDM frame: all bins are data, no NPE window
-    full = full_grid_layout(256, 2)
+    full = full_grid_layout(256)
     assert np.array_equal(full.data, np.arange(256))
     assert full.guard1.size == full.guard2.size == full.npe_window.size == 0
 

@@ -76,6 +76,35 @@ def test_config_cross_validation():
         config_from_dict(small_raw(sweep={"trials": 0}))
 
 
+@pytest.mark.parametrize("snr_db", [[], [float("nan")], [10.0, float("inf")]])
+def test_config_rejects_empty_or_non_finite_snr(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        config_from_dict(small_raw(sweep={"snr_db": snr_db}))
+
+
+@pytest.mark.parametrize("trials", [2.5, "2", True])
+def test_config_rejects_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        config_from_dict(small_raw(sweep={"trials": trials}))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_config_rejects_bad_master_seed(seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        config_from_dict(small_raw(sweep={"master_seed": seed}))
+
+
+def test_config_rejects_empty_modes():
+    with pytest.raises(ValueError, match="modes"):
+        config_from_dict(small_raw(sweep={"modes": []}))
+
+
+def test_cli_rejects_negative_seed_override(capsys):
+    # CLI overrides pass the same checks as the config file
+    assert main(["ber", "--config", str(CONFIG), "--seed", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_rejects_negative_range():
     with pytest.raises(ValueError, match="range_bounds"):
         config_from_dict(small_raw(channel={"range_bounds": [-1.0, 50.0]}))

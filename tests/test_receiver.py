@@ -1,6 +1,5 @@
 """Receiver tests: equivalent channel vs dense oracle, NPE, MMSE, cancellation."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dense_equivalent_channel, dense_mmse, embed, random_complex
-from wdnoma import harness, receiver
+from wdnoma import harness
 from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
@@ -92,42 +91,37 @@ def _chains(draw):
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(chain=_chains())
-def test_analytic_equivalent_channel_matches_dense_oracle(waveform, chain):
+def test_equivalent_channel_matches_dense_oracle(waveform, chain):
+    # H = T H_t T^H against the five-matrix product, and MMSE through H_t
+    # solves the normal equations of H
     cfg, ps = chain
-    H = build_equivalent_channel(ps, cfg, waveform).matrix
+    eq = build_equivalent_channel(ps, cfg, waveform)
+    H = eq.matrix
     Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
                                     _paths_as_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-11
-
-
-@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(chain=_chains())
-def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
-    # H = T H_t T^H, and MMSE through H_t solves the normal equations of H
-    cfg, ps = chain
-    eq = build_equivalent_channel(ps, cfg, waveform)
-    to_time, from_time = _mod_demod_fns(cfg, waveform, prefixed=False)
-    H = eq.matrix
-    rotated = from_time((eq.time @ to_time(np.eye(cfg.N)).T).T).T
-    assert np.max(np.abs(rotated - H)) < 1e-11
     d = random_complex(np.random.default_rng(cfg.N + len(ps.paths)), cfg.N)
     for s2, x in zip((0.05, 1.0), mmse_detect(eq, d, (0.05, 1.0))):
-        assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
+        assert np.max(np.abs(x - dense_mmse(Href, d, s2))) < 1e-9
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
 def test_time_domain_gram_pattern_ignores_doppler(waveform):
-    # the factorization's structure depends on the path delays alone
+    # the Gram matrix of H_t = T^H H T is a cyclic band of half-width
+    # l_max - l_min for every Doppler draw, the band the MMSE solve assumes
     cfg = make_cfg(N=16, L=4, kappa_max=1)
-    patterns = set()
+    to_time, _ = _mod_demod_fns(cfg, waveform, prefixed=False)
+    T_H = to_time(np.eye(16)).T
+    offset = np.subtract.outer(np.arange(16), np.arange(16)) % 16
+    inside = np.minimum(offset, 16 - offset) <= 2
     for kappas in ((0, 0, 0), (-1, 0, 1), (1, 1, -1)):
         ps = PathSet(tuple(path_from_bin(0.6 + 0.3j * l, l, kappa, 16, 20)
                            for l, kappa in enumerate(kappas)), 20)
-        H_t = build_equivalent_channel(ps, cfg, waveform).time
-        gram = (H_t.conj().T @ H_t).tocoo()
-        patterns.add(frozenset(zip(gram.row.tolist(), gram.col.tolist())))
-    assert len(patterns) == 1
+        H = build_equivalent_channel(ps, cfg, waveform).matrix
+        H_t = T_H @ H @ T_H.conj().T
+        gram = np.abs(H_t.conj().T @ H_t)
+        assert np.max(gram[~inside]) < 1e-12
+        assert np.min(gram[inside]) > 1e-12
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
@@ -139,7 +133,8 @@ def test_equivalent_channel_rejects_fractional_doppler(waveform):
             build_equivalent_channel(ps, cfg, waveform)
     # one bin up to roundoff is still an integer bin
     ps = PathSet((ChannelPath(1.0, 1, (1 + 1e-12) * 20 / 16),), 20)
-    assert build_equivalent_channel(ps, cfg, waveform).sparse.nnz == 16
+    H = build_equivalent_channel(ps, cfg, waveform).matrix
+    assert np.count_nonzero(np.abs(H) > 1e-12) == 16
 
 
 def test_equivalent_channel_single_path_sparsity():
@@ -286,17 +281,6 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
-def test_sweep_builds_no_sparse_matrix(monkeypatch):
-    # the sweep's channel build and MMSE solve work on tap vectors and a band
-    def no_sparse(*args, **kwargs):
-        raise AssertionError("the sweep built a scipy.sparse matrix")
-
-    monkeypatch.setattr(receiver, "csr_matrix", no_sparse)
-    cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "desk.json")
-    cfg = replace(cfg, sweep=replace(cfg.sweep, trials=1, snr_db=(20.0,)))
-    assert set(harness.run_ber(cfg)) == set(harness.MODES)
-
-
 def _layout_and_cfg():
     cfg = make_cfg(N=64, L=8, kappa_max=1, N1=8, N2=8)
     layout = allocate_frame(64, 0, 8, 8, 12, 1, cfg.chirp.c1, 2)
@@ -316,7 +300,7 @@ def test_estimate_noise_power_pure_noise():
     assert abs(acc / trials - 0.3) < 0.02
     # the full OFDM grid has no guard to sample
     with pytest.raises(ValueError):
-        estimate_noise_power(w, full_grid_layout(64, 1))
+        estimate_noise_power(w, full_grid_layout(64))
 
 
 def test_perfect_cancellation_no_noise():
