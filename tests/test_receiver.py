@@ -91,18 +91,35 @@ def _chains(draw):
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(chain=_chains())
-def test_equivalent_channel_matches_dense_oracle(waveform, chain):
-    # H = T H_t T^H against the five-matrix product, and MMSE through H_t
-    # solves the normal equations of H
+def test_analytic_equivalent_channel_matches_dense_oracle(waveform, chain):
+    # H built from the time-domain taps against the five-matrix product
     cfg, ps = chain
-    eq = build_equivalent_channel(ps, cfg, waveform)
-    H = eq.matrix
+    H = build_equivalent_channel(ps, cfg, waveform).matrix
     Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
                                     _paths_as_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-11
-    d = random_complex(np.random.default_rng(cfg.N + len(ps.paths)), cfg.N)
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain=_chains())
+def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
+    # the dense H_t laid out from the taps gives H = T H_t T^H, and MMSE
+    # through H_t solves the normal equations of H
+    cfg, ps = chain
+    eq = build_equivalent_channel(ps, cfg, waveform)
+    N = cfg.N
+    H_t = np.zeros((N, N), dtype=complex)
+    i = np.arange(N)
+    for l, t in zip(eq.delays, eq.taps):
+        H_t[i, (i - l) % N] += t
+    to_time, from_time = _mod_demod_fns(cfg, waveform, prefixed=False)
+    H = eq.matrix
+    rotated = from_time((H_t @ to_time(np.eye(N)).T).T).T
+    assert np.max(np.abs(rotated - H)) < 1e-11
+    d = random_complex(np.random.default_rng(N + len(ps.paths)), N)
     for s2, x in zip((0.05, 1.0), mmse_detect(eq, d, (0.05, 1.0))):
-        assert np.max(np.abs(x - dense_mmse(Href, d, s2))) < 1e-9
+        assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
