@@ -4,12 +4,16 @@ The downlink OFDM frame, transformed with the DAFT (CP neglected), should
 look like white noise: flat per-bin variance, zero mean, lag-only
 autocorrelation, and near-Gaussian marginals. This module measures those
 quantities over Monte Carlo trials so the claims become testable numbers.
+``wdnoma stats`` is the only command that imports this module, and this
+module is the only one that imports scipy.stats.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
+from pathlib import Path as FsPath
 
 import numpy as np
 from scipy import stats as sps
@@ -141,3 +145,21 @@ def write_report_csv(report: StatReport, path) -> None:
             w.writerow(["hist_real", i, int(c), repr(float(edges_r[i]))])
         for i, c in enumerate(counts_i):
             w.writerow(["hist_imag", i, int(c), repr(float(edges_i[i]))])
+
+
+def run_stats(cfg: SystemConfig, channel: PathSet, out_dir, trials: int, seed: int) -> list:
+    """Affine-domain statistics without and with ``channel``; writes one CSV
+    each plus a gaussianity summary of the latter. Returns the written paths."""
+    out_dir = FsPath(out_dir)
+    reports = []
+    for key, ch in ((100, None), (101, channel)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, key)))
+        reports.append(empirical_stats(trials, cfg, ch, rng))
+    paths = []
+    for name, report in zip(("stats_prechannel.csv", "stats_postchannel.csv"), reports):
+        paths.append(out_dir / name)
+        write_report_csv(report, paths[-1])
+    paths.append(out_dir / "gaussianity.json")
+    with open(paths[-1], "w") as fh:
+        json.dump(asdict(gaussianity_check(reports[1])), fh, indent=2, sort_keys=True)
+    return paths

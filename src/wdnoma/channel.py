@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .waveforms import SystemConfig
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)

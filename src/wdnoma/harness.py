@@ -1,5 +1,5 @@
-"""Seeded Monte Carlo experiments: BER sweeps, sensing NMSE sweeps and
-affine-domain statistics runs, with deterministic per-trial RNG streams.
+"""Seeded Monte Carlo experiments: BER and sensing NMSE sweeps with
+deterministic per-trial RNG streams, config parsing and output files.
 
 Every trial owns substreams derived from (master_seed, trial_index,
 purpose), so results do not depend on execution order or worker count, and
@@ -20,7 +20,6 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import __version__
-from .affine_stats import empirical_stats, gaussianity_check, write_report_csv
 from .channel import (
     PathSet,
     PhysicalTarget,
@@ -502,39 +501,6 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     return curves
 
 
-def run_stats(cfg: ExperimentConfig, out_dir, trials: int | None = None) -> list:
-    """Pre- and post-channel affine-domain statistics; writes one CSV each
-    plus a gaussianity summary. Returns the written paths."""
-    sys_ = cfg.system
-    trials = trials if trials is not None else cfg.sweep.trials
-    out_dir = FsPath(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.sweep.master_seed
-
-    rng_pre = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 100)))
-    pre = empirical_stats(trials, sys_, None, rng_pre)
-
-    path = path_from_bin(1.0, min(5, sys_.L_cp), min(2, cfg.frame.kappa_max), sys_.N, sys_.N)
-    ch = PathSet((path,), sys_.N)
-    rng_post = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 101)))
-    post = empirical_stats(trials, sys_, ch, rng_post)
-
-    paths = []
-    for name, report in (("stats_prechannel.csv", pre), ("stats_postchannel.csv", post)):
-        p = out_dir / name
-        write_report_csv(report, p)
-        paths.append(p)
-    gauss = gaussianity_check(post)
-    gp = out_dir / "gaussianity.json"
-    with open(gp, "w") as fh:
-        json.dump({"ks_real": gauss.ks_real, "ks_imag": gauss.ks_imag,
-                   "p_real": gauss.p_real, "p_imag": gauss.p_imag,
-                   "fitted_mean": gauss.fitted_mean, "fitted_std": gauss.fitted_std,
-                   "n_samples": gauss.n_samples}, fh, indent=2, sort_keys=True)
-    paths.append(gp)
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Output files
 # ---------------------------------------------------------------------------
@@ -580,7 +546,11 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
             write_curve_csv(points, p)
             files.append(p)
     elif command == "stats":
-        files = run_stats(cfg, out_dir)
+        from .affine_stats import run_stats  # the one module that loads scipy.stats
+        sys_ = cfg.system
+        path = path_from_bin(1.0, min(5, sys_.L_cp), min(2, cfg.frame.kappa_max), sys_.N, sys_.N)
+        files = run_stats(sys_, PathSet((path,), sys_.N), out_dir, cfg.sweep.trials,
+                          cfg.sweep.master_seed)
     else:
         raise ValueError(f"unknown command {command!r}")
     write_manifest(cfg, out_dir, time.time() - t0, files)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from .channel import PathSet, apply_dd_channel_samples, path_from_bin
+from .channel import SPEED_OF_LIGHT, PathSet, apply_dd_channel_samples, path_from_bin
 from .waveforms import SystemConfig
 
 
@@ -42,7 +41,6 @@ class TargetEstimate:
 @dataclass(frozen=True)
 class OmpResult:
     targets: list
-    residual_energy: float
 
 
 def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
@@ -84,22 +82,22 @@ def omp_2d(residual: np.ndarray, dic: Dictionary, P: int) -> OmpResult:
         raise ValueError("residual length does not match the dictionary atoms")
     A = dic.atoms.reshape(n_tau * n_nu, L)
     norms = dic.atom_norms.reshape(-1)
-    r = r0.copy()
+    r = r0
     selected: list[int] = []
-    for _ in range(P):
+    for k in range(P):
         corr = np.abs(A.conj() @ r) / norms
-        idx = int(np.argmax(corr))
-        selected.append(idx)
+        selected.append(int(np.argmax(corr)))
         Asel = A[selected].T
         gains, *_ = np.linalg.lstsq(Asel, r0, rcond=None)
-        r = r0 - Asel @ gains
+        if k + 1 < P:  # the last residual is not needed
+            r = r0 - Asel @ gains
     targets = []
     for idx, g in zip(selected, gains):
         i, j = divmod(idx, n_nu)
         targets.append(TargetEstimate(tau_hat=int(dic.tau_grid[i]),
                                       nu_hat=int(dic.nu_grid[j]),
                                       gain_hat=complex(g)))
-    return OmpResult(targets=targets, residual_energy=float(np.sum(np.abs(r) ** 2)))
+    return OmpResult(targets=targets)
 
 
 def estimate_to_physical(e: TargetEstimate, cfg: SystemConfig) -> TargetEstimate:

@@ -14,6 +14,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +46,13 @@ class ChirpParams:
         return k
 
 
+@lru_cache(maxsize=64)
 def chirp_vector(N: int, c: float) -> np.ndarray:
-    """exp(-j 2 pi c n^2) for n = 0..N-1."""
+    """exp(-j 2 pi c n^2) for n = 0..N-1; cached per (N, c), so read-only."""
     n = np.arange(N)
-    return np.exp(-2j * np.pi * c * n * n)
+    v = np.exp(-2j * np.pi * c * n * n)
+    v.flags.writeable = False
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +84,14 @@ def add_cp_samples(x: np.ndarray, L_cp: int) -> np.ndarray:
     return np.concatenate([x[..., -L_cp:], x], axis=-1)
 
 
+@lru_cache(maxsize=64)
 def cpp_prefix_phases(N: int, L_cpp: int, c1: float) -> np.ndarray:
-    """Diagonal of the CPP weighting: exp(-j 2 pi c1 (N^2 - 2N(L-k))), k=0..L-1."""
+    """Diagonal of the CPP weighting: exp(-j 2 pi c1 (N^2 - 2N(L-k))), k=0..L-1;
+    cached per (N, L_cpp, c1), so read-only."""
     k = np.arange(L_cpp)
-    return np.exp(-2j * np.pi * c1 * (N * N - 2.0 * N * (L_cpp - k)))
+    v = np.exp(-2j * np.pi * c1 * (N * N - 2.0 * N * (L_cpp - k)))
+    v.flags.writeable = False
+    return v
 
 
 def add_cpp_samples(x: np.ndarray, L_cpp: int, c1: float) -> np.ndarray:

@@ -291,3 +291,15 @@ def test_cli_sense_default_modes(tmp_path):
         with open(f) as fh:
             (row,) = list(csv.DictReader(fh))
         assert all(math.isfinite(float(row[k])) for k in ("metric", "ci_halfwidth"))
+
+
+def test_cli_stats_runs_and_repeats_byte_identical(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["stats", "--config", str(CONFIG), "--trials", "200",
+                     "--out", str(out)]) == 0
+    data = ("stats_prechannel.csv", "stats_postchannel.csv", "gaussianity.json")
+    for out in outs:
+        assert sorted(f.name for f in out.iterdir()) == sorted(data + ("run_manifest.json",))
+    for f in data:
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()

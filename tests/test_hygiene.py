@@ -1,6 +1,10 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+the CLI's import stays lean."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +31,13 @@ def _unused_from_imports(tree: ast.Module) -> list:
 def test_every_from_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_from_imports(tree) == []
+
+
+def test_cli_import_loads_no_scipy_stats_or_constants():
+    # only `wdnoma stats` needs scipy.stats; the sweeps must not pay for it
+    code = ("import sys, wdnoma.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.constants') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          check=True)
+    assert done.stdout.strip() == "[]"
