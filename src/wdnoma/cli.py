@@ -43,7 +43,13 @@ def _apply_overrides(cfg, args):
         sweep = replace(sweep, snr_db=tuple(float(s) for s in args.snr.split(",")))
     if args.mode is not None:
         sweep = replace(sweep, modes=tuple(args.mode.split(",")))
-    return replace(cfg, sweep=sweep)
+    cfg = replace(cfg, sweep=sweep)
+    # the floors of affine_stats.empirical_stats and gaussianity_check
+    trials, N = cfg.sweep.trials, cfg.system.N
+    if args.command == "stats" and (trials < 100 or trials * N < 1e4):
+        raise ValueError(f"stats needs trials >= 100 and trials * N >= 1e4, "
+                         f"got trials = {trials}, N = {N}")
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -321,86 +321,76 @@ class _TrialContext:
         return {"bits": bits, "r_ul": r_ul, "p_ul": n_data / sys_.N}
 
     def compose(self, up, snr_db: float):
-        """Superimpose echo (at the configured offset) and scaled noise.
-
-        The echo amplitude is calibrated so its average received power sits
-        exactly echo_power_offset_db below the uplink signal power.
-        """
-        sys_ = self._cfg.system
-        p_ul = up["p_ul"]
-        sigma2 = p_ul * 10.0 ** (-snr_db / 10.0)
-        g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(p_ul / len(self.targets))
-        r = up["r_ul"] + g * self.r_dl + np.sqrt(sigma2) * self.noise_unit
-        return r, sigma2, g
+        """Superimpose echo and scaled noise on this trial's uplink signal."""
+        return _superimpose(self._cfg, up["r_ul"], up["p_ul"], self.r_dl, self.noise_unit,
+                            len(self.targets), snr_db)
 
 
-def _detect_group(cfg, ctx, snr_db, waveform, modes, layout, keep_chain=False):
-    """Run demod + MMSE for all requested modes of one waveform group.
-
-    Returns {mode: (bit_errors, n_bits)} plus, when keep_chain, the pieces
-    the sensing stage needs (received frame and hard symbols).
-    """
-    sys_ = cfg.system
-    up = ctx.uplink(waveform, layout)
-    r, sigma2, g = ctx.compose(up, snr_db)
-
-    if waveform == "afdm":
-        d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
-    elif waveform == "otfs":
-        d = otfs_demod_samples(r, sys_.N1, sys_.N2, sys_.L_cp)
-    else:
-        d = ofdm_demod_samples(r, sys_.L_cp)
-    # L_cp == L_cpp, so every waveform's core window is r[L_cp:]
-    echo_bin_power = float(np.mean(np.abs(g * ctx.r_dl[sys_.L_cp:]) ** 2))
-
-    sigma2s = []
-    for mode in modes:
-        if mode.endswith("_no_npe"):
-            sigma2s.append(sigma2)
-        elif mode.endswith("_npe"):
-            sigma2s.append(estimate_noise_power(d, layout))
-        else:  # genie-style total noise (channel noise + measured echo power)
-            sigma2s.append(sigma2 + echo_bin_power)
-
-    xs = mmse_detect(build_equivalent_channel(ctx.ul_ps, sys_, waveform), d, sigma2s)
-    results = {}
-    chain = {}
-    for mode, x in zip(modes, xs):
-        bits_hat = qam_demap_hard(x[layout.data], sys_.M)
-        errs = int(np.count_nonzero(bits_hat != up["bits"]))
-        results[mode] = (errs, up["bits"].size)
-        if keep_chain:
-            chain[mode] = {"r": r, "hard_syms": qam_map(bits_hat, sys_.M)}
-    return results, chain
+def _superimpose(cfg, r_ul, p_ul, r_dl, noise_unit, n_targets, snr_db):
+    """Uplink plus echo plus noise at ``snr_db`` along the last axis, the
+    echo calibrated to sit echo_power_offset_db below the uplink power p_ul;
+    ``n_targets`` broadcasts against the leading (trial) axes."""
+    sigma2 = p_ul * 10.0 ** (-snr_db / 10.0)
+    g = 10.0 ** (cfg.system.echo_power_offset_db / 20.0) * np.sqrt(p_ul / n_targets)
+    return r_ul + g * r_dl + np.sqrt(sigma2) * noise_unit, sigma2, g
 
 
 _WAVEFORM_OF_MODE = {m: ("afdm" if m in _AFDM_MODES else "otfs" if "otfs" in m else "ofdm")
                      for m in MODES}
 
 
-def _ber_trial(cfg, trial, snr_db, modes, layouts):
-    ctx = _TrialContext(cfg, trial)
-    out = {}
+def _detect_chunk(cfg, ctxs, snr_db, modes, layouts) -> list:
+    """Demodulate, estimate the noise and MMSE-detect the trials ``ctxs``
+    for every waveform group of ``modes``, in one ``mmse_detect`` call.
+    Returns per group: its modes, the received frames (T, N + L_cp), the
+    sent bits (T, n_bits) and the hard decisions (T, len(group), n_bits).
+    """
+    sys_ = cfg.system
+    r_dl = np.stack([c.r_dl for c in ctxs])
+    noise = np.stack([c.noise_unit for c in ctxs])
+    n_targets = np.array([[len(c.targets)] for c in ctxs])
+    groups, channels, ds, sigma2s = [], [], [], []
     for waveform in ("afdm", "otfs", "ofdm"):
         group = [m for m in modes if _WAVEFORM_OF_MODE[m] == waveform]
         if not group:
             continue
-        res, _ = _detect_group(cfg, ctx, snr_db, waveform, group, layouts[waveform])
-        out.update(res)
+        layout = layouts[waveform]
+        ups = [c.uplink(waveform, layout) for c in ctxs]
+        r, sigma2, g = _superimpose(cfg, np.stack([u["r_ul"] for u in ups]), ups[0]["p_ul"],
+                                    r_dl, noise, n_targets, snr_db)
+        if waveform == "afdm":
+            d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
+        elif waveform == "otfs":
+            d = otfs_demod_samples(r, sys_.N1, sys_.N2, sys_.L_cp)
+        else:
+            d = ofdm_demod_samples(r, sys_.L_cp)
+        # L_cp == L_cpp, so every waveform's core window is r[..., L_cp:]
+        echo_bin_power = np.mean(np.abs(g * r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
+        columns = []
+        for mode in group:
+            if mode.endswith("_no_npe"):
+                columns.append(np.full(len(ctxs), sigma2))
+            elif mode.endswith("_npe"):
+                columns.append(estimate_noise_power(d, layout))
+            else:  # genie-style total noise (channel noise + measured echo power)
+                columns.append(sigma2 + echo_bin_power)
+        sigma2s.extend(np.column_stack(columns))
+        channels += [build_equivalent_channel(c.ul_ps, sys_, waveform) for c in ctxs]
+        ds.append(d)
+        groups.append((group, layout, r, np.stack([u["bits"] for u in ups])))
+
+    xs = iter(mmse_detect(channels, np.concatenate(ds), sigma2s))
+    out = []
+    for group, layout, r, bits in groups:
+        syms = np.stack([next(xs) for _ in ctxs]).take(layout.data, axis=-1)
+        bits_hat = qam_demap_hard(syms.reshape(-1), sys_.M).reshape(len(ctxs), len(group), -1)
+        out.append((group, r, bits, bits_hat))
     return out
 
 
-def _sense_trial(cfg, trial, snr_db, mode, layouts):
-    """Full pipeline through cancellation and 2D-OMP for one trial."""
+def _sense_trial(cfg, ctx, residual):
+    """2D-OMP on one trial's residual after cancellation, scored against its targets."""
     sys_ = cfg.system
-    ctx = _TrialContext(cfg, trial)
-    waveform = _WAVEFORM_OF_MODE[mode]
-    layout = layouts[waveform]
-    _, chain = _detect_group(cfg, ctx, snr_db, waveform, [mode], layout, keep_chain=True)
-    piece = chain[mode]
-    residual = reconstruct_and_cancel(piece["r"], ctx.ul_ps, piece["hard_syms"], layout,
-                                      sys_, waveform)
-
     dic = build_dictionary(ctx.s_dl, sensing_tau_grid(cfg), sensing_nu_grid(cfg), sys_.N)
     result = omp_2d(residual, dic, len(ctx.targets))
     estimates = [estimate_to_physical(e, sys_) for e in result.targets]
@@ -441,13 +431,27 @@ def _chunks(n_trials: int, size: int = 64):
 
 
 def _ber_chunk(cfg, snr_db, trials, modes):
-    layouts = _layouts(cfg)
-    return [_ber_trial(cfg, t, snr_db, modes, layouts) for t in trials]
+    """{mode: (bit_errors, n_bits)} for each trial of a chunk."""
+    ctxs = [_TrialContext(cfg, t) for t in trials]
+    rows = [{} for _ in trials]
+    for group, _, bits, bits_hat in _detect_chunk(cfg, ctxs, snr_db, modes, _layouts(cfg)):
+        errs = np.count_nonzero(bits_hat != bits[:, None], axis=-1).tolist()
+        for row, counts in zip(rows, errs):
+            row.update((m, (e, bits.shape[1])) for m, e in zip(group, counts))
+    return rows
 
 
 def _sense_chunk(cfg, snr_db, trials, mode):
+    """Full pipeline through cancellation and 2D-OMP for each trial of a chunk."""
+    sys_ = cfg.system
     layouts = _layouts(cfg)
-    return [_sense_trial(cfg, t, snr_db, mode, layouts) for t in trials]
+    waveform = _WAVEFORM_OF_MODE[mode]
+    ctxs = [_TrialContext(cfg, t) for t in trials]
+    ((_, r, _, bits_hat),) = _detect_chunk(cfg, ctxs, snr_db, [mode], layouts)
+    hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(len(ctxs), -1)
+    return [_sense_trial(cfg, ctx, reconstruct_and_cancel(r_t, ctx.ul_ps, syms, layouts[waveform],
+                                                          sys_, waveform))
+            for ctx, r_t, syms in zip(ctxs, r, hard)]
 
 
 def _run_chunks(fn, args_list, workers: int):

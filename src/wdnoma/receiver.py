@@ -11,20 +11,23 @@ Gram matrix of H_t has its diagonals at the path delay differences only,
 whatever the drawn Doppler bins.
 
 MMSE formulation. ``mmse_detect`` solves the normal equations
-(H^H H + sigma2 I) x = H^H d, one factorization and solve per sigma2, and
-shares the Gram matrix and the right-hand side across the sigma2 values of
-one waveform group. It solves them in the time domain,
-x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same equations in a
-unitary change of basis. With the distinct path delays l_1 < ... < l_D,
-A = H_t^H H_t + sigma2 I is a cyclic band of half-width b = l_D - l_1:
-A[j, (j + o) mod N] is nonzero only for |o| <= b, the same for every
-Doppler draw. The band is built straight from H_t's per-delay tap vectors,
-and the system is solved with the last b unknowns as a border: every
-wrapped (corner) entry of A lies in the border rows or columns, so the
-leading (N - b) x (N - b) block is a plain Hermitian band, factored by
-LAPACK banded Cholesky (``pbtrf``, then triangular band solves with
-``tbtrs``), and the b x b Schur complement is solved densely. This is the
-natural elimination order, in O(b^2 N) work per sigma2.
+(H^H H + sigma2 I) x = H^H d of many (channel, sigma2) systems in one call,
+in the time domain: x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same
+equations in a unitary change of basis. With the distinct path delays
+l_1 < ... < l_D, A = H_t^H H_t + sigma2 I is a cyclic band of half-width
+b = l_D - l_1: A[j, (j + o) mod N] is nonzero only for |o| <= b, the same
+for every Doppler draw. The band and H_t^H T^H d are built once per channel
+from its per-delay tap vectors. Each system keeps its last b unknowns as a
+border, which holds every wrapped (corner) entry, so its leading
+(N - b) x (N - b) block is a plain Hermitian band. The leading blocks of
+all systems of a call lie side by side in one block-diagonal band with zero
+coupling, factored by one LAPACK banded Cholesky (``pbtrf``) and solved by
+one triangular band solve (``tbtrs``) per direction; the b x b Schur
+complements are solved as one batch. Both routines work column by column,
+and a zero coupling entry only adds an exact zero to an update, so every
+block gets the operations, in the order, it gets when solved alone: the
+batch is bit for bit a loop of single solves, in O(b^2 N) work per system.
+One b per call is why the channels of a call must share their delays.
 
 Every pinned curve comes from this formulation. Squaring H squares its
 condition number, but in every sweep mode sigma2 stays bounded away from
@@ -73,13 +76,15 @@ class EquivalentChannel:
         return from_time(rotated).T
 
 
-def estimate_noise_power(d: np.ndarray, layout) -> float:
-    """Mean squared magnitude of the demodulated frame over the
-    leakage-free NPE window."""
+def estimate_noise_power(d: np.ndarray, layout):
+    """Mean squared magnitude of the demodulated frame(s) over the
+    leakage-free NPE window, along the last axis."""
     window = layout.npe_window
     if window.size == 0:
         raise ValueError("NPE window is empty")
-    return float(np.mean(np.abs(d[window]) ** 2))
+    # take() keeps each row contiguous, so a stack of frames is summed in
+    # the same order as each frame alone
+    return np.mean(np.abs(d.take(window, axis=-1)) ** 2, axis=-1)
 
 
 def _mod_demod_fns(cfg: SystemConfig, waveform: str, prefixed: bool = True):
@@ -149,79 +154,92 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
 _pbtrf, _tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.complex128)
 
 
-def _gram_band(delays: tuple, taps: np.ndarray) -> dict:
-    """Upper half of H_t^H H_t as {o >= 0: v} with entry [j, (j + o) mod N]
-    = v[j], summed over the delay pairs with l_a - l_c = o."""
+def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
+    """Solve (H_t^H H_t + s2 I) z = H_t^H y for each system s, whose channel
+    (H_t and y) is owner[s]; returns the (S, N) solutions. ab[s, k, b - o] =
+    A[k - o, k] stores the leading blocks; read as one (b + 1, S n) Fortran
+    array it holds them side by side with no coupling. rb[0, c] = H_t^H y and
+    rb[1 + j, c, i] = A0[i, n + j], the border columns of channel c.
+    """
+    delays, N = channels[0].delays, y.shape[-1]
+    taps = np.stack([H.taps for H in channels])             # (C, D, N)
+    # upper half of H_t^H H_t: entry [j, (j + o) mod N] = band[o][:, j],
+    # summed over the delay pairs with l_a - l_c = o >= 0
     band = {}
     for a, la in enumerate(delays):
-        # pairs (a, c <= a): the delays are ascending, so l_a - l_c >= 0
-        rolled = np.roll(taps[a].conj() * taps[:a + 1], -la, axis=1)
-        for lc, v in zip(delays, rolled):
-            band[la - lc] = band.get(la - lc, 0) + v
-    return band
-
-
-def _solve_band_with_border(band: dict, rhs: np.ndarray, sigma2s) -> list:
-    """Solve (A0 + s2 I) x = rhs for each s2, A0 the Hermitian cyclic band
-    whose upper half is ``band``.
-
-    The last b unknowns (b the half-width) form the border. The leading
-    n = N - b block holds no wrapped entry, so it is a plain band with
-    half-width b, factored by banded Cholesky; the b x b Schur complement
-    is solved densely. For b = 0 the border is empty.
-    """
-    N = rhs.size
+        conj_a = taps[:, a].conj()
+        for q, lc in enumerate(delays[:a + 1]):
+            band[la - lc] = band.get(la - lc, 0) + np.roll(conj_a * taps[:, q], -la, axis=-1)
     b = max(band)
     n = N - b
-    # upper band storage of the leading block: ab[b - o, k] = A0[k - o, k]
-    ab = np.zeros((b + 1, n), dtype=np.complex128)
-    for o, v in band.items():
-        ab[b - o, o:] = v[:max(n - o, 0)]
-    # the border columns A0[:, n:]; with 2b >= N several offsets share an entry
-    border = np.zeros((N, b), dtype=np.complex128)
+    S = s2.size
+    rb = np.zeros((b + 1, len(channels), N), dtype=np.complex128)
+    rb[0] = sum(np.roll(taps[:, q].conj() * y, -l, axis=-1) for q, l in enumerate(delays))
+    del taps, conj_a, y     # free each array once used: the per-system ones are larger
+    # with 2b >= N several offsets share a border entry
     k = np.arange(n, N)
     for o, v in band.items():
         rows = (k - o) % N
-        border[rows, k - n] += v[rows]              # A0[k - o, k]
-        if o:
-            border[(k + o) % N, k - n] += v[k].conj()   # A0[k + o, k] = conj(A0[k, k + o])
-    A12, A22 = border[:n], border[n:]
-    out = []
-    for s2 in sigma2s:
-        a = ab.copy()
-        a[b] += s2
-        c, info = _pbtrf(a, overwrite_ab=1)      # A11 = U^H U
-        if info > 0:      # a leading minor is not positive definite
-            raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2}")
-        # U^{-H} [rhs_1, A12] in one triangular band solve; the Schur
-        # complement is then A22 + s2 I - W^H W
-        w, _ = _tbtrs(c, np.column_stack((rhs[:n], A12)), trans="C")
-        w1, W = w[:, 0], w[:, 1:]
-        x2 = np.linalg.solve(A22 + s2 * np.eye(b) - W.conj().T @ W, rhs[n:] - W.conj().T @ w1)
-        x1, _ = _tbtrs(c, (w1 - W @ x2)[:, None])
-        out.append(np.concatenate((x1[:, 0], x2)))
-    return out
+        rb[1 + k - n, :, rows] += v[:, rows].T                  # A0[k - o, k]
+        if o:   # A0[k + o, k] = conj(A0[k, k + o])
+            rb[1 + k - n, :, (k + o) % N] += v[:, k].T.conj()
+    ab = np.zeros((S, n, b + 1), dtype=np.complex128)
+    for o, v in band.items():
+        ab[:, o:, b - o] = v[owner, :max(n - o, 0)]
+    ab[:, :, b] += s2[:, None]
+    del band, v
+    c, info = _pbtrf(ab.reshape(S * n, b + 1).T, overwrite_ab=1)    # A11 = U^H U
+    if info > 0:      # a leading minor is not positive definite
+        raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2[(info - 1) // n]}")
+    # U^{-H} [rhs_1, A12] in one triangular band solve; the Schur complement
+    # is then A22 + s2 I - W^H W
+    head, tail = np.take(rb[..., :n], owner, axis=1), rb[:, owner, n:]
+    del rb
+    w = _tbtrs(c, head.reshape(b + 1, S * n).T, trans="C", overwrite_b=1)[0].T.reshape(head.shape)
+    w1, W = w[0, :, :, None], w[1:].transpose(1, 2, 0)
+    Wh = W.conj().transpose(0, 2, 1)
+    x2 = np.linalg.solve(tail[1:].transpose(1, 2, 0) + s2[:, None, None] * np.eye(b) - Wh @ W,
+                         tail[0, :, :, None] - Wh @ w1)
+    del Wh
+    x1, _ = _tbtrs(c, (w1 - W @ x2).reshape(S * n, 1), overwrite_b=1)
+    return np.concatenate((x1.reshape(S, n), x2[:, :, 0]), axis=1)
 
 
-def mmse_detect(H: EquivalentChannel, d: np.ndarray, sigma2s) -> list:
-    """Solve (H^H H + s2 I) x = H^H d for each s2 in ``sigma2s``.
+def mmse_detect(channels, ds, sigma2s) -> list:
+    """Solve (H^H H + s2 I) x = H^H d for every channel H in ``channels``,
+    its received frame d (row of ``ds``) and each s2 in its entry of
+    ``sigma2s``; returns one (len(sigma2s[c]), N) array of solutions per
+    channel.
 
-    The equations are solved through H's time-domain factor H_t: d goes to
-    the time domain by T^H, the Gram band of H_t and the right-hand side
-    H_t^H T^H d are formed once, each s2 gets one banded Cholesky
-    factorization and solve, and each solution comes back by T. With s2 = 0
-    this is zero-forcing; an exactly singular system raises LinAlgError.
+    All channels must share N and the delay set, so that every system has
+    the same band half-width b. Each d goes to the time domain by T^H, the
+    Gram band of H_t and the right-hand side H_t^H T^H d are formed once
+    per channel, all systems are factored and solved together (see the
+    module docstring), and each solution comes back by T. With s2 = 0 this
+    is zero-forcing; an exactly singular system raises LinAlgError.
     """
-    N = H.cfg.N
-    if d.shape != (N,):
-        raise ValueError(f"signal length {d.shape} does not match the {N}x{N} channel")
-    if any(s2 < 0 for s2 in sigma2s):
+    C = len(channels)
+    N, delays = channels[0].cfg.N, channels[0].delays
+    if any(H.cfg.N != N or H.delays != delays for H in channels):
+        raise ValueError("the channels of one call must share N and the delay set")
+    ds = np.asarray(ds)
+    if ds.shape != (C, N) or len(sigma2s) != C:
+        raise ValueError(f"{C} {N}x{N} channels need {C} signals of length {N} and "
+                         f"{C} lists of noise variances, got signals of shape {ds.shape}")
+    counts = [len(s) for s in sigma2s]
+    s2 = np.array([s for ss in sigma2s for s in ss], dtype=np.float64)
+    if np.any(s2 < 0):
         raise ValueError("noise variances must be non-negative")
-    to_time, from_time = _mod_demod_fns(H.cfg, H.waveform, prefixed=False)
-    y = to_time(d)
-    rhs = sum(np.roll(t.conj() * y, -l) for l, t in zip(H.delays, H.taps))
-    return [from_time(z) for z in _solve_band_with_border(_gram_band(H.delays, H.taps),
-                                                          rhs, sigma2s)]
+    bounds = np.cumsum([0] + counts)            # systems of channel i: bounds[i]:bounds[i + 1]
+    # maximal runs of consecutive channels that share one transform
+    keys = [(H.cfg, H.waveform) for H in channels]
+    starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
+    runs = [(lo, hi, *_mod_demod_fns(*keys[lo], prefixed=False))
+            for lo, hi in zip(starts, starts[1:])]
+    y = [to_time(ds[lo:hi]) for lo, hi, to_time, _ in runs]
+    z = _solve_stacked(channels, np.concatenate(y), np.repeat(np.arange(C), counts), s2)
+    x = np.concatenate([from_time(z[bounds[lo]:bounds[hi]]) for lo, hi, _, from_time in runs])
+    return np.split(x, bounds[1:-1])
 
 
 def reconstruct_and_cancel(r: np.ndarray, ch: PathSet, x_hat: np.ndarray,

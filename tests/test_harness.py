@@ -12,6 +12,8 @@ from wdnoma.cli import main
 from wdnoma.harness import (
     MODES,
     _TrialContext,
+    _ber_chunk,
+    _sense_chunk,
     afdm_layout,
     config_from_dict,
     config_hash,
@@ -188,6 +190,19 @@ def test_compose_echo_calibration():
     assert ratio == pytest.approx(10 ** (cfg.system.echo_power_offset_db / 10), rel=0.02)
 
 
+@pytest.mark.parametrize("snr_db", [0.0, 35.0])
+def test_chunk_batching_couples_no_trials(snr_db):
+    # a trial's row is the same alone as inside a full 64-trial chunk;
+    # byte-identical output for any worker count rests on this
+    cfg = load_config(CONFIG)
+    trials = list(range(64))
+    full = _ber_chunk(cfg, snr_db, trials, MODES)
+    assert [_ber_chunk(cfg, snr_db, [t], MODES)[0] for t in trials] == full
+    full = _sense_chunk(cfg, snr_db, trials, "wdnoma_afdm_npe")
+    for t in (0, 1, 31, 63):
+        assert _sense_chunk(cfg, snr_db, [t], "wdnoma_afdm_npe") == [full[t]]
+
+
 def test_run_ber_shapes_and_counts():
     cfg = config_from_dict(small_raw())
     curves = run_ber(cfg)
@@ -291,6 +306,21 @@ def test_cli_sense_default_modes(tmp_path):
         with open(f) as fh:
             (row,) = list(csv.DictReader(fh))
         assert all(math.isfinite(float(row[k])) for k in ("metric", "ci_halfwidth"))
+
+
+def test_cli_rejects_too_small_stats_run(tmp_path, capsys):
+    # below 100 frames or 1e4 samples the statistics cannot be formed; the
+    # run fails at parse time and leaves no output directory
+    out = tmp_path / "stats"
+    assert main(["stats", "--config", str(CONFIG), "--trials", "50", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    small = small_raw(system={"N": 64, "N1": 8, "N2": 8}, frame={"K1": 16, "K2": 16})
+    p = _write_cfg(tmp_path, small)
+    assert main(["stats", "--config", str(p), "--trials", "120", "--out", str(out)]) == 2
+    assert "trials * N" in capsys.readouterr().err
+    assert not out.exists()
+    # the same small configuration is a valid sweep
+    assert main(["validate-config", "--config", str(p), "--trials", "120"]) == 0
 
 
 def test_cli_stats_runs_and_repeats_byte_identical(tmp_path):

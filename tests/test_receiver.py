@@ -118,7 +118,7 @@ def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
     rotated = from_time((H_t @ to_time(np.eye(N)).T).T).T
     assert np.max(np.abs(rotated - H)) < 1e-11
     d = random_complex(np.random.default_rng(N + len(ps.paths)), N)
-    for s2, x in zip((0.05, 1.0), mmse_detect(eq, d, (0.05, 1.0))):
+    for s2, x in zip((0.05, 1.0), mmse_detect([eq], [d], [(0.05, 1.0)])[0]):
         assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
 
 
@@ -201,7 +201,7 @@ def test_mmse_matches_dense_normal_equation_oracle():
                  for _ in range(int(g.integers(1, 4)))]
         H = _channel(cfg, paths, ("afdm", "otfs", "ofdm")[trial % 3])
         d = random_complex(g, N)
-        (got,) = mmse_detect(H, d, [0.1])
+        ((got,),) = mmse_detect([H], [d], [[0.1]])
         ref = dense_mmse(H.matrix, d, 0.1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -213,7 +213,7 @@ def test_mmse_zero_noise_is_zero_forcing():
     for waveform in ("afdm", "otfs", "ofdm"):
         H = _channel(cfg, _dominant_path(g, cfg, 3), waveform)
         d = random_complex(g, N)
-        (x,) = mmse_detect(H, d, [0.0])
+        ((x,),) = mmse_detect([H], [d], [[0.0]])
         assert np.max(np.abs(x - np.linalg.solve(H.matrix, d))) < 1e-8
 
 
@@ -223,9 +223,9 @@ def test_mmse_singular_zero_noise_fails():
     H = _channel(cfg, [(0.0, 0, 0), (0.0, 2, 1)])
     d = random_complex(np.random.default_rng(103), N)
     with pytest.raises(np.linalg.LinAlgError):
-        mmse_detect(H, d, [0.0])
+        mmse_detect([H], [d], [[0.0]])
     with pytest.raises(ValueError):
-        mmse_detect(H, d, [-1.0])
+        mmse_detect([H], [d], [[-1.0]])
 
 
 def test_mmse_scalar_shrinkage():
@@ -233,7 +233,7 @@ def test_mmse_scalar_shrinkage():
     N = 8
     H = _channel(make_cfg(N=N, N1=4, N2=2), [(1.0, 0, 0)])
     d = random_complex(np.random.default_rng(104), N)
-    (x,) = mmse_detect(H, d, [1.0])
+    ((x,),) = mmse_detect([H], [d], [[1.0]])
     assert np.max(np.abs(x - d / 2)) < 1e-12
 
 
@@ -256,7 +256,7 @@ def test_mmse_band_solve_edge_cases(case, waveform):
     assert H.delays == tuple(sorted({l for _, l, _ in paths}))
     d = random_complex(np.random.default_rng(105), cfg.N)
     sigma2s = (0.0, 0.01, 0.5, 2.0)
-    xs = mmse_detect(H, d, sigma2s)
+    (xs,) = mmse_detect([H], [d], [sigma2s])
     assert len(xs) == len(sigma2s)
     # every case has one dominant path, so H is nonsingular and sigma2 = 0 is zero-forcing
     assert np.max(np.abs(xs[0] - np.linalg.solve(H.matrix, d))) < 1e-9
@@ -268,34 +268,94 @@ def test_mmse_rejects_bad_inputs():
     H = _channel(make_cfg(N=16), [(1.0, 0, 0), (0.5, 2, 1)])
     d = random_complex(np.random.default_rng(106), 16)
     with pytest.raises(ValueError):
-        mmse_detect(H, d, [0.1, -1e-3])
+        mmse_detect([H], [d], [[0.1, -1e-3]])
     with pytest.raises(ValueError):
-        mmse_detect(H, d[:15], [0.1])
+        mmse_detect([H], [d[:15]], [[0.1]])
     with pytest.raises(ValueError):
-        mmse_detect(H, np.concatenate((d, d)), [0.1])
+        mmse_detect([H], [np.concatenate((d, d))], [[0.1]])
+
+
+def test_mmse_one_call_mixes_waveforms_with_ragged_sigma2s():
+    # AFDM, OTFS and OFDM channels with 3, 1 and 1 noise variances in one
+    # call: each system equals its solve alone, bit for bit, and the oracle
+    cfg = make_cfg(N=16)
+    g = np.random.default_rng(107)
+    channels = [_channel(cfg, [(complex(*g.standard_normal(2)), l, int(g.integers(-1, 2)))
+                               for l in (0, 1, 2)], w) for w in ("afdm", "otfs", "ofdm")]
+    ds = [random_complex(g, 16) for _ in channels]
+    sigma2s = [(0.0, 0.05, 1.0), (0.2,), (0.01,)]
+    out = mmse_detect(channels, ds, sigma2s)
+    assert [x.shape for x in out] == [(3, 16), (1, 16), (1, 16)]
+    for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
+        for s2, x in zip(s2s, xs):
+            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0][0])
+            assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(_BAND_EDGE_CASES))
+def test_mmse_band_edge_cases_in_one_call(case):
+    # the three waveforms of each edge case share one stacked band solve
+    N1, N2, prefix, paths = _BAND_EDGE_CASES[case]
+    cfg = make_cfg(N=N1 * N2, L=prefix, N1=N1, N2=N2)
+    channels = [_channel(cfg, paths, w) for w in ("afdm", "otfs", "ofdm")]
+    g = np.random.default_rng(108)
+    ds = [random_complex(g, cfg.N) for _ in channels]
+    sigma2s = [(0.0, 0.01, 0.5, 2.0), (0.5,), (0.01, 2.0)]
+    for H, d, s2s, xs in zip(channels, ds, sigma2s, mmse_detect(channels, ds, sigma2s)):
+        for s2, x in zip(s2s, xs):
+            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0][0])
+            assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+def test_mmse_rejects_mixed_delay_sets():
+    cfg = make_cfg(N=16)
+    d = random_complex(np.random.default_rng(109), 16)
+    H1 = _channel(cfg, [(1.0, 0, 0), (0.5, 2, 1)])
+    H2 = _channel(cfg, [(1.0, 0, 0), (0.5, 1, 1)])
+    with pytest.raises(ValueError, match="delay set"):
+        mmse_detect([H1, H2], [d, d], [[0.1], [0.1]])
+
+
+def test_mmse_multi_channel_call_rejects_bad_inputs():
+    cfg = make_cfg(N=8, N1=4, N2=2)
+    good = _channel(cfg, [(1.0, 0, 0), (0.5, 2, 1)])
+    singular = _channel(cfg, [(0.0, 0, 0), (0.0, 2, 1)])
+    d = random_complex(np.random.default_rng(110), 8)
+    with pytest.raises(ValueError):
+        mmse_detect([good, good], [d, d], [[0.1], [0.2, -1e-3]])
+    with pytest.raises(ValueError):
+        mmse_detect([good, good], [d, d[:7]], [[0.1], [0.1]])
+    with pytest.raises(ValueError):
+        mmse_detect([good, good], [d], [[0.1], [0.1]])
+    with pytest.raises(np.linalg.LinAlgError):
+        mmse_detect([good, singular], [d, d], [[0.1], [0.0]])
+    # with noise the singular channel's system is regular
+    (_, (x,)) = mmse_detect([good, singular], [d, d], [[0.1], [0.1]])
+    assert np.max(np.abs(x)) == 0.0
 
 
 def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
-    # the sweep's own per-mode MMSE outputs, captured on one desk trial
+    # the sweep's own chunk-level MMSE call, captured on one desk trial
     cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "desk.json")
     calls = []
 
-    def recording_mmse(H, d, sigma2s):
-        out = mmse_detect(H, d, sigma2s)
-        calls.append((H, d, list(sigma2s), out))
+    def recording_mmse(channels, ds, sigma2s):
+        out = mmse_detect(channels, ds, sigma2s)
+        calls.append((channels, ds, sigma2s, out))
         return out
 
     monkeypatch.setattr(harness, "mmse_detect", recording_mmse)
-    modes = harness.MODES[:3]
-    assert all(harness._WAVEFORM_OF_MODE[m] == "afdm" for m in modes)
-    ctx = harness._TrialContext(cfg, 0)
+    modes = harness.MODES
     for snr_db in (0.0, 35.0):
-        harness._detect_group(cfg, ctx, snr_db, "afdm", modes, harness.afdm_layout(cfg))
+        harness._ber_chunk(cfg, snr_db, [0], modes)
     assert len(calls) == 2
-    for H, d, sigma2s, out in calls:
-        assert len(out) == len(modes)
-        for s2, x in zip(sigma2s, out):
-            assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+    for channels, ds, sigma2s, out in calls:
+        # one channel per waveform group, one output per mode of the group
+        assert [H.waveform for H in channels] == ["afdm", "otfs", "ofdm"]
+        assert [len(x) for x in out] == [3, 1, 1]
+        for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
+            for s2, x in zip(s2s, xs):
+                assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
 def _layout_and_cfg():
