@@ -17,6 +17,7 @@ guard-based noise estimator relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,18 +95,37 @@ def target_to_path(t: PhysicalTarget, cfg: SystemConfig) -> Path:
     return path_from_bin(t.rcs_gain, delay, kappa, cfg.N, cfg.frame_len_cp)
 
 
-def apply_dd_channel_samples(s: np.ndarray, ch: PathSet) -> np.ndarray:
-    """Apply the delay-Doppler channel along the last (time) axis; O(P*L),
-    no matrix materialized."""
-    L = s.shape[-1]
-    if L != ch.frame_len:
-        raise ValueError(f"signal length {L} != channel frame length {ch.frame_len}")
+@lru_cache(maxsize=256)
+def doppler_ramp(doppler_norm: float, L: int) -> np.ndarray:
+    """exp(-j 2 pi nu n / L) for n = 0..L-1; cached per (nu, L), so read-only."""
     n = np.arange(L)
-    out = np.zeros_like(np.asarray(s, dtype=np.complex128))
-    for p in ch.paths:
-        ramp = np.exp(-2j * np.pi * p.doppler_norm * n / L)
-        out += p.gain * np.roll(s * ramp, p.delay_samples, axis=-1)
-    return out
+    v = np.exp(-2j * np.pi * doppler_norm * n / L)
+    v.flags.writeable = False
+    return v
+
+
+def apply_dd_channel_samples(s: np.ndarray, ch) -> np.ndarray:
+    """Apply the delay-Doppler channel along the last (time) axis; O(P*L),
+    no matrix materialized. ``ch`` is one PathSet for every frame of ``s``, or
+    one PathSet per row of a 2-D ``s``, all with one path count; each row gets
+    the element-wise operations of its own single-frame call."""
+    chs = (ch,) if isinstance(ch, PathSet) else tuple(ch)
+    s = np.asarray(s, dtype=np.complex128)
+    L = s.shape[-1]
+    if {c.frame_len for c in chs} != {L}:
+        raise ValueError(f"signal length {L} != channel frame lengths "
+                         f"{sorted({c.frame_len for c in chs})}")
+    if len({len(c.paths) for c in chs}) != 1:
+        raise ValueError("the channels of a stacked call must share their path count")
+    rows = s.reshape(-1, L)
+    n = np.arange(L)
+    out = np.zeros_like(rows)
+    for paths in zip(*(c.paths for c in chs)):      # path q of every channel
+        ramps = np.array([doppler_ramp(p.doppler_norm, L) for p in paths])
+        gains = np.array([[p.gain] for p in paths])
+        src = (n - np.array([[p.delay_samples] for p in paths])) % L
+        out += gains * np.take_along_axis(rows * ramps, src, axis=-1)
+    return out.reshape(s.shape)
 
 
 def build_uplink_channel(taps: int, doppler_bins, rng: np.random.Generator,

@@ -78,7 +78,6 @@ def full_grid_layout(N: int) -> FrameLayout:
 @dataclass(frozen=True)
 class OtfsFrameLayout:
     N: int
-    data_cols: np.ndarray
     data: np.ndarray        # delay-major bin indices
     npe_window: np.ndarray  # delay-major bin indices
 
@@ -109,4 +108,4 @@ def allocate_otfs_frame(N1: int, N2: int, guard_cols_per_edge: int, kappa_max: i
     N = N1 * N2
     data = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in data_cols]))
     window = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in window_cols]))
-    return OtfsFrameLayout(N=N, data_cols=data_cols, data=data, npe_window=window)
+    return OtfsFrameLayout(N=N, data=data, npe_window=window)

@@ -15,7 +15,9 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from pathlib import Path as FsPath
+from types import MappingProxyType
 
 import numpy as np
 
@@ -240,9 +242,16 @@ def otfs_layout(cfg: ExperimentConfig) -> OtfsFrameLayout:
                                cfg.frame.otfs_guard_cols, cfg.frame.kappa_max)
 
 
-def _layouts(cfg: ExperimentConfig) -> dict:
-    return {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg),
-            "ofdm": full_grid_layout(cfg.system.N)}
+@lru_cache(maxsize=8)
+def _layouts(cfg: ExperimentConfig):
+    """The frame layout of each waveform; cached per config, so read-only."""
+    layouts = {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg),
+               "ofdm": full_grid_layout(cfg.system.N)}
+    for layout in layouts.values():
+        for value in vars(layout).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return MappingProxyType(layouts)
 
 
 # ---------------------------------------------------------------------------
@@ -275,89 +284,87 @@ def draw_targets(cfg: ExperimentConfig, trial: int):
 
 
 class _TrialContext:
-    """Everything about one trial that is shared across SNR points and modes."""
+    """One trial's random draws, the same at every SNR point and for every mode."""
 
-    def __init__(self, cfg: ExperimentConfig, trial: int, targets=None):
+    def __init__(self, cfg: ExperimentConfig, trial: int):
         sys_ = cfg.system
         seed = cfg.sweep.master_seed
-        bps = int(np.log2(sys_.M))
         L = sys_.frame_len_cp
-
-        bits_dl = _rng(seed, trial, "bits_dl").integers(0, 2, sys_.N * bps)
-        self.x_dl = qam_map(bits_dl, sys_.M)
-        self.s_dl = ofdm_mod_samples(self.x_dl, sys_.L_cp)
-
-        self.targets = draw_targets(cfg, trial) if targets is None else targets
+        self._seed, self._trial, self._bps = seed, trial, int(np.log2(sys_.M))
+        self.bits_dl = _rng(seed, trial, "bits_dl").integers(0, 2, sys_.N * self._bps)
+        self.targets = draw_targets(cfg, trial)
         self.sense_ps = PathSet(tuple(target_to_path(t, sys_) for t in self.targets), L)
-        self.r_dl = apply_dd_channel_samples(self.s_dl, self.sense_ps)
-
         self.ul_ps = build_uplink_channel(cfg.channel.uplink_taps, cfg.channel.doppler_bins,
                                           _rng(seed, trial, "channel"), sys_.N,
                                           sys_.frame_len_cpp)
-
         nrng = _rng(seed, trial, "noise")
         self.noise_unit = (nrng.standard_normal(L) + 1j * nrng.standard_normal(L)) / np.sqrt(2.0)
 
-        self._cfg = cfg
-        self._trial = trial
+    def uplink_bits(self, waveform: str, n_data: int) -> np.ndarray:
+        """Uplink bits of ``n_data`` symbols, drawn only for the waveforms a sweep runs."""
+        return _rng(self._seed, self._trial, f"bits_{waveform}").integers(0, 2, n_data * self._bps)
 
-    def uplink(self, waveform: str, layout):
-        """Transmit bits and received uplink signal for one waveform."""
-        cfg, sys_ = self._cfg, self._cfg.system
-        bps = int(np.log2(sys_.M))
-        n_data = layout.n_data
-        bits = _rng(cfg.sweep.master_seed, self._trial, f"bits_{waveform}").integers(
-            0, 2, n_data * bps)
-        syms = qam_map(bits, sys_.M)
-        frame = np.zeros(sys_.N, dtype=np.complex128)
-        frame[layout.data] = syms
+
+class _Chunk:
+    """A chunk of trials: each trial's draws, and the signals built from them
+    as (T, ·) stacks by one call per stage, row for row the one-trial values."""
+
+    def __init__(self, cfg: ExperimentConfig, trials):
+        sys_ = cfg.system
+        self.cfg, self.layouts = cfg, _layouts(cfg)
+        self.ctxs = [_TrialContext(cfg, t) for t in trials]
+        bits_dl = np.concatenate([c.bits_dl for c in self.ctxs])
+        self.x_dl = qam_map(bits_dl, sys_.M).reshape(len(self.ctxs), sys_.N)
+        self.s_dl = ofdm_mod_samples(self.x_dl, sys_.L_cp)
+        self.r_dl = apply_dd_channel_samples(self.s_dl, [c.sense_ps for c in self.ctxs])
+        self.noise_unit = np.stack([c.noise_unit for c in self.ctxs])
+        self.n_targets = np.array([[len(c.targets)] for c in self.ctxs])
+
+    def uplink(self, waveform: str):
+        """Transmit bits (T, n_bits) and received uplink signals (T, L) for one waveform."""
+        sys_ = self.cfg.system
+        layout = self.layouts[waveform]
+        bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
+        frames = np.zeros((len(self.ctxs), sys_.N), dtype=np.complex128)
+        frames[:, layout.data] = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
         if waveform == "afdm":
-            s = afdm_mod_samples(frame, sys_.chirp, sys_.L_cpp)
+            s = afdm_mod_samples(frames, sys_.chirp, sys_.L_cpp)
         elif waveform == "otfs":
-            s = otfs_mod_samples(frame, sys_.N1, sys_.N2, sys_.L_cp)
+            s = otfs_mod_samples(frames, sys_.N1, sys_.N2, sys_.L_cp)
         else:
-            s = ofdm_mod_samples(frame, sys_.L_cp)
-        r_ul = apply_dd_channel_samples(s, self.ul_ps)
-        return {"bits": bits, "r_ul": r_ul, "p_ul": n_data / sys_.N}
+            s = ofdm_mod_samples(frames, sys_.L_cp)
+        r_ul = apply_dd_channel_samples(s, [c.ul_ps for c in self.ctxs])
+        return {"bits": bits, "r_ul": r_ul, "p_ul": layout.n_data / sys_.N}
 
     def compose(self, up, snr_db: float):
-        """Superimpose echo and scaled noise on this trial's uplink signal."""
-        return _superimpose(self._cfg, up["r_ul"], up["p_ul"], self.r_dl, self.noise_unit,
-                            len(self.targets), snr_db)
-
-
-def _superimpose(cfg, r_ul, p_ul, r_dl, noise_unit, n_targets, snr_db):
-    """Uplink plus echo plus noise at ``snr_db`` along the last axis, the
-    echo calibrated to sit echo_power_offset_db below the uplink power p_ul;
-    ``n_targets`` broadcasts against the leading (trial) axes."""
-    sigma2 = p_ul * 10.0 ** (-snr_db / 10.0)
-    g = 10.0 ** (cfg.system.echo_power_offset_db / 20.0) * np.sqrt(p_ul / n_targets)
-    return r_ul + g * r_dl + np.sqrt(sigma2) * noise_unit, sigma2, g
+        """(T, L) uplink plus echo plus noise at ``snr_db``, sigma2, and the (T, 1)
+        echo amplitudes g that put the echo echo_power_offset_db below p_ul."""
+        p_ul = up["p_ul"]
+        sigma2 = p_ul * 10.0 ** (-snr_db / 10.0)
+        g = 10.0 ** (self.cfg.system.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
+        return up["r_ul"] + g * self.r_dl + np.sqrt(sigma2) * self.noise_unit, sigma2, g
 
 
 _WAVEFORM_OF_MODE = {m: ("afdm" if m in _AFDM_MODES else "otfs" if "otfs" in m else "ofdm")
                      for m in MODES}
 
 
-def _detect_chunk(cfg, ctxs, snr_db, modes, layouts) -> list:
-    """Demodulate, estimate the noise and MMSE-detect the trials ``ctxs``
+def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
+    """Demodulate, estimate the noise and MMSE-detect the trials of ``chunk``
     for every waveform group of ``modes``, in one ``mmse_detect`` call.
     Returns per group: its modes, the received frames (T, N + L_cp), the
     sent bits (T, n_bits) and the hard decisions (T, len(group), n_bits).
     """
-    sys_ = cfg.system
-    r_dl = np.stack([c.r_dl for c in ctxs])
-    noise = np.stack([c.noise_unit for c in ctxs])
-    n_targets = np.array([[len(c.targets)] for c in ctxs])
+    sys_ = chunk.cfg.system
+    T = len(chunk.ctxs)
     groups, channels, ds, sigma2s = [], [], [], []
     for waveform in ("afdm", "otfs", "ofdm"):
         group = [m for m in modes if _WAVEFORM_OF_MODE[m] == waveform]
         if not group:
             continue
-        layout = layouts[waveform]
-        ups = [c.uplink(waveform, layout) for c in ctxs]
-        r, sigma2, g = _superimpose(cfg, np.stack([u["r_ul"] for u in ups]), ups[0]["p_ul"],
-                                    r_dl, noise, n_targets, snr_db)
+        layout = chunk.layouts[waveform]
+        up = chunk.uplink(waveform)
+        r, sigma2, g = chunk.compose(up, snr_db)
         if waveform == "afdm":
             d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
         elif waveform == "otfs":
@@ -365,33 +372,33 @@ def _detect_chunk(cfg, ctxs, snr_db, modes, layouts) -> list:
         else:
             d = ofdm_demod_samples(r, sys_.L_cp)
         # L_cp == L_cpp, so every waveform's core window is r[..., L_cp:]
-        echo_bin_power = np.mean(np.abs(g * r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
+        echo_bin_power = np.mean(np.abs(g * chunk.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
         columns = []
         for mode in group:
             if mode.endswith("_no_npe"):
-                columns.append(np.full(len(ctxs), sigma2))
+                columns.append(np.full(T, sigma2))
             elif mode.endswith("_npe"):
                 columns.append(estimate_noise_power(d, layout))
             else:  # genie-style total noise (channel noise + measured echo power)
                 columns.append(sigma2 + echo_bin_power)
         sigma2s.extend(np.column_stack(columns))
-        channels += [build_equivalent_channel(c.ul_ps, sys_, waveform) for c in ctxs]
+        channels += [build_equivalent_channel(c.ul_ps, sys_, waveform) for c in chunk.ctxs]
         ds.append(d)
-        groups.append((group, layout, r, np.stack([u["bits"] for u in ups])))
+        groups.append((group, layout, r, up["bits"]))
 
     xs = iter(mmse_detect(channels, np.concatenate(ds), sigma2s))
     out = []
     for group, layout, r, bits in groups:
-        syms = np.stack([next(xs) for _ in ctxs]).take(layout.data, axis=-1)
-        bits_hat = qam_demap_hard(syms.reshape(-1), sys_.M).reshape(len(ctxs), len(group), -1)
+        syms = np.stack([next(xs) for _ in range(T)]).take(layout.data, axis=-1)
+        bits_hat = qam_demap_hard(syms.reshape(-1), sys_.M).reshape(T, len(group), -1)
         out.append((group, r, bits, bits_hat))
     return out
 
 
-def _sense_trial(cfg, ctx, residual):
+def _sense_trial(cfg, ctx, s_dl, residual):
     """2D-OMP on one trial's residual after cancellation, scored against its targets."""
     sys_ = cfg.system
-    dic = build_dictionary(ctx.s_dl, sensing_tau_grid(cfg), sensing_nu_grid(cfg), sys_.N)
+    dic = build_dictionary(s_dl, sensing_tau_grid(cfg), sensing_nu_grid(cfg), sys_.N)
     result = omp_2d(residual, dic, len(ctx.targets))
     estimates = [estimate_to_physical(e, sys_) for e in result.targets]
 
@@ -432,9 +439,8 @@ def _chunks(n_trials: int, size: int = 64):
 
 def _ber_chunk(cfg, snr_db, trials, modes):
     """{mode: (bit_errors, n_bits)} for each trial of a chunk."""
-    ctxs = [_TrialContext(cfg, t) for t in trials]
     rows = [{} for _ in trials]
-    for group, _, bits, bits_hat in _detect_chunk(cfg, ctxs, snr_db, modes, _layouts(cfg)):
+    for group, _, bits, bits_hat in _detect_chunk(_Chunk(cfg, trials), snr_db, modes):
         errs = np.count_nonzero(bits_hat != bits[:, None], axis=-1).tolist()
         for row, counts in zip(rows, errs):
             row.update((m, (e, bits.shape[1])) for m, e in zip(group, counts))
@@ -444,14 +450,14 @@ def _ber_chunk(cfg, snr_db, trials, modes):
 def _sense_chunk(cfg, snr_db, trials, mode):
     """Full pipeline through cancellation and 2D-OMP for each trial of a chunk."""
     sys_ = cfg.system
-    layouts = _layouts(cfg)
     waveform = _WAVEFORM_OF_MODE[mode]
-    ctxs = [_TrialContext(cfg, t) for t in trials]
-    ((_, r, _, bits_hat),) = _detect_chunk(cfg, ctxs, snr_db, [mode], layouts)
-    hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(len(ctxs), -1)
-    return [_sense_trial(cfg, ctx, reconstruct_and_cancel(r_t, ctx.ul_ps, syms, layouts[waveform],
-                                                          sys_, waveform))
-            for ctx, r_t, syms in zip(ctxs, r, hard)]
+    chunk = _Chunk(cfg, trials)
+    ((_, r, _, bits_hat),) = _detect_chunk(chunk, snr_db, [mode])
+    hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(len(trials), -1)
+    residual = reconstruct_and_cancel(r, [c.ul_ps for c in chunk.ctxs], hard,
+                                      chunk.layouts[waveform], sys_, waveform)
+    return [_sense_trial(cfg, ctx, s_dl, res)
+            for ctx, s_dl, res in zip(chunk.ctxs, chunk.s_dl, residual)]
 
 
 def _run_chunks(fn, args_list, workers: int):

@@ -41,6 +41,7 @@ stacked least-squares oracle in the tests, not by this solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -124,6 +125,17 @@ def _prefix_length(ch: PathSet, cfg: SystemConfig, waveform: str) -> int:
     return prefix
 
 
+@lru_cache(maxsize=256)
+def _tap_phases(N: int, prefix: int, delay: int, kappa: int) -> np.ndarray:
+    """Unit-gain tap of a (delay, kappa) path: core sample i receives frame
+    sample prefix + i - delay times e^{-j 2 pi kappa (prefix + i - delay) / N};
+    cached per argument tuple, so read-only."""
+    src = prefix + np.arange(N) - delay
+    v = np.exp(-2j * np.pi * (kappa * src % N) / N)
+    v.flags.writeable = False
+    return v
+
+
 def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
     """N x N transmit-domain equivalent channel demod(channel(mod(.))).
 
@@ -140,13 +152,10 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
                     else np.ones(prefix))
     delays = tuple(sorted({p.delay_samples for p in ch.paths}))
     taps = np.zeros((len(delays), N), dtype=np.complex128)
-    i = np.arange(N)
     for p in ch.paths:
-        kappa = _integer_bin(p.doppler_norm, N, ch.frame_len)
         l = p.delay_samples
-        src = prefix + i - l          # frame index of the sample core sample i receives
-        val = p.gain * np.exp(-2j * np.pi * (kappa * src % N) / N)
-        val[:l] *= prefix_phase[src[:l]]
+        val = p.gain * _tap_phases(N, prefix, l, _integer_bin(p.doppler_norm, N, ch.frame_len))
+        val[:l] *= prefix_phase[prefix - l:]   # core samples i < l read the prefix
         taps[delays.index(l)] += val
     return EquivalentChannel(cfg=cfg, waveform=waveform, delays=delays, taps=taps)
 
@@ -242,15 +251,16 @@ def mmse_detect(channels, ds, sigma2s) -> list:
     return np.split(x, bounds[1:-1])
 
 
-def reconstruct_and_cancel(r: np.ndarray, ch: PathSet, x_hat: np.ndarray,
+def reconstruct_and_cancel(r: np.ndarray, ch, x_hat: np.ndarray,
                            layout, cfg: SystemConfig, waveform: str = "afdm") -> np.ndarray:
-    """Rebuild the uplink frame from hard-decided data and subtract it.
+    """Rebuild the uplink frame(s) from hard-decided data and subtract them.
 
-    The symbols go to the layout's data bins and the guards are re-embedded
-    as zeros (they were transmitted as zeros); the frame is then modulated
-    with ``waveform`` and pushed through the uplink channel ``ch``.
+    The symbols (last axis) go to the layout's data bins and the guards are
+    re-embedded as zeros (they were transmitted as zeros); the frames are
+    then modulated with ``waveform`` and pushed through the uplink channel
+    ``ch``: one PathSet, or one per row of a stacked ``x_hat``.
     """
-    frame = np.zeros(cfg.N, dtype=np.complex128)
-    frame[layout.data] = x_hat
+    frame = np.zeros(np.shape(x_hat)[:-1] + (cfg.N,), dtype=np.complex128)
+    frame[..., layout.data] = x_hat
     mod, _ = _mod_demod_fns(cfg, waveform)
     return r - apply_dd_channel_samples(mod(frame), ch)

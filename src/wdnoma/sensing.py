@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, PathSet, apply_dd_channel_samples, path_from_bin
+from .channel import SPEED_OF_LIGHT, doppler_bin_to_norm, doppler_ramp
 from .waveforms import SystemConfig
 
 
@@ -57,12 +57,11 @@ def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
         raise ValueError("empty dictionary grid")
     if tau_grid.max() >= L or tau_grid.min() < 0:
         raise ValueError("delay grid exceeds the frame length")
-    atoms = np.empty((tau_grid.size, nu_grid.size, L), dtype=np.complex128)
-    # delayed[i, n] = (n - tau_i) mod L: all cyclic delays of one replica in one gather
+    # each Doppler replica s * ramp in one broadcast, then all cyclic delays
+    # of all replicas in one gather: atoms[i, j, n] = replica_j[(n - tau_i) mod L]
+    ramps = np.array([doppler_ramp(doppler_bin_to_norm(int(k), N, L), L) for k in nu_grid])
     delayed = (np.arange(L) - tau_grid[:, None]) % L
-    for j, kappa in enumerate(nu_grid):
-        path = path_from_bin(1.0, 0, int(kappa), N, L)
-        atoms[:, j] = apply_dd_channel_samples(s, PathSet((path,), L))[delayed]
+    atoms = (s * ramps)[np.arange(nu_grid.size)[:, None], delayed[:, None]]
     norms = np.linalg.norm(atoms, axis=-1)
     return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid, atom_norms=norms)
 

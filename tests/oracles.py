@@ -8,6 +8,8 @@ so a match between the two is meaningful evidence, not a tautology.
 import numpy as np
 from scipy.linalg import lstsq
 
+from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
+
 
 def dense_dft(N: int) -> np.ndarray:
     """Unitary DFT matrix F[k, n] = exp(-j 2 pi k n / N) / sqrt(N)."""
@@ -73,6 +75,20 @@ def dense_channel(frame_len: int, paths) -> np.ndarray:
             pi[(i + tau) % L, i] = 1.0
         H += gain * (pi @ delta)
     return H
+
+
+def dictionary_atoms(s: np.ndarray, tau_grid, nu_grid, N: int) -> np.ndarray:
+    """(n_tau, n_nu, L) sensing atoms built one Doppler replica at a time:
+    ``s`` through a unit-gain path at delay 0 and Doppler bin kappa, then
+    every cyclic delay of that replica."""
+    L = s.size
+    tau_grid = np.asarray(list(tau_grid))
+    atoms = np.empty((tau_grid.size, len(nu_grid), L), dtype=np.complex128)
+    delayed = (np.arange(L) - tau_grid[:, None]) % L
+    for j, kappa in enumerate(nu_grid):
+        path = path_from_bin(1.0, 0, int(kappa), N, L)
+        atoms[:, j] = apply_dd_channel_samples(s, PathSet((path,), L))[delayed]
+    return atoms
 
 
 def dense_otfs_w(N1: int, N2: int, L_cp: int) -> np.ndarray:

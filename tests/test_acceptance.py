@@ -36,7 +36,7 @@ from wdnoma.channel import (
 from wdnoma.affine_stats import empirical_stats
 from wdnoma.frame import allocate_frame
 from wdnoma.harness import (
-    _TrialContext,
+    _Chunk,
     _ber_chunk,
     _chunks,
     _sense_chunk,
@@ -239,12 +239,12 @@ def test_criterion_4_npe_accuracy():
     for snr_db in (5.0, 20.0, 35.0):  # sigma^2 spans 3 decades
         est_sum = ref_sum = 0.0
         for trial in range(1000):
-            ctx = _TrialContext(cfg, trial)
-            up = ctx.uplink("afdm", layout)
-            r, sigma2, g = ctx.compose(up, snr_db)
+            chunk = _Chunk(cfg, [trial])
+            up = chunk.uplink("afdm")
+            r, sigma2, g = chunk.compose(up, snr_db)
             d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
-            est_sum += estimate_noise_power(d, layout)
-            echo_core = g * ctx.r_dl[sys_.L_cpp:]
+            est_sum += estimate_noise_power(d, layout).item()
+            echo_core = g * chunk.r_dl[:, sys_.L_cpp:]
             ref_sum += sigma2 + float(np.mean(np.abs(echo_core) ** 2))
         rel = abs(est_sum - ref_sum) / ref_sum
         worst = max(worst, rel)

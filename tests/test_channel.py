@@ -7,6 +7,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense_channel, random_complex
 from wdnoma.channel import (
@@ -16,10 +17,11 @@ from wdnoma.channel import (
     apply_dd_channel_samples,
     build_uplink_channel,
     doppler_bin_to_norm,
+    doppler_ramp,
     path_from_bin,
     target_to_path,
 )
-from wdnoma.harness import _TrialContext, afdm_layout, config_from_dict
+from wdnoma.harness import _Chunk, config_from_dict
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import SystemConfig
 
@@ -97,6 +99,55 @@ def test_path_validation():
         apply_dd_channel_samples(np.zeros(8), PathSet((Path(1.0, 0, 0.0),), 16))
 
 
+@st.composite
+def _stacked_channels(draw):
+    """1-5 frames, each with its own channel of one shared path count:
+    delays anywhere in 0..L-1 (both ends drawn often), zero gains and every
+    Doppler bin of the N-sample core."""
+    N = draw(st.integers(2, 24))
+    L = N + draw(st.integers(0, N - 1))
+    rows, n_paths = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    gain = st.one_of(st.just(0j), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+    delay = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    path = st.builds(lambda g, l, kappa: path_from_bin(g, l, kappa, N, L),
+                     gain, delay, st.integers(-N, N))
+    chs = [PathSet(tuple(draw(st.lists(path, min_size=n_paths, max_size=n_paths))), L)
+           for _ in range(rows)]
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_complex(g, rows * L).reshape(rows, L), chs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_stacked_channels())
+def test_stacked_channel_pass_equals_per_row_calls(case):
+    # bit for bit: the sweeps' curves must not depend on how trials are stacked
+    s, chs = case
+    rows = [apply_dd_channel_samples(x, ch) for x, ch in zip(s, chs)]
+    assert np.array_equal(apply_dd_channel_samples(s, chs), np.stack(rows))
+
+
+def test_stacked_channel_pass_validation():
+    one = PathSet((Path(1.0, 0, 0.0),), 16)
+    two = PathSet((Path(1.0, 0, 0.0), Path(0.5, 3, 1.0)), 16)
+    s = random_complex(rng, 32).reshape(2, 16)
+    with pytest.raises(ValueError, match="path count"):
+        apply_dd_channel_samples(s, [one, two])
+    with pytest.raises(ValueError, match="frame length"):
+        apply_dd_channel_samples(random_complex(rng, 30).reshape(2, 15), [one, one])
+    with pytest.raises(ValueError):     # two frames, three channels
+        apply_dd_channel_samples(s, [one, one, one])
+
+
+def test_doppler_ramp_cache_is_read_only_and_exact():
+    L = 272
+    nu = doppler_bin_to_norm(-1, 256, L)
+    ramp = doppler_ramp(nu, L)
+    assert doppler_ramp(nu, L) is ramp
+    with pytest.raises(ValueError):
+        ramp[0] = 0.0
+    assert np.array_equal(ramp, np.exp(-2j * np.pi * nu * np.arange(L) / L))
+
+
 def test_build_uplink_channel_unit_power():
     # statistical: total tap power averages to 1
     draws = 10_000
@@ -118,37 +169,38 @@ def test_build_uplink_channel_structure():
         build_uplink_channel(2, [], np.random.default_rng(1), 64, 72)
 
 
-def _desk_context(trial=0, **system):
+def _desk_chunk(trial=0, **system):
+    """A chunk of one desk trial and its AFDM uplink."""
     raw = json.loads((FsPath(__file__).parent.parent / "configs" / "desk.json").read_text())
     cfg = config_from_dict(raw)
     if system:
         cfg = replace(cfg, system=replace(cfg.system, **system))
-    ctx = _TrialContext(cfg, trial)
-    return ctx, ctx.uplink("afdm", afdm_layout(cfg))
+    chunk = _Chunk(cfg, [trial])
+    return chunk, chunk.uplink("afdm")
 
 
 def test_awgn_variance_and_zero_case():
     # the sweep's noise w = r - r_ul - g * r_dl, at the SNR that makes sigma2 = 0.25
     w = []
     for trial in range(200):
-        ctx, up = _desk_context(trial)
-        r, sigma2, g = ctx.compose(up, 10 * np.log10(up["p_ul"] / 0.25))
-        w.append(r - up["r_ul"] - g * ctx.r_dl)
+        chunk, up = _desk_chunk(trial)
+        r, sigma2, g = chunk.compose(up, 10 * np.log10(up["p_ul"] / 0.25))
+        w.append(r - up["r_ul"] - g * chunk.r_dl)
     assert sigma2 == pytest.approx(0.25)
     assert abs(np.mean(np.abs(np.concatenate(w)) ** 2) - 0.25) < 0.01
-    clean, sigma2, g = ctx.compose(up, np.inf)
+    clean, sigma2, g = chunk.compose(up, np.inf)
     assert sigma2 == 0.0
-    assert np.array_equal(clean, up["r_ul"] + g * ctx.r_dl)
+    assert np.array_equal(clean, up["r_ul"] + g * chunk.r_dl)
 
 
 def test_compose_received_amplitude_scaling():
     # r = r_ul + g * r_dl + w with amplitude g = 10^(offset_db / 20) * sqrt(p_ul / targets)
-    ctx, up = _desk_context()
-    r, _, g = ctx.compose(up, np.inf)
-    assert g == pytest.approx(0.1 * np.sqrt(up["p_ul"] / len(ctx.targets)))
-    assert np.allclose(r, up["r_ul"] + g * ctx.r_dl)
-    ctx, up = _desk_context(echo_power_offset_db=-np.inf)
-    silent, _, g = ctx.compose(up, np.inf)
+    chunk, up = _desk_chunk()
+    r, _, g = chunk.compose(up, np.inf)
+    assert g == pytest.approx(0.1 * np.sqrt(up["p_ul"] / len(chunk.ctxs[0].targets)))
+    assert np.allclose(r, up["r_ul"] + g * chunk.r_dl)
+    chunk, up = _desk_chunk(echo_power_offset_db=-np.inf)
+    silent, _, g = chunk.compose(up, np.inf)
     assert g == 0.0
     assert np.allclose(silent, up["r_ul"])
 

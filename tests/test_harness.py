@@ -11,8 +11,9 @@ import pytest
 from wdnoma.cli import main
 from wdnoma.harness import (
     MODES,
-    _TrialContext,
+    _Chunk,
     _ber_chunk,
+    _layouts,
     _sense_chunk,
     afdm_layout,
     config_from_dict,
@@ -24,6 +25,7 @@ from wdnoma.harness import (
     run_sensing,
 )
 from wdnoma.channel import target_to_path
+from wdnoma.frame import full_grid_layout
 
 ROOT = Path(__file__).parent.parent
 CONFIG = ROOT / "configs" / "desk.json"
@@ -159,35 +161,53 @@ def test_draw_targets_deterministic_and_distinct():
 def test_trial_context_crn_across_snr():
     # the same trial index reuses bits/channel/noise at every SNR point
     cfg = config_from_dict(small_raw())
-    ctx1 = _TrialContext(cfg, 3)
-    ctx2 = _TrialContext(cfg, 3)
-    assert np.array_equal(ctx1.x_dl, ctx2.x_dl)
-    assert np.array_equal(ctx1.noise_unit, ctx2.noise_unit)
-    up = ctx1.uplink("afdm", afdm_layout(cfg))
-    r10, s10, g10 = ctx1.compose(up, 10.0)
-    r20, s20, g20 = ctx1.compose(up, 20.0)
+    chunk1 = _Chunk(cfg, [3])
+    chunk2 = _Chunk(cfg, [3])
+    assert np.array_equal(chunk1.x_dl, chunk2.x_dl)
+    assert np.array_equal(chunk1.noise_unit, chunk2.noise_unit)
+    up = chunk1.uplink("afdm")
+    r10, s10, g10 = chunk1.compose(up, 10.0)
+    r20, s20, g20 = chunk1.compose(up, 20.0)
     assert s10 / s20 == pytest.approx(10.0)
     assert g10 == g20
     # noise realization is shared across SNR points, only its scale differs
-    w10 = r10 - up["r_ul"] - g10 * ctx1.r_dl
-    w20 = r20 - up["r_ul"] - g20 * ctx1.r_dl
+    w10 = r10 - up["r_ul"] - g10 * chunk1.r_dl
+    w20 = r20 - up["r_ul"] - g20 * chunk1.r_dl
     assert np.allclose(w10, np.sqrt(s10 / s20) * w20)
 
 
 def test_compose_echo_calibration():
     # average echo power sits exactly echo_power_offset_db below uplink power
     cfg = config_from_dict(small_raw())
-    ctx = _TrialContext(cfg, 0)
-    up = ctx.uplink("afdm", afdm_layout(cfg))
-    _, _, g = ctx.compose(up, 10.0)
-    n_targets = len(ctx.targets)
+    chunk = _Chunk(cfg, [0])
+    up = chunk.uplink("afdm")
+    _, _, g = chunk.compose(up, 10.0)
+    n_targets = len(chunk.ctxs[0].targets)
     expected = 10 ** (cfg.system.echo_power_offset_db / 20) * np.sqrt(up["p_ul"] / n_targets)
     assert g == pytest.approx(expected)
     # unit-magnitude target gains -> E|g*r_dl|^2 = g^2 * n_targets * E|s_dl|^2;
     # within a single frame the prefix tail makes mean |s_dl|^2 fluctuate ~1%
-    echo_power = g ** 2 * n_targets * np.mean(np.abs(ctx.s_dl) ** 2)
+    echo_power = g ** 2 * n_targets * np.mean(np.abs(chunk.s_dl) ** 2)
     ratio = echo_power / up["p_ul"]
     assert ratio == pytest.approx(10 ** (cfg.system.echo_power_offset_db / 10), rel=0.02)
+
+
+def test_layout_cache_is_read_only_and_exact():
+    # one layout per config for every chunk; a write to a shared layout raises
+    cfg = config_from_dict(small_raw())
+    layouts = _layouts(cfg)
+    assert _layouts(config_from_dict(small_raw())) is layouts
+    fresh = {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg),
+             "ofdm": full_grid_layout(cfg.system.N)}
+    assert layouts.keys() == fresh.keys()
+    for waveform, layout in layouts.items():
+        for name in ("data", "npe_window"):
+            arr = getattr(layout, name)
+            assert np.array_equal(arr, getattr(fresh[waveform], name))
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+    with pytest.raises(TypeError):
+        layouts["afdm"] = fresh["afdm"]
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 35.0])

@@ -12,6 +12,7 @@ from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_sample
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
     _mod_demod_fns,
+    _tap_phases,
     build_equivalent_channel,
     estimate_noise_power,
     mmse_detect,
@@ -174,6 +175,16 @@ def test_equivalent_channel_rejects_long_delay():
     ps = PathSet((path_from_bin(1.0, 3, 0, 16, 18),), 18)
     with pytest.raises(ValueError):
         build_equivalent_channel(ps, cfg)
+
+
+def test_tap_phase_cache_is_read_only_and_exact():
+    N, prefix, delay, kappa = 256, 16, 2, -1
+    phases = _tap_phases(N, prefix, delay, kappa)
+    assert _tap_phases(N, prefix, delay, kappa) is phases
+    with pytest.raises(ValueError):
+        phases[0] = 0.0
+    src = prefix + np.arange(N) - delay
+    assert np.array_equal(phases, np.exp(-2j * np.pi * (kappa * src % N) / N))
 
 
 def _channel(cfg, paths, waveform="afdm"):

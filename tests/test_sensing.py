@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_complex
+from oracles import dictionary_atoms, random_complex
 from wdnoma.sensing import (
     TargetEstimate,
     build_dictionary,
@@ -44,6 +44,8 @@ def test_dictionary_atoms_match_formula_oracle():
         for j, kappa in enumerate(dic.nu_grid):
             ref = _atom_oracle(s, int(tau), int(kappa), 16)
             assert np.max(np.abs(dic.atoms[i, j] - ref)) < 1e-12
+    # bit for bit the replicas built one channel pass per Doppler bin
+    assert np.array_equal(dic.atoms, dictionary_atoms(s, range(4), range(-2, 2), 16))
 
 
 def test_dictionary_validation():
