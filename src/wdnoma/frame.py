@@ -5,7 +5,8 @@ estimation guard G2 and the data region D. Integer-Doppler channels spread
 every data symbol over at most kappa_max bins on one side and
 kappa_max + 2*N*c1*max_delay bins on the other, so the interior of G2 stays
 free of data leakage; that interior is the NPE sampling window. The
-PD-NOMA OFDM frame uses the full grid, with no guards.
+PD-NOMA OFDM frame uses the full grid, with no guards. All three frames are
+one ``FrameLayout``: the data bins and the NPE window.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 @dataclass(frozen=True)
 class FrameLayout:
     N: int
-    guard1: np.ndarray     # channel-guard indices (contiguous mod N)
-    guard2: np.ndarray     # NPE-guard indices (contiguous mod N)
-    data: np.ndarray       # ascending data indices
-    npe_window: np.ndarray  # subset of guard2
+    data: np.ndarray        # ascending data bin indices
+    npe_window: np.ndarray  # guard bins free of data leakage
 
     @property
     def n_data(self) -> int:
@@ -60,33 +59,20 @@ def allocate_frame(N: int, guard1_start: int, K1: int, guard2_start: int, K2: in
     mask[g1] = False
     mask[g2] = False
     data = np.nonzero(mask)[0]
-    return FrameLayout(N=N, guard1=g1, guard2=g2, data=data, npe_window=window)
+    return FrameLayout(N=N, data=data, npe_window=window)
 
 
 def full_grid_layout(N: int) -> FrameLayout:
     """Every bin carries data: no guards and an empty NPE window (the
     PD-NOMA OFDM frame, whose receiver treats the echo as white noise)."""
-    empty = np.zeros(0, dtype=np.int64)
-    return FrameLayout(N=N, guard1=empty, guard2=empty, data=np.arange(N),
-                       npe_window=empty)
+    return FrameLayout(N=N, data=np.arange(N), npe_window=np.zeros(0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # OTFS analogue: guard Doppler columns at both edges of the N1 x N2 grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OtfsFrameLayout:
-    N: int
-    data: np.ndarray        # delay-major bin indices
-    npe_window: np.ndarray  # delay-major bin indices
-
-    @property
-    def n_data(self) -> int:
-        return self.data.size
-
-
-def allocate_otfs_frame(N1: int, N2: int, guard_cols_per_edge: int, kappa_max: int) -> OtfsFrameLayout:
+def allocate_otfs_frame(N1: int, N2: int, guard_cols_per_edge: int, kappa_max: int) -> FrameLayout:
     """Reserve Doppler columns at both grid edges; the window keeps the
     columns more than kappa_max away from any data column."""
     g = guard_cols_per_edge
@@ -108,4 +94,4 @@ def allocate_otfs_frame(N1: int, N2: int, guard_cols_per_edge: int, kappa_max: i
     N = N1 * N2
     data = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in data_cols]))
     window = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in window_cols]))
-    return OtfsFrameLayout(N=N, data=data, npe_window=window)
+    return FrameLayout(N=N, data=data, npe_window=window)

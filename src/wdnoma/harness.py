@@ -33,7 +33,6 @@ from .channel import (
 )
 from .frame import (
     FrameLayout,
-    OtfsFrameLayout,
     allocate_frame,
     allocate_otfs_frame,
     full_grid_layout,
@@ -237,7 +236,7 @@ def afdm_layout(cfg: ExperimentConfig) -> FrameLayout:
                           max_delay=cfg.channel.uplink_taps - 1)
 
 
-def otfs_layout(cfg: ExperimentConfig) -> OtfsFrameLayout:
+def otfs_layout(cfg: ExperimentConfig) -> FrameLayout:
     return allocate_otfs_frame(cfg.system.N1, cfg.system.N2,
                                cfg.frame.otfs_guard_cols, cfg.frame.kappa_max)
 
@@ -397,26 +396,16 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
 
 def _sense_trial(cfg, ctx, s_dl, residual):
     """2D-OMP on one trial's residual after cancellation, scored against its targets."""
-    sys_ = cfg.system
-    dic = build_dictionary(s_dl, sensing_tau_grid(cfg), sensing_nu_grid(cfg), sys_.N)
+    sys_, k = cfg.system, cfg.frame.kappa_max
+    dic = build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
     result = omp_2d(residual, dic, len(ctx.targets))
     estimates = [estimate_to_physical(e, sys_) for e in result.targets]
 
     err_r, ref_r, err_v, ref_v = matched_squared_errors(estimates, ctx.targets)
-    true_cells = sorted((p.delay_samples, int(round(p.doppler_norm * sys_.N / ctx.sense_ps.frame_len)))
-                        for p in ctx.sense_ps.paths)
+    true_cells = sorted(quantize_target(t.range_m, t.velocity_mps, sys_) for t in ctx.targets)
     est_cells = sorted((e.tau_hat, e.nu_hat) for e in result.targets)
     index_errors = sum(1 for a, b in zip(true_cells, est_cells) if a != b)
     return err_r, ref_r, err_v, ref_v, index_errors
-
-
-def sensing_tau_grid(cfg: ExperimentConfig):
-    return np.arange(cfg.system.L_cp)
-
-
-def sensing_nu_grid(cfg: ExperimentConfig):
-    k = cfg.frame.kappa_max
-    return np.arange(-k, k + 1)
 
 
 # ---------------------------------------------------------------------------

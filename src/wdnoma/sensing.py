@@ -1,8 +1,10 @@
 """Delay-Doppler target estimation from the post-cancellation echo.
 
-A dictionary of delayed and Doppler-shifted replicas of the transmitted
-downlink frame is correlated against the residual; a greedy 2D-OMP loop
-picks the best atom, refits all selected gains jointly by least squares and
+The dictionary stores one zero-delay atom per Doppler bin, the downlink
+frame times that bin's phase ramp; every atom is a cyclic delay of one of
+these replicas. A greedy 2D-OMP loop correlates all cells with the residual
+by one FFT cross-correlation per replica, picks the best cell, builds only
+the selected atoms, refits their gains jointly by least squares and
 subtracts. The joint refit (rather than a single-atom subtraction) makes
 noiseless on-grid scenarios exactly recoverable.
 """
@@ -19,14 +21,9 @@ from .waveforms import SystemConfig
 
 @dataclass(frozen=True)
 class Dictionary:
-    atoms: np.ndarray        # (n_tau, n_nu, L)
+    atoms: np.ndarray        # (n_nu, L) zero-delay atoms, one per Doppler bin
     tau_grid: np.ndarray     # delays in samples
     nu_grid: np.ndarray      # integer Doppler bins
-    atom_norms: np.ndarray   # (n_tau, n_nu)
-
-    @property
-    def grid_size(self) -> int:
-        return self.tau_grid.size * self.nu_grid.size
 
 
 @dataclass(frozen=True)
@@ -57,36 +54,46 @@ def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
         raise ValueError("empty dictionary grid")
     if tau_grid.max() >= L or tau_grid.min() < 0:
         raise ValueError("delay grid exceeds the frame length")
-    # each Doppler replica s * ramp in one broadcast, then all cyclic delays
-    # of all replicas in one gather: atoms[i, j, n] = replica_j[(n - tau_i) mod L]
     ramps = np.array([doppler_ramp(doppler_bin_to_norm(int(k), N, L), L) for k in nu_grid])
-    delayed = (np.arange(L) - tau_grid[:, None]) % L
-    atoms = (s * ramps)[np.arange(nu_grid.size)[:, None], delayed[:, None]]
-    norms = np.linalg.norm(atoms, axis=-1)
-    return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid, atom_norms=norms)
+    return Dictionary(atoms=s * ramps, tau_grid=tau_grid, nu_grid=nu_grid)
+
+
+def grid_atoms(dic: Dictionary, cells) -> np.ndarray:
+    """(len(cells), L) atoms at the tau-major flat grid indices ``cells``:
+    atom[n] = replica_nu[(n - tau) mod L]."""
+    i, j = np.divmod(np.asarray(cells, dtype=np.int64), dic.nu_grid.size)
+    L = dic.atoms.shape[-1]
+    return dic.atoms[j[:, None], (np.arange(L) - dic.tau_grid[i][:, None]) % L]
+
+
+def correlator(dic: Dictionary):
+    """r -> (n_tau, n_nu) inner products <atom(tau, nu), r>: each replica's
+    cyclic cross-correlation with r, one FFT per replica spectrum computed
+    here once, read at the grid delays."""
+    spectra = np.fft.fft(dic.atoms, axis=-1).conj()
+    return lambda r: np.fft.ifft(spectra * np.fft.fft(r), axis=-1)[:, dic.tau_grid].T
 
 
 def omp_2d(residual: np.ndarray, dic: Dictionary, P: int) -> OmpResult:
     """Greedy 2D grid search with per-iteration joint least-squares refit.
 
-    Runs exactly P iterations (P = known target count).
+    Runs exactly P iterations (P = known target count). All atoms share
+    one norm (cyclic delays, unit-modulus ramps), so no normalization.
     """
+    n_tau, n_nu = dic.tau_grid.size, dic.nu_grid.size
     if P < 1:
         raise ValueError("need at least one target")
-    if P > dic.grid_size:
-        raise ValueError(f"P = {P} exceeds the {dic.grid_size}-atom grid")
+    if P > n_tau * n_nu:
+        raise ValueError(f"P = {P} exceeds the {n_tau * n_nu}-atom grid")
     r0 = np.asarray(residual, dtype=np.complex128)
-    n_tau, n_nu, L = dic.atoms.shape
-    if r0.shape != (L,):
+    if r0.shape != dic.atoms.shape[-1:]:
         raise ValueError("residual length does not match the dictionary atoms")
-    A = dic.atoms.reshape(n_tau * n_nu, L)
-    norms = dic.atom_norms.reshape(-1)
+    correlate = correlator(dic)
     r = r0
     selected: list[int] = []
     for k in range(P):
-        corr = np.abs(A.conj() @ r) / norms
-        selected.append(int(np.argmax(corr)))
-        Asel = A[selected].T
+        selected.append(int(np.argmax(np.abs(correlate(r)))))
+        Asel = grid_atoms(dic, selected).T
         gains, *_ = np.linalg.lstsq(Asel, r0, rcond=None)
         if k + 1 < P:  # the last residual is not needed
             r = r0 - Asel @ gains

@@ -77,6 +77,12 @@ def dense_channel(frame_len: int, paths) -> np.ndarray:
     return H
 
 
+def atom_formula(s: np.ndarray, tau: int, kappa: int, N: int) -> np.ndarray:
+    """phi_{tau,kappa}[n] = e^{-j 2 pi kappa ((n - tau) mod L) / N} s[(n - tau) mod L]."""
+    shifted = (np.arange(s.size) - tau) % s.size
+    return np.exp(-2j * np.pi * kappa * shifted / N) * s[shifted]
+
+
 def dictionary_atoms(s: np.ndarray, tau_grid, nu_grid, N: int) -> np.ndarray:
     """(n_tau, n_nu, L) sensing atoms built one Doppler replica at a time:
     ``s`` through a unit-gain path at delay 0 and Doppler bin kappa, then

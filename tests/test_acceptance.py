@@ -22,6 +22,7 @@ from oracles import (
     dense_equivalent_channel,
     dense_ofdm_mod,
     dense_otfs_w,
+    dictionary_atoms,
     embed,
     lstsq_mmse,
     random_complex,
@@ -327,13 +328,14 @@ def test_criterion_6_sensing():
         bits = rng.integers(0, 2, size=2 * 256)
         s_dl = ofdm_mod_samples(qam_map(bits, 4), 16)
         dic = build_dictionary(s_dl, np.arange(16), np.arange(-1, 2), 256)
+        atoms = dictionary_atoms(s_dl, np.arange(16), np.arange(-1, 2), 256)
         cells = rng.choice(16 * 3, size=2, replace=False)
         gains = np.exp(2j * np.pi * rng.uniform(size=2))
         truth = {}
         y = np.zeros(L, dtype=np.complex128)
         for c, gain in zip(cells, gains):
             i, j = divmod(int(c), 3)
-            y += gain * dic.atoms[i, j]
+            y += gain * atoms[i, j]
             truth[(int(dic.tau_grid[i]), int(dic.nu_grid[j]))] = gain
         out = omp_2d(y, dic, 2)
         for est in out.targets:

@@ -13,14 +13,14 @@ from wdnoma.waveforms import afdm_demod_samples, afdm_mod_samples, otfs_demod_sa
 def test_partition_is_exact():
     layout = allocate_frame(N=256, guard1_start=0, K1=32, guard2_start=32, K2=32,
                             kappa_max=2, c1=5 / 512, max_delay=2)
-    all_bins = np.sort(np.concatenate([layout.guard1, layout.guard2, layout.data]))
-    assert np.array_equal(all_bins, np.arange(256))
+    # the data are exactly the bins outside G1 = 0..31 and G2 = 32..63
+    assert np.array_equal(layout.data, np.arange(64, 256))
     assert layout.n_data == 192
-    assert np.all(np.isin(layout.npe_window, layout.guard2))
+    assert np.all(np.isin(layout.npe_window, np.arange(32, 64)))
     # the PD-NOMA OFDM frame: all bins are data, no NPE window
     full = full_grid_layout(256)
     assert np.array_equal(full.data, np.arange(256))
-    assert full.guard1.size == full.guard2.size == full.npe_window.size == 0
+    assert full.npe_window.size == 0
 
 
 def test_npe_window_size_with_delay_coupling():

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import dictionary_atoms, random_complex
+from oracles import atom_formula, dictionary_atoms, random_complex
 from wdnoma.sensing import (
     TargetEstimate,
     build_dictionary,
+    correlator,
     estimate_to_physical,
+    grid_atoms,
     match_targets,
     matched_squared_errors,
     omp_2d,
@@ -28,24 +31,45 @@ def _frame(L=20):
     return random_complex(rng, L)
 
 
-def _atom_oracle(s, tau, kappa, N):
-    # phi_{tau,kappa}[n] = e^{-j 2 pi kappa ((n - tau) mod L) / N} s[(n - tau) mod L]
-    L = s.size
-    n = np.arange(L)
-    shifted = (n - tau) % L
-    return np.exp(-2j * np.pi * kappa * shifted / N) * s[shifted]
-
-
 def test_dictionary_atoms_match_formula_oracle():
     s = _frame()
     dic = build_dictionary(s, tau_grid=range(4), nu_grid=range(-2, 2), N=16)
-    assert dic.atoms.shape == (4, 4, 20)
+    assert dic.atoms.shape == (4, 20)   # one zero-delay atom per Doppler bin
+    atoms = grid_atoms(dic, range(16)).reshape(4, 4, 20)
     for i, tau in enumerate(dic.tau_grid):
         for j, kappa in enumerate(dic.nu_grid):
-            ref = _atom_oracle(s, int(tau), int(kappa), 16)
-            assert np.max(np.abs(dic.atoms[i, j] - ref)) < 1e-12
+            ref = atom_formula(s, int(tau), int(kappa), 16)
+            assert np.max(np.abs(atoms[i, j] - ref)) < 1e-12
     # bit for bit the replicas built one channel pass per Doppler bin
-    assert np.array_equal(dic.atoms, dictionary_atoms(s, range(4), range(-2, 2), 16))
+    assert np.array_equal(atoms, dictionary_atoms(s, range(4), range(-2, 2), 16))
+
+
+@st.composite
+def _correlation_cases(draw):
+    """A frame, a residual and delay/Doppler grids: delays anywhere in
+    0..L-1 (both ends drawn often), every Doppler bin of the N-sample core."""
+    N = draw(st.integers(2, 32))
+    L = N + draw(st.integers(0, N - 1))
+    delay = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    taus = draw(st.lists(delay, min_size=1, max_size=6, unique=True))
+    nus = draw(st.lists(st.integers(-N, N), min_size=1, max_size=5, unique=True))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_complex(g, L), taus, nus, N, random_complex(g, L)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_correlation_cases())
+def test_fft_correlations_match_dense_matvec(case):
+    s, taus, nus, N, r = case
+    L = s.size
+    dic = build_dictionary(s, taus, nus, N)
+    dense = dictionary_atoms(s, taus, nus, N).reshape(-1, L)
+    assert np.array_equal(grid_atoms(dic, range(len(taus) * len(nus))), dense)
+    got = correlator(dic)(r)
+    assert got.shape == (len(taus), len(nus))
+    # relative to ||s|| ||r||, which bounds every correlation magnitude
+    scale = np.linalg.norm(s) * np.linalg.norm(r)
+    assert np.max(np.abs(got.reshape(-1) - dense.conj() @ r)) <= 1e-12 * scale
 
 
 def test_dictionary_validation():
@@ -56,25 +80,27 @@ def test_dictionary_validation():
         build_dictionary(s, [25], [0], 16)
 
 
-def _residual_energy(y, dic, out):
-    """||y - sum of gain_hat times the atom at (tau_hat, nu_hat)||^2."""
+def _residual_energy(y, dic, atoms, out):
+    """||y - sum of gain_hat times the atom at (tau_hat, nu_hat)||^2, with
+    ``atoms`` the (n_tau, n_nu, L) oracle atoms of ``dic``'s grid."""
     r = np.array(y, dtype=np.complex128)
     for est in out.targets:
         i = int(np.where(dic.tau_grid == est.tau_hat)[0][0])
         j = int(np.where(dic.nu_grid == est.nu_hat)[0][0])
-        r -= est.gain_hat * dic.atoms[i, j]
+        r -= est.gain_hat * atoms[i, j]
     return float(np.sum(np.abs(r) ** 2))
 
 
 def test_omp_single_atom_exact():
     s = _frame()
     dic = build_dictionary(s, range(4), range(-2, 3), N=16)
-    truth = 2.5 * dic.atoms[3, np.where(dic.nu_grid == 1)[0][0]]
+    atoms = dictionary_atoms(s, range(4), range(-2, 3), 16)
+    truth = 2.5 * atoms[3, np.where(dic.nu_grid == 1)[0][0]]
     out = omp_2d(truth, dic, 1)
     (est,) = out.targets
     assert (est.tau_hat, est.nu_hat) == (3, 1)
     assert abs(est.gain_hat - 2.5) < 1e-10
-    assert _residual_energy(truth, dic, out) < 1e-10
+    assert _residual_energy(truth, dic, atoms, out) < 1e-10
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -83,6 +109,7 @@ def test_omp_multi_target_exact_recovery(k):
     L = 64 + 8
     s = random_complex(rng, L)
     dic = build_dictionary(s, range(8), range(-3, 4), N=64)
+    atoms = dictionary_atoms(s, range(8), range(-3, 4), 64)
     g = np.random.default_rng(100 + k)
     cells = g.choice(8 * 7, size=k, replace=False)
     gains = np.exp(2j * np.pi * g.uniform(size=k)) * 10.0 ** g.uniform(-1, 1, size=k)
@@ -90,11 +117,11 @@ def test_omp_multi_target_exact_recovery(k):
     truth = {}
     for c, gain in zip(cells, gains):
         i, j = divmod(int(c), 7)
-        y += gain * dic.atoms[i, j]
+        y += gain * atoms[i, j]
         truth[(int(dic.tau_grid[i]), int(dic.nu_grid[j]))] = gain
     out = omp_2d(y, dic, k)
     init_energy = float(np.sum(np.abs(y) ** 2))
-    assert _residual_energy(y, dic, out) < 1e-8 * init_energy
+    assert _residual_energy(y, dic, atoms, out) < 1e-8 * init_energy
     for est in out.targets:
         key = (est.tau_hat, est.nu_hat)
         assert key in truth
