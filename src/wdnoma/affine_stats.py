@@ -29,13 +29,11 @@ _BUFFER_CAP = 200_000
 @dataclass(frozen=True)
 class StatReport:
     n_trials: int
-    per_bin_mean: np.ndarray
     per_bin_variance: np.ndarray
     mean_abs: float            # max over bins of |per-bin mean|
     trace: float               # sum of per-bin variances
     flatness_ratio: float      # max/min per-bin variance
     autocorr: dict             # lag -> complex, averaged over bins and trials
-    covariance: np.ndarray     # full N x N sample covariance
     hist_real: tuple           # (counts, bin_edges)
     hist_imag: tuple
     sample_buffer: np.ndarray  # capped raw affine-domain samples
@@ -97,13 +95,11 @@ def empirical_stats(trials: int, cfg: SystemConfig, channel: PathSet | None,
     hist_i = np.histogram(samples.imag, bins=_HIST_BINS)
     return StatReport(
         n_trials=trials,
-        per_bin_mean=mean,
         per_bin_variance=var,
         mean_abs=float(np.max(np.abs(mean))),
         trace=float(var.sum()),
         flatness_ratio=float(var.max() / var.min()),
         autocorr=lags,
-        covariance=cov,
         hist_real=hist_r,
         hist_imag=hist_i,
         sample_buffer=samples,

@@ -27,9 +27,10 @@ class FrameLayout:
         return self.data.size
 
 
-def allocate_frame(N: int, guard1_start: int, K1: int, guard2_start: int, K2: int,
+def allocate_frame(N: int, guard1_start: int, K1: int, K2: int,
                    kappa_max: int, c1: float, max_delay: int) -> FrameLayout:
-    """Partition N subcarriers into G1, G2 and data, and derive the NPE window.
+    """Partition N subcarriers into G1, G2 (right after G1) and data, and
+    derive the NPE window.
 
     The window keeps the G2 bins more than kappa_max away from the data edge
     on the low side and more than kappa_max + 2*N*c1*max_delay + 1 away on
@@ -41,10 +42,6 @@ def allocate_frame(N: int, guard1_start: int, K1: int, guard2_start: int, K2: in
         raise ValueError(f"guards K1+K2 = {K1 + K2} must leave room for data in N = {N}")
     if kappa_max < 0 or max_delay < 0:
         raise ValueError("kappa_max and max_delay must be non-negative")
-    g1 = (guard1_start + np.arange(K1)) % N
-    g2 = (guard2_start + np.arange(K2)) % N
-    if np.intersect1d(g1, g2).size:
-        raise ValueError("guard regions G1 and G2 overlap")
     shift = int(round(2.0 * N * c1))
     if abs(2.0 * N * c1 - shift) > 1e-9:
         raise ValueError("2*N*c1 must be an integer for the window bound")
@@ -54,10 +51,9 @@ def allocate_frame(N: int, guard1_start: int, K1: int, guard2_start: int, K2: in
         raise ValueError(
             f"NPE window is empty: K2 = {K2} cannot host kappa_max = {kappa_max} "
             f"plus a delay-coupled spread of {shift * max_delay} bins; enlarge K2")
-    window = (guard2_start + window_rel) % N
+    window = (guard1_start + K1 + window_rel) % N
     mask = np.ones(N, dtype=bool)
-    mask[g1] = False
-    mask[g2] = False
+    mask[(guard1_start + np.arange(K1 + K2)) % N] = False
     data = np.nonzero(mask)[0]
     return FrameLayout(N=N, data=data, npe_window=window)
 

@@ -62,15 +62,15 @@ from .waveforms import (
     qam_map,
 )
 
-MODES = (
-    "wdnoma_afdm_npe",
-    "wdnoma_afdm_no_npe",
-    "wdnoma_afdm_genie",
-    "wdnoma_otfs_npe",
-    "pdnoma_ofdm",
-)
-
-_AFDM_MODES = MODES[:3]
+# mode -> (uplink waveform, the noise power its MMSE assumes): the NPE
+# estimate, the true sigma^2, or sigma^2 plus the measured echo power
+MODES = MappingProxyType({
+    "wdnoma_afdm_npe": ("afdm", "npe"),
+    "wdnoma_afdm_no_npe": ("afdm", "sigma2"),
+    "wdnoma_afdm_genie": ("afdm", "sigma2+echo"),
+    "wdnoma_otfs_npe": ("otfs", "npe"),
+    "pdnoma_ofdm": ("ofdm", "sigma2+echo"),
+})
 
 _RNG_TAGS = {
     "targets": 0,
@@ -121,15 +121,22 @@ class ExperimentConfig:
     sweep: SweepConfig
 
     def __post_init__(self):
-        sw = self.sweep
+        sw, ch = self.sweep, self.channel
         if not sw.snr_db or not np.all(np.isfinite(sw.snr_db)):
             raise ValueError(f"snr_db must be a non-empty list of finite values, got {sw.snr_db}")
-        # bool is an int subclass, but true/false are not a count or a seed
-        if isinstance(sw.trials, bool) or not isinstance(sw.trials, int) or sw.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {sw.trials!r}")
-        if isinstance(sw.master_seed, bool) or not isinstance(sw.master_seed, int) \
-                or sw.master_seed < 0:
-            raise ValueError(f"master_seed must be an integer >= 0, got {sw.master_seed!r}")
+        for name, value, least in (("trials", sw.trials, 1), ("master_seed", sw.master_seed, 0),
+                                   ("target_count", ch.target_count, 1),
+                                   ("uplink_taps", ch.uplink_taps, 1)):
+            # bool is an int subclass, but true/false are not a count or a seed
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, (lo, hi) in (("range_bounds", ch.range_bounds),
+                               ("velocity_bounds", ch.velocity_bounds)):
+            if lo > hi:
+                raise ValueError(f"{name} = {[lo, hi]} must be ordered low, high")
+        if not ch.doppler_bins or not all(type(b) is int for b in ch.doppler_bins):
+            raise ValueError(f"doppler_bins must be a non-empty list of integer Doppler "
+                             f"bins, got {list(ch.doppler_bins)}")
         if not sw.modes:
             raise ValueError("modes must name at least one receiver mode")
         for m in sw.modes:
@@ -137,13 +144,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
         if self.system.L_cp != self.system.L_cpp:
             raise ValueError("L_cp must equal L_cpp so the superimposed frames align")
-        if self.channel.uplink_taps - 1 > self.system.L_cpp:
+        if ch.uplink_taps - 1 > self.system.L_cpp:
             raise ValueError("uplink delay spread exceeds the prefix length")
-        if max(abs(b) for b in self.channel.doppler_bins) > self.frame.kappa_max:
+        if max(abs(b) for b in ch.doppler_bins) > self.frame.kappa_max:
             raise ValueError("uplink Doppler bins exceed kappa_max")
         # every drawn target must quantize onto the 2D-OMP grid; quantization
         # is monotone, so checking the bounds covers the whole box
-        lo_r, hi_r = self.channel.range_bounds
+        lo_r, hi_r = ch.range_bounds
         if lo_r < 0:
             raise ValueError(f"range_bounds[0] = {lo_r} must be non-negative")
         far_delay, _ = quantize_target(hi_r, 0.0, self.system)
@@ -151,7 +158,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"range_bounds[1] = {hi_r} m quantizes to delay {far_delay}, beyond "
                 f"the sensing delay grid 0..{self.system.L_cp - 1}")
-        for v in self.channel.velocity_bounds:
+        for v in ch.velocity_bounds:
             _, kappa = quantize_target(0.0, v, self.system)
             if abs(kappa) > self.frame.kappa_max:
                 raise ValueError(
@@ -205,7 +212,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     cd = dict(raw["channel"])
     _check_keys(cd, [f.name for f in fields(ChannelConfig)], "channel")
-    cd["doppler_bins"] = tuple(int(b) for b in cd["doppler_bins"])
+    cd["doppler_bins"] = tuple(cd["doppler_bins"])
     cd["range_bounds"] = tuple(float(b) for b in cd["range_bounds"])
     cd["velocity_bounds"] = tuple(float(b) for b in cd["velocity_bounds"])
     channel = ChannelConfig(**cd)
@@ -231,8 +238,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def afdm_layout(cfg: ExperimentConfig) -> FrameLayout:
     f, s = cfg.frame, cfg.system
-    return allocate_frame(s.N, f.guard_start, f.K1, f.guard_start + f.K1, f.K2,
-                          f.kappa_max, s.chirp.c1,
+    return allocate_frame(s.N, f.guard_start, f.K1, f.K2, f.kappa_max, s.chirp.c1,
                           max_delay=cfg.channel.uplink_taps - 1)
 
 
@@ -344,10 +350,6 @@ class _Chunk:
         return up["r_ul"] + g * self.r_dl + np.sqrt(sigma2) * self.noise_unit, sigma2, g
 
 
-_WAVEFORM_OF_MODE = {m: ("afdm" if m in _AFDM_MODES else "otfs" if "otfs" in m else "ofdm")
-                     for m in MODES}
-
-
 def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
     """Demodulate, estimate the noise and MMSE-detect the trials of ``chunk``
     for every waveform group of ``modes``, in one ``mmse_detect`` call.
@@ -358,7 +360,7 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
     T = len(chunk.ctxs)
     groups, channels, ds, sigma2s = [], [], [], []
     for waveform in ("afdm", "otfs", "ofdm"):
-        group = [m for m in modes if _WAVEFORM_OF_MODE[m] == waveform]
+        group = [m for m in modes if MODES[m][0] == waveform]
         if not group:
             continue
         layout = chunk.layouts[waveform]
@@ -372,15 +374,10 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
             d = ofdm_demod_samples(r, sys_.L_cp)
         # L_cp == L_cpp, so every waveform's core window is r[..., L_cp:]
         echo_bin_power = np.mean(np.abs(g * chunk.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
-        columns = []
-        for mode in group:
-            if mode.endswith("_no_npe"):
-                columns.append(np.full(T, sigma2))
-            elif mode.endswith("_npe"):
-                columns.append(estimate_noise_power(d, layout))
-            else:  # genie-style total noise (channel noise + measured echo power)
-                columns.append(sigma2 + echo_bin_power)
-        sigma2s.extend(np.column_stack(columns))
+        noise = {"sigma2": np.full(T, sigma2), "sigma2+echo": sigma2 + echo_bin_power}
+        if any(MODES[m][1] == "npe" for m in group):
+            noise["npe"] = estimate_noise_power(d, layout)
+        sigma2s.extend(np.column_stack([noise[MODES[m][1]] for m in group]))
         channels += [build_equivalent_channel(c.ul_ps, sys_, waveform) for c in chunk.ctxs]
         ds.append(d)
         groups.append((group, layout, r, up["bits"]))
@@ -394,10 +391,9 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
     return out
 
 
-def _sense_trial(cfg, ctx, s_dl, residual):
+def _sense_trial(cfg, ctx, dic, residual):
     """2D-OMP on one trial's residual after cancellation, scored against its targets."""
-    sys_, k = cfg.system, cfg.frame.kappa_max
-    dic = build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
+    sys_ = cfg.system
     result = omp_2d(residual, dic, len(ctx.targets))
     estimates = [estimate_to_physical(e, sys_) for e in result.targets]
 
@@ -436,25 +432,35 @@ def _ber_chunk(cfg, snr_db, trials, modes):
     return rows
 
 
-def _sense_chunk(cfg, snr_db, trials, mode):
-    """Full pipeline through cancellation and 2D-OMP for each trial of a chunk."""
-    sys_ = cfg.system
-    waveform = _WAVEFORM_OF_MODE[mode]
+def _sense_chunk(cfg, snr_db, trials, modes):
+    """{mode: (err_r, ref_r, err_v, ref_v, index_errors)} for each trial of a
+    chunk: every mode's detection and cancellation, then 2D-OMP against one
+    dictionary per trial."""
+    sys_, k = cfg.system, cfg.frame.kappa_max
     chunk = _Chunk(cfg, trials)
-    ((_, r, _, bits_hat),) = _detect_chunk(chunk, snr_db, [mode])
-    hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(len(trials), -1)
-    residual = reconstruct_and_cancel(r, [c.ul_ps for c in chunk.ctxs], hard,
-                                      chunk.layouts[waveform], sys_, waveform)
-    return [_sense_trial(cfg, ctx, s_dl, res)
-            for ctx, s_dl, res in zip(chunk.ctxs, chunk.s_dl, residual)]
+    residuals = {}
+    for group, r, _, bits_hat in _detect_chunk(chunk, snr_db, modes):
+        waveform = MODES[group[0]][0]
+        hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(bits_hat.shape[:2] + (-1,))
+        for i, mode in enumerate(group):
+            residuals[mode] = reconstruct_and_cancel(r, [c.ul_ps for c in chunk.ctxs],
+                                                     hard[:, i], chunk.layouts[waveform],
+                                                     sys_, waveform)
+    rows = []
+    for t, (ctx, s_dl) in enumerate(zip(chunk.ctxs, chunk.s_dl)):
+        dic = build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
+        rows.append({m: _sense_trial(cfg, ctx, dic, res[t]) for m, res in residuals.items()})
+    return rows
 
 
-def _run_chunks(fn, args_list, workers: int):
+def _per_trial(chunk_fn, cfg, snr_db, workers: int) -> list:
+    """``chunk_fn``'s row for every trial at one SNR point, in trial order."""
+    args = [(cfg, snr_db, trials, cfg.sweep.modes) for trials in _chunks(cfg.sweep.trials)]
     if workers <= 1:
-        return [fn(*a) for a in args_list]
+        return [row for a in args for row in chunk_fn(*a)]
     # a worker without a chunk would only add a fork and an exit
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-        return list(pool.map(fn, *zip(*args_list)))
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        return [row for rows in pool.map(chunk_fn, *zip(*args)) for row in rows]
 
 
 def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -462,8 +468,7 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
     modes = cfg.sweep.modes
     curves = {m: [] for m in modes}
     for snr in cfg.sweep.snr_db:
-        args = [(cfg, snr, chunk, modes) for chunk in _chunks(cfg.sweep.trials)]
-        per_trial = [r for chunk in _run_chunks(_ber_chunk, args, workers) for r in chunk]
+        per_trial = _per_trial(_ber_chunk, cfg, snr, workers)
         for mode in modes:
             errs = sum(r[mode][0] for r in per_trial)
             bits = sum(r[mode][1] for r in per_trial)
@@ -479,24 +484,20 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     Returns {(mode, "velocity"|"distance"): [CurvePoint]}.
     """
-    curves = {}
-    for mode in cfg.sweep.modes:
-        vel_points, dist_points = [], []
-        for snr in cfg.sweep.snr_db:
-            args = [(cfg, snr, chunk, mode) for chunk in _chunks(cfg.sweep.trials)]
-            rows = [r for chunk in _run_chunks(_sense_chunk, args, workers) for r in chunk]
-            arr = np.array(rows, dtype=np.float64)
-            err_r, ref_r, err_v, ref_v = (arr[:, i].sum() for i in range(4))
-            idx_errs = int(arr[:, 4].sum())
-            n = arr.shape[0]
-            ratios_r = arr[:, 0] / np.maximum(arr[:, 1], 1e-300)
-            ratios_v = arr[:, 2] / np.maximum(arr[:, 3], 1e-300)
-            dist_points.append(CurvePoint(snr, float(err_r / ref_r), n, idx_errs,
-                                          float(1.96 * ratios_r.std() / np.sqrt(n))))
-            vel_points.append(CurvePoint(snr, float(err_v / ref_v), n, idx_errs,
-                                         float(1.96 * ratios_v.std() / np.sqrt(n))))
-        curves[(mode, "velocity")] = vel_points
-        curves[(mode, "distance")] = dist_points
+    modes = cfg.sweep.modes
+    curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
+    for snr in cfg.sweep.snr_db:
+        per_trial = _per_trial(_sense_chunk, cfg, snr, workers)
+        for mode in modes:
+            arr = np.array([r[mode] for r in per_trial], dtype=np.float64)
+            n, idx_errs = arr.shape[0], int(arr[:, 4].sum())
+            # columns: squared error, then squared true value
+            for param, col in (("velocity", 2), ("distance", 0)):
+                err, ref = arr[:, col].sum(), arr[:, col + 1].sum()
+                ratios = arr[:, col] / np.maximum(arr[:, col + 1], 1e-300)
+                curves[(mode, param)].append(CurvePoint(
+                    snr, float(err / ref), n, idx_errs,
+                    float(1.96 * ratios.std() / np.sqrt(n))))
     return curves
 
 
@@ -531,19 +532,12 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    files = []
+    files, curves = [], {}
     if command == "ber":
-        curves = run_ber(cfg, workers=workers)
-        for mode, points in curves.items():
-            p = out_dir / f"ber_{mode}.csv"
-            write_curve_csv(points, p)
-            files.append(p)
+        curves = {f"ber_{mode}": pts for mode, pts in run_ber(cfg, workers=workers).items()}
     elif command == "sense":
-        curves = run_sensing(cfg, workers=workers)
-        for (mode, param), points in curves.items():
-            p = out_dir / f"nmse_{param}_{mode}.csv"
-            write_curve_csv(points, p)
-            files.append(p)
+        curves = {f"nmse_{param}_{mode}": pts
+                  for (mode, param), pts in run_sensing(cfg, workers=workers).items()}
     elif command == "stats":
         from .affine_stats import run_stats  # the one module that loads scipy.stats
         sys_ = cfg.system
@@ -552,5 +546,8 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
                           cfg.sweep.master_seed)
     else:
         raise ValueError(f"unknown command {command!r}")
+    for name, points in curves.items():
+        files.append(out_dir / f"{name}.csv")
+        write_curve_csv(points, files[-1])
     write_manifest(cfg, out_dir, time.time() - t0, files)
     return files

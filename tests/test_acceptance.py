@@ -175,7 +175,7 @@ def test_criterion_2_noiseless_end_to_end():
     # full-grid equivalent channel and do not recover every noiseless frame.
     N, L, kappa_max = 256, 16, 1
     cfg = desk_system(N=N, kappa_max=kappa_max, L=L)
-    layout = allocate_frame(N, 0, 32, 32, 32, kappa_max, cfg.chirp.c1, max_delay=2)
+    layout = allocate_frame(N, 0, 32, 32, kappa_max, cfg.chirp.c1, max_delay=2)
     total_errors = 0
     for trial in range(100):
         rng = np.random.default_rng(5000 + trial)
@@ -347,8 +347,8 @@ def test_criterion_6_sensing():
     xcfg = desk_config(trials=500)
     rows = []
     for chunk in _chunks(500):
-        rows.extend(_sense_chunk(xcfg, 30.0, chunk, "wdnoma_afdm_npe"))
-    hits = sum(1 for r in rows if r[4] == 0)
+        rows.extend(_sense_chunk(xcfg, 30.0, chunk, ("wdnoma_afdm_npe",)))
+    hits = sum(1 for r in rows if r["wdnoma_afdm_npe"][4] == 0)
     assert hits / 500 > 0.99, f"recovery {hits}/500"
 
     # (iii) NMSE monotone non-increasing in SNR

@@ -44,7 +44,7 @@ def small_raw(**over):
 def test_load_example_config():
     cfg = load_config(CONFIG)
     assert cfg.system.N == 256
-    assert cfg.sweep.modes == MODES
+    assert cfg.sweep.modes == tuple(MODES)
     # c1 defaulted from kappa_max: (2*1 + 1)/(2N)
     assert cfg.system.chirp.shift_factor(256) == 3
     # the paper-scale config passes the same parse-time checks
@@ -78,6 +78,25 @@ def test_config_cross_validation():
         config_from_dict(small_raw(system={"L_cp": 8}))
     with pytest.raises(ValueError, match="trials"):
         config_from_dict(small_raw(sweep={"trials": 0}))
+
+
+@pytest.mark.parametrize("channel, match", [
+    ({"target_count": 0}, "target_count"),
+    ({"target_count": -1}, "target_count"),
+    ({"target_count": 2.5}, "target_count"),
+    ({"target_count": True}, "target_count"),
+    ({"uplink_taps": 0}, "uplink_taps"),
+    ({"uplink_taps": 2.5}, "uplink_taps"),
+    ({"range_bounds": [50.0, 10.0]}, "range_bounds"),
+    ({"velocity_bounds": [20.0, -20.0]}, "velocity_bounds"),
+    ({"doppler_bins": []}, "doppler_bins"),
+    ({"doppler_bins": [0.5, -1]}, "doppler_bins"),
+    ({"doppler_bins": [True]}, "doppler_bins"),
+])
+def test_config_rejects_bad_channel(channel, match):
+    # each of these used to pass the parser and fail inside the sweep
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(small_raw(channel=channel))
 
 
 @pytest.mark.parametrize("snr_db", [[], [float("nan")], [10.0, float("inf")]])
@@ -218,9 +237,21 @@ def test_chunk_batching_couples_no_trials(snr_db):
     trials = list(range(64))
     full = _ber_chunk(cfg, snr_db, trials, MODES)
     assert [_ber_chunk(cfg, snr_db, [t], MODES)[0] for t in trials] == full
-    full = _sense_chunk(cfg, snr_db, trials, "wdnoma_afdm_npe")
+    full = _sense_chunk(cfg, snr_db, trials, MODES)
     for t in (0, 1, 31, 63):
-        assert _sense_chunk(cfg, snr_db, [t], "wdnoma_afdm_npe") == [full[t]]
+        assert _sense_chunk(cfg, snr_db, [t], MODES) == [full[t]]
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 35.0])
+def test_sense_chunk_modes_couple_nothing(snr_db):
+    # detecting every mode of a chunk together gives each mode the rows it
+    # gets alone
+    cfg = load_config(CONFIG)
+    trials = list(range(8))
+    joint = _sense_chunk(cfg, snr_db, trials, MODES)
+    for mode in MODES:
+        alone = _sense_chunk(cfg, snr_db, trials, (mode,))
+        assert [row[mode] for row in joint] == [row[mode] for row in alone]
 
 
 def test_run_ber_shapes_and_counts():
@@ -260,6 +291,25 @@ def test_pool_starts_no_idle_workers(monkeypatch):
     cfg = config_from_dict(small_raw())
     run_ber(cfg, workers=2)
     assert sizes == [1] * len(cfg.sweep.snr_db)
+
+
+def test_run_sensing_pools_and_worker_count_invariance(monkeypatch):
+    # one pool per SNR point, as in run_ber, and the same curves as in-process
+    from concurrent.futures import ProcessPoolExecutor
+
+    from wdnoma import harness
+
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    cfg = config_from_dict(small_raw(sweep={"trials": 3}))
+    assert run_sensing(cfg, workers=2) == run_sensing(cfg, workers=1)
+    assert len(starts) == len(cfg.sweep.snr_db)
 
 
 def test_run_sensing_output_structure():

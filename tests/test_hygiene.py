@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the CLI's import stays lean."""
+"""Source hygiene: every name a package module imports is used in it, every
+top-level definition has a caller in the package, and the CLI's import
+stays lean."""
 
 import ast
 import os
@@ -31,6 +32,23 @@ def _unused_from_imports(tree: ast.Module) -> list:
 def test_every_from_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_from_imports(tree) == []
+
+
+def test_every_package_def_has_a_package_caller():
+    # code that only tests use belongs in tests/oracles.py, or nowhere
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(defined - referenced) == []
 
 
 def test_cli_import_loads_no_scipy_stats_or_constants():

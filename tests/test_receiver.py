@@ -371,14 +371,14 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
 
 def _layout_and_cfg():
     cfg = make_cfg(N=64, L=8, kappa_max=1, N1=8, N2=8)
-    layout = allocate_frame(64, 0, 8, 8, 12, 1, cfg.chirp.c1, 2)
+    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp.c1, 2)
     return cfg, layout
 
 
 def test_estimate_noise_power_pure_noise():
     cfg, _ = _layout_and_cfg()
     # static-channel layout: 8-bin window for a tighter Monte Carlo estimate
-    layout = allocate_frame(64, 0, 8, 8, 12, 1, cfg.chirp.c1, 0)
+    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp.c1, 0)
     g = np.random.default_rng(9)
     acc = 0.0
     trials = 400
