@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -20,6 +21,7 @@ from pathlib import Path as FsPath
 from types import MappingProxyType
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .channel import (
@@ -53,6 +55,7 @@ from .transforms import ChirpParams
 from .waveforms import (
     SystemConfig,
     afdm_demod_samples,
+    check_field_types,
     afdm_mod_samples,
     ofdm_demod_samples,
     ofdm_mod_samples,
@@ -94,6 +97,9 @@ class FrameConfig:
     K2: int
     kappa_max: int
     otfs_guard_cols: int
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -148,36 +154,29 @@ class ExperimentConfig:
             raise ValueError("uplink delay spread exceeds the prefix length")
         if max(abs(b) for b in ch.doppler_bins) > self.frame.kappa_max:
             raise ValueError("uplink Doppler bins exceed kappa_max")
-        # every drawn target must quantize onto the 2D-OMP grid; quantization
-        # is monotone, so checking the bounds covers the whole box
-        lo_r, hi_r = ch.range_bounds
-        if lo_r < 0:
-            raise ValueError(f"range_bounds[0] = {lo_r} must be non-negative")
-        far_delay, _ = quantize_target(hi_r, 0.0, self.system)
-        if far_delay > self.system.L_cp - 1:
-            raise ValueError(
-                f"range_bounds[1] = {hi_r} m quantizes to delay {far_delay}, beyond "
-                f"the sensing delay grid 0..{self.system.L_cp - 1}")
-        for v in ch.velocity_bounds:
-            _, kappa = quantize_target(0.0, v, self.system)
-            if abs(kappa) > self.frame.kappa_max:
-                raise ValueError(
-                    f"velocity bound {v} m/s quantizes to Doppler bin {kappa}, "
-                    f"beyond kappa_max = {self.frame.kappa_max}")
+        # every drawn target must quantize onto the 2D-OMP grid, each into
+        # its own cell; quantization is monotone, so the bounds span the box
+        if ch.range_bounds[0] < 0:
+            raise ValueError(f"range_bounds[0] = {ch.range_bounds[0]} must be non-negative")
+        (near, k_lo), (far, k_hi) = (quantize_target(r, v, self.system)
+                                     for r, v in zip(ch.range_bounds, ch.velocity_bounds))
+        if far > self.system.L_cp - 1:
+            raise ValueError(f"range_bounds[1] = {ch.range_bounds[1]} m quantizes to delay {far}, "
+                             f"beyond the sensing delay grid 0..{self.system.L_cp - 1}")
+        if max(-k_lo, k_hi) > self.frame.kappa_max:
+            raise ValueError(f"velocity_bounds {list(ch.velocity_bounds)} m/s quantize to Doppler "
+                             f"bins {k_lo}..{k_hi}, beyond kappa_max = {self.frame.kappa_max}")
+        cells = (far - near + 1) * (k_hi - k_lo + 1)
+        if ch.target_count > cells:
+            raise ValueError(f"target_count = {ch.target_count} exceeds the {cells} "
+                             f"delay-Doppler cells of the range/velocity box")
         # fail early if the guard layouts are inconsistent
         afdm_layout(self)
         otfs_layout(self)
 
     def to_dict(self) -> dict:
-        d = {
-            "system": asdict(self.system),
-            "frame": asdict(self.frame),
-            "channel": asdict(self.channel),
-            "sweep": asdict(self.sweep),
-        }
-        chirp = d["system"].pop("chirp")
-        d["system"]["c1"] = chirp["c1"]
-        d["system"]["c2"] = chirp["c2"]
+        d = {name: asdict(getattr(self, name)) for name in ("system", "frame", "channel", "sweep")}
+        d["system"].update(d["system"].pop("chirp"))   # c1 and c2, as in the config file
         return d
 
 
@@ -203,12 +202,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     allowed = [f.name for f in fields(SystemConfig) if f.name != "chirp"] + ["c1", "c2"]
     _check_keys(sd, allowed, "system")
     c1 = sd.pop("c1", None)
-    c2 = sd.pop("c2", 0.0)
     if c1 is None:
-        chirp = ChirpParams.for_max_doppler(frame.kappa_max, int(sd["N"]))
-    else:
-        chirp = ChirpParams(c1=float(c1), c2=float(c2))
-    system = SystemConfig(chirp=chirp, **sd)
+        c1 = ChirpParams.for_max_doppler(frame.kappa_max, int(sd["N"])).c1
+    system = SystemConfig(chirp=ChirpParams(c1=float(c1), c2=float(sd.pop("c2", 0.0))), **sd)
 
     cd = dict(raw["channel"])
     _check_keys(cd, [f.name for f in fields(ChannelConfig)], "channel")
@@ -391,14 +387,11 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
     return out
 
 
-def _sense_trial(cfg, ctx, dic, residual):
-    """2D-OMP on one trial's residual after cancellation, scored against its targets."""
-    sys_ = cfg.system
-    result = omp_2d(residual, dic, len(ctx.targets))
+def _sense_trial(sys_, targets, true_cells, dic, residual):
+    """2D-OMP on one trial's residual, scored against its targets and their sorted cells."""
+    result = omp_2d(residual, dic, len(targets))
     estimates = [estimate_to_physical(e, sys_) for e in result.targets]
-
-    err_r, ref_r, err_v, ref_v = matched_squared_errors(estimates, ctx.targets)
-    true_cells = sorted(quantize_target(t.range_m, t.velocity_mps, sys_) for t in ctx.targets)
+    err_r, ref_r, err_v, ref_v = matched_squared_errors(estimates, targets)
     est_cells = sorted((e.tau_hat, e.nu_hat) for e in result.targets)
     index_errors = sum(1 for a, b in zip(true_cells, est_cells) if a != b)
     return err_r, ref_r, err_v, ref_v, index_errors
@@ -449,7 +442,9 @@ def _sense_chunk(cfg, snr_db, trials, modes):
     rows = []
     for t, (ctx, s_dl) in enumerate(zip(chunk.ctxs, chunk.s_dl)):
         dic = build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
-        rows.append({m: _sense_trial(cfg, ctx, dic, res[t]) for m, res in residuals.items()})
+        cells = sorted(quantize_target(x.range_m, x.velocity_mps, sys_) for x in ctx.targets)
+        rows.append({m: _sense_trial(sys_, ctx.targets, cells, dic, res[t])
+                     for m, res in residuals.items()})
     return rows
 
 
@@ -514,7 +509,7 @@ def write_curve_csv(points, path) -> None:
                         p.errors_counted, repr(float(p.confidence_halfwidth))])
 
 
-def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files) -> FsPath:
+def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, workers) -> FsPath:
     out = FsPath(out_dir) / "run_manifest.json"
     with open(out, "w") as fh:
         json.dump({
@@ -523,6 +518,10 @@ def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files) ->
             "code_version": __version__,
             "wall_time_s": wall_time_s,
             "files": [str(f) for f in files],
+            "sha256": {str(f): hashlib.sha256(FsPath(f).read_bytes()).hexdigest() for f in files},
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "workers": workers,
         }, fh, indent=2, sort_keys=True)
     return out
 
@@ -549,5 +548,5 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
     for name, points in curves.items():
         files.append(out_dir / f"{name}.csv")
         write_curve_csv(points, files[-1])
-    write_manifest(cfg, out_dir, time.time() - t0, files)
+    write_manifest(cfg, out_dir, time.time() - t0, files, workers)
     return files

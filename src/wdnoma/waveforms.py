@@ -6,7 +6,7 @@ demodulators are exact inverses over an ideal channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,18 @@ from .transforms import (
     idaft_samples,
     idft_samples,
 )
+
+
+def check_field_types(obj, off=()) -> None:
+    """ValueError unless each ``int`` field of the dataclass ``obj`` holds an
+    int (bool is an int subclass, but true/false are not a size) and each
+    ``float`` field a finite int or float, or -inf for a dB level named in
+    ``off`` (it switches that signal off)."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int" and type(v) is not int or f.type == "float" and not (
+                type(v) in (int, float) and (np.isfinite(v) or f.name in off and v == -np.inf)):
+            raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,11 @@ class SystemConfig:
     echo_power_offset_db: float = -20.0
 
     def __post_init__(self):
-        if self.N <= 0:
-            raise ValueError("N must be positive")
+        check_field_types(self, off=("echo_power_offset_db",))
+        check_field_types(self.chirp)
+        for name in ("N", "f_c", "delta_f"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} = {getattr(self, name)} must be positive")
         if self.N1 * self.N2 != self.N:
             raise ValueError(f"N1*N2 = {self.N1 * self.N2} must equal N = {self.N}")
         m_axis = int(round(np.sqrt(self.M)))

@@ -2,7 +2,10 @@
 
 Everything here is built from explicit formulas with plain loops or
 np.exp on index grids -- no calls into the package's FFT-based kernels --
-so a match between the two is meaningful evidence, not a tautology.
+so a match between the two is meaningful evidence, not a tautology. The
+exception is the residual-domain 2D-OMP, the algorithm ``omp_2d`` replaced:
+its correlator reads the dictionary's spectra through numpy's FFT, and a
+test checks that correlator against the dense matrix-vector products.
 """
 
 import numpy as np
@@ -95,6 +98,62 @@ def dictionary_atoms(s: np.ndarray, tau_grid, nu_grid, N: int) -> np.ndarray:
         path = path_from_bin(1.0, 0, int(kappa), N, L)
         atoms[:, j] = apply_dd_channel_samples(s, PathSet((path,), L))[delayed]
     return atoms
+
+
+def grid_atoms(dic, cells) -> np.ndarray:
+    """(len(cells), L) atoms at the tau-major flat grid indices ``cells``:
+    atom[n] = replica_nu[(n - tau) mod L]."""
+    i, j = np.divmod(np.asarray(cells, dtype=np.int64), dic.nu_grid.size)
+    L = dic.atoms.shape[-1]
+    return dic.atoms[j[:, None], (np.arange(L) - dic.tau_grid[i][:, None]) % L]
+
+
+def correlator(dic):
+    """r -> (n_tau, n_nu) inner products <atom(tau, nu), r>: each replica's
+    cyclic cross-correlation with r from the dictionary's spectra, read at
+    the grid delays."""
+    spectra = dic.spectra.conj()
+    return lambda r: np.fft.ifft(spectra * np.fft.fft(r), axis=-1)[:, dic.tau_grid].T
+
+
+def refit_gains(y: np.ndarray, dic, cells) -> np.ndarray:
+    """Least-squares gains of the atoms at ``cells`` for the signal ``y``."""
+    gains, *_ = lstsq(grid_atoms(dic, cells).T, np.asarray(y, dtype=np.complex128))
+    return gains
+
+
+def omp_2d_residual(y: np.ndarray, dic, P: int) -> list:
+    """Residual-domain 2D-OMP: correlate the explicit residual with every
+    cell, pick the largest, refit all picks by least squares on their atoms
+    and subtract. Returns the picked tau-major flat cells in order."""
+    correlate = correlator(dic)
+    r0 = np.asarray(y, dtype=np.complex128)
+    r, selected = r0, []
+    for _ in range(P):
+        selected.append(int(np.argmax(np.abs(correlate(r)))))
+        r = r0 - grid_atoms(dic, selected).T @ refit_gains(r0, dic, selected)
+    return selected
+
+
+def match_targets_loop(estimates, truths) -> list:
+    """Greedy nearest-neighbour pairing by a search over all free pairs per
+    step: the first strictly smaller normalized distance wins."""
+    r_scale = max(max(abs(t.range_m) for t in truths), 1e-12)
+    v_scale = max(max(abs(t.velocity_mps) for t in truths), 1e-12)
+    free_e, free_t, pairs = list(range(len(estimates))), list(range(len(truths))), []
+    while free_t:
+        best = None
+        for ei in free_e:
+            for ti in free_t:
+                d = ((estimates[ei].range_m - truths[ti].range_m) / r_scale) ** 2 + \
+                    ((estimates[ei].velocity_mps - truths[ti].velocity_mps) / v_scale) ** 2
+                if best is None or d < best[0]:
+                    best = (d, ei, ti)
+        _, ei, ti = best
+        free_e.remove(ei)
+        free_t.remove(ti)
+        pairs.append((estimates[ei], truths[ti]))
+    return pairs
 
 
 def dense_otfs_w(N1: int, N2: int, L_cp: int) -> np.ndarray:

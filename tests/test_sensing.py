@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import atom_formula, dictionary_atoms, random_complex
+from oracles import (
+    atom_formula,
+    correlator,
+    dictionary_atoms,
+    grid_atoms,
+    match_targets_loop,
+    omp_2d_residual,
+    random_complex,
+    refit_gains,
+)
 from wdnoma.sensing import (
     TargetEstimate,
     build_dictionary,
-    correlator,
     estimate_to_physical,
-    grid_atoms,
     match_targets,
     matched_squared_errors,
     omp_2d,
@@ -80,14 +87,18 @@ def test_dictionary_validation():
         build_dictionary(s, [25], [0], 16)
 
 
-def _residual_energy(y, dic, atoms, out):
-    """||y - sum of gain_hat times the atom at (tau_hat, nu_hat)||^2, with
+def _cells(dic, out):
+    """Tau-major flat grid indices of the estimates' (tau_hat, nu_hat)."""
+    return [int(np.where(dic.tau_grid == e.tau_hat)[0][0]) * dic.nu_grid.size
+            + int(np.where(dic.nu_grid == e.nu_hat)[0][0]) for e in out.targets]
+
+
+def _residual_energy(y, dic, atoms, out, gains):
+    """||y - sum of gains times the atoms at (tau_hat, nu_hat)||^2, with
     ``atoms`` the (n_tau, n_nu, L) oracle atoms of ``dic``'s grid."""
     r = np.array(y, dtype=np.complex128)
-    for est in out.targets:
-        i = int(np.where(dic.tau_grid == est.tau_hat)[0][0])
-        j = int(np.where(dic.nu_grid == est.nu_hat)[0][0])
-        r -= est.gain_hat * atoms[i, j]
+    for cell, gain in zip(_cells(dic, out), gains):
+        r -= gain * atoms.reshape(-1, atoms.shape[-1])[cell]
     return float(np.sum(np.abs(r) ** 2))
 
 
@@ -99,8 +110,9 @@ def test_omp_single_atom_exact():
     out = omp_2d(truth, dic, 1)
     (est,) = out.targets
     assert (est.tau_hat, est.nu_hat) == (3, 1)
-    assert abs(est.gain_hat - 2.5) < 1e-10
-    assert _residual_energy(truth, dic, atoms, out) < 1e-10
+    (gain,) = refit_gains(truth, dic, _cells(dic, out))
+    assert abs(gain - 2.5) < 1e-10
+    assert _residual_energy(truth, dic, atoms, out, [gain]) < 1e-10
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -120,12 +132,57 @@ def test_omp_multi_target_exact_recovery(k):
         y += gain * atoms[i, j]
         truth[(int(dic.tau_grid[i]), int(dic.nu_grid[j]))] = gain
     out = omp_2d(y, dic, k)
+    gains = refit_gains(y, dic, _cells(dic, out))
     init_energy = float(np.sum(np.abs(y) ** 2))
-    assert _residual_energy(y, dic, atoms, out) < 1e-8 * init_energy
-    for est in out.targets:
+    assert _residual_energy(y, dic, atoms, out, gains) < 1e-8 * init_energy
+    for est, gain in zip(out.targets, gains):
         key = (est.tau_hat, est.nu_hat)
         assert key in truth
-        assert abs(est.gain_hat - truth[key]) < 1e-8 * abs(truth[key])
+        assert abs(gain - truth[key]) < 1e-8 * abs(truth[key])
+
+
+@st.composite
+def _omp_cases(draw):
+    """A frame, a grid and an echo with nonzero residual energy: up to four
+    atoms of the grid plus noise. Delays anywhere in 0..L-1 (both ends
+    drawn often); Doppler bins distinct modulo N, so no two atoms coincide."""
+    N = draw(st.integers(8, 32))
+    L = N + draw(st.integers(0, N - 1))
+    delay = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    taus = draw(st.lists(delay, min_size=1, max_size=6, unique=True))
+    nus = draw(st.lists(st.integers(-N, N), min_size=1, max_size=5,
+                        unique_by=lambda k: k % N))
+    P = draw(st.integers(1, min(4, len(taus) * len(nus))))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = random_complex(g, L)
+    atoms = dictionary_atoms(s, taus, nus, N).reshape(-1, L)
+    cells = g.choice(len(atoms), size=draw(st.integers(0, P)), replace=False)
+    y = random_complex(g, cells.size) @ atoms[cells] + draw(st.floats(0.01, 1.0)) * \
+        random_complex(g, L)
+    return s, taus, nus, N, y, P
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_omp_cases())
+def test_omp_picks_the_residual_oracle_cells_in_order(case):
+    s, taus, nus, N, y, P = case
+    dic = build_dictionary(s, taus, nus, N)
+    out = omp_2d(y, dic, P)
+    assert len(out.targets) == P
+    assert _cells(dic, out) == omp_2d_residual(y, dic, P)
+
+
+@pytest.mark.parametrize("P", [3, 4])
+def test_omp_noiseless_extra_picks_are_distinct(P):
+    # with more picks than targets the refit leaves a residual of rounding
+    # noise, in which an already picked cell must not be picked again
+    s = random_complex(np.random.default_rng(P), 72)
+    dic = build_dictionary(s, range(8), range(-1, 2), N=64)
+    atoms = dictionary_atoms(s, range(8), range(-1, 2), 64).reshape(-1, 72)
+    y = 0.7 * atoms[5] - 1.3j * atoms[17]
+    cells = _cells(dic, omp_2d(y, dic, P))
+    assert len(set(cells)) == P
+    assert set(cells[:2]) == {5, 17}
 
 
 def test_omp_validation():
@@ -141,7 +198,7 @@ def test_omp_validation():
 
 def test_estimate_to_physical_inverts_quantization():
     cfg = make_cfg(N=1024, N1=32, N2=32)
-    e = estimate_to_physical(TargetEstimate(tau_hat=10, nu_hat=1, gain_hat=1.0), cfg)
+    e = estimate_to_physical(TargetEstimate(tau_hat=10, nu_hat=1), cfg)
     # delay 10 at 30.72 MHz -> ~48.8 m; Doppler bin 1 at 28 GHz -> ~160.6 m/s
     assert abs(e.range_m - 10 * 3e8 / (2 * 1024 * 30e3)) < 0.5
     assert abs(e.velocity_mps - 30e3 * 3e8 / (2 * 28e9)) < 0.2
@@ -155,9 +212,9 @@ def _nmse(estimates, truths):
 
 def test_nmse_trivial_cases():
     t = [PhysicalTarget(100.0, 20.0, 1.0)]
-    perfect = [TargetEstimate(0, 0, 1.0, range_m=100.0, velocity_mps=20.0)]
+    perfect = [TargetEstimate(0, 0, range_m=100.0, velocity_mps=20.0)]
     assert _nmse(perfect, t) == (0.0, 0.0)
-    doubled = [TargetEstimate(0, 0, 1.0, range_m=200.0, velocity_mps=40.0)]
+    doubled = [TargetEstimate(0, 0, range_m=200.0, velocity_mps=40.0)]
     range_nmse, velocity_nmse = _nmse(doubled, t)
     assert abs(range_nmse - 1.0) < 1e-12
     assert abs(velocity_nmse - 1.0) < 1e-12
@@ -165,8 +222,8 @@ def test_nmse_trivial_cases():
 
 def test_nmse_two_target_hand_computed():
     truths = [PhysicalTarget(100.0, 10.0, 1.0), PhysicalTarget(200.0, -20.0, 1.0)]
-    ests = [TargetEstimate(0, 0, 1.0, range_m=110.0, velocity_mps=10.0),
-            TargetEstimate(0, 0, 1.0, range_m=200.0, velocity_mps=-18.0)]
+    ests = [TargetEstimate(0, 0, range_m=110.0, velocity_mps=10.0),
+            TargetEstimate(0, 0, range_m=200.0, velocity_mps=-18.0)]
     range_nmse, velocity_nmse = _nmse(ests, truths)
     assert abs(range_nmse - 100.0 / 50000.0) < 1e-12
     assert abs(velocity_nmse - 4.0 / 500.0) < 1e-12
@@ -174,10 +231,21 @@ def test_nmse_two_target_hand_computed():
 
 def test_match_targets_pairs_nearest_regardless_of_order():
     truths = [PhysicalTarget(100.0, 10.0, 1.0), PhysicalTarget(500.0, -30.0, 1.0)]
-    ests = [TargetEstimate(0, 0, 1.0, range_m=498.0, velocity_mps=-29.0),
-            TargetEstimate(0, 0, 1.0, range_m=101.0, velocity_mps=11.0)]
+    ests = [TargetEstimate(0, 0, range_m=498.0, velocity_mps=-29.0),
+            TargetEstimate(0, 0, range_m=101.0, velocity_mps=11.0)]
     pairs = match_targets(ests, truths)
     for e, t in pairs:
         assert abs(e.range_m - t.range_m) < 5
     with pytest.raises(ValueError):
         match_targets(ests, truths[:1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_match_targets_equals_greedy_search(data, n):
+    # small integer coordinates make equal distances, so ties are exercised
+    coord = st.integers(-3, 3).map(float)
+    ests = [TargetEstimate(0, 0, range_m=data.draw(coord), velocity_mps=data.draw(coord))
+            for _ in range(n)]
+    truths = [PhysicalTarget(data.draw(coord), data.draw(coord), 1.0) for _ in range(n)]
+    assert match_targets(ests, truths) == match_targets_loop(ests, truths)
