@@ -1,9 +1,9 @@
 """Empirical statistics of OFDM signals viewed in the affine domain.
 
 The downlink OFDM frame, transformed with the DAFT (CP neglected), should
-look like white noise: flat per-bin variance, zero mean, lag-only
-autocorrelation, and near-Gaussian marginals. This module measures those
-quantities over Monte Carlo trials so the claims become testable numbers.
+look like white noise: flat per-bin variance, zero mean and near-Gaussian
+marginals. This module measures those quantities over Monte Carlo trials so
+the claims become testable numbers.
 ``wdnoma stats`` is the only command that imports this module, and this
 module is the only one that imports scipy.stats.
 """
@@ -24,16 +24,15 @@ from .waveforms import SystemConfig, constellation
 
 _HIST_BINS = 61
 _BUFFER_CAP = 200_000
+_BATCH = 512              # frames drawn and transformed per pass
 
 
 @dataclass(frozen=True)
 class StatReport:
-    n_trials: int
     per_bin_variance: np.ndarray
     mean_abs: float            # max over bins of |per-bin mean|
     trace: float               # sum of per-bin variances
     flatness_ratio: float      # max/min per-bin variance
-    autocorr: dict             # lag -> complex, averaged over bins and trials
     hist_real: tuple           # (counts, bin_edges)
     hist_imag: tuple
     sample_buffer: np.ndarray  # capped raw affine-domain samples
@@ -51,8 +50,7 @@ class GaussianityReport:
 
 
 def empirical_stats(trials: int, cfg: SystemConfig, channel: PathSet | None,
-                    rng: np.random.Generator, batch: int = 512,
-                    autocorr_lags: int = 16) -> StatReport:
+                    rng: np.random.Generator) -> StatReport:
     """Accumulate affine-domain moments of random QAM-fed OFDM frames.
 
     ``channel``, when given, is applied circularly over the CP-free frame
@@ -65,41 +63,34 @@ def empirical_stats(trials: int, cfg: SystemConfig, channel: PathSet | None,
         raise ValueError("stats channel must act on the CP-free frame (frame_len == N)")
     points = constellation(cfg.M)
     mean_acc = np.zeros(N, dtype=np.complex128)
-    cov_acc = np.zeros((N, N), dtype=np.complex128)
+    power_acc = np.zeros(N)
     buffer = []
     buffered = 0
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(_BATCH, trials - done)
         X = points[rng.integers(0, cfg.M, size=(b, N))]
         S = idft_samples(X)
         if channel is not None:
             S = apply_dd_channel_samples(S, channel)
         Y = daft_samples(S, cfg.chirp)
         mean_acc += Y.sum(axis=0)
-        cov_acc += Y.conj().T @ Y
+        power_acc += np.sum(Y.real ** 2 + Y.imag ** 2, axis=0)
         if buffered < _BUFFER_CAP:
             take = min(_BUFFER_CAP - buffered, Y.size)
             buffer.append(Y.reshape(-1)[:take])
             buffered += take
         done += b
     mean = mean_acc / trials
-    cov = cov_acc / trials  # second moment; mean is ~0 by construction
-    var = np.real(np.diag(cov)).copy()
-    lags = {}
-    for lag in range(min(autocorr_lags, N)):
-        idx = np.arange(N)
-        lags[lag] = complex(np.mean(cov[idx, (idx - lag) % N]))
-    samples = np.concatenate(buffer) if buffer else np.zeros(0, dtype=np.complex128)
+    var = power_acc / trials  # second moment; mean is ~0 by construction
+    samples = np.concatenate(buffer)    # trials >= 100: one batch at least
     hist_r = np.histogram(samples.real, bins=_HIST_BINS)
     hist_i = np.histogram(samples.imag, bins=_HIST_BINS)
     return StatReport(
-        n_trials=trials,
         per_bin_variance=var,
         mean_abs=float(np.max(np.abs(mean))),
         trace=float(var.sum()),
         flatness_ratio=float(var.max() / var.min()),
-        autocorr=lags,
         hist_real=hist_r,
         hist_imag=hist_i,
         sample_buffer=samples,
@@ -115,17 +106,16 @@ def gaussianity_check(report: StatReport) -> GaussianityReport:
     samples = report.sample_buffer
     if samples.size < 10_000:
         raise ValueError("need at least 1e4 buffered samples for the KS check")
-    parts = {"real": samples.real, "imag": samples.imag}
     out = {}
-    for name, v in parts.items():
+    for name, v in (("real", samples.real), ("imag", samples.imag)):
         mu, sd = float(np.mean(v)), float(np.std(v))
         ks = sps.kstest(v, "norm", args=(mu, sd))
-        out[name] = (float(ks.statistic), float(ks.pvalue))
-    mu = float(np.mean(samples.real))
-    sd = float(np.std(samples.real))
+        out[name] = (float(ks.statistic), float(ks.pvalue), mu, sd)
+    # the fitted Gaussian reported is the real part's
     return GaussianityReport(ks_real=out["real"][0], ks_imag=out["imag"][0],
                              p_real=out["real"][1], p_imag=out["imag"][1],
-                             fitted_mean=mu, fitted_std=sd, n_samples=int(samples.size))
+                             fitted_mean=out["real"][2], fitted_std=out["real"][3],
+                             n_samples=int(samples.size))
 
 
 def write_report_csv(report: StatReport, path) -> None:
@@ -135,12 +125,10 @@ def write_report_csv(report: StatReport, path) -> None:
         w.writerow(["kind", "index", "value", "extra"])
         for i, v in enumerate(report.per_bin_variance):
             w.writerow(["variance", i, repr(float(v)), ""])
-        counts_r, edges_r = report.hist_real
-        counts_i, edges_i = report.hist_imag
-        for i, c in enumerate(counts_r):
-            w.writerow(["hist_real", i, int(c), repr(float(edges_r[i]))])
-        for i, c in enumerate(counts_i):
-            w.writerow(["hist_imag", i, int(c), repr(float(edges_i[i]))])
+        for kind, (counts, edges) in (("hist_real", report.hist_real),
+                                      ("hist_imag", report.hist_imag)):
+            for i, c in enumerate(counts):
+                w.writerow([kind, i, int(c), repr(float(edges[i]))])
 
 
 def run_stats(cfg: SystemConfig, channel: PathSet, out_dir, trials: int, seed: int) -> list:

@@ -15,7 +15,7 @@ import json
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path as FsPath
 from types import MappingProxyType
@@ -43,7 +43,6 @@ from .receiver import (
     build_equivalent_channel,
     estimate_noise_power,
     mmse_detect,
-    reconstruct_and_cancel,
 )
 from .sensing import (
     build_dictionary,
@@ -138,16 +137,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name, (lo, hi) in (("range_bounds", ch.range_bounds),
                                ("velocity_bounds", ch.velocity_bounds)):
-            if lo > hi:
-                raise ValueError(f"{name} = {[lo, hi]} must be ordered low, high")
+            if not (np.isfinite(hi - lo) and lo <= hi):
+                raise ValueError(f"{name} = {[lo, hi]} must be finite and ordered low, high")
         if not ch.doppler_bins or not all(type(b) is int for b in ch.doppler_bins):
             raise ValueError(f"doppler_bins must be a non-empty list of integer Doppler "
                              f"bins, got {list(ch.doppler_bins)}")
-        if not sw.modes:
-            raise ValueError("modes must name at least one receiver mode")
         for m in sw.modes:
-            if m not in MODES:
+            if not isinstance(m, str) or m not in MODES:
                 raise ValueError(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
+        if not sw.modes or len(set(sw.modes)) < len(sw.modes):
+            raise ValueError(f"modes must name receiver modes, each once, got {list(sw.modes)}")
         if self.system.L_cp != self.system.L_cpp:
             raise ValueError("L_cp must equal L_cpp so the superimposed frames align")
         if ch.uplink_taps - 1 > self.system.L_cpp:
@@ -180,43 +179,58 @@ class ExperimentConfig:
         return d
 
 
-def _check_keys(d: dict, allowed, section: str):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown keys in {section}: {sorted(unknown)}")
+def _checked(d, where: str, cls, optional=()) -> dict:
+    """A copy of the JSON object ``d``: it must hold each field of the dataclass ``cls``
+    that has no default, except chirp (c1, c2), and no key but its fields and ``optional``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    names = {f.name: f.default is MISSING for f in fields(cls) if f.name != "chirp"}
+    for problem, keys in (("unknown", set(d) - set(names) - set(optional)),
+                          ("missing", {k for k, needed in names.items() if needed} - set(d))):
+        if keys:
+            raise ValueError(f"{problem} keys in {where}: {sorted(keys)}")
+    return dict(d)
+
+
+def _field(where: str, convert, value):
+    """``convert(value)``, raising a ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _list(value, length=None) -> tuple:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ValueError(f"expected a list{f' of {length}' if length else ''}, got {value!r}")
+    return tuple(value)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Strict parser: unknown keys anywhere are errors; c1 defaults to
-    (2*kappa_max + 1)/(2N) when omitted or null."""
-    _check_keys(raw, ("system", "frame", "channel", "sweep"), "config")
-    for section in ("system", "frame", "channel", "sweep"):
-        if section not in raw:
-            raise ValueError(f"missing config section {section!r}")
+    """Strict parser: each section holds the fields of its dataclass and no
+    other key, and a malformed value raises a ValueError naming its field.
+    c1 defaults to (2*kappa_max + 1)/(2N) when omitted or null."""
+    raw = _checked(raw, "config", ExperimentConfig)
+    frame = FrameConfig(**_checked(raw["frame"], "frame", FrameConfig))
 
-    fd = dict(raw["frame"])
-    _check_keys(fd, [f.name for f in fields(FrameConfig)], "frame")
-    frame = FrameConfig(**fd)
-
-    sd = dict(raw["system"])
-    allowed = [f.name for f in fields(SystemConfig) if f.name != "chirp"] + ["c1", "c2"]
-    _check_keys(sd, allowed, "system")
+    sd = _checked(raw["system"], "system", SystemConfig, ("c1", "c2"))
     c1 = sd.pop("c1", None)
     if c1 is None:
-        c1 = ChirpParams.for_max_doppler(frame.kappa_max, int(sd["N"])).c1
-    system = SystemConfig(chirp=ChirpParams(c1=float(c1), c2=float(sd.pop("c2", 0.0))), **sd)
+        c1 = _field("system.N", lambda N: ChirpParams.for_max_doppler(frame.kappa_max, N).c1,
+                    sd["N"])
+    chirp = ChirpParams(c1=_field("system.c1", float, c1),
+                        c2=_field("system.c2", float, sd.pop("c2", 0.0)))
+    system = SystemConfig(chirp=chirp, **sd)
 
-    cd = dict(raw["channel"])
-    _check_keys(cd, [f.name for f in fields(ChannelConfig)], "channel")
-    cd["doppler_bins"] = tuple(cd["doppler_bins"])
-    cd["range_bounds"] = tuple(float(b) for b in cd["range_bounds"])
-    cd["velocity_bounds"] = tuple(float(b) for b in cd["velocity_bounds"])
+    cd = _checked(raw["channel"], "channel", ChannelConfig)
+    cd["doppler_bins"] = _field("channel.doppler_bins", _list, cd["doppler_bins"])
+    for name in ("range_bounds", "velocity_bounds"):
+        cd[name] = _field(f"channel.{name}", lambda v: tuple(map(float, _list(v, 2))), cd[name])
     channel = ChannelConfig(**cd)
 
-    wd = dict(raw["sweep"])
-    _check_keys(wd, [f.name for f in fields(SweepConfig)], "sweep")
-    wd["snr_db"] = tuple(float(s) for s in wd["snr_db"])
-    wd["modes"] = tuple(wd["modes"])
+    wd = _checked(raw["sweep"], "sweep", SweepConfig)
+    wd["snr_db"] = _field("sweep.snr_db", lambda v: tuple(map(float, _list(v))), wd["snr_db"])
+    wd["modes"] = _field("sweep.modes", _list, wd["modes"])
     sweep = SweepConfig(**wd)
 
     return ExperimentConfig(system=system, frame=frame, channel=channel, sweep=sweep)
@@ -306,6 +320,21 @@ class _TrialContext:
         return _rng(self._seed, self._trial, f"bits_{waveform}").integers(0, 2, n_data * self._bps)
 
 
+def _transmit(sys_, layout, waveform: str, syms, paths) -> np.ndarray:
+    """The uplink: symbols (last axis) on the data bins, zero guards, the
+    waveform's modulator and prefix, then the channel ``paths`` (one PathSet,
+    or one per row). It sends the uplink and rebuilds it for cancellation."""
+    frames = np.zeros(np.shape(syms)[:-1] + (sys_.N,), dtype=np.complex128)
+    frames[..., layout.data] = syms
+    if waveform == "afdm":
+        s = afdm_mod_samples(frames, sys_.chirp, sys_.L_cpp)
+    elif waveform == "otfs":
+        s = otfs_mod_samples(frames, sys_.N1, sys_.N2, sys_.L_cp)
+    else:
+        s = ofdm_mod_samples(frames, sys_.L_cp)
+    return apply_dd_channel_samples(s, paths)
+
+
 class _Chunk:
     """A chunk of trials: each trial's draws, and the signals built from them
     as (T, ·) stacks by one call per stage, row for row the one-trial values."""
@@ -326,15 +355,8 @@ class _Chunk:
         sys_ = self.cfg.system
         layout = self.layouts[waveform]
         bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
-        frames = np.zeros((len(self.ctxs), sys_.N), dtype=np.complex128)
-        frames[:, layout.data] = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
-        if waveform == "afdm":
-            s = afdm_mod_samples(frames, sys_.chirp, sys_.L_cpp)
-        elif waveform == "otfs":
-            s = otfs_mod_samples(frames, sys_.N1, sys_.N2, sys_.L_cp)
-        else:
-            s = ofdm_mod_samples(frames, sys_.L_cp)
-        r_ul = apply_dd_channel_samples(s, [c.ul_ps for c in self.ctxs])
+        syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
+        r_ul = _transmit(sys_, layout, waveform, syms, [c.ul_ps for c in self.ctxs])
         return {"bits": bits, "r_ul": r_ul, "p_ul": layout.n_data / sys_.N}
 
     def compose(self, up, snr_db: float):
@@ -410,9 +432,12 @@ class CurvePoint:
     confidence_halfwidth: float
 
 
-def _chunks(n_trials: int, size: int = 64):
-    for start in range(0, n_trials, size):
-        yield list(range(start, min(start + size, n_trials)))
+_CHUNK_TRIALS = 64     # trials per chunk: one detection call, one task of a worker
+
+
+def _chunks(n_trials: int):
+    for start in range(0, n_trials, _CHUNK_TRIALS):
+        yield list(range(start, min(start + _CHUNK_TRIALS, n_trials)))
 
 
 def _ber_chunk(cfg, snr_db, trials, modes):
@@ -436,9 +461,8 @@ def _sense_chunk(cfg, snr_db, trials, modes):
         waveform = MODES[group[0]][0]
         hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(bits_hat.shape[:2] + (-1,))
         for i, mode in enumerate(group):
-            residuals[mode] = reconstruct_and_cancel(r, [c.ul_ps for c in chunk.ctxs],
-                                                     hard[:, i], chunk.layouts[waveform],
-                                                     sys_, waveform)
+            residuals[mode] = r - _transmit(sys_, chunk.layouts[waveform], waveform, hard[:, i],
+                                            [c.ul_ps for c in chunk.ctxs])
     rows = []
     for t, (ctx, s_dl) in enumerate(zip(chunk.ctxs, chunk.s_dl)):
         dic = build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)

@@ -1,6 +1,8 @@
 """Uplink receiver on plain arrays: the transmit-domain equivalent channel,
-noise power estimation (NPE), MMSE detection, and reconstruction and
-cancellation of the detected uplink signal.
+noise power estimation (NPE) and MMSE detection. The waveforms enter only
+through their unitary transforms T^H and T; the sense sweep rebuilds and
+cancels the detected uplink with the transmitter that sent it
+(``harness._transmit``).
 
 The equivalent channel H factors as T H_t T^H, where T is the waveform's
 unitary transform (DFT, DAFT, or the DFT across the OTFS Doppler axis) and
@@ -46,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .channel import PathSet, apply_dd_channel_samples
+from .channel import PathSet
 from .transforms import cpp_prefix_phases
 from .waveforms import (
     SystemConfig,
@@ -71,7 +73,7 @@ class EquivalentChannel:
     @property
     def matrix(self) -> np.ndarray:
         """Dense copy of H, for tests and oracles."""
-        to_time, from_time = _mod_demod_fns(self.cfg, self.waveform, prefixed=False)
+        to_time, from_time = _mod_demod_fns(self.cfg, self.waveform)
         cols = to_time(np.eye(self.cfg.N))      # row k: column k of T^H
         rotated = sum(t * np.roll(cols, l, axis=-1) for l, t in zip(self.delays, self.taps))
         return from_time(rotated).T
@@ -88,19 +90,18 @@ def estimate_noise_power(d: np.ndarray, layout):
     return np.mean(np.abs(d.take(window, axis=-1)) ** 2, axis=-1)
 
 
-def _mod_demod_fns(cfg: SystemConfig, waveform: str, prefixed: bool = True):
-    """The waveform's modulator and demodulator; without the prefix they are
-    the unitary transforms T^H and T."""
-    L_cp, L_cpp = (cfg.L_cp, cfg.L_cpp) if prefixed else (0, 0)
+def _mod_demod_fns(cfg: SystemConfig, waveform: str):
+    """The waveform's unitary transforms T^H and T: its modulator and
+    demodulator without the prefix."""
     if waveform == "afdm":
-        return (lambda X: afdm_mod_samples(X, cfg.chirp, L_cpp),
-                lambda r: afdm_demod_samples(r, cfg.chirp, L_cpp))
+        return (lambda X: afdm_mod_samples(X, cfg.chirp, 0),
+                lambda r: afdm_demod_samples(r, cfg.chirp, 0))
     if waveform == "otfs":
-        return (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, L_cp),
-                lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, L_cp))
+        return (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, 0),
+                lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, 0))
     if waveform == "ofdm":
-        return (lambda X: ofdm_mod_samples(X, L_cp),
-                lambda r: ofdm_demod_samples(r, L_cp))
+        return (lambda X: ofdm_mod_samples(X, 0),
+                lambda r: ofdm_demod_samples(r, 0))
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
@@ -243,24 +244,10 @@ def mmse_detect(channels, ds, sigma2s) -> list:
     # maximal runs of consecutive channels that share one transform
     keys = [(H.cfg, H.waveform) for H in channels]
     starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
-    runs = [(lo, hi, *_mod_demod_fns(*keys[lo], prefixed=False))
+    runs = [(lo, hi, *_mod_demod_fns(*keys[lo]))
             for lo, hi in zip(starts, starts[1:])]
     y = [to_time(ds[lo:hi]) for lo, hi, to_time, _ in runs]
     z = _solve_stacked(channels, np.concatenate(y), np.repeat(np.arange(C), counts), s2)
     x = np.concatenate([from_time(z[bounds[lo]:bounds[hi]]) for lo, hi, _, from_time in runs])
     return np.split(x, bounds[1:-1])
 
-
-def reconstruct_and_cancel(r: np.ndarray, ch, x_hat: np.ndarray,
-                           layout, cfg: SystemConfig, waveform: str = "afdm") -> np.ndarray:
-    """Rebuild the uplink frame(s) from hard-decided data and subtract them.
-
-    The symbols (last axis) go to the layout's data bins and the guards are
-    re-embedded as zeros (they were transmitted as zeros); the frames are
-    then modulated with ``waveform`` and pushed through the uplink channel
-    ``ch``: one PathSet, or one per row of a stacked ``x_hat``.
-    """
-    frame = np.zeros(np.shape(x_hat)[:-1] + (cfg.N,), dtype=np.complex128)
-    frame[..., layout.data] = x_hat
-    mod, _ = _mod_demod_fns(cfg, waveform)
-    return r - apply_dd_channel_samples(mod(frame), ch)

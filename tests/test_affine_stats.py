@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import random_complex
-from wdnoma.affine_stats import empirical_stats, gaussianity_check, write_report_csv
+from wdnoma.affine_stats import _BATCH, empirical_stats, gaussianity_check, write_report_csv
 from wdnoma.channel import PathSet, path_from_bin
 from wdnoma.transforms import ChirpParams, daft_samples, idft_samples
-from wdnoma.waveforms import SystemConfig
+from wdnoma.waveforms import SystemConfig, constellation
 
 rng = np.random.default_rng(61)
 
@@ -40,13 +40,17 @@ def test_affine_view_zero_input():
 def test_empirical_stats_whiteness_small():
     cfg = make_cfg()
     rep = empirical_stats(2000, cfg, None, np.random.default_rng(1))
-    assert rep.n_trials == 2000
     assert rep.per_bin_variance.shape == (64,)
     assert rep.mean_abs < 4 / np.sqrt(2000)
     assert rep.flatness_ratio < 1.25
     assert abs(rep.trace / 64 - 1.0) < 0.05
-    # lag-0 autocorrelation is the average per-bin variance
-    assert abs(rep.autocorr[0].real - rep.trace / 64) < 1e-12
+    # the per-bin variance is the mean power of the same draws, batch by batch
+    g = np.random.default_rng(1)
+    Y = np.concatenate([_affine_view(constellation(cfg.M)[g.integers(0, cfg.M, size=(b, 64))],
+                                     cfg)
+                        for b in (_BATCH,) * (2000 // _BATCH) + (2000 % _BATCH,)])
+    assert np.max(np.abs(rep.per_bin_variance - np.mean(np.abs(Y) ** 2, axis=0))) < 1e-12
+    assert rep.trace == rep.per_bin_variance.sum()
 
 
 def test_empirical_stats_with_channel_preserves_whiteness():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dense_afdm_mod, dense_channel, dense_ofdm_mod, dense_otfs_w, embed
 from wdnoma.cli import main
 from wdnoma.harness import (
     MODES,
@@ -16,6 +17,7 @@ from wdnoma.harness import (
     _ber_chunk,
     _layouts,
     _sense_chunk,
+    _transmit,
     afdm_layout,
     config_from_dict,
     config_hash,
@@ -27,6 +29,7 @@ from wdnoma.harness import (
 )
 from wdnoma.channel import target_to_path
 from wdnoma.frame import full_grid_layout
+from wdnoma.waveforms import qam_map
 
 ROOT = Path(__file__).parent.parent
 CONFIG = ROOT / "configs" / "desk.json"
@@ -187,6 +190,60 @@ def test_config_rejects_non_integer_sizes(section, field, value):
         config_from_dict(small_raw(**{section: {field: value}}))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("system", "M"), ("system", "N"), ("frame", "K1"), ("channel", "range_bounds"),
+    ("sweep", "trials"),
+])
+def test_config_rejects_missing_key(section, key):
+    # each raised a TypeError or KeyError instead of a config error
+    raw = small_raw()
+    del raw[section][key]
+    with pytest.raises(ValueError, match=rf"missing keys in {section}: \['{key}'\]"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("section", [None, "system", "frame", "channel", "sweep"])
+@pytest.mark.parametrize("value", [[], 5, None])
+def test_config_rejects_non_object_section(section, value):
+    raw = small_raw()
+    if section is None:
+        raw = value
+    else:
+        raw[section] = value
+    with pytest.raises(ValueError, match=f"{section or 'config'} must be an object"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("section, field, value, match", [
+    ("channel", "range_bounds", [None, 50.0], "channel.range_bounds"),
+    ("channel", "range_bounds", [0.0, 25.0, 50.0], "channel.range_bounds"),
+    ("channel", "range_bounds", [float("nan"), 50.0], "range_bounds"),
+    ("channel", "velocity_bounds", [0.0, float("inf")], "velocity_bounds"),
+    ("channel", "doppler_bins", 1, "channel.doppler_bins"),
+    ("sweep", "snr_db", [None], "sweep.snr_db"),
+    ("sweep", "snr_db", 5, "sweep.snr_db"),
+    ("sweep", "modes", [[1]], "mode"),
+    ("sweep", "modes", "pdnoma_ofdm", "sweep.modes"),
+    ("system", "N", None, "N"),
+    ("system", "N", 0, "N"),
+    ("system", "c2", None, "system.c2"),
+])
+def test_config_names_the_field_of_a_malformed_value(section, field, value, match):
+    # each raised a TypeError, a ZeroDivisionError, or a ValueError naming
+    # no field, or was read as a list of characters
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(small_raw(**{section: {field: value}}))
+
+
+def test_config_rejects_duplicate_modes(capsys):
+    # a repeated mode wrote two points per SNR into its curve
+    with pytest.raises(ValueError, match="each once"):
+        config_from_dict(small_raw(sweep={"modes": ["pdnoma_ofdm", "pdnoma_ofdm"]}))
+    assert main(["validate-config", "--config", str(CONFIG),
+                 "--mode", "wdnoma_afdm_npe,wdnoma_afdm_npe"]) == 2
+    assert "each once" in capsys.readouterr().err
+
+
 def test_config_rejects_more_targets_than_cells():
     # desk's box quantizes to delays 0..3 and Doppler bins 0..1: 8 cells;
     # 50 targets used to fail mid-sweep after draw_targets' 1000 redraws
@@ -275,6 +332,31 @@ def test_layout_cache_is_read_only_and_exact():
                 arr[:1] = 0
     with pytest.raises(TypeError):
         layouts["afdm"] = fresh["afdm"]
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
+    # the sense sweep cancels with the transmitter that sent the uplink: the
+    # true symbols leave g * r_dl + sqrt(sigma2) * noise, and each row of the
+    # rebuilt uplink is the dense channel times the dense modulator
+    cfg = config_from_dict(small_raw())
+    sys_, L = cfg.system, cfg.system.L_cp
+    chunk = _Chunk(cfg, [0, 1, 2])
+    layout = chunk.layouts[waveform]
+    up = chunk.uplink(waveform)
+    r, sigma2, g = chunk.compose(up, 10.0)
+    syms = qam_map(up["bits"].reshape(-1), sys_.M).reshape(3, -1)
+    paths = [c.ul_ps for c in chunk.ctxs]
+    rebuilt = _transmit(sys_, layout, waveform, syms, paths)
+    echo_and_noise = g * chunk.r_dl + np.sqrt(sigma2) * chunk.noise_unit
+    assert np.max(np.abs(r - rebuilt - echo_and_noise)) < 1e-10
+    mod = {"afdm": dense_afdm_mod(sys_.N, L, sys_.chirp.c1, sys_.chirp.c2),
+           "otfs": dense_otfs_w(sys_.N1, sys_.N2, L),
+           "ofdm": dense_ofdm_mod(sys_.N, L)}[waveform]
+    for row, x, ps in zip(rebuilt, syms, paths):
+        H = dense_channel(ps.frame_len, [(p.gain, p.delay_samples, p.doppler_norm)
+                                         for p in ps.paths])
+        assert np.max(np.abs(row - H @ mod @ embed(x, layout))) < 1e-10
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 35.0])
@@ -385,6 +467,12 @@ def test_cli_validate_config(tmp_path, capsys):
     bad["system"]["bogus"] = 1
     pb = _write_cfg(tmp_path, bad)
     assert main(["validate-config", "--config", str(pb)]) == 2
+    # a missing key is a config error too, not a traceback
+    del bad["system"]["bogus"], bad["sweep"]["trials"]
+    pb = _write_cfg(tmp_path, bad)
+    capsys.readouterr()
+    assert main(["validate-config", "--config", str(pb)]) == 2
+    assert "config error: missing keys in sweep: ['trials']" in capsys.readouterr().err
 
 
 def test_cli_ber_run_writes_files(tmp_path):

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
-top-level definition has a caller in the package, and the CLI's import
-stays lean."""
+top-level definition has a caller in the package, every default parameter
+is set by some package call, and the CLI's import stays lean."""
 
 import ast
 import os
@@ -49,6 +49,46 @@ def test_every_package_def_has_a_package_caller():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     assert sorted(defined - referenced) == []
+
+
+def _defaulted_params(path: Path) -> dict:
+    """{(function, parameter): positional index, or None if keyword-only}
+    for every parameter with a default of the module's functions; a
+    method's index leaves out the self or cls its call binds."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        pos = (a.posonlyargs + a.args)[id(fn) in methods:]
+        for i, arg in enumerate(pos):
+            if i >= len(pos) - len(a.defaults):
+                out[(fn.name, arg.arg)] = i
+        out.update({(fn.name, k.arg): None for k, v in zip(a.kwonlyargs, a.kw_defaults)
+                    if v is not None})
+    return out
+
+
+def test_every_default_is_set_by_a_package_call():
+    # a default that no caller overrides is a constant in disguise; cli.main
+    # is the entry point, whose argv default the console script relies on
+    params = {key: i for p in MODULES for key, i in _defaulted_params(p).items()
+              if (p.stem, key[0]) != ("cli", "main")}
+    passed = set()
+    for p in SRC.glob("*.py"):
+        for call in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            n_pos = (float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+            keywords = {k.arg for k in call.keywords}
+            passed.update((fn, arg) for fn, arg in params if fn == name and (
+                None in keywords or arg in keywords
+                or params[(fn, arg)] is not None and params[(fn, arg)] < n_pos))
+    assert sorted(set(params) - passed) == []
 
 
 def test_cli_import_loads_no_scipy_stats_or_constants():

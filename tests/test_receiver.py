@@ -1,4 +1,5 @@
-"""Receiver tests: equivalent channel vs dense oracle, NPE, MMSE, cancellation."""
+"""Receiver tests: equivalent channel vs dense oracle, NPE, MMSE, and
+cancellation by the sweep's uplink transmitter."""
 
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from wdnoma.receiver import (
     build_equivalent_channel,
     estimate_noise_power,
     mmse_detect,
-    reconstruct_and_cancel,
 )
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import SystemConfig, afdm_demod_samples, afdm_mod_samples
@@ -114,7 +114,7 @@ def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
     i = np.arange(N)
     for l, t in zip(eq.delays, eq.taps):
         H_t[i, (i - l) % N] += t
-    to_time, from_time = _mod_demod_fns(cfg, waveform, prefixed=False)
+    to_time, from_time = _mod_demod_fns(cfg, waveform)
     H = eq.matrix
     rotated = from_time((H_t @ to_time(np.eye(N)).T).T).T
     assert np.max(np.abs(rotated - H)) < 1e-11
@@ -128,7 +128,7 @@ def test_time_domain_gram_pattern_ignores_doppler(waveform):
     # the Gram matrix of H_t = T^H H T is a cyclic band of half-width
     # l_max - l_min for every Doppler draw, the band the MMSE solve assumes
     cfg = make_cfg(N=16, L=4, kappa_max=1)
-    to_time, _ = _mod_demod_fns(cfg, waveform, prefixed=False)
+    to_time, _ = _mod_demod_fns(cfg, waveform)
     T_H = to_time(np.eye(16)).T
     offset = np.subtract.outer(np.arange(16), np.arange(16)) % 16
     inside = np.minimum(offset, 16 - offset) <= 2
@@ -399,7 +399,7 @@ def test_perfect_cancellation_no_noise():
     ps = PathSet((path_from_bin(0.7 - 0.1j, 1, 1, 64, 72),
                   path_from_bin(0.2j, 2, -1, 64, 72)), 72)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
-    res = reconstruct_and_cancel(r, ps, syms, layout, cfg)
+    res = r - harness._transmit(cfg, layout, "afdm", syms, ps)
     assert np.max(np.abs(res)) < 1e-10
 
 
@@ -413,7 +413,7 @@ def test_cancellation_residual_is_echo_plus_noise():
     echo = random_complex(g, 72)
     w = random_complex(g, 72) * 0.1
     r = r_ul + 0.1 * echo + w
-    res = reconstruct_and_cancel(r, ps, syms, layout, cfg)
+    res = r - harness._transmit(cfg, layout, "afdm", syms, ps)
     assert np.max(np.abs(res - (0.1 * echo + w))) < 1e-10
 
 
@@ -427,7 +427,7 @@ def test_cancellation_error_energy_via_linearity():
     r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
     bad = syms.copy()
     bad[5] += 2.0
-    res = reconstruct_and_cancel(r, ps, bad, layout, cfg)
+    res = r - harness._transmit(cfg, layout, "afdm", bad, ps)
     err_frame = embed(bad - syms, layout)
     expected = apply_dd_channel_samples(afdm_mod_samples(err_frame, cfg.chirp, cfg.L_cpp), ps)
     assert abs(np.sum(np.abs(res) ** 2) - np.sum(np.abs(expected) ** 2)) < 1e-10

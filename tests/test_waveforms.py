@@ -9,13 +9,15 @@ from oracles import (
     dense_otfs_w,
     random_complex,
 )
-from wdnoma.receiver import _mod_demod_fns
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import (
     SystemConfig,
+    afdm_demod_samples,
     afdm_mod_samples,
     constellation,
+    ofdm_demod_samples,
     ofdm_mod_samples,
+    otfs_demod_samples,
     otfs_mod_samples,
     qam_demap_hard,
     qam_map,
@@ -119,11 +121,23 @@ WAVEFORMS = ("ofdm", "afdm", "otfs")
 DOMAINS = ("frequency", "affine", "delay_doppler")
 
 
+def _mod_demod(cfg, waveform):
+    """The waveform's modulator and demodulator with its prefix."""
+    return {
+        "ofdm": (lambda X: ofdm_mod_samples(X, cfg.L_cp),
+                 lambda r: ofdm_demod_samples(r, cfg.L_cp)),
+        "afdm": (lambda X: afdm_mod_samples(X, cfg.chirp, cfg.L_cpp),
+                 lambda r: afdm_demod_samples(r, cfg.chirp, cfg.L_cpp)),
+        "otfs": (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, cfg.L_cp),
+                 lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, cfg.L_cp)),
+    }[waveform]
+
+
 @pytest.mark.parametrize("waveform", WAVEFORMS, ids=[
     f"{w}_modulate-{w}_demodulate-{dom}" for w, dom in zip(WAVEFORMS, DOMAINS)])
 def test_modulator_roundtrip(waveform):
     cfg = make_cfg(N=64, L=8, N1=8, N2=8)
-    mod, demod = _mod_demod_fns(cfg, waveform)
+    mod, demod = _mod_demod(cfg, waveform)
     x = random_complex(rng, cfg.N)
     back = demod(mod(x))
     assert np.max(np.abs(back - x)) < 1e-12
@@ -135,7 +149,7 @@ def test_modulator_energy_with_prefix_overhead(waveform):
     # prefix copies tail samples with unit-magnitude weights, so
     # ||s||^2 = ||x||^2 + ||tail||^2 exactly
     cfg = make_cfg(N=32, L=8, N1=8, N2=4)
-    mod, _ = _mod_demod_fns(cfg, waveform)
+    mod, _ = _mod_demod(cfg, waveform)
     x = random_complex(rng, cfg.N)
     s = mod(x)
     core = s[8:]
