@@ -5,6 +5,11 @@ Every trial owns substreams derived from (master_seed, trial_index,
 purpose), so results do not depend on execution order or worker count, and
 the same channel/bit/noise draws pair all receiver modes and all SNR points
 (common random numbers).
+
+The sweeps run chunks of trials. With one worker the loop is chunk-major:
+each chunk's draws, uplinks and sensing dictionaries are built once and
+serve every SNR point. With more workers each SNR point gets its own pool,
+which calls the same chunk function with that one point.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path as FsPath
 from types import MappingProxyType
 
@@ -62,6 +69,7 @@ from .waveforms import (
     otfs_mod_samples,
     qam_demap_hard,
     qam_map,
+    qam_slice,
 )
 
 # mode -> (uplink waveform, the noise power its MMSE assumes): the NPE
@@ -349,15 +357,20 @@ class _Chunk:
         self.r_dl = apply_dd_channel_samples(self.s_dl, [c.sense_ps for c in self.ctxs])
         self.noise_unit = np.stack([c.noise_unit for c in self.ctxs])
         self.n_targets = np.array([[len(c.targets)] for c in self.ctxs])
+        self._uplinks = {}
 
     def uplink(self, waveform: str):
-        """Transmit bits (T, n_bits) and received uplink signals (T, L) for one waveform."""
-        sys_ = self.cfg.system
-        layout = self.layouts[waveform]
-        bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
-        syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
-        r_ul = _transmit(sys_, layout, waveform, syms, [c.ul_ps for c in self.ctxs])
-        return {"bits": bits, "r_ul": r_ul, "p_ul": layout.n_data / sys_.N}
+        """Transmit bits (T, n_bits) and received uplink signals (T, L) for one
+        waveform, built on the first call; every SNR point shares them, so read-only."""
+        if waveform not in self._uplinks:
+            sys_ = self.cfg.system
+            layout = self.layouts[waveform]
+            bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
+            syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
+            r_ul = _transmit(sys_, layout, waveform, syms, [c.ul_ps for c in self.ctxs])
+            bits.flags.writeable = r_ul.flags.writeable = False
+            self._uplinks[waveform] = {"bits": bits, "r_ul": r_ul, "p_ul": layout.n_data / sys_.N}
+        return self._uplinks[waveform]
 
     def compose(self, up, snr_db: float):
         """(T, L) uplink plus echo plus noise at ``snr_db``, sigma2, and the (T, 1)
@@ -372,7 +385,8 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
     """Demodulate, estimate the noise and MMSE-detect the trials of ``chunk``
     for every waveform group of ``modes``, in one ``mmse_detect`` call.
     Returns per group: its modes, the received frames (T, N + L_cp), the
-    sent bits (T, n_bits) and the hard decisions (T, len(group), n_bits).
+    sent bits (T, n_bits) and the MMSE estimates of the data symbols
+    (T, len(group), n_data).
     """
     sys_ = chunk.cfg.system
     T = len(chunk.ctxs)
@@ -401,12 +415,8 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
         groups.append((group, layout, r, up["bits"]))
 
     xs = iter(mmse_detect(channels, np.concatenate(ds), sigma2s))
-    out = []
-    for group, layout, r, bits in groups:
-        syms = np.stack([next(xs) for _ in range(T)]).take(layout.data, axis=-1)
-        bits_hat = qam_demap_hard(syms.reshape(-1), sys_.M).reshape(T, len(group), -1)
-        out.append((group, r, bits, bits_hat))
-    return out
+    return [(group, r, bits, np.stack([next(xs) for _ in range(T)]).take(layout.data, axis=-1))
+            for group, layout, r, bits in groups]
 
 
 def _sense_trial(sys_, targets, true_cells, dic, residual):
@@ -440,54 +450,69 @@ def _chunks(n_trials: int):
         yield list(range(start, min(start + _CHUNK_TRIALS, n_trials)))
 
 
-def _ber_chunk(cfg, snr_db, trials, modes):
-    """{mode: (bit_errors, n_bits)} for each trial of a chunk."""
-    rows = [{} for _ in trials]
-    for group, _, bits, bits_hat in _detect_chunk(_Chunk(cfg, trials), snr_db, modes):
-        errs = np.count_nonzero(bits_hat != bits[:, None], axis=-1).tolist()
-        for row, counts in zip(rows, errs):
-            row.update((m, (e, bits.shape[1])) for m, e in zip(group, counts))
-    return rows
+def _ber_chunk(cfg, snr_points, trials, modes):
+    """Per SNR point, {mode: (bit_errors, n_bits)} for each trial of a chunk."""
+    chunk, T = _Chunk(cfg, trials), len(trials)
+    out = []
+    for snr_db in snr_points:
+        rows = [{} for _ in trials]
+        for group, _, bits, syms in _detect_chunk(chunk, snr_db, modes):
+            bits_hat = qam_demap_hard(syms.reshape(-1), cfg.system.M).reshape(T, len(group), -1)
+            errs = np.count_nonzero(bits_hat != bits[:, None], axis=-1).tolist()
+            for row, counts in zip(rows, errs):
+                row.update((m, (e, bits.shape[1])) for m, e in zip(group, counts))
+        out.append(rows)
+    return out
 
 
-def _sense_chunk(cfg, snr_db, trials, modes):
-    """{mode: (err_r, ref_r, err_v, ref_v, index_errors)} for each trial of a
-    chunk: every mode's detection and cancellation, then 2D-OMP against one
-    dictionary per trial."""
+def _sense_chunk(cfg, snr_points, trials, modes):
+    """Per SNR point, {mode: (err_r, ref_r, err_v, ref_v, index_errors)} for
+    each trial of a chunk: every mode's detection and cancellation, then
+    2D-OMP against one dictionary per trial, built once for all SNR points."""
     sys_, k = cfg.system, cfg.frame.kappa_max
     chunk = _Chunk(cfg, trials)
-    residuals = {}
-    for group, r, _, bits_hat in _detect_chunk(chunk, snr_db, modes):
-        waveform = MODES[group[0]][0]
-        hard = qam_map(bits_hat.reshape(-1), sys_.M).reshape(bits_hat.shape[:2] + (-1,))
-        for i, mode in enumerate(group):
-            residuals[mode] = r - _transmit(sys_, chunk.layouts[waveform], waveform, hard[:, i],
-                                            [c.ul_ps for c in chunk.ctxs])
-    rows = []
-    for t, (ctx, s_dl) in enumerate(zip(chunk.ctxs, chunk.s_dl)):
-        dic = build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
-        cells = sorted(quantize_target(x.range_m, x.velocity_mps, sys_) for x in ctx.targets)
-        rows.append({m: _sense_trial(sys_, ctx.targets, cells, dic, res[t])
-                     for m, res in residuals.items()})
-    return rows
+    paths = [c.ul_ps for c in chunk.ctxs]
+    scored = [(ctx.targets,
+               sorted(quantize_target(x.range_m, x.velocity_mps, sys_) for x in ctx.targets),
+               build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N))
+              for ctx, s_dl in zip(chunk.ctxs, chunk.s_dl)]
+    out = []
+    for snr_db in snr_points:
+        residuals = {}
+        for group, r, _, syms in _detect_chunk(chunk, snr_db, modes):
+            waveform = MODES[group[0]][0]
+            hard = qam_slice(syms, sys_.M)
+            for i, mode in enumerate(group):
+                residuals[mode] = r - _transmit(sys_, chunk.layouts[waveform], waveform,
+                                                hard[:, i], paths)
+        out.append([{m: _sense_trial(sys_, targets, cells, dic, res[t])
+                     for m, res in residuals.items()}
+                    for t, (targets, cells, dic) in enumerate(scored)])
+    return out
 
 
-def _per_trial(chunk_fn, cfg, snr_db, workers: int) -> list:
-    """``chunk_fn``'s row for every trial at one SNR point, in trial order."""
-    args = [(cfg, snr_db, trials, cfg.sweep.modes) for trials in _chunks(cfg.sweep.trials)]
+def _per_snr(chunk_fn, cfg, workers: int) -> list:
+    """Per SNR point, ``chunk_fn``'s row for every trial, in trial order."""
+    sweep = cfg.sweep
+    chunks = list(_chunks(sweep.trials))
     if workers <= 1:
-        return [row for a in args for row in chunk_fn(*a)]
-    # a worker without a chunk would only add a fork and an exit
-    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-        return [row for rows in pool.map(chunk_fn, *zip(*args)) for row in rows]
+        points = zip(*(chunk_fn(cfg, sweep.snr_db, trials, sweep.modes) for trials in chunks))
+    else:
+        # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
+        points = []
+        for snr_db in sweep.snr_db:
+            # a worker without a chunk would only add a fork and an exit
+            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+                points.append([rows for rows, in pool.map(
+                    chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))])
+    return [[row for rows in point for row in rows] for point in points]
 
 
 def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """BER vs SNR for every configured mode; returns {mode: [CurvePoint]}."""
     modes = cfg.sweep.modes
     curves = {m: [] for m in modes}
-    for snr in cfg.sweep.snr_db:
-        per_trial = _per_trial(_ber_chunk, cfg, snr, workers)
+    for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_ber_chunk, cfg, workers)):
         for mode in modes:
             errs = sum(r[mode][0] for r in per_trial)
             bits = sum(r[mode][1] for r in per_trial)
@@ -505,8 +530,7 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """
     modes = cfg.sweep.modes
     curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
-    for snr in cfg.sweep.snr_db:
-        per_trial = _per_trial(_sense_chunk, cfg, snr, workers)
+    for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_sense_chunk, cfg, workers)):
         for mode in modes:
             arr = np.array([r[mode] for r in per_trial], dtype=np.float64)
             n, idx_errs = arr.shape[0], int(arr[:, 4].sum())
@@ -533,6 +557,22 @@ def write_curve_csv(points, path) -> None:
                         p.errors_counted, repr(float(p.confidence_halfwidth))])
 
 
+# the environment variables that set a BLAS library's thread count
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _blas() -> dict:
+    """The BLAS library numpy was built against, and the thread variables as
+    the environment sets them (None when unset); recorded, never changed."""
+    try:
+        lib = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:   # numpy < 1.26 has no mode argument
+        lib = {}
+    return {"name": lib.get("name"), "version": lib.get("version"),
+            "thread_env": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
+
+
 def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, workers) -> FsPath:
     out = FsPath(out_dir) / "run_manifest.json"
     with open(out, "w") as fh:
@@ -546,6 +586,7 @@ def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, wo
             "versions": {"python": platform.python_version(), "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "workers": workers,
+            "blas": _blas(),
         }, fh, indent=2, sort_keys=True)
     return out
 

@@ -123,19 +123,33 @@ def qam_map(bits: np.ndarray, M: int) -> np.ndarray:
     return (li + 1j * lq) / scale
 
 
+def _axis_index(vals: np.ndarray, m_axis: int) -> np.ndarray:
+    """Index k of the nearest level m_axis - 1 - 2k of one scaled PAM axis."""
+    return np.clip(np.round((m_axis - 1 - vals) / 2.0).astype(np.int64), 0, m_axis - 1)
+
+
 def qam_demap_hard(symbols: np.ndarray, M: int) -> np.ndarray:
     """Nearest-point hard decision; exact inverse of qam_map on clean input."""
     m_axis, bpa, scale = _axis_params(M)
     symbols = np.asarray(symbols) * scale
 
     def axis_bits(vals):
-        k = np.clip(np.round((m_axis - 1 - vals) / 2.0).astype(np.int64), 0, m_axis - 1)
-        g = _gray_encode(k)
+        g = _gray_encode(_axis_index(vals, m_axis))
         return (g[:, None] >> np.arange(bpa - 1, -1, -1)) & 1
 
     bi = axis_bits(symbols.real)
     bq = axis_bits(symbols.imag)
     return np.concatenate([bi, bq], axis=1).reshape(-1)
+
+
+def qam_slice(symbols: np.ndarray, M: int) -> np.ndarray:
+    """Nearest constellation point of each symbol, any shape: bit for bit
+    ``qam_map(qam_demap_hard(symbols, M), M)``, without the Gray bits."""
+    m_axis, _, scale = _axis_params(M)
+    symbols = np.asarray(symbols) * scale
+    li = m_axis - 1 - 2 * _axis_index(symbols.real, m_axis)
+    lq = m_axis - 1 - 2 * _axis_index(symbols.imag, m_axis)
+    return (li + 1j * lq) / scale
 
 
 def constellation(M: int) -> np.ndarray:

@@ -270,10 +270,9 @@ def test_criterion_5_ber_trends():
     # channel-induced clustering of bit errors within a trial
     ber = {m: [] for m in modes}      # aggregate BER per SNR
     trial_ber = {m: [] for m in modes}  # per-trial BER arrays per SNR
-    for snr in snrs:
-        per_trial = []
-        for chunk in _chunks(cfg.sweep.trials):
-            per_trial.extend(_ber_chunk(cfg, snr, chunk, modes))
+    per_chunk = [_ber_chunk(cfg, snrs, chunk, modes) for chunk in _chunks(cfg.sweep.trials)]
+    for point in zip(*per_chunk):
+        per_trial = [row for rows in point for row in rows]
         for m in modes:
             errs = np.array([r[m][0] for r in per_trial], dtype=np.float64)
             bits = np.array([r[m][1] for r in per_trial], dtype=np.float64)
@@ -350,7 +349,7 @@ def test_criterion_6_sensing():
     xcfg = desk_config(trials=500)
     rows = []
     for chunk in _chunks(500):
-        rows.extend(_sense_chunk(xcfg, 30.0, chunk, ("wdnoma_afdm_npe",)))
+        rows.extend(_sense_chunk(xcfg, (30.0,), chunk, ("wdnoma_afdm_npe",))[0])
     hits = sum(1 for r in rows if r["wdnoma_afdm_npe"][4] == 0)
     assert hits / 500 > 0.99, f"recovery {hits}/500"
 

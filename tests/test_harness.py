@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -365,11 +366,37 @@ def test_chunk_batching_couples_no_trials(snr_db):
     # byte-identical output for any worker count rests on this
     cfg = load_config(CONFIG)
     trials = list(range(64))
-    full = _ber_chunk(cfg, snr_db, trials, MODES)
-    assert [_ber_chunk(cfg, snr_db, [t], MODES)[0] for t in trials] == full
-    full = _sense_chunk(cfg, snr_db, trials, MODES)
+    (full,) = _ber_chunk(cfg, (snr_db,), trials, MODES)
+    assert [_ber_chunk(cfg, (snr_db,), [t], MODES)[0][0] for t in trials] == full
+    (full,) = _sense_chunk(cfg, (snr_db,), trials, MODES)
     for t in (0, 1, 31, 63):
-        assert _sense_chunk(cfg, snr_db, [t], MODES) == [full[t]]
+        assert _sense_chunk(cfg, (snr_db,), [t], MODES) == [[full[t]]]
+
+
+@pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
+def test_chunk_serves_every_snr_point_as_the_pool_calls_do(chunk_fn):
+    # the serial sweep runs every SNR point on one chunk; the pool calls the
+    # same function with one point at a time, and each point's rows agree
+    cfg = load_config(CONFIG)
+    trials, snrs = list(range(8)), (0.0, 17.5, 35.0)
+    joint = chunk_fn(cfg, snrs, trials, MODES)
+    assert joint == [chunk_fn(cfg, (snr_db,), trials, MODES)[0] for snr_db in snrs]
+
+
+def test_chunk_uplink_is_built_once_and_read_only():
+    # every SNR point of a chunk reads the same uplink; none may write to it
+    cfg = config_from_dict(small_raw())
+    chunk = _Chunk(cfg, [0, 1])
+    for waveform in ("afdm", "otfs", "ofdm"):
+        up = chunk.uplink(waveform)
+        again = chunk.uplink(waveform)
+        for key in ("bits", "r_ul"):
+            assert again[key] is up[key]
+            with pytest.raises(ValueError):
+                up[key][0, 0] = 0
+        fresh = _Chunk(cfg, [0, 1]).uplink(waveform)
+        assert np.array_equal(fresh["r_ul"], up["r_ul"])
+        assert np.array_equal(fresh["bits"], up["bits"])
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 35.0])
@@ -378,9 +405,9 @@ def test_sense_chunk_modes_couple_nothing(snr_db):
     # gets alone
     cfg = load_config(CONFIG)
     trials = list(range(8))
-    joint = _sense_chunk(cfg, snr_db, trials, MODES)
+    (joint,) = _sense_chunk(cfg, (snr_db,), trials, MODES)
     for mode in MODES:
-        alone = _sense_chunk(cfg, snr_db, trials, (mode,))
+        (alone,) = _sense_chunk(cfg, (snr_db,), trials, (mode,))
         assert [row[mode] for row in joint] == [row[mode] for row in alone]
 
 
@@ -486,9 +513,26 @@ def test_cli_ber_run_writes_files(tmp_path):
     assert manifest["master_seed"] == 12345
     assert manifest["workers"] == 1
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"]["name"] == blas["name"]
+    assert manifest["blas"]["version"] == blas["version"]
     lines = (out / "ber_wdnoma_afdm_npe.csv").read_text().splitlines()
     assert lines[0] == "snr_db,metric,trials,errors,ci_halfwidth"
     assert len(lines) == 2
+
+
+def test_manifest_records_blas_thread_env_without_setting_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["ber", "--config", str(_write_cfg(tmp_path, small_raw())), "--out", str(out),
+                 "--mode", "pdnoma_ofdm", "--snr", "10", "--trials", "1"]) == 0
+    env = json.loads((out / "run_manifest.json").read_text())["blas"]["thread_env"]
+    assert env["OPENBLAS_NUM_THREADS"] == "3"
+    assert env["MKL_NUM_THREADS"] is None
+    assert {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"} <= set(env)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_manifest_hashes_every_listed_file(tmp_path):

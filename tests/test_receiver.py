@@ -357,9 +357,8 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
 
     monkeypatch.setattr(harness, "mmse_detect", recording_mmse)
     modes = harness.MODES
-    for snr_db in (0.0, 35.0):
-        harness._ber_chunk(cfg, snr_db, [0], modes)
-    assert len(calls) == 2
+    harness._ber_chunk(cfg, (0.0, 35.0), [0], modes)
+    assert len(calls) == 2      # one per SNR point
     for channels, ds, sigma2s, out in calls:
         # one channel per waveform group, one output per mode of the group
         assert [H.waveform for H in channels] == ["afdm", "otfs", "ofdm"]

@@ -21,6 +21,7 @@ from wdnoma.waveforms import (
     otfs_mod_samples,
     qam_demap_hard,
     qam_map,
+    qam_slice,
 )
 
 rng = np.random.default_rng(11)
@@ -70,6 +71,25 @@ def test_qam_demap_is_nearest_point():
     pts = constellation(16)
     noisy = pts + 0.05 * random_complex(rng, 16)
     assert np.array_equal(qam_demap_hard(noisy, 16), qam_demap_hard(pts, 16))
+
+
+@pytest.mark.parametrize("M", [4, 16, 64, 256])
+def test_qam_slice_is_the_bit_round_trip_bit_for_bit(M):
+    # Gaussian points, every midpoint between levels (ties round half to
+    # even) and points far outside the grid (clipped to the edge levels)
+    m_axis = int(np.sqrt(M))
+    scale = np.sqrt(2.0 * (M - 1) / 3.0)
+    local = np.random.default_rng(M)
+    gauss = local.standard_normal(4000) + 1j * local.standard_normal(4000)
+    ticks = np.arange(-m_axis - 2, m_axis + 3) / scale
+    grid = (ticks[:, None] + 1j * ticks[None, :]).reshape(-1)
+    far = np.array([1e6 + 1e6j, -1e6 - 1e6j, 1e6 - 1e6j, -1e6 + 1e6j])
+    for pts in (gauss, grid, far):
+        want = qam_map(qam_demap_hard(pts, M), M)
+        assert qam_slice(pts, M).tobytes() == want.tobytes()
+    # any shape: the last axes need no flattening
+    stack = gauss.reshape(4, 10, 100)
+    assert qam_slice(stack, M).tobytes() == qam_slice(gauss, M).tobytes()
 
 
 def test_qam_rejects_bad_bit_count():
