@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import MODES, config_hash, load_config, run_and_write
@@ -34,6 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg, args):
     from dataclasses import replace
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    out = args.out
+    if args.command != "validate-config" and os.path.lexists(out) and not os.path.isdir(out):
+        raise ValueError(f"--out {out} exists and is not a directory")
     sweep = cfg.sweep
     if args.seed is not None:
         sweep = replace(sweep, master_seed=args.seed)

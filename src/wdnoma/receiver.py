@@ -117,8 +117,7 @@ def _integer_bin(doppler_norm: float, N: int, frame_len: int) -> int:
 def _prefix_length(ch: PathSet, cfg: SystemConfig, waveform: str) -> int:
     if waveform not in ("afdm", "otfs", "ofdm"):
         raise ValueError(f"unknown waveform {waveform!r}")
-    N = cfg.N
-    prefix = cfg.L_cpp if waveform == "afdm" else cfg.L_cp
+    N, prefix = cfg.N, cfg.L_cp
     if ch.max_delay > prefix:
         raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
     if ch.frame_len != N + prefix:

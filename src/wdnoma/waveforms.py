@@ -42,7 +42,7 @@ class SystemConfig:
     f_c: float
     delta_f: float
     L_cp: int
-    L_cpp: int
+    L_cpp: int          # the AFDM prefix; a config key that must equal L_cp
     chirp: ChirpParams
     N1: int
     N2: int
@@ -59,9 +59,12 @@ class SystemConfig:
         m_axis = int(round(np.sqrt(self.M)))
         if m_axis * m_axis != self.M or self.M < 4 or (self.M & (self.M - 1)) != 0:
             raise ValueError(f"M = {self.M} must be a square power of two (4, 16, 64, ...)")
-        for name, L in (("L_cp", self.L_cp), ("L_cpp", self.L_cpp)):
-            if not 0 <= L < self.N:
-                raise ValueError(f"{name} = {L} out of range [0, N)")
+        if not 0 <= self.L_cp < self.N:
+            raise ValueError(f"L_cp = {self.L_cp} out of range [0, N)")
+        # one prefix length: the AFDM (or OTFS) uplink frame aligns with the OFDM echo
+        if self.L_cpp != self.L_cp:
+            raise ValueError(f"L_cpp = {self.L_cpp} must equal L_cp = {self.L_cp} "
+                             f"so the superimposed frames align")
         # sanity: the chirp must give an integer affine shift factor
         self.chirp.shift_factor(self.N)
 
@@ -72,10 +75,6 @@ class SystemConfig:
     @property
     def frame_len_cp(self) -> int:
         return self.N + self.L_cp
-
-    @property
-    def frame_len_cpp(self) -> int:
-        return self.N + self.L_cpp
 
 
 # ---------------------------------------------------------------------------

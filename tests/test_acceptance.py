@@ -42,8 +42,8 @@ from wdnoma.harness import (
     _ber_chunk,
     _chunks,
     _sense_chunk,
+    _layouts,
     _transmit,
-    afdm_layout,
     config_from_dict,
     run_sensing,
 )
@@ -236,7 +236,7 @@ def test_criterion_3_affine_whiteness():
 def test_criterion_4_npe_accuracy():
     cfg = desk_config()
     sys_ = cfg.system
-    layout = afdm_layout(cfg)
+    layout = _layouts(cfg)["afdm"]
     worst = 0.0
     for snr_db in (5.0, 20.0, 35.0):  # sigma^2 spans 3 decades
         est_sum = ref_sum = 0.0

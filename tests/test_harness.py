@@ -11,25 +11,24 @@ import numpy as np
 import pytest
 
 from oracles import dense_afdm_mod, dense_channel, dense_ofdm_mod, dense_otfs_w, embed
+from wdnoma import harness
 from wdnoma.cli import main
 from wdnoma.harness import (
     MODES,
+    WAVEFORMS,
     _Chunk,
     _ber_chunk,
     _layouts,
     _sense_chunk,
     _transmit,
-    afdm_layout,
     config_from_dict,
     config_hash,
     draw_targets,
     load_config,
-    otfs_layout,
     run_ber,
     run_sensing,
 )
 from wdnoma.channel import target_to_path
-from wdnoma.frame import full_grid_layout
 from wdnoma.waveforms import qam_map
 
 ROOT = Path(__file__).parent.parent
@@ -264,10 +263,10 @@ def test_config_hash_is_content_addressed():
 
 def test_layouts_from_config():
     cfg = config_from_dict(small_raw())
-    af = afdm_layout(cfg)
+    af = _layouts(cfg)["afdm"]
     # K2 = 32 minus edges, kappa_max = 1 and a 2-tap delay-coupled spread of 6
     assert af.npe_window.size == 22
-    ot = otfs_layout(cfg)
+    ot = _layouts(cfg)["otfs"]
     # OTFS carries the same 192-symbol payload as AFDM
     assert ot.n_data == af.n_data == 192
 
@@ -322,9 +321,8 @@ def test_layout_cache_is_read_only_and_exact():
     cfg = config_from_dict(small_raw())
     layouts = _layouts(cfg)
     assert _layouts(config_from_dict(small_raw())) is layouts
-    fresh = {"afdm": afdm_layout(cfg), "otfs": otfs_layout(cfg),
-             "ofdm": full_grid_layout(cfg.system.N)}
-    assert layouts.keys() == fresh.keys()
+    fresh = {w: entry.layout(cfg) for w, entry in WAVEFORMS.items()}
+    assert layouts.keys() == fresh.keys() == {"afdm", "otfs", "ofdm"}
     for waveform, layout in layouts.items():
         for name in ("data", "npe_window"):
             arr = getattr(layout, name)
@@ -358,6 +356,28 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
         H = dense_channel(ps.frame_len, [(p.gain, p.delay_samples, p.doppler_norm)
                                          for p in ps.paths])
         assert np.max(np.abs(row - H @ mod @ embed(x, layout))) < 1e-10
+
+
+KERNELS = tuple(f"{w}_{op}_samples" for w in WAVEFORMS for op in ("mod", "demod"))
+
+
+@pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
+def test_waveform_table_calls_each_kernel_by_its_harness_name(chunk_fn, monkeypatch):
+    # the benchmark's tracer wraps these six names on harness; a table that
+    # held the functions themselves would bypass the wrappers
+    calls = dict.fromkeys(KERNELS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    chunk_fn(load_config(CONFIG), (10.0,), [0, 1], MODES)
+    calls["ofdm_mod_samples"] -= 1      # the chunk's downlink, sent outside the table
+    assert min(calls.values()) > 0, calls
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 35.0])
@@ -500,6 +520,28 @@ def test_cli_validate_config(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate-config", "--config", str(pb)]) == 2
     assert "config error: missing keys in sweep: ['trials']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, monkeypatch, workers):
+    # a config error before any sweep starts, not a serial run with a bogus manifest
+    monkeypatch.setattr("wdnoma.cli.run_and_write", lambda *a, **k: pytest.fail("swept"))
+    out = tmp_path / "out"
+    assert main(["ber", "--config", str(CONFIG), "--out", str(out), "--workers", workers]) == 2
+    assert f"config error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_out_that_is_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("wdnoma.cli.run_and_write", lambda *a, **k: pytest.fail("swept"))
+    out = tmp_path / "out"
+    out.write_text("kept")
+    for command in ("ber", "sense", "stats"):
+        assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+    # validate-config writes nothing, so --out does not matter to it
+    assert main(["validate-config", "--config", str(CONFIG), "--out", str(out)]) == 0
 
 
 def test_cli_ber_run_writes_files(tmp_path):

@@ -99,3 +99,19 @@ def test_cli_import_loads_no_scipy_stats_or_constants():
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_harness_has_no_per_waveform_branch():
+    # a comparison with a waveform's name is a dispatch outside the WAVEFORMS
+    # table; the harness looks the waveform up in the table instead
+    tree = ast.parse((SRC / "harness.py").read_text(), filename="harness.py")
+    owner = {}   # Compare node -> innermost enclosing function (walk is outer first)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    found = sorted(
+        (owner.get(id(node), "<module>"), node.lineno)
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        for side in (node.left, *node.comparators) for c in ast.walk(side)
+        if isinstance(c, ast.Constant) and c.value in ("afdm", "otfs", "ofdm"))
+    assert found == []

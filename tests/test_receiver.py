@@ -35,7 +35,7 @@ def _paths_as_tuples(ps):
 
 def test_equivalent_channel_identity():
     cfg = make_cfg()
-    ps = PathSet((path_from_bin(1.0, 0, 0, cfg.N, cfg.frame_len_cpp),), cfg.frame_len_cpp)
+    ps = PathSet((path_from_bin(1.0, 0, 0, cfg.N, cfg.frame_len_cp),), cfg.frame_len_cp)
     H = build_equivalent_channel(ps, cfg).matrix
     assert np.max(np.abs(H - np.eye(cfg.N))) < 1e-10
 

@@ -122,6 +122,9 @@ def test_prefix_length_validation():
         cfg(4, -1)
     with pytest.raises(ValueError):
         cfg(4, 8)
+    # in range but unequal: the superimposed frames would not align
+    with pytest.raises(ValueError, match="align"):
+        cfg(2, 3)
 
 
 def test_shift_factor_validation():

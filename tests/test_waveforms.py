@@ -9,15 +9,13 @@ from oracles import (
     dense_otfs_w,
     random_complex,
 )
+from wdnoma import harness
 from wdnoma.transforms import ChirpParams
 from wdnoma.waveforms import (
     SystemConfig,
-    afdm_demod_samples,
     afdm_mod_samples,
     constellation,
-    ofdm_demod_samples,
     ofdm_mod_samples,
-    otfs_demod_samples,
     otfs_mod_samples,
     qam_demap_hard,
     qam_map,
@@ -142,15 +140,10 @@ DOMAINS = ("frequency", "affine", "delay_doppler")
 
 
 def _mod_demod(cfg, waveform):
-    """The waveform's modulator and demodulator with its prefix."""
-    return {
-        "ofdm": (lambda X: ofdm_mod_samples(X, cfg.L_cp),
-                 lambda r: ofdm_demod_samples(r, cfg.L_cp)),
-        "afdm": (lambda X: afdm_mod_samples(X, cfg.chirp, cfg.L_cpp),
-                 lambda r: afdm_demod_samples(r, cfg.chirp, cfg.L_cpp)),
-        "otfs": (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, cfg.L_cp),
-                 lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, cfg.L_cp)),
-    }[waveform]
+    """The waveform's modulator and demodulator with its prefix, from the
+    table the sweeps transmit and detect with."""
+    entry = harness.WAVEFORMS[waveform]
+    return (lambda X: entry.mod(X, cfg)), (lambda r: entry.demod(r, cfg))
 
 
 @pytest.mark.parametrize("waveform", WAVEFORMS, ids=[
@@ -209,4 +202,3 @@ def test_config_derived_quantities():
     cfg = make_cfg(N=16, L=4)
     assert cfg.sample_rate == 16 * 30e3
     assert cfg.frame_len_cp == 20
-    assert cfg.frame_len_cpp == 20
