@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -33,6 +34,7 @@ import scipy
 
 from . import __version__
 from .channel import (
+    SPEED_OF_LIGHT,
     PathSet,
     PhysicalTarget,
     apply_dd_channel_samples,
@@ -175,6 +177,11 @@ class ExperimentConfig:
         if ch.target_count > cells:
             raise ValueError(f"target_count = {ch.target_count} exceeds the {cells} "
                              f"delay-Doppler cells of the range/velocity box")
+        p_fail = _target_draw_failure(self)
+        if p_fail > 1e-9:
+            raise ValueError(f"target_count = {ch.target_count}: the targets fall in distinct "
+                             f"cells too rarely; a trial fails all {_TARGET_DRAWS} draws with "
+                             f"probability {p_fail:.2g}")
         # fail early if the guard layouts are inconsistent; this also fills the cache
         _layouts(self)
 
@@ -289,6 +296,35 @@ def _layouts(cfg: ExperimentConfig):
 # Per-trial simulation
 # ---------------------------------------------------------------------------
 
+_TARGET_DRAWS = 1000    # draws of a trial's targets before draw_targets gives up
+
+
+def _bin_fractions(lo: float, hi: float, width: float) -> np.ndarray:
+    """Fraction of [lo, hi] that rounds to each integer bin of x / width,
+    lowest bin first; all of it when the interval is a point."""
+    if hi == lo:
+        return np.ones(1)
+    edges = (np.arange(round(lo / width), round(hi / width) + 2) - 0.5) * width
+    return np.diff(np.clip(edges, lo, hi)) / (hi - lo)
+
+
+def _target_draw_failure(cfg: ExperimentConfig) -> float:
+    """Probability that draw_targets finds no distinct cells for one trial's
+    k targets in _TARGET_DRAWS draws. Quantization is separable, so a cell's
+    probability p is its range fraction times its velocity fraction, and k
+    uniform targets fall in distinct cells with probability k! e_k(p), e_k
+    the elementary symmetric polynomial."""
+    sys_, ch, k = cfg.system, cfg.channel, cfg.channel.target_count
+    # quantize_target rounds 2 r fs / c to a delay and 2 f_c v / (c delta_f) to a bin
+    p_range = _bin_fractions(*ch.range_bounds, SPEED_OF_LIGHT / (2.0 * sys_.sample_rate))
+    p_vel = _bin_fractions(*ch.velocity_bounds, SPEED_OF_LIGHT * sys_.delta_f / (2.0 * sys_.f_c))
+    e = np.zeros(k + 1)
+    e[0] = 1.0
+    for p in np.outer(p_range, p_vel).ravel():
+        e[1:] += e[:-1] * p
+    return max(0.0, 1.0 - math.factorial(k) * e[k]) ** _TARGET_DRAWS
+
+
 def _rng(seed: int, trial: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, _RNG_TAGS[tag])))
 
@@ -300,7 +336,7 @@ def draw_targets(cfg: ExperimentConfig, trial: int):
     rng = _rng(cfg.sweep.master_seed, trial, "targets")
     lo_r, hi_r = cfg.channel.range_bounds
     lo_v, hi_v = cfg.channel.velocity_bounds
-    for _ in range(1000):
+    for _ in range(_TARGET_DRAWS):
         out = []
         for _ in range(cfg.channel.target_count):
             gain = np.exp(2j * np.pi * rng.uniform())
@@ -361,24 +397,30 @@ class _Chunk:
         self._uplinks = {}
 
     def uplink(self, waveform: str):
-        """Transmit bits (T, n_bits) and received uplink signals (T, L) for one
-        waveform, built on the first call; every SNR point shares them, so read-only."""
+        """For one waveform: the transmit bits (T, n_bits), the received uplink
+        signals (T, L), its power p_ul, the (T, 1) echo amplitudes g that put
+        the echo echo_power_offset_db below p_ul, and the echo's mean power per
+        bin (T,). Built on the first call; every SNR point shares them, so read-only."""
         if waveform not in self._uplinks:
             sys_ = self.cfg.system
             layout = self.layouts[waveform]
             bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
             syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
             r_ul = _transmit(sys_, layout, waveform, syms, [c.ul_ps for c in self.ctxs])
-            bits.flags.writeable = r_ul.flags.writeable = False
-            self._uplinks[waveform] = {"bits": bits, "r_ul": r_ul, "p_ul": layout.n_data / sys_.N}
+            p_ul = layout.n_data / sys_.N
+            g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
+            echo_bin_power = np.mean(np.abs(g * self.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
+            for a in (bits, r_ul, g, echo_bin_power):
+                a.flags.writeable = False
+            self._uplinks[waveform] = {"bits": bits, "r_ul": r_ul, "p_ul": p_ul, "g": g,
+                                       "echo_bin_power": echo_bin_power}
         return self._uplinks[waveform]
 
     def compose(self, up, snr_db: float):
-        """(T, L) uplink plus echo plus noise at ``snr_db``, sigma2, and the (T, 1)
-        echo amplitudes g that put the echo echo_power_offset_db below p_ul."""
-        p_ul = up["p_ul"]
-        sigma2 = p_ul * 10.0 ** (-snr_db / 10.0)
-        g = 10.0 ** (self.cfg.system.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
+        """(T, L) uplink plus echo plus noise at ``snr_db``, sigma2, and the echo
+        amplitudes g."""
+        sigma2 = up["p_ul"] * 10.0 ** (-snr_db / 10.0)
+        g = up["g"]
         return up["r_ul"] + g * self.r_dl + np.sqrt(sigma2) * self.noise_unit, sigma2, g
 
 
@@ -398,10 +440,9 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
             continue
         layout = chunk.layouts[waveform]
         up = chunk.uplink(waveform)
-        r, sigma2, g = chunk.compose(up, snr_db)
+        r, sigma2, _ = chunk.compose(up, snr_db)
         d = entry.demod(r, sys_)
-        echo_bin_power = np.mean(np.abs(g * chunk.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
-        noise = {"sigma2": np.full(T, sigma2), "sigma2+echo": sigma2 + echo_bin_power}
+        noise = {"sigma2": np.full(T, sigma2), "sigma2+echo": sigma2 + up["echo_bin_power"]}
         if any(MODES[m][1] == "npe" for m in group):
             noise["npe"] = estimate_noise_power(d, layout)
         sigma2s.extend(np.column_stack([noise[MODES[m][1]] for m in group]))
@@ -486,6 +527,12 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     return out
 
 
+def _check_workers(workers) -> None:
+    # bool is an int subclass, but true/false are not a process count
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _per_snr(chunk_fn, cfg, workers: int) -> list:
     """Per SNR point, ``chunk_fn``'s row for every trial, in trial order."""
     sweep = cfg.sweep
@@ -505,6 +552,7 @@ def _per_snr(chunk_fn, cfg, workers: int) -> list:
 
 def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """BER vs SNR for every configured mode; returns {mode: [CurvePoint]}."""
+    _check_workers(workers)
     modes = cfg.sweep.modes
     curves = {m: [] for m in modes}
     for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_ber_chunk, cfg, workers)):
@@ -523,6 +571,7 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     Returns {(mode, "velocity"|"distance"): [CurvePoint]}.
     """
+    _check_workers(workers)
     modes = cfg.sweep.modes
     curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
     for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_sense_chunk, cfg, workers)):
@@ -588,6 +637,7 @@ def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, wo
 
 def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> list:
     """Execute one subcommand end to end and write CSVs plus the manifest."""
+    _check_workers(workers)
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()

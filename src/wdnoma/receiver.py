@@ -19,17 +19,30 @@ equations in a unitary change of basis. With the distinct path delays
 l_1 < ... < l_D, A = H_t^H H_t + sigma2 I is a cyclic band of half-width
 b = l_D - l_1: A[j, (j + o) mod N] is nonzero only for |o| <= b, the same
 for every Doppler draw. The band and H_t^H T^H d are built once per channel
-from its per-delay tap vectors. Each system keeps its last b unknowns as a
-border, which holds every wrapped (corner) entry, so its leading
-(N - b) x (N - b) block is a plain Hermitian band. The leading blocks of
-all systems of a call lie side by side in one block-diagonal band with zero
-coupling, factored by one LAPACK banded Cholesky (``pbtrf``) and solved by
-one triangular band solve (``tbtrs``) per direction; the b x b Schur
-complements are solved as one batch. Both routines work column by column,
-and a zero coupling entry only adds an exact zero to an update, so every
-block gets the operations, in the order, it gets when solved alone: the
-batch is bit for bit a loop of single solves, in O(b^2 N) work per system.
-One b per call is why the channels of a call must share their delays.
+from its per-delay tap vectors, each extended cyclically so that every shift
+by a delay is a slice, and then gathered to the channel's systems. Each
+system keeps its last b unknowns as a border, which holds every wrapped
+(corner) entry, so its leading (N - b) x (N - b) block is a plain Hermitian
+band. The leading blocks of all systems of a call lie side by side in one
+block-diagonal band with zero coupling, factored by one LAPACK banded
+Cholesky (``pbtrf``) and solved by one triangular band solve (``tbtrs``)
+per direction; the b x b Schur complements are solved as one batch. Both
+routines work column by column, and a zero coupling entry only adds an
+exact zero to an update, so every block gets the operations, in the order,
+it gets when solved alone: the batch is bit for bit a loop of single
+solves, in O(b^2 N) work per system. One b per call is why the channels of
+a call must share their delays.
+
+Work arrays. Every large array of the solve (the tap stack, the bands, the
+right-hand sides, the factor, the Schur terms and the time-domain
+solutions) is a view of one of six per-thread buffers, each grown to the
+largest call seen and reused by every later call, so steady sweeps map no
+new pages; threads never share one. The arrays formed after the bands reuse
+the buffers of those that are dead by then. Only the solutions returned are
+fresh. The transforms T^H and T run in row blocks of 2048 samples, so
+their temporaries stay small and reuse freed memory. The buffers hold
+about 1 MB for the benchmark's 4-trial desk chunk (20 systems) and 15.4 MB
+for the CLI's 64-trial desk chunk (320 systems).
 
 Every pinned curve comes from this formulation. Squaring H squares its
 condition number, but in every sweep mode sigma2 stays bounded away from
@@ -42,6 +55,8 @@ stacked least-squares oracle in the tests, not by this solver.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,70 +163,119 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
     """
     N = cfg.N
     prefix = _prefix_length(ch, cfg, waveform)
-    prefix_phase = (cpp_prefix_phases(N, prefix, cfg.chirp.c1) if waveform == "afdm"
-                    else np.ones(prefix))
     delays = tuple(sorted({p.delay_samples for p in ch.paths}))
     taps = np.zeros((len(delays), N), dtype=np.complex128)
     for p in ch.paths:
         l = p.delay_samples
         val = p.gain * _tap_phases(N, prefix, l, _integer_bin(p.doppler_norm, N, ch.frame_len))
-        val[:l] *= prefix_phase[prefix - l:]   # core samples i < l read the prefix
+        if l and waveform == "afdm":    # core samples i < l read the chirp-periodic prefix
+            val[:l] *= cpp_prefix_phases(N, prefix, cfg.chirp.c1)[prefix - l:]
         taps[delays.index(l)] += val
     return EquivalentChannel(cfg=cfg, waveform=waveform, delays=delays, taps=taps)
 
 
 _pbtrf, _tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.complex128)
 
+_work = threading.local()       # each thread's work arrays, see _work_array
+_BLOCK = 1 << 11                # samples per row block of a transform in mmse_detect
+
+
+def _work_array(name: str, shape) -> np.ndarray:
+    """A complex work array of ``shape`` with undefined contents: a view of
+    this thread's buffer ``name``, which grows to the largest size asked for
+    and serves every later call, so steady calls map no new pages. No view
+    of it may outlive the call that asked for it."""
+    size = math.prod(shape)
+    buf = getattr(_work, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.complex128)
+        setattr(_work, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _gather(src, owner, axis: int, via: str, into: str) -> np.ndarray:
+    """np.take(src, owner, axis) in the work array ``into``, which may be the
+    buffer src views. np.take copies a non-contiguous source to a fresh
+    array, so src is first copied to the work array ``via``."""
+    flat = _work_array(via, src.shape)
+    flat[...] = src
+    shape = src.shape[:axis] + (len(owner),) + src.shape[axis + 1:]
+    return np.take(flat, owner, axis=axis, out=_work_array(into, shape), mode="clip")
+
 
 def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     """Solve (H_t^H H_t + s2 I) z = H_t^H y for each system s, whose channel
-    (H_t and y) is owner[s]; returns the (S, N) solutions. ab[s, k, b - o] =
-    A[k - o, k] stores the leading blocks; read as one (b + 1, S n) Fortran
-    array it holds them side by side with no coupling. rb[0, c] = H_t^H y and
-    rb[1 + j, c, i] = A0[i, n + j], the border columns of channel c.
+    (H_t and the row of y) is owner[s]; returns the (S, N) solutions in the
+    buffer of y. y is the work array "y", each row extended cyclically by
+    the largest delay l_D, so that a shift by a delay is a slice.
+
+    band[b - o, c, k] = A0[k - o, k] holds the Gram band of channel c, and
+    ab[s, k, b - o] the leading block of system s; read as one
+    (b + 1, S n) Fortran array, ab holds the blocks side by side with no
+    coupling. rb[0, c] = H_t^H y and rb[1 + j, c, i] = A0[i, n + j], the
+    border columns of channel c. Once the bands and right-hand sides are
+    formed, the solve's arrays reuse the buffers of the taps, their
+    products and y, and each gather lands in the buffer of its source.
     """
-    delays, N = channels[0].delays, y.shape[-1]
-    taps = np.stack([H.taps for H in channels])             # (C, D, N)
-    # upper half of H_t^H H_t: entry [j, (j + o) mod N] = band[o][:, j],
-    # summed over the delay pairs with l_a - l_c = o >= 0
-    band = {}
-    for a, la in enumerate(delays):
-        conj_a = taps[:, a].conj()
-        for q, lc in enumerate(delays[:a + 1]):
-            band[la - lc] = band.get(la - lc, 0) + np.roll(conj_a * taps[:, q], -la, axis=-1)
-    b = max(band)
+    delays, C, S = channels[0].delays, len(channels), s2.size
+    D, N = len(delays), y.shape[-1] - delays[-1]
+    b = delays[-1] - delays[0]
     n = N - b
-    S = s2.size
-    rb = np.zeros((b + 1, len(channels), N), dtype=np.complex128)
-    rb[0] = sum(np.roll(taps[:, q].conj() * y, -l, axis=-1) for q, l in enumerate(delays))
-    del taps, conj_a, y     # free each array once used: the per-system ones are larger
-    # with 2b >= N several offsets share a border entry
+    # taps[c, q, i] = H_t[i, i - l_q], i cyclic, and one conj for band and right-hand side
+    taps = _work_array("taps", (C, D, N + delays[-1]))
+    np.stack([H.taps for H in channels], out=taps[..., :N])
+    taps[..., N:] = taps[..., :delays[-1]]
+    taps_c = np.conjugate(taps, out=_work_array("taps_c", taps.shape))
+    prod = _work_array("prod", (C, N))
+    # upper half of H_t^H H_t: A0[j, (j + o) mod N] sums, over the delay pairs
+    # (a, q) with l_a - l_q = o >= 0, conj(taps[a, j + l_a]) taps[q, j + l_a]
+    band = _work_array("band", (b + 1, C, N + b))
+    band.fill(0)
+    for a, la in enumerate(delays):
+        for q, lq in enumerate(delays[:a + 1]):
+            band[b - la + lq, :, la - lq:la - lq + N] += np.multiply(
+                taps_c[:, a, la:la + N], taps[:, q, la:la + N], out=prod)
+    rb = _work_array("rhs", (b + 1, C, N))
+    rb.fill(0)
+    for q, l in enumerate(delays):
+        rb[0] += np.multiply(taps_c[:, q, l:l + N], y[:, l:l + N], out=prod)
+    # with 2b >= N several offsets share a border entry; each offset once, first seen first
     k = np.arange(n, N)
-    for o, v in band.items():
+    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
         rows = (k - o) % N
-        rb[1 + k - n, :, rows] += v[:, rows].T                  # A0[k - o, k]
+        rb[1 + k - n, :, rows] += band[b - o, :, rows + o]             # A0[k - o, k]
         if o:   # A0[k + o, k] = conj(A0[k, k + o])
-            rb[1 + k - n, :, (k + o) % N] += v[:, k].T.conj()
-    ab = np.zeros((S, n, b + 1), dtype=np.complex128)
-    for o, v in band.items():
-        ab[:, o:, b - o] = v[owner, :max(n - o, 0)]
-    ab[:, :, b] += s2[:, None]
-    del band, v
+            rb[1 + k - n, :, (k + o) % N] += band[b - o, :, k + o].conj()
+    ab = _gather(band[..., :n].transpose(1, 2, 0), owner, 0, via="taps", into="band")
+    # the diagonal sums conj(t) t, whose imaginary part t_r t_i - t_i t_r is +0
+    ab[:, :, b].real += s2[:, None]
     c, info = _pbtrf(ab.reshape(S * n, b + 1).T, overwrite_ab=1)    # A11 = U^H U
     if info > 0:      # a leading minor is not positive definite
         raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2[(info - 1) // n]}")
     # U^{-H} [rhs_1, A12] in one triangular band solve; the Schur complement
     # is then A22 + s2 I - W^H W
-    head, tail = np.take(rb[..., :n], owner, axis=1), rb[:, owner, n:]
-    del rb
+    tail = rb[:, owner, n:]
+    head = _gather(rb[..., :n], owner, 1, via="taps", into="rhs")
     w = _tbtrs(c, head.reshape(b + 1, S * n).T, trans="C", overwrite_b=1)[0].T.reshape(head.shape)
     w1, W = w[0, :, :, None], w[1:].transpose(1, 2, 0)
-    Wh = W.conj().transpose(0, 2, 1)
+    Wh = np.conjugate(W, out=_work_array("taps_c", (b, S, n)).transpose(1, 2, 0))
+    Wh = Wh.transpose(0, 2, 1)
     x2 = np.linalg.solve(tail[1:].transpose(1, 2, 0) + s2[:, None, None] * np.eye(b) - Wh @ W,
                          tail[0, :, :, None] - Wh @ w1)
-    del Wh
-    x1, _ = _tbtrs(c, (w1 - W @ x2).reshape(S * n, 1), overwrite_b=1)
-    return np.concatenate((x1.reshape(S, n), x2[:, :, 0]), axis=1)
+    v = np.matmul(W, x2, out=_work_array("prod", (S, n, 1)))
+    x1, _ = _tbtrs(c, np.subtract(w1, v, out=v).reshape(S * n, 1), overwrite_b=1)
+    z = _work_array("y", (S, N))
+    z[:, :n], z[:, n:] = x1.reshape(S, n), x2[:, :, 0]
+    return z
+
+
+def _rowwise(fn, src, dst) -> None:
+    """dst = fn(src) for a transform fn along the last axis, in blocks of
+    rows small enough that fn's temporaries stay in cache and reuse freed
+    memory instead of new pages."""
+    step = max(1, _BLOCK // src.shape[-1])
+    for i in range(0, len(src), step):
+        dst[i:i + step] = fn(src[i:i + step])
 
 
 def mmse_detect(channels, ds, sigma2s) -> list:
@@ -236,7 +300,7 @@ def mmse_detect(channels, ds, sigma2s) -> list:
         raise ValueError(f"{C} {N}x{N} channels need {C} signals of length {N} and "
                          f"{C} lists of noise variances, got signals of shape {ds.shape}")
     counts = [len(s) for s in sigma2s]
-    s2 = np.array([s for ss in sigma2s for s in ss], dtype=np.float64)
+    s2 = np.concatenate(sigma2s, dtype=np.float64)
     if np.any(s2 < 0):
         raise ValueError("noise variances must be non-negative")
     bounds = np.cumsum([0] + counts)            # systems of channel i: bounds[i]:bounds[i + 1]
@@ -245,8 +309,12 @@ def mmse_detect(channels, ds, sigma2s) -> list:
     starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
     runs = [(lo, hi, *_mod_demod_fns(*keys[lo]))
             for lo, hi in zip(starts, starts[1:])]
-    y = [to_time(ds[lo:hi]) for lo, hi, to_time, _ in runs]
-    z = _solve_stacked(channels, np.concatenate(y), np.repeat(np.arange(C), counts), s2)
-    x = np.concatenate([from_time(z[bounds[lo]:bounds[hi]]) for lo, hi, _, from_time in runs])
-    return np.split(x, bounds[1:-1])
-
+    y = _work_array("y", (C, N + delays[-1]))
+    for lo, hi, to_time, _ in runs:
+        _rowwise(to_time, ds[lo:hi], y[lo:hi, :N])
+    y[:, N:] = y[:, :delays[-1]]
+    z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
+    x = np.empty(z.shape, dtype=np.complex128)
+    for lo, hi, _, from_time in runs:
+        _rowwise(from_time, z[bounds[lo]:bounds[hi]], x[bounds[lo]:bounds[hi]])
+    return [x[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -25,10 +25,11 @@ from wdnoma.harness import (
     config_hash,
     draw_targets,
     load_config,
+    run_and_write,
     run_ber,
     run_sensing,
 )
-from wdnoma.channel import target_to_path
+from wdnoma.channel import quantize_target, target_to_path
 from wdnoma.waveforms import qam_map
 
 ROOT = Path(__file__).parent.parent
@@ -247,10 +248,33 @@ def test_config_rejects_duplicate_modes(capsys):
 def test_config_rejects_more_targets_than_cells():
     # desk's box quantizes to delays 0..3 and Doppler bins 0..1: 8 cells;
     # 50 targets used to fail mid-sweep after draw_targets' 1000 redraws
-    assert config_from_dict(small_raw(channel={"target_count": 8})).channel.target_count == 8
+    assert config_from_dict(small_raw(channel={"target_count": 5})).channel.target_count == 5
     for count in (9, 50):
-        with pytest.raises(ValueError, match="target_count"):
+        with pytest.raises(ValueError, match=f"target_count = {count} exceeds the 8"):
             config_from_dict(small_raw(channel={"target_count": count}))
+
+
+@pytest.mark.parametrize("count, p_fail", [(6, "2.7e-09"), (7, "0.14"), (8, "0.93")])
+def test_config_rejects_target_counts_that_exhaust_the_redraws(count, p_fail):
+    # 8 cells, but the edge cells are slivers of the box (delay 3 covers only
+    # 48.8-50 m): 7 targets parsed, then 13 of trials 0-99 raised mid-sweep
+    with pytest.raises(ValueError, match=f"target_count = {count}: .* probability {p_fail}$"):
+        config_from_dict(small_raw(channel={"target_count": count}))
+
+
+def test_target_draw_failure_matches_sampling():
+    # k! e_k(p) against the empirical rate of distinct cells over 4000 draws of
+    # 5 targets in the desk box; the shipped config (2 targets) keeps its hash
+    cfg = config_from_dict(small_raw(channel={"target_count": 5}))
+    rng = np.random.default_rng(3)
+    r = rng.uniform(*cfg.channel.range_bounds, (4000, 5))
+    v = rng.uniform(*cfg.channel.velocity_bounds, (4000, 5))
+    distinct = np.mean([len({quantize_target(a, b, cfg.system) for a, b in zip(rr, vv)}) == 5
+                        for rr, vv in zip(r, v)])
+    p = 1.0 - harness._target_draw_failure(cfg) ** (1.0 / harness._TARGET_DRAWS)
+    assert abs(distinct - p) < 4 * math.sqrt(p * (1 - p) / 4000)
+    assert config_hash(load_config(CONFIG)) == \
+        "67c31b3dc9e67ed3280b8cc92c2b20bc52dbdb81437053f0b35d4c1dc48e1944"
 
 
 def test_config_hash_is_content_addressed():
@@ -449,6 +473,20 @@ def test_run_ber_worker_count_invariance():
     for mode in a:
         assert [(p.metric, p.errors_counted) for p in a[mode]] == \
                [(p.metric, p.errors_counted) for p in b[mode]]
+
+
+@pytest.mark.parametrize("workers", [0, -2, True, 1.5, "2", None])
+def test_sweeps_reject_bad_workers_before_any_work(tmp_path, monkeypatch, workers):
+    # run_and_write(..., workers=-2) ran serially and wrote "workers": -2 to the manifest
+    monkeypatch.setattr(harness, "_per_snr", lambda *a, **k: pytest.fail("swept"))
+    cfg = config_from_dict(small_raw())
+    for sweep in (run_ber, run_sensing):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            sweep(cfg, workers=workers)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_and_write("ber", cfg, out, workers=workers)
+    assert not out.exists()
 
 
 def test_pool_starts_no_idle_workers(monkeypatch):

@@ -1,6 +1,10 @@
 """Receiver tests: equivalent channel vs dense oracle, NPE, MMSE, and
 cancellation by the sweep's uplink transmitter."""
 
+import json
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +370,117 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
         for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
             for s2, x in zip(s2s, xs):
                 assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+def _desk_raw(**system):
+    """configs/desk.json with system and frame fields overridden."""
+    raw = json.loads((Path(__file__).parent.parent / "configs" / "desk.json").read_text())
+    for key, value in system.items():
+        raw["frame" if key in raw["frame"] else "system"][key] = value
+    return raw
+
+
+def _recorded_call(raw, trials, modes):
+    """The (channels, ds, sigma2s) of the one mmse_detect call of a _ber_chunk at 10 dB."""
+    calls, real = [], harness.mmse_detect
+    harness.mmse_detect = lambda *args: calls.append(args) or real(*args)
+    try:
+        harness._ber_chunk(harness.config_from_dict(raw), (10.0,), list(range(trials)), modes)
+    finally:
+        harness.mmse_detect = real
+    (call,) = calls
+    return call
+
+
+@pytest.fixture(scope="module")
+def sweep_calls():
+    """mmse_detect inputs of the sweeps' shapes, by name and system count S;
+    paper is desk at the sizes of perfbench/paper.json (N = 1024)."""
+    desk, paper = _desk_raw(), _desk_raw(N=1024, L_cp=64, L_cpp=64, N1=32, N2=32, K1=64, K2=64)
+    modes = tuple(harness.MODES)
+    return {"desk_20": _recorded_call(desk, 4, modes),
+            "desk_otfs_4": _recorded_call(desk, 4, ("wdnoma_otfs_npe",)),
+            "paper_5": _recorded_call(paper, 1, modes),
+            "desk_320": _recorded_call(desk, 64, modes)}
+
+
+def _same(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+def _in_new_thread(fn, *args):
+    """fn(*args) in a thread of its own: one that has no work arrays yet, as in a fresh process."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def test_mmse_work_arrays_serve_interleaved_shapes(sweep_calls):
+    fresh = {name: _in_new_thread(mmse_detect, *call) for name, call in sweep_calls.items()}
+    assert [len(x) for x in fresh["desk_20"]] == [3] * 4 + [1] * 8
+    for name in ("desk_20", "desk_otfs_4", "paper_5", "desk_320", "desk_20"):
+        assert _same(mmse_detect(*sweep_calls[name]), fresh[name]), name
+
+
+def test_mmse_solutions_are_not_work_arrays(sweep_calls):
+    call = sweep_calls["desk_20"]
+    want = [x.copy() for x in mmse_detect(*call)]
+    first = mmse_detect(*call)
+    for x in first:
+        x[...] = np.nan
+    assert _same(mmse_detect(*call), want)
+    # and the later call wrote nothing into the earlier call's solutions
+    assert all(np.isnan(x).all() for x in first)
+
+
+def test_mmse_is_exact_after_a_singular_system(sweep_calls):
+    call = sweep_calls["desk_20"]
+    want = mmse_detect(*call)
+    zero = _channel(call[0][0].cfg, [(0.0, 0, 0), (0.0, 1, 0), (0.0, 2, 0)])
+    for _ in range(2):   # the failed factorization leaves its work arrays half written
+        with pytest.raises(np.linalg.LinAlgError):
+            mmse_detect([call[0][0], zero], call[1][:2], [[0.1], [0.0]])
+        assert _same(mmse_detect(*call), want)
+
+
+def test_mmse_threads_keep_their_own_work_arrays(sweep_calls):
+    names = ("desk_20", "paper_5", "desk_otfs_4")
+    want = {name: mmse_detect(*sweep_calls[name]) for name in names}
+    start, got = threading.Barrier(2), {}
+
+    def run(order):
+        start.wait()
+        got[order] = [mmse_detect(*sweep_calls[name]) for name in order * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often, inside the solves
+    try:
+        threads = [threading.Thread(target=run, args=(order,)) for order in (names, names[::-1])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for order, results in got.items():
+        assert all(_same(x, want[name]) for name, x in zip(order * 3, results))
+    assert len(got) == 2
+
+
+def test_mmse_steady_state_allocates_little(sweep_calls):
+    # a 64-trial desk chunk: 320 systems of N = 256 whose solutions take 1.3 MB;
+    # the solve used to peak at 12.5 MB of fresh temporaries
+    call = sweep_calls["desk_320"]
+    mmse_detect(*call)
+    tracemalloc.start()
+    try:
+        mmse_detect(*call)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 def _layout_and_cfg():
