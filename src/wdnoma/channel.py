@@ -104,27 +104,57 @@ def doppler_ramp(doppler_norm: float, L: int) -> np.ndarray:
     return v
 
 
-def apply_dd_channel_samples(s: np.ndarray, ch) -> np.ndarray:
-    """Apply the delay-Doppler channel along the last (time) axis; O(P*L),
-    no matrix materialized. ``ch`` is one PathSet for every frame of ``s``, or
-    one PathSet per row of a 2-D ``s``, all with one path count; each row gets
-    the element-wise operations of its own single-frame call."""
+@dataclass(frozen=True)
+class PreparedChannels:
+    """Delay-Doppler channels of one path count as arrays: for each path q,
+    gains[q] (R, 1) and the Doppler ramps ramps[q] (R, L), one row per
+    channel, and src[q] (R L,), where output sample i of row r reads sample
+    src[q, r L + i] of the R rows laid end to end. Built once by
+    ``prepare_channels``, it serves every later ``apply_dd_channel_samples``."""
+    gains: np.ndarray
+    ramps: np.ndarray
+    src: np.ndarray
+
+
+def prepare_channels(ch) -> PreparedChannels:
+    """``ch`` is one PathSet (R = 1, applied to every frame) or a sequence of
+    PathSets with one frame length and path count (one per frame)."""
     chs = (ch,) if isinstance(ch, PathSet) else tuple(ch)
-    s = np.asarray(s, dtype=np.complex128)
-    L = s.shape[-1]
-    if {c.frame_len for c in chs} != {L}:
-        raise ValueError(f"signal length {L} != channel frame lengths "
-                         f"{sorted({c.frame_len for c in chs})}")
+    lengths = {c.frame_len for c in chs}
+    if len(lengths) != 1:
+        raise ValueError(f"the channels of a stack must share their frame length, got "
+                         f"frame lengths {sorted(lengths)}")
     if len({len(c.paths) for c in chs}) != 1:
         raise ValueError("the channels of a stacked call must share their path count")
+    (L,) = lengths
+    paths = list(zip(*(c.paths for c in chs)))      # path q of every channel
+    out = PreparedChannels(
+        gains=np.array([[[p.gain] for p in ps] for ps in paths], dtype=np.complex128),
+        ramps=np.array([[doppler_ramp(p.doppler_norm, L) for p in ps] for ps in paths]),
+        src=((np.arange(L) - np.array([[[p.delay_samples] for p in ps] for ps in paths])) % L
+             + L * np.arange(len(chs))[:, None]).reshape(len(paths), -1))
+    for a in (out.gains, out.ramps, out.src):
+        a.flags.writeable = False
+    return out
+
+
+def apply_dd_channel_samples(s: np.ndarray, ch) -> np.ndarray:
+    """Apply the delay-Doppler channel along the last (time) axis; O(P*L),
+    no matrix materialized. ``ch`` is a PreparedChannels, or what
+    ``prepare_channels`` takes: one channel for every frame of ``s``, or
+    one per row of a 2-D ``s``. Each row gets the element-wise operations
+    of its own single-frame call."""
+    prep = ch if isinstance(ch, PreparedChannels) else prepare_channels(ch)
+    s = np.asarray(s, dtype=np.complex128)
+    L = s.shape[-1]
+    if prep.ramps.shape[-1] != L:
+        raise ValueError(f"signal length {L} != channel frame length {prep.ramps.shape[-1]}")
     rows = s.reshape(-1, L)
-    n = np.arange(L)
     out = np.zeros_like(rows)
-    for paths in zip(*(c.paths for c in chs)):      # path q of every channel
-        ramps = np.array([doppler_ramp(p.doppler_norm, L) for p in paths])
-        gains = np.array([[p.gain] for p in paths])
-        src = (n - np.array([[p.delay_samples] for p in paths])) % L
-        out += gains * np.take_along_axis(rows * ramps, src, axis=-1)
+    for gains, ramps, src in zip(prep.gains, prep.ramps, prep.src):
+        # src indexes R rows laid end to end; with R = 1 it reads within each row
+        prod = rows * ramps
+        out += gains * np.take(prod.reshape(-1, src.size), src, axis=-1).reshape(prod.shape)
     return out.reshape(s.shape)
 
 

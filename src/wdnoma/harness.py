@@ -7,9 +7,10 @@ the same channel/bit/noise draws pair all receiver modes and all SNR points
 (common random numbers).
 
 The sweeps run chunks of trials. With one worker the loop is chunk-major:
-each chunk's draws, uplinks and sensing dictionaries are built once and
-serve every SNR point. With more workers each SNR point gets its own pool,
-which calls the same chunk function with that one point.
+each chunk's draws, prepared uplink channels, uplinks and sensing
+dictionary are built once and serve every SNR point. With more workers
+each SNR point gets its own pool, which calls the same chunk function with
+that one point.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .channel import (
     apply_dd_channel_samples,
     build_uplink_channel,
     path_from_bin,
+    prepare_channels,
     quantize_target,
     target_to_path,
 )
@@ -55,6 +57,7 @@ from .receiver import (
 )
 from .sensing import (
     build_dictionary,
+    correlate,
     estimate_to_physical,
     matched_squared_errors,
     omp_2d,
@@ -374,7 +377,8 @@ class _TrialContext:
 def _transmit(sys_, layout, waveform: str, syms, paths) -> np.ndarray:
     """The uplink: symbols (last axis) on the data bins, zero guards, the
     waveform's modulator and prefix, then the channel ``paths`` (one PathSet,
-    or one per row). It sends the uplink and rebuilds it for cancellation."""
+    one per row, or their PreparedChannels). It sends the uplink and rebuilds
+    it for cancellation."""
     frames = np.zeros(np.shape(syms)[:-1] + (sys_.N,), dtype=np.complex128)
     frames[..., layout.data] = syms
     return apply_dd_channel_samples(WAVEFORMS[waveform].mod(frames, sys_), paths)
@@ -382,12 +386,15 @@ def _transmit(sys_, layout, waveform: str, syms, paths) -> np.ndarray:
 
 class _Chunk:
     """A chunk of trials: each trial's draws, and the signals built from them
-    as (T, ·) stacks by one call per stage, row for row the one-trial values."""
+    as (T, ·) stacks by one call per stage, row for row the one-trial values.
+    The uplink channels are prepared once; they send every waveform's uplink
+    and rebuild it for every cancellation."""
 
     def __init__(self, cfg: ExperimentConfig, trials):
         sys_ = cfg.system
         self.cfg, self.layouts = cfg, _layouts(cfg)
         self.ctxs = [_TrialContext(cfg, t) for t in trials]
+        self.ul_channels = prepare_channels([c.ul_ps for c in self.ctxs])
         bits_dl = np.concatenate([c.bits_dl for c in self.ctxs])
         self.x_dl = qam_map(bits_dl, sys_.M).reshape(len(self.ctxs), sys_.N)
         self.s_dl = ofdm_mod_samples(self.x_dl, sys_.L_cp)
@@ -406,7 +413,7 @@ class _Chunk:
             layout = self.layouts[waveform]
             bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
             syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
-            r_ul = _transmit(sys_, layout, waveform, syms, [c.ul_ps for c in self.ctxs])
+            r_ul = _transmit(sys_, layout, waveform, syms, self.ul_channels)
             p_ul = layout.n_data / sys_.N
             g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
             echo_bin_power = np.mean(np.abs(g * self.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
@@ -455,16 +462,6 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
             for group, layout, r, bits in groups]
 
 
-def _sense_trial(sys_, targets, true_cells, dic, residual):
-    """2D-OMP on one trial's residual, scored against its targets and their sorted cells."""
-    result = omp_2d(residual, dic, len(targets))
-    estimates = [estimate_to_physical(e, sys_) for e in result.targets]
-    err_r, ref_r, err_v, ref_v = matched_squared_errors(estimates, targets)
-    est_cells = sorted((e.tau_hat, e.nu_hat) for e in result.targets)
-    index_errors = sum(1 for a, b in zip(true_cells, est_cells) if a != b)
-    return err_r, ref_r, err_v, ref_v, index_errors
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -503,15 +500,22 @@ def _ber_chunk(cfg, snr_points, trials, modes):
 
 def _sense_chunk(cfg, snr_points, trials, modes):
     """Per SNR point, {mode: (err_r, ref_r, err_v, ref_v, index_errors)} for
-    each trial of a chunk: every mode's detection and cancellation, then
-    2D-OMP against one dictionary per trial, built once for all SNR points."""
+    each trial of a chunk: every mode's detection and cancellation, then one
+    correlation pass over all trials and modes against the chunk's
+    dictionary, built once for all SNR points, and per mode one 2D-OMP per
+    trial, scored against the targets and their sorted cells."""
     sys_, k = cfg.system, cfg.frame.kappa_max
     chunk = _Chunk(cfg, trials)
-    paths = [c.ul_ps for c in chunk.ctxs]
-    scored = [(ctx.targets,
-               sorted(quantize_target(x.range_m, x.velocity_mps, sys_) for x in ctx.targets),
-               build_dictionary(s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N))
-              for ctx, s_dl in zip(chunk.ctxs, chunk.s_dl)]
+    dic = build_dictionary(chunk.s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
+    targets = [c.targets for c in chunk.ctxs]
+    true_r = np.array([[t.range_m for t in ts] for ts in targets])
+    true_v = np.array([[t.velocity_mps for t in ts] for ts in targets])
+    # a cell (tau, nu) as tau * width + nu - low keeps the order of the pairs
+    true_cells = np.array([[quantize_target(t.range_m, t.velocity_mps, sys_) for t in ts]
+                           for ts in targets])
+    low = min(true_cells[..., 1].min(), dic.nu_grid.min())
+    width = max(true_cells[..., 1].max(), dic.nu_grid.max()) - low + 1
+    true_keys = np.sort(true_cells[..., 0] * width + true_cells[..., 1] - low, axis=-1)
     out = []
     for snr_db in snr_points:
         residuals = {}
@@ -520,10 +524,19 @@ def _sense_chunk(cfg, snr_points, trials, modes):
             hard = qam_slice(syms, sys_.M)
             for i, mode in enumerate(group):
                 residuals[mode] = r - _transmit(sys_, chunk.layouts[waveform], waveform,
-                                                hard[:, i], paths)
-        out.append([{m: _sense_trial(sys_, targets, cells, dic, res[t])
-                     for m, res in residuals.items()}
-                    for t, (targets, cells, dic) in enumerate(scored)])
+                                                hard[:, i], chunk.ul_channels)
+        corr = correlate(dic, np.stack(list(residuals.values()), axis=1))
+        rows = [{} for _ in trials]
+        for m, mode in enumerate(residuals):
+            picks = np.array([omp_2d(c, dic, t, true_r.shape[1]).targets
+                              for t, c in enumerate(corr[:, m])])
+            est_r, est_v = estimate_to_physical(picks[..., 0], picks[..., 1], sys_)
+            scores = matched_squared_errors(est_r, est_v, true_r, true_v)
+            keys = np.sort(picks[..., 0] * width + picks[..., 1] - low, axis=-1)
+            index_errors = np.count_nonzero(keys != true_keys, axis=-1)
+            for row, score in zip(rows, zip(*(a.tolist() for a in (*scores, index_errors)))):
+                row[mode] = score
+        out.append(rows)
     return out
 
 

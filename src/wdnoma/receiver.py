@@ -1,8 +1,9 @@
 """Uplink receiver on plain arrays: the transmit-domain equivalent channel,
 noise power estimation (NPE) and MMSE detection. The waveforms enter only
-through their unitary transforms T^H and T; the sense sweep rebuilds and
-cancels the detected uplink with the transmitter that sent it
-(``harness._transmit``).
+through their unitary transforms T^H and T, the ``transforms`` kernels that
+their modulators and demodulators apply besides the prefix; the sense
+sweep rebuilds and cancels the detected uplink with the transmitter that
+sent it (``harness._transmit``).
 
 The equivalent channel H factors as T H_t T^H, where T is the waveform's
 unitary transform (DFT, DAFT, or the DFT across the OTFS Doppler axis) and
@@ -33,6 +34,15 @@ it gets when solved alone: the batch is bit for bit a loop of single
 solves, in O(b^2 N) work per system. One b per call is why the channels of
 a call must share their delays.
 
+Border plan. The border columns A0[i, N - b + j] of every channel are
+summed from the band by one index plan, built once per (N, delay set) and
+cached: two fancy-index additions per call instead of two per delay
+offset. Each offset o = l_a - l_q >= 0 contributes A0[k - o, k] and, for
+o > 0, A0[k + o, k] = conj(A0[k, k + o]). When 2b >= N some of these
+land on one entry (o and N - o alias); the plan then adds them in layers,
+in the order the offsets are first seen, so each entry is summed as the
+per-offset loop summed it.
+
 Work arrays. Every large array of the solve (the tap stack, the bands, the
 right-hand sides, the factor, the Schur terms and the time-domain
 solutions) is a view of one of six per-thread buffers, each grown to the
@@ -57,23 +67,25 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .channel import PathSet
-from .transforms import cpp_prefix_phases
-from .waveforms import (
-    SystemConfig,
-    afdm_demod_samples,
-    afdm_mod_samples,
-    ofdm_demod_samples,
-    ofdm_mod_samples,
-    otfs_demod_samples,
-    otfs_mod_samples,
+from .transforms import (
+    cpp_prefix_phases,
+    daft_samples,
+    dft_samples,
+    doppler_dft_samples,
+    doppler_idft_samples,
+    idaft_samples,
+    idft_samples,
 )
+from .waveforms import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -106,17 +118,16 @@ def estimate_noise_power(d: np.ndarray, layout):
 
 
 def _mod_demod_fns(cfg: SystemConfig, waveform: str):
-    """The waveform's unitary transforms T^H and T: its modulator and
-    demodulator without the prefix."""
+    """The waveform's unitary transforms T^H and T: what its modulator and
+    demodulator apply besides the prefix."""
     if waveform == "afdm":
-        return (lambda X: afdm_mod_samples(X, cfg.chirp, 0),
-                lambda r: afdm_demod_samples(r, cfg.chirp, 0))
+        return (lambda X: idaft_samples(X, cfg.chirp),
+                lambda r: daft_samples(r, cfg.chirp))
     if waveform == "otfs":
-        return (lambda X: otfs_mod_samples(X, cfg.N1, cfg.N2, 0),
-                lambda r: otfs_demod_samples(r, cfg.N1, cfg.N2, 0))
+        return (lambda X: doppler_idft_samples(X, cfg.N1, cfg.N2),
+                lambda r: doppler_dft_samples(r, cfg.N1, cfg.N2))
     if waveform == "ofdm":
-        return (lambda X: ofdm_mod_samples(X, 0),
-                lambda r: ofdm_demod_samples(r, 0))
+        return idft_samples, dft_samples
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
@@ -203,6 +214,48 @@ def _gather(src, owner, axis: int, via: str, into: str) -> np.ndarray:
     return np.take(flat, owner, axis=axis, out=_work_array(into, shape), mode="clip")
 
 
+@lru_cache(maxsize=64)
+def _border_plan(N: int, delays: tuple) -> tuple:
+    """How the border columns rb[1 + j, :, i] = A0[i, n + j] are summed from
+    the band (see _solve_stacked), as layers of index arrays: each layer is
+    (direct, conjugated), each of those (rb rows, rb columns, band rows,
+    band columns). Offsets o = l_a - l_q >= 0 contribute in the order first
+    seen, each A0[k - o, k] from band row b - o before A0[k + o, k] =
+    conj(A0[k, k + o]), with k = n + j and cyclic rows. When 2b >= N several
+    terms land on one entry; layer m holds the m-th term of each entry, so
+    no layer writes an entry twice and each entry is summed in that order.
+    Cached per argument pair, so read-only."""
+    b = delays[-1] - delays[0]
+    n = N - b
+    k = np.arange(n, N)
+    terms = []      # (rb row, rb column, band row, band column, conjugated) per entry
+    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
+        rows = (k - o) % N
+        terms += zip(1 + k - n, rows, repeat(b - o), rows + o, repeat(False))
+        if o:
+            terms += zip(1 + k - n, (k + o) % N, repeat(b - o), k + o, repeat(True))
+    seen, layers = Counter(), []
+    for term in terms:
+        m = seen[term[:2]]
+        seen[term[:2]] += 1
+        if m == len(layers):
+            layers.append(([], []))
+        layers[m][term[4]].append(term[:4])
+    plan = tuple(tuple(np.array(part, dtype=np.intp).reshape(-1, 4).T.copy() for part in layer)
+                 for layer in layers)
+    for layer in plan:
+        for part in layer:
+            part.flags.writeable = False
+    return plan
+
+
+def _fill_border(rb, band, N: int, delays: tuple) -> None:
+    """Add the border columns A0[i, n + j] of every channel's band to rb[1 + j]."""
+    for (rj, ri, bj, bi), (cj, ci, cbj, cbi) in _border_plan(N, delays):
+        rb[rj, :, ri] += band[bj, :, bi]
+        rb[cj, :, ci] += band[cbj, :, cbi].conj()
+
+
 def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     """Solve (H_t^H H_t + s2 I) z = H_t^H y for each system s, whose channel
     (H_t and the row of y) is owner[s]; returns the (S, N) solutions in the
@@ -239,13 +292,7 @@ def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     rb.fill(0)
     for q, l in enumerate(delays):
         rb[0] += np.multiply(taps_c[:, q, l:l + N], y[:, l:l + N], out=prod)
-    # with 2b >= N several offsets share a border entry; each offset once, first seen first
-    k = np.arange(n, N)
-    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
-        rows = (k - o) % N
-        rb[1 + k - n, :, rows] += band[b - o, :, rows + o]             # A0[k - o, k]
-        if o:   # A0[k + o, k] = conj(A0[k, k + o])
-            rb[1 + k - n, :, (k + o) % N] += band[b - o, :, k + o].conj()
+    _fill_border(rb, band, N, delays)
     ab = _gather(band[..., :n].transpose(1, 2, 0), owner, 0, via="taps", into="band")
     # the diagonal sums conj(t) t, whose imaginary part t_r t_i - t_i t_r is +0
     ab[:, :, b].real += s2[:, None]

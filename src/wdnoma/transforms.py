@@ -1,8 +1,15 @@
 """Core unitary transforms and prefix operations.
 
-DFT/IDFT with symmetric 1/sqrt(N) normalization, quadratic-chirp diagonal
-multiplies, the discrete affine Fourier transform (DAFT) implemented as
-chirp-FFT-chirp, and cyclic / chirp-periodic prefix handling.
+DFT/IDFT with symmetric 1/sqrt(N) normalization, the DFT across the OTFS
+Doppler axis, quadratic-chirp diagonal multiplies, the discrete affine
+Fourier transform (DAFT) implemented as chirp-FFT-chirp, and cyclic /
+chirp-periodic prefix handling.
+
+Normalization. Every DFT here is numpy's ``norm="ortho"`` FFT: the
+unnormalized transform times the double fl(1 / fl(sqrt(N))), one rounding
+per output. Where sqrt(N) is a power of two (N = 16, 256, 1024) that
+factor is exact and so is the scaling; at other lengths the result is
+within 1 ulp of the correctly rounded transform / sqrt(N).
 
 Conventions:
   * chirp_vector(N, c)[n] = exp(-j 2 pi c n^2), matching the diagonal of
@@ -61,11 +68,24 @@ def chirp_vector(N: int, c: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dft_samples(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
+    return np.fft.fft(x, axis=-1, norm="ortho")
 
 
 def idft_samples(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
+    return np.fft.ifft(x, axis=-1, norm="ortho")
+
+
+def doppler_dft_samples(y: np.ndarray, N1: int, N2: int) -> np.ndarray:
+    """Unitary DFT across the Doppler axis of delay-major OTFS frames: entry
+    n2*N1 + n1 of the last axis is delay bin n1 of Doppler bin n2."""
+    grid = y.reshape(y.shape[:-1] + (N2, N1))
+    return np.fft.fft(grid, axis=-2, norm="ortho").reshape(y.shape)
+
+
+def doppler_idft_samples(X: np.ndarray, N1: int, N2: int) -> np.ndarray:
+    """Inverse of ``doppler_dft_samples``."""
+    grid = X.reshape(X.shape[:-1] + (N2, N1))
+    return np.fft.ifft(grid, axis=-2, norm="ortho").reshape(X.shape)
 
 
 def daft_samples(x: np.ndarray, p: ChirpParams) -> np.ndarray:

@@ -16,6 +16,8 @@ from .transforms import (
     add_cpp_samples,
     daft_samples,
     dft_samples,
+    doppler_dft_samples,
+    doppler_idft_samples,
     idaft_samples,
     idft_samples,
 )
@@ -186,13 +188,8 @@ def otfs_mod_samples(X: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray:
     The delay-Doppler vector is delay-major: entry n2*N1 + n1 is delay bin
     n1, Doppler bin n2.
     """
-    # delay-major vector -> (N2, N1) grid slices; IDFT runs across Doppler
-    grid = X.reshape(X.shape[:-1] + (N2, N1))
-    s = (np.fft.ifft(grid, axis=-2) * np.sqrt(N2)).reshape(X.shape)
-    return add_cp_samples(s, L_cp)
+    return add_cp_samples(doppler_idft_samples(X, N1, N2), L_cp)
 
 
 def otfs_demod_samples(r: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray:
-    y = r[..., L_cp:]
-    grid = y.reshape(y.shape[:-1] + (N2, N1))
-    return (np.fft.fft(grid, axis=-2) / np.sqrt(N2)).reshape(y.shape)
+    return doppler_dft_samples(r[..., L_cp:], N1, N2)

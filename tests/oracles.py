@@ -8,6 +8,8 @@ its correlator reads the dictionary's spectra through numpy's FFT, and a
 test checks that correlator against the dense matrix-vector products.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import lstsq
 
@@ -100,39 +102,48 @@ def dictionary_atoms(s: np.ndarray, tau_grid, nu_grid, N: int) -> np.ndarray:
     return atoms
 
 
-def grid_atoms(dic, cells) -> np.ndarray:
-    """(len(cells), L) atoms at the tau-major flat grid indices ``cells``:
-    atom[n] = replica_nu[(n - tau) mod L]."""
+def grid_atoms(dic, cells, trial=0) -> np.ndarray:
+    """(len(cells), L) atoms of row ``trial`` of the dictionary at the
+    tau-major flat grid indices ``cells``: atom[n] = replica_nu[(n - tau) mod L]."""
     i, j = np.divmod(np.asarray(cells, dtype=np.int64), dic.nu_grid.size)
     L = dic.atoms.shape[-1]
-    return dic.atoms[j[:, None], (np.arange(L) - dic.tau_grid[i][:, None]) % L]
+    return dic.atoms[trial][j[:, None], (np.arange(L) - dic.tau_grid[i][:, None]) % L]
 
 
-def correlator(dic):
-    """r -> (n_tau, n_nu) inner products <atom(tau, nu), r>: each replica's
-    cyclic cross-correlation with r from the dictionary's spectra, read at
-    the grid delays."""
-    spectra = dic.spectra.conj()
+def correlator(dic, trial=0):
+    """r -> (n_tau, n_nu) inner products <atom(tau, nu), r> of row ``trial``
+    of the dictionary: each replica's cyclic cross-correlation with r from
+    its spectrum, read at the grid delays."""
+    spectra = dic.spectra_conj[trial]
     return lambda r: np.fft.ifft(spectra * np.fft.fft(r), axis=-1)[:, dic.tau_grid].T
 
 
-def refit_gains(y: np.ndarray, dic, cells) -> np.ndarray:
+def refit_gains(y: np.ndarray, dic, cells, trial=0) -> np.ndarray:
     """Least-squares gains of the atoms at ``cells`` for the signal ``y``."""
-    gains, *_ = lstsq(grid_atoms(dic, cells).T, np.asarray(y, dtype=np.complex128))
+    gains, *_ = lstsq(grid_atoms(dic, cells, trial).T, np.asarray(y, dtype=np.complex128))
     return gains
 
 
-def omp_2d_residual(y: np.ndarray, dic, P: int) -> list:
+def omp_2d_residual(y: np.ndarray, dic, P: int, trial=0) -> list:
     """Residual-domain 2D-OMP: correlate the explicit residual with every
     cell, pick the largest, refit all picks by least squares on their atoms
     and subtract. Returns the picked tau-major flat cells in order."""
-    correlate = correlator(dic)
+    correlate = correlator(dic, trial)
     r0 = np.asarray(y, dtype=np.complex128)
     r, selected = r0, []
     for _ in range(P):
         selected.append(int(np.argmax(np.abs(correlate(r)))))
-        r = r0 - grid_atoms(dic, selected).T @ refit_gains(r0, dic, selected)
+        r = r0 - grid_atoms(dic, selected, trial).T @ refit_gains(r0, dic, selected, trial)
     return selected
+
+
+@dataclass(frozen=True)
+class TargetEstimate:
+    """One estimate in physical units, as the matching oracle reads it."""
+    tau_hat: int
+    nu_hat: int
+    range_m: float = 0.0
+    velocity_mps: float = 0.0
 
 
 def match_targets_loop(estimates, truths) -> list:
@@ -230,3 +241,20 @@ def embed(syms: np.ndarray, layout) -> np.ndarray:
 
 def random_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def border_columns_loop(band: np.ndarray, N: int, delays) -> np.ndarray:
+    """The b border columns of the stacked MMSE solve, rb[j, c, i] =
+    A0_c[i, N - b + j], summed from the Gram band band[b - o, c, m] =
+    A0_c[m - o, m] by one pass per offset o = l_a - l_q >= 0 in the order
+    first seen: A0[k - o, k], then A0[k + o, k] = conj(A0[k, k + o])."""
+    b = delays[-1] - delays[0]
+    n = N - b
+    rb = np.zeros((b, band.shape[1], N), dtype=np.complex128)
+    k = np.arange(n, N)
+    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
+        rows = (k - o) % N
+        rb[k - n, :, rows] += band[b - o, :, rows + o]
+        if o:
+            rb[k - n, :, (k + o) % N] += band[b - o, :, k + o].conj()
+    return rb

@@ -52,7 +52,7 @@ from wdnoma.receiver import (
     build_equivalent_channel,
     estimate_noise_power,
 )
-from wdnoma.sensing import build_dictionary, omp_2d
+from wdnoma.sensing import build_dictionary, correlate, omp_2d
 from wdnoma.transforms import (
     ChirpParams,
     add_cp_samples,
@@ -327,7 +327,7 @@ def test_criterion_6_sensing():
         rng = np.random.default_rng(7000 + case)
         bits = rng.integers(0, 2, size=2 * 256)
         s_dl = ofdm_mod_samples(qam_map(bits, 4), 16)
-        dic = build_dictionary(s_dl, np.arange(16), np.arange(-1, 2), 256)
+        dic = build_dictionary(s_dl[None], np.arange(16), np.arange(-1, 2), 256)
         atoms = dictionary_atoms(s_dl, np.arange(16), np.arange(-1, 2), 256)
         cells = rng.choice(16 * 3, size=2, replace=False)
         gains = np.exp(2j * np.pi * rng.uniform(size=2))
@@ -337,11 +337,11 @@ def test_criterion_6_sensing():
             i, j = divmod(int(c), 3)
             y += gain * atoms[i, j]
             truth[(int(dic.tau_grid[i]), int(dic.nu_grid[j]))] = gain
-        out = omp_2d(y, dic, 2)
-        picked = [(int(np.where(dic.tau_grid == e.tau_hat)[0][0]) * 3
-                   + int(np.where(dic.nu_grid == e.nu_hat)[0][0])) for e in out.targets]
+        out = omp_2d(correlate(dic, y[None, None])[0, 0], dic, 0, 2)
+        picked = [(int(np.where(dic.tau_grid == tau)[0][0]) * 3
+                   + int(np.where(dic.nu_grid == nu)[0][0])) for tau, nu in out.targets]
         for est, gain in zip(out.targets, refit_gains(y, dic, picked)):
-            key = (est.tau_hat, est.nu_hat)
+            key = tuple(int(v) for v in est)
             assert key in truth, f"case {case}: wrong cell {key}"
             assert abs(gain - truth[key]) < 1e-8 * abs(truth[key])
 

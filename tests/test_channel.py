@@ -19,6 +19,7 @@ from wdnoma.channel import (
     doppler_bin_to_norm,
     doppler_ramp,
     path_from_bin,
+    prepare_channels,
     target_to_path,
 )
 from wdnoma.harness import _Chunk, config_from_dict
@@ -124,6 +125,21 @@ def test_stacked_channel_pass_equals_per_row_calls(case):
     s, chs = case
     rows = [apply_dd_channel_samples(x, ch) for x, ch in zip(s, chs)]
     assert np.array_equal(apply_dd_channel_samples(s, chs), np.stack(rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_stacked_channels())
+def test_prepared_channel_pass_equals_one_path_set_per_row(case):
+    # the sweeps prepare a chunk's channels once and apply them to several signals
+    s, chs = case
+    prepared = prepare_channels(chs)
+    for x in (s, s[::-1] * 0.5j):
+        rows = [apply_dd_channel_samples(row, ch) for row, ch in zip(x, chs)]
+        assert np.array_equal(apply_dd_channel_samples(x, prepared), np.stack(rows))
+    # one prepared channel serves every row
+    one = prepare_channels(chs[0])
+    rows = [apply_dd_channel_samples(row, chs[0]) for row in s]
+    assert np.array_equal(apply_dd_channel_samples(s, one), np.stack(rows))
 
 
 def test_stacked_channel_pass_validation():

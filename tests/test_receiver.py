@@ -11,11 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_equivalent_channel, dense_mmse, embed, random_complex
+from oracles import (
+    border_columns_loop,
+    dense_equivalent_channel,
+    dense_mmse,
+    embed,
+    random_complex,
+)
 from wdnoma import harness
 from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
+    _border_plan,
+    _fill_border,
     _mod_demod_fns,
     _tap_phases,
     build_equivalent_channel,
@@ -322,6 +330,28 @@ def test_mmse_band_edge_cases_in_one_call(case):
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
+def _border_equals_offset_loop(N, delays, C, g) -> bool:
+    """The planned border of C random bands, bit for bit and zero signs
+    included, against the per-offset loop it replaced."""
+    b = delays[-1] - delays[0]
+    band = random_complex(g, (b + 1) * C * (N + b)).reshape(b + 1, C, N + b)
+    band[g.random(band.shape) < 0.2] = -0.0
+    rb = np.zeros((b + 1, C, N), dtype=np.complex128)
+    _fill_border(rb, band, N, delays)
+    want = border_columns_loop(band, N, delays)
+    return np.array_equal(rb[1:], want) and np.array_equal(np.signbit(rb[1:].view(float)),
+                                                           np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize("case", sorted(_BAND_EDGE_CASES))
+def test_border_plan_equals_offset_loop_on_band_edge_cases(case):
+    N1, N2, _, paths = _BAND_EDGE_CASES[case]
+    delays = tuple(sorted({l for _, l, _ in paths}))
+    assert _border_equals_offset_loop(N1 * N2, delays, 3, np.random.default_rng(111))
+    # with 2b >= N offsets o and N - o share entries, which a second layer adds
+    assert (len(_border_plan(N1 * N2, delays)) > 1) == (case in ("wide_spread", "full_spread"))
+
+
 def test_mmse_rejects_mixed_delay_sets():
     cfg = make_cfg(N=16)
     d = random_complex(np.random.default_rng(109), 16)
@@ -422,6 +452,13 @@ def test_mmse_work_arrays_serve_interleaved_shapes(sweep_calls):
     assert [len(x) for x in fresh["desk_20"]] == [3] * 4 + [1] * 8
     for name in ("desk_20", "desk_otfs_4", "paper_5", "desk_320", "desk_20"):
         assert _same(mmse_detect(*sweep_calls[name]), fresh[name]), name
+
+
+def test_border_plan_equals_offset_loop_on_sweep_shapes(sweep_calls):
+    g = np.random.default_rng(112)
+    for name, (channels, _, _) in sweep_calls.items():
+        N, delays = channels[0].cfg.N, channels[0].delays
+        assert _border_equals_offset_loop(N, delays, len(channels), g), name
 
 
 def test_mmse_solutions_are_not_work_arrays(sweep_calls):

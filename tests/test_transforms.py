@@ -41,6 +41,34 @@ def test_dft_idft_roundtrip_and_energy():
         assert abs(np.linalg.norm(dft_samples(x)) - np.linalg.norm(x)) < 1e-10
 
 
+def _over_root_n(Y: np.ndarray, N: int) -> np.ndarray:
+    """Y / sqrt(N) correctly rounded: divided in extended precision, rounded once."""
+    root = np.sqrt(np.longdouble(N))
+    return ((Y.real.astype(np.longdouble) / root).astype(np.float64)
+            + 1j * (Y.imag.astype(np.longdouble) / root).astype(np.float64))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision,
+                    reason="needs an extended-precision longdouble")
+@pytest.mark.parametrize("N", [16, 255, 256, 1024, 1031])
+def test_dft_normalization_is_one_rounding(N):
+    # the unnormalized transform times fl(1/fl(sqrt(N))): where sqrt(N) is a
+    # power of two, exactly the old divide-by-sqrt(N) forms; elsewhere within 1 ulp
+    # of the correctly rounded transform / sqrt(N)
+    x = random_complex(rng, 8 * N).reshape(8, N)
+    for got, unscaled in ((dft_samples(x), np.fft.fft(x, axis=-1)),
+                          (idft_samples(x), np.fft.ifft(x, axis=-1, norm="forward"))):
+        want = _over_root_n(unscaled, N)
+        if N in (16, 256, 1024):
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+            np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+    if N in (16, 256, 1024):
+        assert np.array_equal(dft_samples(x), np.fft.fft(x, axis=-1) / np.sqrt(N))
+        assert np.array_equal(idft_samples(x), np.fft.ifft(x, axis=-1) * np.sqrt(N))
+
+
 def test_chirp_diag_apply_is_unitary_pointwise():
     x = random_complex(rng, 40)
     v = chirp_vector(40, 0.013)
