@@ -619,14 +619,20 @@ _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
                      "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
+def _library(show_config, kind: str) -> dict:
+    """Name and version of the ``kind`` library ("blas", "lapack") that
+    numpy's or scipy's ``show_config`` reports as a build dependency."""
+    try:
+        lib = show_config(mode="dicts")["Build Dependencies"][kind]
+    except TypeError:   # numpy < 1.26 and older scipy have no mode argument
+        lib = {}
+    return {"name": lib.get("name"), "version": lib.get("version")}
+
+
 def _blas() -> dict:
     """The BLAS library numpy was built against, and the thread variables as
     the environment sets them (None when unset); recorded, never changed."""
-    try:
-        lib = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:   # numpy < 1.26 has no mode argument
-        lib = {}
-    return {"name": lib.get("name"), "version": lib.get("version"),
+    return {**_library(np.show_config, "blas"),
             "thread_env": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
 
 
@@ -644,6 +650,8 @@ def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, wo
                          "scipy": scipy.__version__},
             "workers": workers,
             "blas": _blas(),
+            # the MMSE band solve (pbtrf, tbtrs) runs in scipy's own LAPACK
+            "lapack": _library(scipy.show_config, "lapack"),
         }, fh, indent=2, sort_keys=True)
     return out
 

@@ -54,6 +54,18 @@ their temporaries stay small and reuse freed memory. The buffers hold
 about 1 MB for the benchmark's 4-trial desk chunk (20 systems) and 15.4 MB
 for the CLI's 64-trial desk chunk (320 systems).
 
+LAPACK. ``pbtrf`` and ``tbtrs`` are scipy's wrappers ``zpbtrf`` and
+``ztbtrs`` in its compiled module ``scipy.linalg._flapack``, the module
+behind ``scipy.linalg.get_lapack_funcs``. After a plain ``import scipy``,
+which runs scipy's own loader set-up, ``_load_flapack`` loads that module
+from its file: 3-6 ms and 2.6 MB. Importing the ``scipy.linalg`` package
+instead takes about 0.3 s and 27 MB, mostly scipy's array-API layer, which
+every CLI run, benchmark process and forked pool worker would pay for two
+routines. The module is not kept in ``sys.modules``, so a later
+``import scipy.linalg`` loads it the usual way and hands out the very same
+routine objects. They run in scipy's own LAPACK library, not numpy's
+BLAS; the run manifest records both.
+
 Every pinned curve comes from this formulation. Squaring H squares its
 condition number, but in every sweep mode sigma2 stays bounded away from
 zero: noise at SNR <= 35 dB plus the echo at -20 dB. So
@@ -66,14 +78,18 @@ stacked least-squares oracle in the tests, not by this solver.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .channel import PathSet
 from .transforms import (
@@ -185,7 +201,30 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
     return EquivalentChannel(cfg=cfg, waveform=waveform, delays=delays, taps=taps)
 
 
-_pbtrf, _tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.complex128)
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from their file without importing the ``scipy.linalg`` package."""
+    name = "scipy.linalg._flapack"
+    base = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+    if path is None:
+        missing = base + EXTENSION_SUFFIXES[0]
+        raise ImportError(f"scipy's LAPACK wrappers are missing: no {missing}",
+                          name=name, path=missing)
+    imported = name in sys.modules
+    loader = ExtensionFileLoader(name, path)
+    module = module_from_spec(spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if not imported:
+        # a single-phase extension enters itself in sys.modules; left there
+        # without its package, a later import of scipy.linalg would not set
+        # the package's _flapack attribute
+        sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
+_pbtrf, _tbtrs = _flapack.zpbtrf, _flapack.ztbtrs
 
 _work = threading.local()       # each thread's work arrays, see _work_array
 _BLOCK = 1 << 11                # samples per row block of a transform in mmse_detect

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from oracles import dense_afdm_mod, dense_channel, dense_ofdm_mod, dense_otfs_w, embed
 from wdnoma import harness
@@ -596,6 +597,8 @@ def test_cli_ber_run_writes_files(tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"]["name"] == blas["name"]
     assert manifest["blas"]["version"] == blas["version"]
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    assert manifest["lapack"] == {"name": lapack["name"], "version": lapack["version"]}
     lines = (out / "ber_wdnoma_afdm_npe.csv").read_text().splitlines()
     assert lines[0] == "snr_db,metric,trials,errors,ci_halfwidth"
     assert len(lines) == 2

@@ -92,9 +92,11 @@ def test_every_default_is_set_by_a_package_call():
 
 
 def test_cli_import_loads_no_scipy_stats_or_constants():
-    # only `wdnoma stats` needs scipy.stats; the sweeps must not pay for it
+    # only `wdnoma stats` needs scipy.stats; the sweeps must not pay for it, nor
+    # for the scipy.linalg package, whose two band routines the receiver loads alone
     code = ("import sys, wdnoma.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.constants') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.constants', 'scipy.linalg') "
+            "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           check=True)

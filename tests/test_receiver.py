@@ -2,6 +2,8 @@
 cancellation by the sweep's uplink transmitter."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -18,7 +20,7 @@ from oracles import (
     embed,
     random_complex,
 )
-from wdnoma import harness
+from wdnoma import harness, receiver
 from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
@@ -518,6 +520,55 @@ def test_mmse_steady_state_allocates_little(sweep_calls):
     finally:
         tracemalloc.stop()
     assert peak <= 3_000_000
+
+
+def test_band_lapack_wrappers_are_scipy_linalgs():
+    # the receiver loads scipy's compiled LAPACK module without the scipy.linalg
+    # package; the routines must be the ones that package hands out, whichever
+    # is imported first
+    from scipy.linalg import get_lapack_funcs
+    pbtrf, tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), dtype=np.complex128)
+    assert receiver._pbtrf is pbtrf and receiver._tbtrs is tbtrs
+    code = ("import numpy as np, wdnoma.receiver as r, scipy.linalg as sl; "
+            "p, t = sl.get_lapack_funcs(('pbtrf', 'tbtrs'), dtype=np.complex128); "
+            "print(p is r._pbtrf, t is r._tbtrs, sl._flapack.zpbtrf is r._pbtrf)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          check=True)
+    assert done.stdout.split() == ["True", "True", "True"]
+
+
+def test_band_lapack_wrappers_missing_file_names_its_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(receiver.scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match="_flapack") as err:
+        receiver._load_flapack()
+    assert err.value.path.startswith(str(tmp_path / "linalg" / "_flapack"))
+
+
+@pytest.mark.parametrize("nrhs", [1, 3])
+def test_band_factor_and_solves_equal_scipy_linalgs(nrhs):
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    n, b = 500, 2
+    r = np.random.default_rng(1700 + nrhs)
+    # upper band storage of a Hermitian, strictly diagonally dominant (so
+    # positive definite) matrix: ab[b + i - j, j] = A[i, j]
+    ab = np.empty((b + 1, n), complex)
+    ab[:b] = r.random((b, n)) * np.exp(2j * np.pi * r.random((b, n)))
+    ab[b] = 2 * b + 1 + r.random(n)
+    rhs = random_complex(r, (n, nrhs))
+    c, info = receiver._pbtrf(ab)
+    assert info == 0 and np.array_equal(c, cholesky_banded(ab))
+    # A x = U^H U x = rhs by the two triangular solves the stacked MMSE makes,
+    # trans "C" then "N"; scipy's pbtrs makes the same two per column
+    w, info = receiver._tbtrs(c, rhs, trans="C")
+    assert info == 0
+    x, info = receiver._tbtrs(c, w, trans="N")
+    assert info == 0
+    assert np.array_equal(x, cho_solve_banded((c, False), rhs))
+    dense = np.diag(ab[b])
+    for k in range(1, b + 1):
+        dense += np.diag(ab[b - k, k:], k) + np.diag(ab[b - k, k:].conj(), -k)
+    np.testing.assert_allclose(dense @ x, rhs, atol=1e-12)
 
 
 def _layout_and_cfg():
