@@ -11,6 +11,10 @@ each chunk's draws, prepared uplink channels, uplinks and sensing
 dictionary are built once and serve every SNR point. With more workers
 each SNR point gets its own pool, which calls the same chunk function with
 that one point.
+
+A chunk returns one array, (SNR point, trial, mode, ...), each mode at its
+position in the sweep's modes; the sweep concatenates the chunks along the
+trial axis, and a curve point sums one (SNR point, mode) column over trials.
 """
 
 from __future__ import annotations
@@ -424,11 +428,9 @@ class _Chunk:
         return self._uplinks[waveform]
 
     def compose(self, up, snr_db: float):
-        """(T, L) uplink plus echo plus noise at ``snr_db``, sigma2, and the echo
-        amplitudes g."""
+        """(T, L) uplink plus echo plus noise at ``snr_db``, and sigma2."""
         sigma2 = up["p_ul"] * 10.0 ** (-snr_db / 10.0)
-        g = up["g"]
-        return up["r_ul"] + g * self.r_dl + np.sqrt(sigma2) * self.noise_unit, sigma2, g
+        return up["r_ul"] + up["g"] * self.r_dl + np.sqrt(sigma2) * self.noise_unit, sigma2
 
 
 def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
@@ -447,7 +449,7 @@ def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
             continue
         layout = chunk.layouts[waveform]
         up = chunk.uplink(waveform)
-        r, sigma2, _ = chunk.compose(up, snr_db)
+        r, sigma2 = chunk.compose(up, snr_db)
         d = entry.demod(r, sys_)
         noise = {"sigma2": np.full(T, sigma2), "sigma2+echo": sigma2 + up["echo_bin_power"]}
         if any(MODES[m][1] == "npe" for m in group):
@@ -484,28 +486,27 @@ def _chunks(n_trials: int):
 
 
 def _ber_chunk(cfg, snr_points, trials, modes):
-    """Per SNR point, {mode: (bit_errors, n_bits)} for each trial of a chunk."""
+    """Bit errors of each trial of a chunk, (SNR point, trial, mode) int64."""
     chunk, T = _Chunk(cfg, trials), len(trials)
-    out = []
-    for snr_db in snr_points:
-        rows = [{} for _ in trials]
+    col = {m: i for i, m in enumerate(modes)}
+    out = np.zeros((len(snr_points), T, len(modes)), dtype=np.int64)
+    for errs, snr_db in zip(out, snr_points):
         for group, _, bits, syms in _detect_chunk(chunk, snr_db, modes):
             bits_hat = qam_demap_hard(syms.reshape(-1), cfg.system.M).reshape(T, len(group), -1)
-            errs = np.count_nonzero(bits_hat != bits[:, None], axis=-1).tolist()
-            for row, counts in zip(rows, errs):
-                row.update((m, (e, bits.shape[1])) for m, e in zip(group, counts))
-        out.append(rows)
+            errs[:, [col[m] for m in group]] = np.count_nonzero(bits_hat != bits[:, None], axis=-1)
     return out
 
 
 def _sense_chunk(cfg, snr_points, trials, modes):
-    """Per SNR point, {mode: (err_r, ref_r, err_v, ref_v, index_errors)} for
-    each trial of a chunk: every mode's detection and cancellation, then one
-    correlation pass over all trials and modes against the chunk's
-    dictionary, built once for all SNR points, and per mode one 2D-OMP per
-    trial, scored against the targets and their sorted cells."""
+    """(err_r, ref_r, err_v, ref_v, index_errors) of each trial of a chunk,
+    (SNR point, trial, mode, 5) float64: every mode's detection and
+    cancellation, then one correlation pass over all trials and modes against
+    the chunk's dictionary, built once for all SNR points, and per mode one
+    2D-OMP per trial, scored against the targets and their sorted cells."""
     sys_, k = cfg.system, cfg.frame.kappa_max
     chunk = _Chunk(cfg, trials)
+    col = {m: i for i, m in enumerate(modes)}
+    out = np.zeros((len(snr_points), len(trials), len(modes), 5))
     dic = build_dictionary(chunk.s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
     targets = [c.targets for c in chunk.ctxs]
     true_r = np.array([[t.range_m for t in ts] for ts in targets])
@@ -516,8 +517,7 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     low = min(true_cells[..., 1].min(), dic.nu_grid.min())
     width = max(true_cells[..., 1].max(), dic.nu_grid.max()) - low + 1
     true_keys = np.sort(true_cells[..., 0] * width + true_cells[..., 1] - low, axis=-1)
-    out = []
-    for snr_db in snr_points:
+    for scores_at_snr, snr_db in zip(out, snr_points):
         residuals = {}
         for group, r, _, syms in _detect_chunk(chunk, snr_db, modes):
             waveform = MODES[group[0]][0]
@@ -526,7 +526,6 @@ def _sense_chunk(cfg, snr_points, trials, modes):
                 residuals[mode] = r - _transmit(sys_, chunk.layouts[waveform], waveform,
                                                 hard[:, i], chunk.ul_channels)
         corr = correlate(dic, np.stack(list(residuals.values()), axis=1))
-        rows = [{} for _ in trials]
         for m, mode in enumerate(residuals):
             picks = np.array([omp_2d(c, dic, t, true_r.shape[1]).targets
                               for t, c in enumerate(corr[:, m])])
@@ -534,9 +533,7 @@ def _sense_chunk(cfg, snr_points, trials, modes):
             scores = matched_squared_errors(est_r, est_v, true_r, true_v)
             keys = np.sort(picks[..., 0] * width + picks[..., 1] - low, axis=-1)
             index_errors = np.count_nonzero(keys != true_keys, axis=-1)
-            for row, score in zip(rows, zip(*(a.tolist() for a in (*scores, index_errors)))):
-                row[mode] = score
-        out.append(rows)
+            scores_at_snr[:, col[mode]] = np.column_stack((*scores, index_errors))
     return out
 
 
@@ -546,36 +543,35 @@ def _check_workers(workers) -> None:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
-def _per_snr(chunk_fn, cfg, workers: int) -> list:
-    """Per SNR point, ``chunk_fn``'s row for every trial, in trial order."""
+def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
+    """``chunk_fn``'s array over every trial, (SNR point, trial, ...), in trial order."""
     sweep = cfg.sweep
     chunks = list(_chunks(sweep.trials))
     if workers <= 1:
-        points = zip(*(chunk_fn(cfg, sweep.snr_db, trials, sweep.modes) for trials in chunks))
-    else:
-        # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
-        points = []
-        for snr_db in sweep.snr_db:
-            # a worker without a chunk would only add a fork and an exit
-            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-                points.append([rows for rows, in pool.map(
-                    chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))])
-    return [[row for rows in point for row in rows] for point in points]
+        return np.concatenate([chunk_fn(cfg, sweep.snr_db, trials, sweep.modes)
+                               for trials in chunks], axis=1)
+    # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
+    points = []
+    for snr_db in sweep.snr_db:
+        # a worker without a chunk would only add a fork and an exit
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            points.append(np.concatenate(list(pool.map(
+                chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))), axis=1))
+    return np.concatenate(points)
 
 
 def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """BER vs SNR for every configured mode; returns {mode: [CurvePoint]}."""
     _check_workers(workers)
-    modes = cfg.sweep.modes
-    curves = {m: [] for m in modes}
-    for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_ber_chunk, cfg, workers)):
-        for mode in modes:
-            errs = sum(r[mode][0] for r in per_trial)
-            bits = sum(r[mode][1] for r in per_trial)
+    sweep, layouts = cfg.sweep, _layouts(cfg)
+    curves = {m: [] for m in sweep.modes}
+    for snr, errors in zip(sweep.snr_db, _per_snr(_ber_chunk, cfg, workers).sum(axis=1).tolist()):
+        for (mode, points), errs in zip(curves.items(), errors):
+            bits = sweep.trials * layouts[MODES[mode][0]].n_data * int(np.log2(cfg.system.M))
             p = errs / bits
             hw = 1.96 * np.sqrt(p * (1.0 - p) / bits)
-            curves[mode].append(CurvePoint(snr_db=snr, metric=p, trials=cfg.sweep.trials,
-                                           errors_counted=errs, confidence_halfwidth=float(hw)))
+            points.append(CurvePoint(snr_db=snr, metric=p, trials=sweep.trials,
+                                     errors_counted=errs, confidence_halfwidth=float(hw)))
     return curves
 
 
@@ -588,8 +584,9 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     modes = cfg.sweep.modes
     curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
     for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_sense_chunk, cfg, workers)):
-        for mode in modes:
-            arr = np.array([r[mode] for r in per_trial], dtype=np.float64)
+        # sum each column as a 1-D vector over trials: pairwise, the same for
+        # any stride, where a sum over the whole array's axis adds row by row
+        for arr, mode in zip(per_trial.transpose(1, 0, 2), modes):
             n, idx_errs = arr.shape[0], int(arr[:, 4].sum())
             # columns: squared error, then squared true value
             for param, col in (("velocity", 2), ("distance", 0)):
@@ -661,7 +658,7 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
     _check_workers(workers)
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     files, curves = [], {}
     if command == "ber":
         curves = {f"ber_{mode}": pts for mode, pts in run_ber(cfg, workers=workers).items()}
@@ -679,5 +676,5 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
     for name, points in curves.items():
         files.append(out_dir / f"{name}.csv")
         write_curve_csv(points, files[-1])
-    write_manifest(cfg, out_dir, time.time() - t0, files, workers)
+    write_manifest(cfg, out_dir, time.perf_counter() - t0, files, workers)
     return files

@@ -156,17 +156,6 @@ def _integer_bin(doppler_norm: float, N: int, frame_len: int) -> int:
     return kappa
 
 
-def _prefix_length(ch: PathSet, cfg: SystemConfig, waveform: str) -> int:
-    if waveform not in ("afdm", "otfs", "ofdm"):
-        raise ValueError(f"unknown waveform {waveform!r}")
-    N, prefix = cfg.N, cfg.L_cp
-    if ch.max_delay > prefix:
-        raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
-    if ch.frame_len != N + prefix:
-        raise ValueError(f"channel frame length {ch.frame_len} != N + prefix = {N + prefix}")
-    return prefix
-
-
 @lru_cache(maxsize=256)
 def _tap_phases(N: int, prefix: int, delay: int, kappa: int) -> np.ndarray:
     """Unit-gain tap of a (delay, kappa) path: core sample i receives frame
@@ -188,8 +177,13 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
     fit inside the prefix and Doppler must sit on an integer bin; paths
     sharing a delay are summed.
     """
-    N = cfg.N
-    prefix = _prefix_length(ch, cfg, waveform)
+    if waveform not in ("afdm", "otfs", "ofdm"):
+        raise ValueError(f"unknown waveform {waveform!r}")
+    N, prefix = cfg.N, cfg.L_cp
+    if ch.max_delay > prefix:
+        raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
+    if ch.frame_len != N + prefix:
+        raise ValueError(f"channel frame length {ch.frame_len} != N + prefix = {N + prefix}")
     delays = tuple(sorted({p.delay_samples for p in ch.paths}))
     taps = np.zeros((len(delays), N), dtype=np.complex128)
     for p in ch.paths:

@@ -38,9 +38,10 @@ from wdnoma.channel import (
 from wdnoma.affine_stats import empirical_stats
 from wdnoma.frame import allocate_frame
 from wdnoma.harness import (
+    MODES,
     _Chunk,
     _ber_chunk,
-    _chunks,
+    _per_snr,
     _sense_chunk,
     _layouts,
     _transmit,
@@ -243,10 +244,10 @@ def test_criterion_4_npe_accuracy():
         for trial in range(1000):
             chunk = _Chunk(cfg, [trial])
             up = chunk.uplink("afdm")
-            r, sigma2, g = chunk.compose(up, snr_db)
+            r, sigma2 = chunk.compose(up, snr_db)
             d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
             est_sum += estimate_noise_power(d, layout).item()
-            echo_core = g * chunk.r_dl[:, sys_.L_cpp:]
+            echo_core = up["g"] * chunk.r_dl[:, sys_.L_cpp:]
             ref_sum += sigma2 + float(np.mean(np.abs(echo_core) ** 2))
         rel = abs(est_sum - ref_sum) / ref_sum
         worst = max(worst, rel)
@@ -268,16 +269,13 @@ def test_criterion_5_ber_trends():
 
     # per-trial error counts so confidence intervals can account for the
     # channel-induced clustering of bit errors within a trial
-    ber = {m: [] for m in modes}      # aggregate BER per SNR
-    trial_ber = {m: [] for m in modes}  # per-trial BER arrays per SNR
-    per_chunk = [_ber_chunk(cfg, snrs, chunk, modes) for chunk in _chunks(cfg.sweep.trials)]
-    for point in zip(*per_chunk):
-        per_trial = [row for rows in point for row in rows]
-        for m in modes:
-            errs = np.array([r[m][0] for r in per_trial], dtype=np.float64)
-            bits = np.array([r[m][1] for r in per_trial], dtype=np.float64)
-            ber[m].append(errs.sum() / bits.sum())
-            trial_ber[m].append(errs / bits)
+    errors = _per_snr(_ber_chunk, cfg, 1)    # (SNR point, trial, mode)
+    bps = int(np.log2(cfg.system.M))
+    ber, trial_ber = {}, {}     # aggregate BER per SNR, per-trial BER arrays per SNR
+    for i, m in enumerate(modes):
+        bits = _layouts(cfg)[MODES[m][0]].n_data * bps
+        ber[m] = (errors[:, :, i].sum(axis=1) / (bits * cfg.sweep.trials)).tolist()
+        trial_ber[m] = errors[:, :, i] / bits
     elapsed = time.monotonic() - t0
 
     def halfwidth(tb):
@@ -346,11 +344,9 @@ def test_criterion_6_sensing():
             assert abs(gain - truth[key]) < 1e-8 * abs(truth[key])
 
     # (ii) index recovery probability > 0.99 at 30 dB post-cancellation
-    xcfg = desk_config(trials=500)
-    rows = []
-    for chunk in _chunks(500):
-        rows.extend(_sense_chunk(xcfg, (30.0,), chunk, ("wdnoma_afdm_npe",))[0])
-    hits = sum(1 for r in rows if r["wdnoma_afdm_npe"][4] == 0)
+    xcfg = desk_config(trials=500, snr_db=[30.0], modes=["wdnoma_afdm_npe"])
+    index_errors = _per_snr(_sense_chunk, xcfg, 1)[0, :, 0, 4]
+    hits = int(np.count_nonzero(index_errors == 0))
     assert hits / 500 > 0.99, f"recovery {hits}/500"
 
     # (iii) NMSE monotone non-increasing in SNR

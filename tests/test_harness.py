@@ -315,13 +315,15 @@ def test_trial_context_crn_across_snr():
     assert np.array_equal(chunk1.x_dl, chunk2.x_dl)
     assert np.array_equal(chunk1.noise_unit, chunk2.noise_unit)
     up = chunk1.uplink("afdm")
-    r10, s10, g10 = chunk1.compose(up, 10.0)
-    r20, s20, g20 = chunk1.compose(up, 20.0)
+    r10, s10 = chunk1.compose(up, 10.0)
+    r20, s20 = chunk1.compose(up, 20.0)
     assert s10 / s20 == pytest.approx(10.0)
-    assert g10 == g20
+    # the uplink plus echo, so the echo amplitude, is the same at both points
+    assert np.allclose(r10 - np.sqrt(s10) * chunk1.noise_unit,
+                       r20 - np.sqrt(s20) * chunk1.noise_unit)
     # noise realization is shared across SNR points, only its scale differs
-    w10 = r10 - up["r_ul"] - g10 * chunk1.r_dl
-    w20 = r20 - up["r_ul"] - g20 * chunk1.r_dl
+    w10 = r10 - up["r_ul"] - up["g"] * chunk1.r_dl
+    w20 = r20 - up["r_ul"] - up["g"] * chunk1.r_dl
     assert np.allclose(w10, np.sqrt(s10 / s20) * w20)
 
 
@@ -330,7 +332,7 @@ def test_compose_echo_calibration():
     cfg = config_from_dict(small_raw())
     chunk = _Chunk(cfg, [0])
     up = chunk.uplink("afdm")
-    _, _, g = chunk.compose(up, 10.0)
+    g = up["g"]
     n_targets = len(chunk.ctxs[0].targets)
     expected = 10 ** (cfg.system.echo_power_offset_db / 20) * np.sqrt(up["p_ul"] / n_targets)
     assert g == pytest.approx(expected)
@@ -368,11 +370,11 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
     chunk = _Chunk(cfg, [0, 1, 2])
     layout = chunk.layouts[waveform]
     up = chunk.uplink(waveform)
-    r, sigma2, g = chunk.compose(up, 10.0)
+    r, sigma2 = chunk.compose(up, 10.0)
     syms = qam_map(up["bits"].reshape(-1), sys_.M).reshape(3, -1)
     paths = [c.ul_ps for c in chunk.ctxs]
     rebuilt = _transmit(sys_, layout, waveform, syms, paths)
-    echo_and_noise = g * chunk.r_dl + np.sqrt(sigma2) * chunk.noise_unit
+    echo_and_noise = up["g"] * chunk.r_dl + np.sqrt(sigma2) * chunk.noise_unit
     assert np.max(np.abs(r - rebuilt - echo_and_noise)) < 1e-10
     mod = {"afdm": dense_afdm_mod(sys_.N, L, sys_.chirp.c1, sys_.chirp.c2),
            "otfs": dense_otfs_w(sys_.N1, sys_.N2, L),
@@ -407,25 +409,27 @@ def test_waveform_table_calls_each_kernel_by_its_harness_name(chunk_fn, monkeypa
 
 @pytest.mark.parametrize("snr_db", [0.0, 35.0])
 def test_chunk_batching_couples_no_trials(snr_db):
-    # a trial's row is the same alone as inside a full 64-trial chunk;
+    # a trial's results are the same alone as inside a full 64-trial chunk;
     # byte-identical output for any worker count rests on this
     cfg = load_config(CONFIG)
     trials = list(range(64))
-    (full,) = _ber_chunk(cfg, (snr_db,), trials, MODES)
-    assert [_ber_chunk(cfg, (snr_db,), [t], MODES)[0][0] for t in trials] == full
-    (full,) = _sense_chunk(cfg, (snr_db,), trials, MODES)
+    full = _ber_chunk(cfg, (snr_db,), trials, MODES)
+    for t in trials:
+        assert np.array_equal(_ber_chunk(cfg, (snr_db,), [t], MODES), full[:, t:t + 1])
+    full = _sense_chunk(cfg, (snr_db,), trials, MODES)
     for t in (0, 1, 31, 63):
-        assert _sense_chunk(cfg, (snr_db,), [t], MODES) == [[full[t]]]
+        assert np.array_equal(_sense_chunk(cfg, (snr_db,), [t], MODES), full[:, t:t + 1])
 
 
 @pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
 def test_chunk_serves_every_snr_point_as_the_pool_calls_do(chunk_fn):
     # the serial sweep runs every SNR point on one chunk; the pool calls the
-    # same function with one point at a time, and each point's rows agree
+    # same function with one point at a time, and each point's results agree
     cfg = load_config(CONFIG)
     trials, snrs = list(range(8)), (0.0, 17.5, 35.0)
     joint = chunk_fn(cfg, snrs, trials, MODES)
-    assert joint == [chunk_fn(cfg, (snr_db,), trials, MODES)[0] for snr_db in snrs]
+    for s, snr_db in enumerate(snrs):
+        assert np.array_equal(joint[s:s + 1], chunk_fn(cfg, (snr_db,), trials, MODES))
 
 
 def test_chunk_uplink_is_built_once_and_read_only():
@@ -446,14 +450,14 @@ def test_chunk_uplink_is_built_once_and_read_only():
 
 @pytest.mark.parametrize("snr_db", [0.0, 35.0])
 def test_sense_chunk_modes_couple_nothing(snr_db):
-    # detecting every mode of a chunk together gives each mode the rows it
-    # gets alone
+    # detecting every mode of a chunk together gives each mode the results
+    # it gets alone
     cfg = load_config(CONFIG)
     trials = list(range(8))
-    (joint,) = _sense_chunk(cfg, (snr_db,), trials, MODES)
-    for mode in MODES:
-        (alone,) = _sense_chunk(cfg, (snr_db,), trials, (mode,))
-        assert [row[mode] for row in joint] == [row[mode] for row in alone]
+    joint = _sense_chunk(cfg, (snr_db,), trials, MODES)
+    for i, mode in enumerate(MODES):
+        alone = _sense_chunk(cfg, (snr_db,), trials, (mode,))
+        assert np.array_equal(joint[:, :, i], alone[:, :, 0])
 
 
 def test_run_ber_shapes_and_counts():
@@ -468,12 +472,11 @@ def test_run_ber_shapes_and_counts():
 
 
 def test_run_ber_worker_count_invariance():
-    cfg = config_from_dict(small_raw())
-    a = run_ber(cfg, workers=1)
-    b = run_ber(cfg, workers=2)
-    for mode in a:
-        assert [(p.metric, p.errors_counted) for p in a[mode]] == \
-               [(p.metric, p.errors_counted) for p in b[mode]]
+    # 65 trials are two chunks, the last of one trial: the serial sweep and
+    # the pool concatenate chunks and SNR points along their own axes
+    for trials in (4, 65):
+        cfg = config_from_dict(small_raw(sweep={"trials": trials}))
+        assert run_ber(cfg, workers=2) == run_ber(cfg, workers=1)
 
 
 @pytest.mark.parametrize("workers", [0, -2, True, 1.5, "2", None])
@@ -510,7 +513,8 @@ def test_pool_starts_no_idle_workers(monkeypatch):
 
 
 def test_run_sensing_pools_and_worker_count_invariance(monkeypatch):
-    # one pool per SNR point, as in run_ber, and the same curves as in-process
+    # one pool per SNR point, as in run_ber, and the same curves as in-process,
+    # also over two chunks
     from concurrent.futures import ProcessPoolExecutor
 
     from wdnoma import harness
@@ -523,9 +527,11 @@ def test_run_sensing_pools_and_worker_count_invariance(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-    cfg = config_from_dict(small_raw(sweep={"trials": 3}))
-    assert run_sensing(cfg, workers=2) == run_sensing(cfg, workers=1)
-    assert len(starts) == len(cfg.sweep.snr_db)
+    for trials in (3, 65):
+        starts.clear()
+        cfg = config_from_dict(small_raw(sweep={"trials": trials}))
+        assert run_sensing(cfg, workers=2) == run_sensing(cfg, workers=1)
+        assert len(starts) == len(cfg.sweep.snr_db)
 
 
 def test_run_sensing_output_structure():
@@ -616,6 +622,14 @@ def test_manifest_records_blas_thread_env_without_setting_it(tmp_path, monkeypat
     assert {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"} <= set(env)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
     assert "MKL_NUM_THREADS" not in os.environ
+
+
+def test_manifest_wall_time_ignores_wall_clock_steps(tmp_path, monkeypatch):
+    # the wall clock stepped back an hour at each read (an NTP step mid-run)
+    clock = iter(range(10 ** 9, 0, -3600))
+    monkeypatch.setattr(harness.time, "time", lambda: float(next(clock)))
+    run_and_write("ber", config_from_dict(small_raw(sweep={"trials": 1})), tmp_path)
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["wall_time_s"] >= 0
 
 
 def test_manifest_hashes_every_listed_file(tmp_path):

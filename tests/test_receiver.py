@@ -185,9 +185,16 @@ def test_equivalent_channel_single_path_sparsity():
 
 
 def test_equivalent_channel_rejects_long_delay():
+    # and the two other inputs it cannot build a channel for
     cfg = make_cfg(N=16, L=2)
     ps = PathSet((path_from_bin(1.0, 3, 0, 16, 18),), 18)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path delay 3 exceeds the prefix length 2"):
+        build_equivalent_channel(ps, cfg)
+    ps = PathSet((path_from_bin(1.0, 1, 0, 16, 18),), 18)
+    with pytest.raises(ValueError, match="unknown waveform 'fbmc'"):
+        build_equivalent_channel(ps, cfg, "fbmc")
+    ps = PathSet((path_from_bin(1.0, 1, 0, 16, 20),), 20)
+    with pytest.raises(ValueError, match="channel frame length 20 != N \\+ prefix = 18"):
         build_equivalent_channel(ps, cfg)
 
 
