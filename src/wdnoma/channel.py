@@ -141,15 +141,15 @@ def prepare_channels(ch) -> PreparedChannels:
 def apply_dd_channel_samples(s: np.ndarray, ch) -> np.ndarray:
     """Apply the delay-Doppler channel along the last (time) axis; O(P*L),
     no matrix materialized. ``ch`` is a PreparedChannels, or what
-    ``prepare_channels`` takes: one channel for every frame of ``s``, or
-    one per row of a 2-D ``s``. Each row gets the element-wise operations
-    of its own single-frame call."""
+    ``prepare_channels`` takes: one channel for every frame of ``s``, or R
+    channels for the R rows of each (R, L) block of ``s``, over any leading
+    axes. Each row gets the element-wise operations of its own single-frame call."""
     prep = ch if isinstance(ch, PreparedChannels) else prepare_channels(ch)
     s = np.asarray(s, dtype=np.complex128)
-    L = s.shape[-1]
-    if prep.ramps.shape[-1] != L:
-        raise ValueError(f"signal length {L} != channel frame length {prep.ramps.shape[-1]}")
-    rows = s.reshape(-1, L)
+    R, L = prep.ramps.shape[1:]
+    if s.shape[-1] != L or R > 1 and s.shape[-2:-1] != (R,):
+        raise ValueError(f"signals of shape {s.shape} do not fit {R} channels of frame length {L}")
+    rows = s.reshape(-1, R, L)
     out = np.zeros_like(rows)
     for gains, ramps, src in zip(prep.gains, prep.ramps, prep.src):
         # src indexes R rows laid end to end; with R = 1 it reads within each row

@@ -144,8 +144,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         sw, ch = self.sweep, self.channel
-        if not sw.snr_db or not np.all(np.isfinite(sw.snr_db)):
-            raise ValueError(f"snr_db must be a non-empty list of finite values, got {sw.snr_db}")
+        # the MMSE solve needs sigma2 bounded away from zero (receiver docstring): on
+        # desk it met a singular system at 160 dB (sigma2 = 7.5e-17); 100 dB keeps 7.5e-11
+        if not sw.snr_db or not np.all(np.isfinite(sw.snr_db)) or max(sw.snr_db) > 100:
+            raise ValueError(f"snr_db must be a non-empty list of finite values of at most "
+                             f"100 dB, got {list(sw.snr_db)}")
         for name, value, least in (("trials", sw.trials, 1), ("master_seed", sw.master_seed, 0),
                                    ("target_count", ch.target_count, 1),
                                    ("uplink_taps", ch.uplink_taps, 1)):
@@ -364,8 +367,7 @@ class _TrialContext:
         sys_ = cfg.system
         seed = cfg.sweep.master_seed
         L = sys_.frame_len_cp
-        self._seed, self._trial, self._bps = seed, trial, int(np.log2(sys_.M))
-        self.bits_dl = _rng(seed, trial, "bits_dl").integers(0, 2, sys_.N * self._bps)
+        self.bits_dl = _rng(seed, trial, "bits_dl").integers(0, 2, sys_.N * int(np.log2(sys_.M)))
         self.targets = draw_targets(cfg, trial)
         self.sense_ps = PathSet(tuple(target_to_path(t, sys_) for t in self.targets), L)
         self.ul_ps = build_uplink_channel(cfg.channel.uplink_taps, cfg.channel.doppler_bins,
@@ -373,16 +375,14 @@ class _TrialContext:
         nrng = _rng(seed, trial, "noise")
         self.noise_unit = (nrng.standard_normal(L) + 1j * nrng.standard_normal(L)) / np.sqrt(2.0)
 
-    def uplink_bits(self, waveform: str, n_data: int) -> np.ndarray:
-        """Uplink bits of ``n_data`` symbols, drawn only for the waveforms a sweep runs."""
-        return _rng(self._seed, self._trial, f"bits_{waveform}").integers(0, 2, n_data * self._bps)
-
 
 def _transmit(sys_, layout, waveform: str, syms, paths) -> np.ndarray:
     """The uplink: symbols (last axis) on the data bins, zero guards, the
     waveform's modulator and prefix, then the channel ``paths`` (one PathSet,
-    one per row, or their PreparedChannels). It sends the uplink and rebuilds
-    it for cancellation."""
+    or R of them, or their PreparedChannels, for the last R rows of any
+    leading axes). It sends the uplink of a chunk's (T, n_data) symbols and
+    rebuilds a waveform group's (G, T, n_data) hard decisions in one call
+    for cancellation."""
     frames = np.zeros(np.shape(syms)[:-1] + (sys_.N,), dtype=np.complex128)
     frames[..., layout.data] = syms
     return apply_dd_channel_samples(WAVEFORMS[waveform].mod(frames, sys_), paths)
@@ -396,7 +396,7 @@ class _Chunk:
 
     def __init__(self, cfg: ExperimentConfig, trials):
         sys_ = cfg.system
-        self.cfg, self.layouts = cfg, _layouts(cfg)
+        self.cfg, self.layouts, self.trials = cfg, _layouts(cfg), trials
         self.ctxs = [_TrialContext(cfg, t) for t in trials]
         self.ul_channels = prepare_channels([c.ul_ps for c in self.ctxs])
         bits_dl = np.concatenate([c.bits_dl for c in self.ctxs])
@@ -411,11 +411,14 @@ class _Chunk:
         """For one waveform: the transmit bits (T, n_bits), the received uplink
         signals (T, L), its power p_ul, the (T, 1) echo amplitudes g that put
         the echo echo_power_offset_db below p_ul, and the echo's mean power per
-        bin (T,). Built on the first call; every SNR point shares them, so read-only."""
+        bin (T,). Built on the first call, so bits are drawn only for the
+        waveforms a sweep runs; every SNR point shares them, so read-only."""
         if waveform not in self._uplinks:
-            sys_ = self.cfg.system
+            sys_, seed = self.cfg.system, self.cfg.sweep.master_seed
             layout = self.layouts[waveform]
-            bits = np.stack([c.uplink_bits(waveform, layout.n_data) for c in self.ctxs])
+            n_bits = layout.n_data * int(np.log2(sys_.M))
+            bits = np.stack([_rng(seed, t, f"bits_{waveform}").integers(0, 2, n_bits)
+                             for t in self.trials])
             syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
             r_ul = _transmit(sys_, layout, waveform, syms, self.ul_channels)
             p_ul = layout.n_data / sys_.N
@@ -499,10 +502,11 @@ def _ber_chunk(cfg, snr_points, trials, modes):
 
 def _sense_chunk(cfg, snr_points, trials, modes):
     """(err_r, ref_r, err_v, ref_v, index_errors) of each trial of a chunk,
-    (SNR point, trial, mode, 5) float64: every mode's detection and
-    cancellation, then one correlation pass over all trials and modes against
-    the chunk's dictionary, built once for all SNR points, and per mode one
-    2D-OMP per trial, scored against the targets and their sorted cells."""
+    (SNR point, trial, mode, 5) float64: every mode's detection, one
+    cancellation per waveform group, then one correlation pass over all
+    trials and modes against the chunk's dictionary, built once for all SNR
+    points, and per mode one 2D-OMP per trial, scored against the targets
+    and their sorted cells."""
     sys_, k = cfg.system, cfg.frame.kappa_max
     chunk = _Chunk(cfg, trials)
     col = {m: i for i, m in enumerate(modes)}
@@ -511,27 +515,26 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     targets = [c.targets for c in chunk.ctxs]
     true_r = np.array([[t.range_m for t in ts] for ts in targets])
     true_v = np.array([[t.velocity_mps for t in ts] for ts in targets])
-    # a cell (tau, nu) as tau * width + nu - low keeps the order of the pairs
+    # a cell (tau, nu) as tau + j nu: numpy sorts complex values by the real
+    # part, then the imaginary part, so the cells sort as (tau, nu) pairs
     true_cells = np.array([[quantize_target(t.range_m, t.velocity_mps, sys_) for t in ts]
                            for ts in targets])
-    low = min(true_cells[..., 1].min(), dic.nu_grid.min())
-    width = max(true_cells[..., 1].max(), dic.nu_grid.max()) - low + 1
-    true_keys = np.sort(true_cells[..., 0] * width + true_cells[..., 1] - low, axis=-1)
+    true_keys = np.sort(true_cells[..., 0] + 1j * true_cells[..., 1], axis=-1)
     for scores_at_snr, snr_db in zip(out, snr_points):
-        residuals = {}
+        order, residuals = [], []
         for group, r, _, syms in _detect_chunk(chunk, snr_db, modes):
             waveform = MODES[group[0]][0]
-            hard = qam_slice(syms, sys_.M)
-            for i, mode in enumerate(group):
-                residuals[mode] = r - _transmit(sys_, chunk.layouts[waveform], waveform,
-                                                hard[:, i], chunk.ul_channels)
-        corr = correlate(dic, np.stack(list(residuals.values()), axis=1))
-        for m, mode in enumerate(residuals):
+            hard = qam_slice(syms, sys_.M).transpose(1, 0, 2)      # (G, T, n_data)
+            rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ul_channels)
+            order += group
+            residuals.append((r - rebuilt).transpose(1, 0, 2))
+        corr = correlate(dic, np.concatenate(residuals, axis=1))
+        for m, mode in enumerate(order):
             picks = np.array([omp_2d(c, dic, t, true_r.shape[1]).targets
                               for t, c in enumerate(corr[:, m])])
             est_r, est_v = estimate_to_physical(picks[..., 0], picks[..., 1], sys_)
             scores = matched_squared_errors(est_r, est_v, true_r, true_v)
-            keys = np.sort(picks[..., 0] * width + picks[..., 1] - low, axis=-1)
+            keys = np.sort(picks[..., 0] + 1j * picks[..., 1], axis=-1)
             index_errors = np.count_nonzero(keys != true_keys, axis=-1)
             scores_at_snr[:, col[mode]] = np.column_stack((*scores, index_errors))
     return out
@@ -667,6 +670,7 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
                   for (mode, param), pts in run_sensing(cfg, workers=workers).items()}
     elif command == "stats":
         from .affine_stats import run_stats  # the one module that loads scipy.stats
+        workers = 1     # run_stats runs in this process, whatever was asked for
         sys_ = cfg.system
         path = path_from_bin(1.0, min(5, sys_.L_cp), min(2, cfg.frame.kappa_max), sys_.N, sys_.N)
         files = run_stats(sys_, PathSet((path,), sys_.N), out_dir, cfg.sweep.trials,

@@ -1,9 +1,10 @@
 """Uplink receiver on plain arrays: the transmit-domain equivalent channel,
-noise power estimation (NPE) and MMSE detection. The waveforms enter only
-through their unitary transforms T^H and T, the ``transforms`` kernels that
-their modulators and demodulators apply besides the prefix; the sense
-sweep rebuilds and cancels the detected uplink with the transmitter that
-sent it (``harness._transmit``).
+noise power estimation (NPE) and MMSE detection. A waveform enters only
+through its entry in ``waveforms.TRANSFORMS``: its unitary transforms T^H
+and T, what its modulator and demodulator apply besides the prefix, and
+whether the prefix is chirp-periodic. The sense sweep rebuilds and cancels
+the detected uplink with the transmitter that sent it
+(``harness._transmit``).
 
 The equivalent channel H factors as T H_t T^H, where T is the waveform's
 unitary transform (DFT, DAFT, or the DFT across the OTFS Doppler axis) and
@@ -92,16 +93,8 @@ import numpy as np
 import scipy
 
 from .channel import PathSet
-from .transforms import (
-    cpp_prefix_phases,
-    daft_samples,
-    dft_samples,
-    doppler_dft_samples,
-    doppler_idft_samples,
-    idaft_samples,
-    idft_samples,
-)
-from .waveforms import SystemConfig
+from .transforms import cpp_prefix_phases
+from .waveforms import TRANSFORMS, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -116,10 +109,10 @@ class EquivalentChannel:
     @property
     def matrix(self) -> np.ndarray:
         """Dense copy of H, for tests and oracles."""
-        to_time, from_time = _mod_demod_fns(self.cfg, self.waveform)
-        cols = to_time(np.eye(self.cfg.N))      # row k: column k of T^H
+        transform = TRANSFORMS[self.waveform]
+        cols = transform.to_time(np.eye(self.cfg.N), self.cfg)     # row k: column k of T^H
         rotated = sum(t * np.roll(cols, l, axis=-1) for l, t in zip(self.delays, self.taps))
-        return from_time(rotated).T
+        return transform.from_time(rotated, self.cfg).T
 
 
 def estimate_noise_power(d: np.ndarray, layout):
@@ -131,20 +124,6 @@ def estimate_noise_power(d: np.ndarray, layout):
     # take() keeps each row contiguous, so a stack of frames is summed in
     # the same order as each frame alone
     return np.mean(np.abs(d.take(window, axis=-1)) ** 2, axis=-1)
-
-
-def _mod_demod_fns(cfg: SystemConfig, waveform: str):
-    """The waveform's unitary transforms T^H and T: what its modulator and
-    demodulator apply besides the prefix."""
-    if waveform == "afdm":
-        return (lambda X: idaft_samples(X, cfg.chirp),
-                lambda r: daft_samples(r, cfg.chirp))
-    if waveform == "otfs":
-        return (lambda X: doppler_idft_samples(X, cfg.N1, cfg.N2),
-                lambda r: doppler_dft_samples(r, cfg.N1, cfg.N2))
-    if waveform == "ofdm":
-        return idft_samples, dft_samples
-    raise ValueError(f"unknown waveform {waveform!r}")
 
 
 def _integer_bin(doppler_norm: float, N: int, frame_len: int) -> int:
@@ -167,17 +146,17 @@ def _tap_phases(N: int, prefix: int, delay: int, kappa: int) -> np.ndarray:
     return v
 
 
-def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "afdm") -> EquivalentChannel:
+def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> EquivalentChannel:
     """N x N transmit-domain equivalent channel demod(channel(mod(.))).
 
     What is built, in O(P N), is the time-domain factor H_t as one tap
     vector per distinct delay: core sample i receives
     h e^{-j 2 pi kappa (L + i - l) / N} times sample (i - l) mod N, weighted
-    by the chirp-periodic prefix phase for AFDM when i < l. Path delays must
-    fit inside the prefix and Doppler must sit on an integer bin; paths
-    sharing a delay are summed.
+    by the prefix phase when i < l and the waveform's prefix is
+    chirp-periodic (AFDM). Path delays must fit inside the prefix and
+    Doppler must sit on an integer bin; paths sharing a delay are summed.
     """
-    if waveform not in ("afdm", "otfs", "ofdm"):
+    if waveform not in TRANSFORMS:
         raise ValueError(f"unknown waveform {waveform!r}")
     N, prefix = cfg.N, cfg.L_cp
     if ch.max_delay > prefix:
@@ -189,7 +168,7 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str = "af
     for p in ch.paths:
         l = p.delay_samples
         val = p.gain * _tap_phases(N, prefix, l, _integer_bin(p.doppler_norm, N, ch.frame_len))
-        if l and waveform == "afdm":    # core samples i < l read the chirp-periodic prefix
+        if l and TRANSFORMS[waveform].chirp_prefix:     # core samples i < l read the prefix
             val[:l] *= cpp_prefix_phases(N, prefix, cfg.chirp.c1)[prefix - l:]
         taps[delays.index(l)] += val
     return EquivalentChannel(cfg=cfg, waveform=waveform, delays=delays, taps=taps)
@@ -349,13 +328,13 @@ def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     return z
 
 
-def _rowwise(fn, src, dst) -> None:
-    """dst = fn(src) for a transform fn along the last axis, in blocks of
-    rows small enough that fn's temporaries stay in cache and reuse freed
+def _rowwise(fn, src, dst, cfg) -> None:
+    """dst = fn(src, cfg) for a transform fn along the last axis, in blocks
+    of rows small enough that fn's temporaries stay in cache and reuse freed
     memory instead of new pages."""
     step = max(1, _BLOCK // src.shape[-1])
     for i in range(0, len(src), step):
-        dst[i:i + step] = fn(src[i:i + step])
+        dst[i:i + step] = fn(src[i:i + step], cfg)
 
 
 def mmse_detect(channels, ds, sigma2s) -> list:
@@ -387,14 +366,14 @@ def mmse_detect(channels, ds, sigma2s) -> list:
     # maximal runs of consecutive channels that share one transform
     keys = [(H.cfg, H.waveform) for H in channels]
     starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
-    runs = [(lo, hi, *_mod_demod_fns(*keys[lo]))
-            for lo, hi in zip(starts, starts[1:])]
+    runs = [(lo, hi, *keys[lo]) for lo, hi in zip(starts, starts[1:])]
     y = _work_array("y", (C, N + delays[-1]))
-    for lo, hi, to_time, _ in runs:
-        _rowwise(to_time, ds[lo:hi], y[lo:hi, :N])
+    for lo, hi, cfg, waveform in runs:
+        _rowwise(TRANSFORMS[waveform].to_time, ds[lo:hi], y[lo:hi, :N], cfg)
     y[:, N:] = y[:, :delays[-1]]
     z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
     x = np.empty(z.shape, dtype=np.complex128)
-    for lo, hi, _, from_time in runs:
-        _rowwise(from_time, z[bounds[lo]:bounds[hi]], x[bounds[lo]:bounds[hi]])
+    for lo, hi, cfg, waveform in runs:
+        _rowwise(TRANSFORMS[waveform].from_time, z[bounds[lo]:bounds[hi]],
+                 x[bounds[lo]:bounds[hi]], cfg)
     return [x[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -1,4 +1,4 @@
-"""QAM mapping and the OFDM / AFDM / OTFS modulators.
+"""QAM mapping, the OFDM / AFDM / OTFS modulators and their transform table.
 
 All three modulators share the pattern prefix(unitary_inverse(x)); their
 demodulators are exact inverses over an ideal channel.
@@ -6,7 +6,9 @@ demodulators are exact inverses over an ideal channel.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -193,3 +195,17 @@ def otfs_mod_samples(X: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray:
 
 def otfs_demod_samples(r: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray:
     return doppler_dft_samples(r[..., L_cp:], N1, N2)
+
+
+# waveform -> its unitary transforms T^H (to time) and T, each f(x, system) on
+# the last axis: what its modulator and demodulator apply besides the prefix;
+# and whether that prefix is chirp-periodic. The receiver reads this table; each
+# entry looks its kernel up here when it runs, so a wrapper set on the name sees it
+Transform = namedtuple("Transform", "to_time from_time chirp_prefix")
+TRANSFORMS = MappingProxyType({
+    "afdm": Transform(lambda x, s: idaft_samples(x, s.chirp),
+                      lambda r, s: daft_samples(r, s.chirp), True),
+    "otfs": Transform(lambda x, s: doppler_idft_samples(x, s.N1, s.N2),
+                      lambda r, s: doppler_dft_samples(r, s.N1, s.N2), False),
+    "ofdm": Transform(lambda x, s: idft_samples(x), lambda r, s: dft_samples(r), False),
+})

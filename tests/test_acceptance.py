@@ -153,7 +153,7 @@ def test_criterion_1_transform_correctness():
                                     int(rng.integers(-2, 3)), 32, 40)
                       for _ in range(n_paths))
         ps = PathSet(paths, 40)
-        H = build_equivalent_channel(ps, cfg).matrix
+        H = build_equivalent_channel(ps, cfg, "afdm").matrix
         Href = dense_equivalent_channel(32, 8, cfg.chirp.c1, cfg.chirp.c2,
                                         [(p.gain, p.delay_samples, p.doppler_norm)
                                          for p in ps.paths])

@@ -142,6 +142,18 @@ def test_prepared_channel_pass_equals_one_path_set_per_row(case):
     assert np.array_equal(apply_dd_channel_samples(s, one), np.stack(rows))
 
 
+@pytest.mark.parametrize("G", [1, 3])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=_stacked_channels())
+def test_prepared_channel_pass_over_leading_axes(G, case):
+    # the sense sweep rebuilds a waveform group's G decision stacks in one pass
+    s, chs = case
+    prepared = prepare_channels(chs)
+    stack = np.stack([s * (0.5 + 1j) ** g for g in range(G)])
+    passes = [apply_dd_channel_samples(x, prepared) for x in stack]
+    assert np.array_equal(apply_dd_channel_samples(stack, prepared), np.stack(passes))
+
+
 def test_stacked_channel_pass_validation():
     one = PathSet((Path(1.0, 0, 0.0),), 16)
     two = PathSet((Path(1.0, 0, 0.0), Path(0.5, 3, 1.0)), 16)
@@ -152,6 +164,8 @@ def test_stacked_channel_pass_validation():
         apply_dd_channel_samples(random_complex(rng, 30).reshape(2, 15), [one, one])
     with pytest.raises(ValueError):     # two frames, three channels
         apply_dd_channel_samples(s, [one, one, one])
+    with pytest.raises(ValueError, match="do not fit 2 channels"):     # four frames, two channels
+        apply_dd_channel_samples(np.concatenate([s, s]), [one, one])
 
 
 def test_doppler_ramp_cache_is_read_only_and_exact():

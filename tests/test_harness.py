@@ -111,6 +111,19 @@ def test_config_rejects_empty_or_non_finite_snr(snr_db):
         config_from_dict(small_raw(sweep={"snr_db": snr_db}))
 
 
+@pytest.mark.parametrize("snr_db", [[160.0], [10.0, 300.0]])
+def test_config_rejects_snr_points_above_100_db(snr_db, tmp_path, capsys):
+    # at 160 dB (sigma2 = 7.5e-17 on desk) the MMSE system was singular mid-sweep
+    with pytest.raises(ValueError, match="snr_db"):
+        config_from_dict(small_raw(sweep={"snr_db": snr_db}))
+    assert config_from_dict(small_raw(sweep={"snr_db": [0.0, 100.0]})).sweep.snr_db[-1] == 100.0
+    out = tmp_path / "out"
+    snr = ",".join(map(str, snr_db))
+    assert main(["ber", "--config", str(CONFIG), "--out", str(out), "--snr", snr]) == 2
+    assert "config error: snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", [2.5, "2", True])
 def test_config_rejects_non_integer_trials(trials):
     with pytest.raises(ValueError, match="trials"):
@@ -685,12 +698,14 @@ def test_cli_rejects_too_small_stats_run(tmp_path, capsys):
 
 
 def test_cli_stats_runs_and_repeats_byte_identical(tmp_path):
+    # stats accepts --workers but runs in one process, and its manifest says so
     outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
+    for out, workers in zip(outs, ("1", "4")):
         assert main(["stats", "--config", str(CONFIG), "--trials", "200",
-                     "--out", str(out)]) == 0
+                     "--out", str(out), "--workers", workers]) == 0
     data = ("stats_prechannel.csv", "stats_postchannel.csv", "gaussianity.json")
     for out in outs:
         assert sorted(f.name for f in out.iterdir()) == sorted(data + ("run_manifest.json",))
+        assert json.loads((out / "run_manifest.json").read_text())["workers"] == 1
     for f in data:
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()

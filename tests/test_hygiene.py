@@ -104,16 +104,19 @@ def test_cli_import_loads_no_scipy_stats_or_constants():
 
 
 def test_harness_has_no_per_waveform_branch():
-    # a comparison with a waveform's name is a dispatch outside the WAVEFORMS
-    # table; the harness looks the waveform up in the table instead
-    tree = ast.parse((SRC / "harness.py").read_text(), filename="harness.py")
-    owner = {}   # Compare node -> innermost enclosing function (walk is outer first)
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner.update((id(node), fn.name) for node in ast.walk(fn))
-    found = sorted(
-        (owner.get(id(node), "<module>"), node.lineno)
-        for node in ast.walk(tree) if isinstance(node, ast.Compare)
-        for side in (node.left, *node.comparators) for c in ast.walk(side)
-        if isinstance(c, ast.Constant) and c.value in ("afdm", "otfs", "ofdm"))
+    # a comparison with a waveform's name is a dispatch outside the waveform
+    # tables, in the harness or any module below it: the harness reads
+    # WAVEFORMS and the receiver waveforms.TRANSFORMS
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}   # Compare node -> innermost enclosing function (walk is outer first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        found += sorted(
+            (path.stem, owner.get(id(node), "<module>"), node.lineno)
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for side in (node.left, *node.comparators) for c in ast.walk(side)
+            if isinstance(c, ast.Constant) and c.value in ("afdm", "otfs", "ofdm"))
     assert found == []

@@ -26,14 +26,13 @@ from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
     _border_plan,
     _fill_border,
-    _mod_demod_fns,
     _tap_phases,
     build_equivalent_channel,
     estimate_noise_power,
     mmse_detect,
 )
 from wdnoma.transforms import ChirpParams
-from wdnoma.waveforms import SystemConfig, afdm_demod_samples, afdm_mod_samples
+from wdnoma.waveforms import TRANSFORMS, SystemConfig, afdm_demod_samples, afdm_mod_samples
 
 rng = np.random.default_rng(41)
 
@@ -50,14 +49,14 @@ def _paths_as_tuples(ps):
 def test_equivalent_channel_identity():
     cfg = make_cfg()
     ps = PathSet((path_from_bin(1.0, 0, 0, cfg.N, cfg.frame_len_cp),), cfg.frame_len_cp)
-    H = build_equivalent_channel(ps, cfg).matrix
+    H = build_equivalent_channel(ps, cfg, "afdm").matrix
     assert np.max(np.abs(H - np.eye(cfg.N))) < 1e-10
 
 
 def test_equivalent_channel_single_path_dense_oracle():
     cfg = make_cfg(N=16, L=4)
     ps = PathSet((path_from_bin(1.0, 2, 1, 16, 20),), 20)
-    H = build_equivalent_channel(ps, cfg).matrix
+    H = build_equivalent_channel(ps, cfg, "afdm").matrix
     Href = dense_equivalent_channel(16, 4, cfg.chirp.c1, cfg.chirp.c2, _paths_as_tuples(ps))
     assert np.max(np.abs(H - Href)) < 1e-11
 
@@ -71,7 +70,7 @@ def test_equivalent_channel_random_dense_oracle():
                                     int(g.integers(-2, 3)), 16, 20)
                       for _ in range(int(g.integers(1, 4))))
         ps = PathSet(paths, 20)
-        H = build_equivalent_channel(ps, cfg).matrix
+        H = build_equivalent_channel(ps, cfg, "afdm").matrix
         Href = dense_equivalent_channel(16, 4, cfg.chirp.c1, cfg.chirp.c2,
                                         _paths_as_tuples(ps))
         assert np.max(np.abs(H - Href)) < 1e-11
@@ -128,9 +127,9 @@ def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
     i = np.arange(N)
     for l, t in zip(eq.delays, eq.taps):
         H_t[i, (i - l) % N] += t
-    to_time, from_time = _mod_demod_fns(cfg, waveform)
+    to_time, from_time, _ = TRANSFORMS[waveform]
     H = eq.matrix
-    rotated = from_time((H_t @ to_time(np.eye(N)).T).T).T
+    rotated = from_time((H_t @ to_time(np.eye(N), cfg).T).T, cfg).T
     assert np.max(np.abs(rotated - H)) < 1e-11
     d = random_complex(np.random.default_rng(N + len(ps.paths)), N)
     for s2, x in zip((0.05, 1.0), mmse_detect([eq], [d], [(0.05, 1.0)])[0]):
@@ -142,8 +141,7 @@ def test_time_domain_gram_pattern_ignores_doppler(waveform):
     # the Gram matrix of H_t = T^H H T is a cyclic band of half-width
     # l_max - l_min for every Doppler draw, the band the MMSE solve assumes
     cfg = make_cfg(N=16, L=4, kappa_max=1)
-    to_time, _ = _mod_demod_fns(cfg, waveform)
-    T_H = to_time(np.eye(16)).T
+    T_H = TRANSFORMS[waveform].to_time(np.eye(16), cfg).T
     offset = np.subtract.outer(np.arange(16), np.arange(16)) % 16
     inside = np.minimum(offset, 16 - offset) <= 2
     for kappas in ((0, 0, 0), (-1, 0, 1), (1, 1, -1)):
@@ -175,7 +173,7 @@ def test_equivalent_channel_single_path_sparsity():
     cfg = make_cfg(N=32, L=8, kappa_max=2, N1=8, N2=4)
     tau, kappa = 3, -1
     ps = PathSet((path_from_bin(1.0, tau, kappa, 32, 40),), 40)
-    H = build_equivalent_channel(ps, cfg).matrix
+    H = build_equivalent_channel(ps, cfg, "afdm").matrix
     shift = (cfg.chirp.shift_factor(32) * tau + kappa) % 32
     mask = np.zeros((32, 32), dtype=bool)
     k = np.arange(32)
@@ -189,13 +187,13 @@ def test_equivalent_channel_rejects_long_delay():
     cfg = make_cfg(N=16, L=2)
     ps = PathSet((path_from_bin(1.0, 3, 0, 16, 18),), 18)
     with pytest.raises(ValueError, match="path delay 3 exceeds the prefix length 2"):
-        build_equivalent_channel(ps, cfg)
+        build_equivalent_channel(ps, cfg, "afdm")
     ps = PathSet((path_from_bin(1.0, 1, 0, 16, 18),), 18)
     with pytest.raises(ValueError, match="unknown waveform 'fbmc'"):
         build_equivalent_channel(ps, cfg, "fbmc")
     ps = PathSet((path_from_bin(1.0, 1, 0, 16, 20),), 20)
     with pytest.raises(ValueError, match="channel frame length 20 != N \\+ prefix = 18"):
-        build_equivalent_channel(ps, cfg)
+        build_equivalent_channel(ps, cfg, "afdm")
 
 
 def test_tap_phase_cache_is_read_only_and_exact():

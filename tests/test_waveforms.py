@@ -10,12 +10,16 @@ from oracles import (
     random_complex,
 )
 from wdnoma import harness
-from wdnoma.transforms import ChirpParams
+from wdnoma.transforms import ChirpParams, add_cp_samples, add_cpp_samples
 from wdnoma.waveforms import (
+    TRANSFORMS,
     SystemConfig,
+    afdm_demod_samples,
     afdm_mod_samples,
     constellation,
+    ofdm_demod_samples,
     ofdm_mod_samples,
+    otfs_demod_samples,
     otfs_mod_samples,
     qam_demap_hard,
     qam_map,
@@ -169,6 +173,29 @@ def test_modulator_energy_with_prefix_overhead(waveform):
     assert abs(np.sum(np.abs(s) ** 2)
                - np.sum(np.abs(x) ** 2) - np.sum(np.abs(core[-8:]) ** 2)) < 1e-10
     assert abs(np.linalg.norm(core) - np.linalg.norm(x)) < 1e-10
+
+
+@pytest.mark.parametrize("L", [0, 6])
+@pytest.mark.parametrize("waveform", WAVEFORMS)
+def test_transform_table_is_each_kernel_without_its_prefix(waveform, L):
+    # the receiver reads TRANSFORMS, the sweeps send and demodulate with the
+    # kernels; both restate each waveform's core, so they must agree bit for bit.
+    # An odd N makes the chirp-periodic prefix phases differ from 1
+    cfg = make_cfg(N=15, L=L, N1=5, N2=3)
+    kernels = {
+        "ofdm": (lambda x: ofdm_mod_samples(x, L), lambda r: ofdm_demod_samples(r, L)),
+        "afdm": (lambda x: afdm_mod_samples(x, cfg.chirp, L),
+                 lambda r: afdm_demod_samples(r, cfg.chirp, L)),
+        "otfs": (lambda x: otfs_mod_samples(x, 5, 3, L), lambda r: otfs_demod_samples(r, 5, 3, L)),
+    }
+    mod, demod = kernels[waveform]
+    entry = TRANSFORMS[waveform]
+    prefix = ((lambda y: add_cpp_samples(y, L, cfg.chirp.c1)) if entry.chirp_prefix
+              else (lambda y: add_cp_samples(y, L)))
+    x = random_complex(rng, 2 * 3 * 15).reshape(2, 3, 15)
+    r = random_complex(rng, 2 * 3 * (15 + L)).reshape(2, 3, 15 + L)
+    assert np.array_equal(mod(x), prefix(entry.to_time(x, cfg)))
+    assert np.array_equal(demod(r), entry.from_time(r[..., L:], cfg))
 
 
 def test_zero_in_zero_out():
