@@ -12,6 +12,19 @@ dictionary are built once and serve every SNR point. With more workers
 each SNR point gets its own pool, which calls the same chunk function with
 that one point.
 
+Inside a chunk of T trials the SNR points run in blocks of
+max(1, _CHUNK_TRIALS // T) points, so no stacked pass holds more than
+_CHUNK_TRIALS (SNR point, trial) rows: a 64-trial chunk takes one point per
+pass, a 4-trial chunk up to 16. Per block, the composition, each waveform
+group's demodulator, NPE, demapping and cancellation, and the sense
+sweep's correlation run once on (p, T, ...) stacks; the sense scoring runs
+once per chunk and mode. Each row gets the operations of its own one-point
+pass, so the blocks do not move a curve. Three calls stay per SNR point:
+the equivalent channel builds and the 2D-OMP calls, which perfbench/tests
+counts per point, and the MMSE solve, whose work arrays grow with the
+systems of a call: one solve over a block's points holds p times as much
+(4.4 MB, 9 %, more peak RSS on a 4-trial, 4-point desk BER sweep).
+
 A chunk returns one array, (SNR point, trial, mode, ...), each mode at its
 position in the sweep's modes; the sweep concatenates the chunks along the
 trial axis, and a curve point sums one (SNR point, mode) column over trials.
@@ -430,41 +443,51 @@ class _Chunk:
                                        "echo_bin_power": echo_bin_power}
         return self._uplinks[waveform]
 
-    def compose(self, up, snr_db: float):
-        """(T, L) uplink plus echo plus noise at ``snr_db``, and sigma2."""
-        sigma2 = up["p_ul"] * 10.0 ** (-snr_db / 10.0)
-        return up["r_ul"] + up["g"] * self.r_dl + np.sqrt(sigma2) * self.noise_unit, sigma2
+    def compose(self, up, snr_points):
+        """(p, T, L) uplink plus echo plus noise at each of the p ``snr_points``,
+        and the p values of sigma2, each computed alone in Python floats. The
+        uplink plus echo is formed once and the noise added to it at each point."""
+        sigma2 = np.array([up["p_ul"] * 10.0 ** (-snr_db / 10.0) for snr_db in snr_points])
+        noise = np.sqrt(sigma2)[:, None, None] * self.noise_unit
+        return up["r_ul"] + up["g"] * self.r_dl + noise, sigma2
 
 
-def _detect_chunk(chunk: _Chunk, snr_db, modes) -> list:
+def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
     """Demodulate, estimate the noise and MMSE-detect the trials of ``chunk``
-    for every waveform group of ``modes``, in one ``mmse_detect`` call.
-    Returns per group: its modes, the received frames (T, N + L_cp), the
-    sent bits (T, n_bits) and the MMSE estimates of the data symbols
-    (T, len(group), n_data).
+    at p SNR points for every waveform group of ``modes``: one demodulator
+    and one NPE pass per group on its (p, T, ·) stack, then per SNR point one
+    ``mmse_detect`` call for every group. Returns per group: its modes, the
+    received frames (p, T, N + L_cp), the sent bits (T, n_bits) and the MMSE
+    estimates of the data symbols (p, T, len(group), n_data).
     """
     sys_ = chunk.cfg.system
-    T = len(chunk.ctxs)
-    groups, channels, ds, sigma2s = [], [], [], []
+    p, T = len(snr_points), len(chunk.ctxs)
+    groups, ds, sigma2s = [], [], []
     for waveform, entry in WAVEFORMS.items():
         group = [m for m in modes if MODES[m][0] == waveform]
         if not group:
             continue
-        layout = chunk.layouts[waveform]
-        up = chunk.uplink(waveform)
-        r, sigma2 = chunk.compose(up, snr_db)
+        layout, up = chunk.layouts[waveform], chunk.uplink(waveform)
+        r, sigma2 = chunk.compose(up, snr_points)
         d = entry.demod(r, sys_)
-        noise = {"sigma2": np.full(T, sigma2), "sigma2+echo": sigma2 + up["echo_bin_power"]}
+        noise = {"sigma2": sigma2[:, None], "sigma2+echo": sigma2[:, None] + up["echo_bin_power"]}
         if any(MODES[m][1] == "npe" for m in group):
             noise["npe"] = estimate_noise_power(d, layout)
-        sigma2s.extend(np.column_stack([noise[MODES[m][1]] for m in group]))
-        channels += [build_equivalent_channel(c.ul_ps, sys_, waveform) for c in chunk.ctxs]
+        sigma2s.append(np.empty((p, T, len(group))))     # each mode's noise power
+        for j, m in enumerate(group):
+            sigma2s[-1][..., j] = noise[MODES[m][1]]
         ds.append(d)
-        groups.append((group, layout, r, up["bits"]))
-
-    xs = iter(mmse_detect(channels, np.concatenate(ds), sigma2s))
-    return [(group, r, bits, np.stack([next(xs) for _ in range(T)]).take(layout.data, axis=-1))
-            for group, layout, r, bits in groups]
+        groups.append((waveform, group, layout.data, r, up["bits"]))
+    # one solve per SNR point: a solve over all p points would hold p times the work arrays
+    syms = [np.empty((p, T, len(group), data.size), dtype=np.complex128)
+            for _, group, data, _, _ in groups]
+    for i in range(p):
+        xs = mmse_detect([build_equivalent_channel(c.ul_ps, sys_, g[0]) for g in groups
+                          for c in chunk.ctxs], np.concatenate([d[i] for d in ds]),
+                         [row for s in sigma2s for row in s[i]])
+        for k, (_, _, data, _, _) in enumerate(groups):
+            np.take(np.stack(xs[k * T:(k + 1) * T]), data, axis=-1, out=syms[k][i])
+    return [(group, r, bits, x) for (_, group, _, r, bits), x in zip(groups, syms)]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +503,7 @@ class CurvePoint:
     confidence_halfwidth: float
 
 
-_CHUNK_TRIALS = 64     # trials per chunk: one detection call, one task of a worker
+_CHUNK_TRIALS = 64     # trials per chunk, one task of a worker; rows per stacked pass
 
 
 def _chunks(n_trials: int):
@@ -488,55 +511,68 @@ def _chunks(n_trials: int):
         yield list(range(start, min(start + _CHUNK_TRIALS, n_trials)))
 
 
+def _snr_blocks(n_points: int, T: int) -> list:
+    """Slices of a chunk's SNR points that one stacked pass takes: at most
+    _CHUNK_TRIALS (SNR point, trial) rows, and one point at least."""
+    step = max(1, _CHUNK_TRIALS // T)
+    return [slice(lo, lo + step) for lo in range(0, n_points, step)]
+
+
 def _ber_chunk(cfg, snr_points, trials, modes):
     """Bit errors of each trial of a chunk, (SNR point, trial, mode) int64."""
     chunk, T = _Chunk(cfg, trials), len(trials)
     col = {m: i for i, m in enumerate(modes)}
     out = np.zeros((len(snr_points), T, len(modes)), dtype=np.int64)
-    for errs, snr_db in zip(out, snr_points):
-        for group, _, bits, syms in _detect_chunk(chunk, snr_db, modes):
-            bits_hat = qam_demap_hard(syms.reshape(-1), cfg.system.M).reshape(T, len(group), -1)
-            errs[:, [col[m] for m in group]] = np.count_nonzero(bits_hat != bits[:, None], axis=-1)
+    for block in _snr_blocks(len(snr_points), T):
+        for group, _, bits, syms in _detect_chunk(chunk, snr_points[block], modes):
+            bits_hat = qam_demap_hard(syms.ravel(), cfg.system.M).reshape(*syms.shape[:3], -1)
+            errors = np.count_nonzero(bits_hat != bits[:, None], axis=-1)     # (p, T, G)
+            out[block, :, [col[m] for m in group]] = errors
     return out
 
 
 def _sense_chunk(cfg, snr_points, trials, modes):
     """(err_r, ref_r, err_v, ref_v, index_errors) of each trial of a chunk,
-    (SNR point, trial, mode, 5) float64: every mode's detection, one
-    cancellation per waveform group, then one correlation pass over all
-    trials and modes against the chunk's dictionary, built once for all SNR
-    points, and per mode one 2D-OMP per trial, scored against the targets
-    and their sorted cells."""
+    (SNR point, trial, mode, 5) float64. Per block of SNR points: every
+    mode's detection, one cancellation per waveform group, one correlation
+    pass over all points, trials and modes against the chunk's dictionary
+    and one 2D-OMP per (SNR point, trial, mode). Then per mode one scoring
+    pass over every (SNR point, trial) row against the targets and their
+    sorted cells."""
     sys_, k = cfg.system, cfg.frame.kappa_max
-    chunk = _Chunk(cfg, trials)
+    chunk, n, T = _Chunk(cfg, trials), len(snr_points), len(trials)
     col = {m: i for i, m in enumerate(modes)}
-    out = np.zeros((len(snr_points), len(trials), len(modes), 5))
     dic = build_dictionary(chunk.s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
     targets = [c.targets for c in chunk.ctxs]
-    true_r = np.array([[t.range_m for t in ts] for ts in targets])
-    true_v = np.array([[t.velocity_mps for t in ts] for ts in targets])
+    P = len(targets[0])
+    picks = np.empty((n, T, len(modes), P, 2), dtype=np.int64)    # (tau, nu) of each pick
+    for block in _snr_blocks(n, T):
+        cols, residuals = [], []
+        for group, r, _, syms in _detect_chunk(chunk, snr_points[block], modes):
+            waveform = MODES[group[0]][0]
+            hard = qam_slice(syms, sys_.M).transpose(0, 2, 1, 3)     # (p, G, T, n_data)
+            rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ul_channels)
+            cols += [col[m] for m in group]
+            residuals.append((r[:, None] - rebuilt).transpose(2, 0, 1, 3))  # (T, p, G, L)
+        res = np.concatenate(residuals, axis=2)
+        corr = correlate(dic, res.reshape(T, -1, res.shape[-1])).reshape(*res.shape[:3], -1)
+        found = np.array([omp_2d(corr[t, i, m], dic, t, P).targets
+                          for t, i, m in np.ndindex(corr.shape[:3])])
+        picks[block, :, cols] = found.reshape(*corr.shape[:3], P, 2).swapaxes(0, 1)
+    # every (SNR point, trial) row against its trial's truths
+    true_r = np.tile([[t.range_m for t in ts] for ts in targets], (n, 1))
+    true_v = np.tile([[t.velocity_mps for t in ts] for ts in targets], (n, 1))
     # a cell (tau, nu) as tau + j nu: numpy sorts complex values by the real
     # part, then the imaginary part, so the cells sort as (tau, nu) pairs
     true_cells = np.array([[quantize_target(t.range_m, t.velocity_mps, sys_) for t in ts]
-                           for ts in targets])
+                           for ts in targets] * n)
     true_keys = np.sort(true_cells[..., 0] + 1j * true_cells[..., 1], axis=-1)
-    for scores_at_snr, snr_db in zip(out, snr_points):
-        order, residuals = [], []
-        for group, r, _, syms in _detect_chunk(chunk, snr_db, modes):
-            waveform = MODES[group[0]][0]
-            hard = qam_slice(syms, sys_.M).transpose(1, 0, 2)      # (G, T, n_data)
-            rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ul_channels)
-            order += group
-            residuals.append((r - rebuilt).transpose(1, 0, 2))
-        corr = correlate(dic, np.concatenate(residuals, axis=1))
-        for m, mode in enumerate(order):
-            picks = np.array([omp_2d(c, dic, t, true_r.shape[1]).targets
-                              for t, c in enumerate(corr[:, m])])
-            est_r, est_v = estimate_to_physical(picks[..., 0], picks[..., 1], sys_)
-            scores = matched_squared_errors(est_r, est_v, true_r, true_v)
-            keys = np.sort(picks[..., 0] + 1j * picks[..., 1], axis=-1)
-            index_errors = np.count_nonzero(keys != true_keys, axis=-1)
-            scores_at_snr[:, col[mode]] = np.column_stack((*scores, index_errors))
+    out = np.empty((n, T, len(modes), 5))
+    for c in range(len(modes)):
+        tau, nu = picks[:, :, c, :, 0].reshape(-1, P), picks[:, :, c, :, 1].reshape(-1, P)
+        scores = matched_squared_errors(*estimate_to_physical(tau, nu, sys_), true_r, true_v)
+        index_errors = np.count_nonzero(np.sort(tau + 1j * nu, axis=-1) != true_keys, axis=-1)
+        out[:, :, c] = np.column_stack((*scores, index_errors)).reshape(n, T, 5)
     return out
 
 
@@ -544,6 +580,12 @@ def _check_workers(workers) -> None:
     # bool is an int subclass, but true/false are not a process count
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def _pool_workers(cfg, workers: int) -> int:
+    """The workers a sweep's pools run: a worker without a chunk would only
+    add a fork and an exit."""
+    return min(workers, math.ceil(cfg.sweep.trials / _CHUNK_TRIALS))
 
 
 def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
@@ -556,8 +598,7 @@ def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
     # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
     points = []
     for snr_db in sweep.snr_db:
-        # a worker without a chunk would only add a fork and an exit
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=_pool_workers(cfg, workers)) as pool:
             points.append(np.concatenate(list(pool.map(
                 chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))), axis=1))
     return np.concatenate(points)
@@ -680,5 +721,5 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
     for name, points in curves.items():
         files.append(out_dir / f"{name}.csv")
         write_curve_csv(points, files[-1])
-    write_manifest(cfg, out_dir, time.perf_counter() - t0, files, workers)
+    write_manifest(cfg, out_dir, time.perf_counter() - t0, files, _pool_workers(cfg, workers))
     return files

@@ -9,10 +9,10 @@ cross-correlation of every pair of replicas, read at every delay
 difference of the grid. That is 16 n_nu^2 (2 n_tau - 1) bytes per trial
 on a contiguous delay grid.
 
-Correlations. ``correlate`` gives every cell's correlation with the
-residual of every trial and mode of one SNR point in one FFT pass: one
-FFT per residual, one product with the trial's conjugate replica spectra
-and one inverse FFT per replica, read at the grid delays. Each row of a
+Correlations. ``correlate`` gives every cell's correlation with each of
+M residuals per trial (every SNR point and mode of a block) in one FFT
+pass: one FFT per residual, one product with the trial's conjugate
+replica spectra and one inverse FFT per replica, read at the grid delays. Each row of a
 numpy FFT is transformed alone, so a row of the stack is bit for bit the
 correlation of that residual computed by itself.
 
@@ -25,10 +25,10 @@ recoverable, and the refit updates every correlation without forming a
 residual.
 
 Scoring. ``estimate_to_physical`` and ``matched_squared_errors`` work on
-the (T, P) picks of one SNR point and mode at once. The greedy matching
-pairs the closest free (estimate, truth) pair first, ties to the lower
-estimate and then the lower truth, and each sum runs over the pairs in
-the order they were matched.
+the (rows, P) picks of one mode at every SNR point and trial at once. The
+greedy matching pairs the closest free (estimate, truth) pair first, ties
+to the lower estimate and then the lower truth, and each sum runs over
+the pairs in the order they were matched.
 """
 
 from __future__ import annotations

@@ -244,7 +244,7 @@ def test_criterion_4_npe_accuracy():
         for trial in range(1000):
             chunk = _Chunk(cfg, [trial])
             up = chunk.uplink("afdm")
-            r, sigma2 = chunk.compose(up, snr_db)
+            (r,), (sigma2,) = chunk.compose(up, (snr_db,))
             d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
             est_sum += estimate_noise_power(d, layout).item()
             echo_core = up["g"] * chunk.r_dl[:, sys_.L_cpp:]

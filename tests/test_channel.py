@@ -214,11 +214,11 @@ def test_awgn_variance_and_zero_case():
     w = []
     for trial in range(200):
         chunk, up = _desk_chunk(trial)
-        r, sigma2 = chunk.compose(up, 10 * np.log10(up["p_ul"] / 0.25))
+        (r,), (sigma2,) = chunk.compose(up, (10 * np.log10(up["p_ul"] / 0.25),))
         w.append(r - up["r_ul"] - up["g"] * chunk.r_dl)
     assert sigma2 == pytest.approx(0.25)
     assert abs(np.mean(np.abs(np.concatenate(w)) ** 2) - 0.25) < 0.01
-    clean, sigma2 = chunk.compose(up, np.inf)
+    (clean,), (sigma2,) = chunk.compose(up, (np.inf,))
     assert sigma2 == 0.0
     assert np.array_equal(clean, up["r_ul"] + up["g"] * chunk.r_dl)
 
@@ -226,12 +226,12 @@ def test_awgn_variance_and_zero_case():
 def test_compose_received_amplitude_scaling():
     # r = r_ul + g * r_dl + w with amplitude g = 10^(offset_db / 20) * sqrt(p_ul / targets)
     chunk, up = _desk_chunk()
-    r, _ = chunk.compose(up, np.inf)
+    (r,), _ = chunk.compose(up, (np.inf,))
     g = up["g"]
     assert g == pytest.approx(0.1 * np.sqrt(up["p_ul"] / len(chunk.ctxs[0].targets)))
     assert np.allclose(r, up["r_ul"] + g * chunk.r_dl)
     chunk, up = _desk_chunk(echo_power_offset_db=-np.inf)
-    silent, _ = chunk.compose(up, np.inf)
+    (silent,), _ = chunk.compose(up, (np.inf,))
     assert up["g"] == 0.0
     assert np.allclose(silent, up["r_ul"])
 

@@ -328,8 +328,7 @@ def test_trial_context_crn_across_snr():
     assert np.array_equal(chunk1.x_dl, chunk2.x_dl)
     assert np.array_equal(chunk1.noise_unit, chunk2.noise_unit)
     up = chunk1.uplink("afdm")
-    r10, s10 = chunk1.compose(up, 10.0)
-    r20, s20 = chunk1.compose(up, 20.0)
+    (r10, r20), (s10, s20) = chunk1.compose(up, (10.0, 20.0))
     assert s10 / s20 == pytest.approx(10.0)
     # the uplink plus echo, so the echo amplitude, is the same at both points
     assert np.allclose(r10 - np.sqrt(s10) * chunk1.noise_unit,
@@ -383,7 +382,7 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
     chunk = _Chunk(cfg, [0, 1, 2])
     layout = chunk.layouts[waveform]
     up = chunk.uplink(waveform)
-    r, sigma2 = chunk.compose(up, 10.0)
+    (r,), (sigma2,) = chunk.compose(up, (10.0,))
     syms = qam_map(up["bits"].reshape(-1), sys_.M).reshape(3, -1)
     paths = [c.ul_ps for c in chunk.ctxs]
     rebuilt = _transmit(sys_, layout, waveform, syms, paths)
@@ -443,6 +442,66 @@ def test_chunk_serves_every_snr_point_as_the_pool_calls_do(chunk_fn):
     joint = chunk_fn(cfg, snrs, trials, MODES)
     for s, snr_db in enumerate(snrs):
         assert np.array_equal(joint[s:s + 1], chunk_fn(cfg, (snr_db,), trials, MODES))
+
+
+@pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
+def test_blocks_of_snr_points_give_each_point_its_own_results(chunk_fn, monkeypatch):
+    # at 8 rows per stacked pass, 4 trials take their 3 SNR points in two
+    # blocks, of 2 points and 1; each point's results are those it gets alone
+    monkeypatch.setattr(harness, "_CHUNK_TRIALS", 8)
+    cfg = load_config(CONFIG)
+    trials, snrs = list(range(4)), (0.0, 17.5, 35.0)
+    assert harness._snr_blocks(len(snrs), len(trials)) == [slice(0, 2), slice(2, 4)]
+    joint = chunk_fn(cfg, snrs, trials, MODES)
+    for s, snr_db in enumerate(snrs):
+        assert np.array_equal(joint[s:s + 1], chunk_fn(cfg, (snr_db,), trials, MODES))
+
+
+@pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
+def test_stacked_passes_hold_at_most_a_chunk_of_rows(chunk_fn, monkeypatch):
+    # a stacked pass takes a block of SNR points of at most _CHUNK_TRIALS
+    # (SNR point, trial) rows: a 4-trial chunk runs its 3 points in one pass
+    # per waveform group, a 64-trial chunk one point per pass
+    shapes = {name: [] for name in KERNELS}
+
+    def recording(name, fn):
+        def wrapper(x, *args):
+            shapes[name].append(np.shape(x))
+            return fn(x, *args)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
+    cfg, snrs = load_config(CONFIG), (0.0, 17.5, 35.0)
+    for n_trials, points_per_pass in ((4, 3), (64, 1)):
+        for calls in shapes.values():
+            calls.clear()
+        chunk_fn(cfg, snrs, list(range(n_trials)), MODES)
+        seen = [s for calls in shapes.values() for s in calls]
+        # (SNR point, ..., trial, samples) stacks, or (trial, samples) uplinks
+        assert max(s[0] * s[-2] if len(s) > 2 else s[0] for s in seen) <= harness._CHUNK_TRIALS
+        assert {s[0] for s in seen if len(s) > 2} == {points_per_pass}
+        demods = [s for name in KERNELS if "demod" in name for s in shapes[name]]
+        assert len(demods) == len(WAVEFORMS) * len(snrs) // points_per_pass
+
+
+def test_stacked_composition_equals_each_point_alone():
+    # compose stacks the points' signals; each row is the per-point sum
+    # r_ul + g r_dl + sqrt(sigma2) w, with sigma2 computed in Python floats
+    cfg = config_from_dict(small_raw())
+    chunk = _Chunk(cfg, [0, 1, 2])
+    snrs = (0.0, 17.5, 35.0, np.inf)
+    for waveform in WAVEFORMS:
+        up = chunk.uplink(waveform)
+        r, sigma2 = chunk.compose(up, snrs)
+        assert r.shape == (len(snrs), 3, cfg.system.frame_len_cp) and sigma2.shape == (len(snrs),)
+        for row, s2, snr_db in zip(r, sigma2, snrs):
+            (alone,), (s2_alone,) = chunk.compose(up, (snr_db,))
+            want = up["p_ul"] * 10.0 ** (-snr_db / 10.0)
+            assert s2 == s2_alone == want
+            assert np.array_equal(row, alone)
+            assert np.array_equal(row, up["r_ul"] + up["g"] * chunk.r_dl
+                                  + np.sqrt(want) * chunk.noise_unit)
 
 
 def test_chunk_uplink_is_built_once_and_read_only():
@@ -650,7 +709,7 @@ def test_manifest_hashes_every_listed_file(tmp_path):
     assert main(["sense", "--config", str(_write_cfg(tmp_path, small_raw())), "--out", str(out),
                  "--workers", "2", "--trials", "2", "--snr", "30"]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["workers"] == 2
+    assert manifest["workers"] == 1     # the pool's size: two trials are one chunk
     assert sorted(manifest["sha256"]) == sorted(manifest["files"])
     assert len(manifest["files"]) == 4   # two modes, distance and velocity
     for f in manifest["files"]:
