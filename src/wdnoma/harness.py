@@ -17,13 +17,13 @@ max(1, _CHUNK_TRIALS // T) points, so no stacked pass holds more than
 _CHUNK_TRIALS (SNR point, trial) rows: a 64-trial chunk takes one point per
 pass, a 4-trial chunk up to 16. Per block, the composition, each waveform
 group's demodulator, NPE, demapping and cancellation, and the sense
-sweep's correlation run once on (p, T, ...) stacks; the sense scoring runs
-once per chunk and mode. Each row gets the operations of its own one-point
-pass, so the blocks do not move a curve. Three calls stay per SNR point:
-the equivalent channel builds and the 2D-OMP calls, which perfbench/tests
-counts per point, and the MMSE solve, whose work arrays grow with the
-systems of a call: one solve over a block's points holds p times as much
-(4.4 MB, 9 %, more peak RSS on a 4-trial, 4-point desk BER sweep).
+sweep's correlation run once on (p, T, ...) stacks, and one MMSE solve
+takes every point and group (it works in slabs of a bounded size, so its
+work arrays do not grow with the block); the sense scoring runs once per
+chunk and mode. Each row gets the operations of its own one-point pass,
+so the blocks do not move a curve. Two calls stay per SNR point: the
+equivalent channel builds and the 2D-OMP calls, which perfbench/tests
+counts per point.
 
 A chunk returns one array, (SNR point, trial, mode, ...), each mode at its
 position in the sweep's modes; the sweep concatenates the chunks along the
@@ -455,14 +455,14 @@ class _Chunk:
 def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
     """Demodulate, estimate the noise and MMSE-detect the trials of ``chunk``
     at p SNR points for every waveform group of ``modes``: one demodulator
-    and one NPE pass per group on its (p, T, ·) stack, then per SNR point one
-    ``mmse_detect`` call for every group. Returns per group: its modes, the
-    received frames (p, T, N + L_cp), the sent bits (T, n_bits) and the MMSE
-    estimates of the data symbols (p, T, len(group), n_data).
+    and one NPE pass per group on its (p, T, ·) stack, then one
+    ``mmse_detect`` call for every point and group. Returns per group: its
+    modes, the received frames (p, T, N + L_cp), the sent bits (T, n_bits)
+    and the MMSE estimates of the data symbols (p, T, len(group), n_data).
     """
     sys_ = chunk.cfg.system
     p, T = len(snr_points), len(chunk.ctxs)
-    groups, ds, sigma2s = [], [], []
+    groups, channels, ds, sigma2s = [], [], [], []
     for waveform, entry in WAVEFORMS.items():
         group = [m for m in modes if MODES[m][0] == waveform]
         if not group:
@@ -473,21 +473,19 @@ def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
         noise = {"sigma2": sigma2[:, None], "sigma2+echo": sigma2[:, None] + up["echo_bin_power"]}
         if any(MODES[m][1] == "npe" for m in group):
             noise["npe"] = estimate_noise_power(d, layout)
-        sigma2s.append(np.empty((p, T, len(group))))     # each mode's noise power
+        s2 = np.empty((p, T, len(group)))     # each mode's noise power
         for j, m in enumerate(group):
-            sigma2s[-1][..., j] = noise[MODES[m][1]]
-        ds.append(d)
-        groups.append((waveform, group, layout.data, r, up["bits"]))
-    # one solve per SNR point: a solve over all p points would hold p times the work arrays
-    syms = [np.empty((p, T, len(group), data.size), dtype=np.complex128)
-            for _, group, data, _, _ in groups]
-    for i in range(p):
-        xs = mmse_detect([build_equivalent_channel(c.ul_ps, sys_, g[0]) for g in groups
-                          for c in chunk.ctxs], np.concatenate([d[i] for d in ds]),
-                         [row for s in sigma2s for row in s[i]])
-        for k, (_, _, data, _, _) in enumerate(groups):
-            np.take(np.stack(xs[k * T:(k + 1) * T]), data, axis=-1, out=syms[k][i])
-    return [(group, r, bits, x) for (_, group, _, r, bits), x in zip(groups, syms)]
+            s2[..., j] = noise[MODES[m][1]]
+        # one build per (SNR point, trial), as perfbench/tests counts them (ROADMAP 1)
+        channels += [build_equivalent_channel(c.ul_ps, sys_, waveform)
+                     for _ in snr_points for c in chunk.ctxs]
+        ds.append(d.reshape(p * T, -1))
+        sigma2s += list(s2.reshape(p * T, -1))
+        groups.append((group, layout.data, r, up["bits"]))
+    x = mmse_detect(channels, np.concatenate(ds), sigma2s)     # rows: group, point, trial, mode
+    ends = np.cumsum([p * T * len(group) for group, *_ in groups])[:-1]
+    return [(group, r, bits, np.take(rows.reshape(p, T, len(group), -1), data, axis=-1))
+            for (group, data, r, bits), rows in zip(groups, np.split(x, ends))]
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +593,10 @@ def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
     if workers <= 1:
         return np.concatenate([chunk_fn(cfg, sweep.snr_db, trials, sweep.modes)
                                for trials in chunks], axis=1)
+    # numpy loads these on first use; loaded here, before any fork, no worker
+    # imports them for its first chunk, and serial runs do not load them early
+    import numpy.fft
+    import numpy.random
     # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
     points = []
     for snr_db in sweep.snr_db:

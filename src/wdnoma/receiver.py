@@ -44,16 +44,34 @@ land on one entry (o and N - o alias); the plan then adds them in layers,
 in the order the offsets are first seen, so each entry is summed as the
 per-offset loop summed it.
 
+Slabs. ``mmse_detect`` solves its channels in slabs: runs of consecutive
+channels whose systems hold at most _SLAB samples (systems times N), and
+one channel at least. Each slab runs the whole solve above, from T^H to T,
+and writes its rows of the one solution array. Systems are independent and
+a stacked solve is bit for bit a loop of single solves, so slabs change no
+solution; they bound the working memory of a call, however many SNR
+points and channels it takes. _SLAB = 6144 samples is 24 systems at
+N = 256 and 6 at N = 1024, so that a 4-trial, 4-point block of one desk
+sense mode (16 systems) and the paper-scale 5-mode trial (5 systems) are
+one slab each. In a slab-size sweep on a 2-vCPU Xeon (4 MiB L2), 2048
+samples ran slower on every sweep shape, and 4096 to 16384 alike within
+the noise. Peak RSS of a 4-trial, 4-point desk BER loop grew with the slab
+(46.4 MB for one call per SNR point; 47.0, 47.2, 47.8 and 49.4 MB at 5120,
+6144, 8192 and 16384 samples). At 5120 that block takes 5 slabs instead
+of 4, and its solve took 5.85 ms against 5.97 ms for its four per-point
+calls and 5.47 ms at 6144.
+
 Work arrays. Every large array of the solve (the tap stack, the bands, the
 right-hand sides, the factor, the Schur terms and the time-domain
 solutions) is a view of one of six per-thread buffers, each grown to the
-largest call seen and reused by every later call, so steady sweeps map no
-new pages; threads never share one. The arrays formed after the bands reuse
-the buffers of those that are dead by then. Only the solutions returned are
-fresh. The transforms T^H and T run in row blocks of 2048 samples, so
-their temporaries stay small and reuse freed memory. The buffers hold
-about 1 MB for the benchmark's 4-trial desk chunk (20 systems) and 15.4 MB
-for the CLI's 64-trial desk chunk (320 systems).
+largest slab seen and reused by every later slab and call, so steady
+sweeps map no new pages; threads never share one. The arrays formed after
+the bands reuse the buffers of those that are dead by then. Only the
+solution array returned is fresh. The transforms T^H and T run in row
+blocks of 2048 samples, so their temporaries stay small and reuse freed
+memory. The buffers hold about 1 MB for 20 desk systems and at most
+1.4 MB for any call at N = 256 or 1024 (a whole 320-system call would
+take 15.4 MB at N = 256 and 62 MB at N = 1024).
 
 LAPACK. ``pbtrf`` and ``tbtrs`` are scipy's wrappers ``zpbtrf`` and
 ``ztbtrs`` in its compiled module ``scipy.linalg._flapack``, the module
@@ -201,6 +219,7 @@ _pbtrf, _tbtrs = _flapack.zpbtrf, _flapack.ztbtrs
 
 _work = threading.local()       # each thread's work arrays, see _work_array
 _BLOCK = 1 << 11                # samples per row block of a transform in mmse_detect
+_SLAB = 6 << 10                 # samples (systems x N) per slab of mmse_detect; see "Slabs" above
 
 
 def _work_array(name: str, shape) -> np.ndarray:
@@ -337,18 +356,50 @@ def _rowwise(fn, src, dst, cfg) -> None:
         dst[i:i + step] = fn(src[i:i + step], cfg)
 
 
-def mmse_detect(channels, ds, sigma2s) -> list:
+def _slabs(bounds, N: int):
+    """(lo, hi) of each slab of a call whose channel c owns the systems
+    bounds[c]:bounds[c + 1]: from each lo, the longest run of channels whose
+    systems hold at most _SLAB samples, and one channel at least."""
+    lo, C = 0, len(bounds) - 1
+    while lo < C:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _SLAB // N, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _detect_slab(channels, ds, s2, counts, out) -> None:
+    """mmse_detect on one slab: channel c of ``channels`` has the row ds[c]
+    and the next counts[c] noise variances of ``s2``; ``out`` receives the
+    solutions, one row per system."""
+    C, N, l_D = len(channels), ds.shape[-1], channels[0].delays[-1]
+    bounds = np.cumsum([0] + counts)            # systems of channel i: bounds[i]:bounds[i + 1]
+    # maximal runs of consecutive channels that share one transform
+    keys = [(H.cfg, H.waveform) for H in channels]
+    starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
+    runs = [(lo, hi, *keys[lo]) for lo, hi in zip(starts, starts[1:])]
+    y = _work_array("y", (C, N + l_D))
+    for lo, hi, cfg, waveform in runs:
+        _rowwise(TRANSFORMS[waveform].to_time, ds[lo:hi], y[lo:hi, :N], cfg)
+    y[:, N:] = y[:, :l_D]
+    z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
+    for lo, hi, cfg, waveform in runs:
+        _rowwise(TRANSFORMS[waveform].from_time, z[bounds[lo]:bounds[hi]],
+                 out[bounds[lo]:bounds[hi]], cfg)
+
+
+def mmse_detect(channels, ds, sigma2s) -> np.ndarray:
     """Solve (H^H H + s2 I) x = H^H d for every channel H in ``channels``,
     its received frame d (row of ``ds``) and each s2 in its entry of
-    ``sigma2s``; returns one (len(sigma2s[c]), N) array of solutions per
-    channel.
+    ``sigma2s``; returns the (systems, N) solutions, channel by channel and
+    within a channel in the order of its sigma2s.
 
     All channels must share N and the delay set, so that every system has
-    the same band half-width b. Each d goes to the time domain by T^H, the
-    Gram band of H_t and the right-hand side H_t^H T^H d are formed once
-    per channel, all systems are factored and solved together (see the
-    module docstring), and each solution comes back by T. With s2 = 0 this
-    is zero-forcing; an exactly singular system raises LinAlgError.
+    the same band half-width b. The channels are solved in slabs of
+    consecutive channels (see the module docstring). In each, every d goes
+    to the time domain by T^H, the Gram band of H_t and the right-hand side
+    H_t^H T^H d are formed once per channel, all systems are factored and
+    solved together, and each solution comes back by T. With s2 = 0 this is
+    zero-forcing; an exactly singular system raises LinAlgError.
     """
     C = len(channels)
     N, delays = channels[0].cfg.N, channels[0].delays
@@ -362,18 +413,9 @@ def mmse_detect(channels, ds, sigma2s) -> list:
     s2 = np.concatenate(sigma2s, dtype=np.float64)
     if np.any(s2 < 0):
         raise ValueError("noise variances must be non-negative")
-    bounds = np.cumsum([0] + counts)            # systems of channel i: bounds[i]:bounds[i + 1]
-    # maximal runs of consecutive channels that share one transform
-    keys = [(H.cfg, H.waveform) for H in channels]
-    starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
-    runs = [(lo, hi, *keys[lo]) for lo, hi in zip(starts, starts[1:])]
-    y = _work_array("y", (C, N + delays[-1]))
-    for lo, hi, cfg, waveform in runs:
-        _rowwise(TRANSFORMS[waveform].to_time, ds[lo:hi], y[lo:hi, :N], cfg)
-    y[:, N:] = y[:, :delays[-1]]
-    z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
-    x = np.empty(z.shape, dtype=np.complex128)
-    for lo, hi, cfg, waveform in runs:
-        _rowwise(TRANSFORMS[waveform].from_time, z[bounds[lo]:bounds[hi]],
-                 x[bounds[lo]:bounds[hi]], cfg)
-    return [x[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    bounds = np.cumsum([0] + counts)
+    x = np.empty((bounds[-1], N), dtype=np.complex128)
+    for lo, hi in _slabs(bounds, N):
+        rows = slice(bounds[lo], bounds[hi])
+        _detect_slab(channels[lo:hi], ds[lo:hi], s2[rows], counts[lo:hi], x[rows])
+    return x

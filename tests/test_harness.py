@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +566,28 @@ def test_sweeps_reject_bad_workers_before_any_work(tmp_path, monkeypatch, worker
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         run_and_write("ber", cfg, out, workers=workers)
     assert not out.exists()
+
+
+def test_pool_tasks_import_no_module():
+    # numpy loads numpy.random and numpy.fft on first use, so a forked worker
+    # whose parent had not used them imported both for its first chunk
+    code = textwrap.dedent("""
+        import json, sys
+        from wdnoma import harness
+
+        def task(*args):
+            before = set(sys.modules)
+            out = chunk(*args)
+            print(json.dumps(sorted(set(sys.modules) - before)), flush=True)
+            return out
+
+        chunk, harness._ber_chunk = harness._ber_chunk, task
+        harness.run_ber(harness.config_from_dict(json.loads(sys.argv[1])), workers=2)
+        """)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(small_raw())],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.splitlines() == ["[]"] * len(small_raw()["sweep"]["snr_db"])
 
 
 def test_pool_starts_no_idle_workers(monkeypatch):

@@ -132,7 +132,7 @@ def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
     rotated = from_time((H_t @ to_time(np.eye(N), cfg).T).T, cfg).T
     assert np.max(np.abs(rotated - H)) < 1e-11
     d = random_complex(np.random.default_rng(N + len(ps.paths)), N)
-    for s2, x in zip((0.05, 1.0), mmse_detect([eq], [d], [(0.05, 1.0)])[0]):
+    for s2, x in zip((0.05, 1.0), mmse_detect([eq], [d], [(0.05, 1.0)])):
         assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
 
 
@@ -231,7 +231,7 @@ def test_mmse_matches_dense_normal_equation_oracle():
                  for _ in range(int(g.integers(1, 4)))]
         H = _channel(cfg, paths, ("afdm", "otfs", "ofdm")[trial % 3])
         d = random_complex(g, N)
-        ((got,),) = mmse_detect([H], [d], [[0.1]])
+        (got,) = mmse_detect([H], [d], [[0.1]])
         ref = dense_mmse(H.matrix, d, 0.1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -243,7 +243,7 @@ def test_mmse_zero_noise_is_zero_forcing():
     for waveform in ("afdm", "otfs", "ofdm"):
         H = _channel(cfg, _dominant_path(g, cfg, 3), waveform)
         d = random_complex(g, N)
-        ((x,),) = mmse_detect([H], [d], [[0.0]])
+        (x,) = mmse_detect([H], [d], [[0.0]])
         assert np.max(np.abs(x - np.linalg.solve(H.matrix, d))) < 1e-8
 
 
@@ -263,7 +263,7 @@ def test_mmse_scalar_shrinkage():
     N = 8
     H = _channel(make_cfg(N=N, N1=4, N2=2), [(1.0, 0, 0)])
     d = random_complex(np.random.default_rng(104), N)
-    ((x,),) = mmse_detect([H], [d], [[1.0]])
+    (x,) = mmse_detect([H], [d], [[1.0]])
     assert np.max(np.abs(x - d / 2)) < 1e-12
 
 
@@ -286,7 +286,7 @@ def test_mmse_band_solve_edge_cases(case, waveform):
     assert H.delays == tuple(sorted({l for _, l, _ in paths}))
     d = random_complex(np.random.default_rng(105), cfg.N)
     sigma2s = (0.0, 0.01, 0.5, 2.0)
-    (xs,) = mmse_detect([H], [d], [sigma2s])
+    xs = mmse_detect([H], [d], [sigma2s])
     assert len(xs) == len(sigma2s)
     # every case has one dominant path, so H is nonsingular and sigma2 = 0 is zero-forcing
     assert np.max(np.abs(xs[0] - np.linalg.solve(H.matrix, d))) < 1e-9
@@ -315,10 +315,10 @@ def test_mmse_one_call_mixes_waveforms_with_ragged_sigma2s():
     ds = [random_complex(g, 16) for _ in channels]
     sigma2s = [(0.0, 0.05, 1.0), (0.2,), (0.01,)]
     out = mmse_detect(channels, ds, sigma2s)
-    assert [x.shape for x in out] == [(3, 16), (1, 16), (1, 16)]
-    for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
+    assert out.shape == (5, 16)
+    for H, d, s2s, xs in zip(channels, ds, sigma2s, np.split(out, [3, 4])):
         for s2, x in zip(s2s, xs):
-            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0][0])
+            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
@@ -331,10 +331,51 @@ def test_mmse_band_edge_cases_in_one_call(case):
     g = np.random.default_rng(108)
     ds = [random_complex(g, cfg.N) for _ in channels]
     sigma2s = [(0.0, 0.01, 0.5, 2.0), (0.5,), (0.01, 2.0)]
-    for H, d, s2s, xs in zip(channels, ds, sigma2s, mmse_detect(channels, ds, sigma2s)):
+    out = np.split(mmse_detect(channels, ds, sigma2s), [4, 5])
+    for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
         for s2, x in zip(s2s, xs):
-            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0][0])
+            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+def _single_solves(channels, ds, sigma2s):
+    return np.concatenate([mmse_detect([H], [d], [s]) for H, d, s in zip(channels, ds, sigma2s)])
+
+
+@pytest.mark.parametrize("case", sorted(_BAND_EDGE_CASES))
+def test_mmse_slabs_change_no_solution(case, monkeypatch):
+    # at most 3 systems per slab: the 4-system AFDM channel is a slab of its
+    # own, and slab boundaries fall inside the AFDM and the OFDM runs
+    N1, N2, prefix, paths = _BAND_EDGE_CASES[case]
+    cfg = make_cfg(N=N1 * N2, L=prefix, N1=N1, N2=N2)
+    waveforms, counts = ("afdm",) * 3 + ("otfs",) * 2 + ("ofdm",) * 2, (2, 1, 4, 1, 2, 2, 2)
+    g = np.random.default_rng(113)
+    channels = [_channel(cfg, paths, w) for w in waveforms]
+    ds = random_complex(g, len(channels) * cfg.N).reshape(len(channels), cfg.N)
+    sigma2s = [tuple(g.uniform(0.01, 2.0, k)) for k in counts]
+    monkeypatch.setattr(receiver, "_SLAB", 3 * cfg.N)
+    slabs = list(receiver._slabs(np.cumsum((0,) + counts), cfg.N))
+    assert slabs == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    assert np.array_equal(mmse_detect(channels, ds, sigma2s),
+                          _single_solves(channels, ds, sigma2s))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(layout=st.lists(st.tuples(st.sampled_from(["afdm", "otfs", "ofdm"]), st.integers(1, 4)),
+                       min_size=1, max_size=8),
+       slab=st.integers(1, 20 * 16), seed=st.integers(0, 2**16))
+def test_mmse_slabs_are_a_loop_of_single_solves(layout, slab, seed):
+    cfg = make_cfg(N=16)
+    g = np.random.default_rng(seed)
+    channels = [_channel(cfg, [(1.0, 0, int(g.integers(-1, 2))),
+                               (0.3 * complex(*g.standard_normal(2)), 1, int(g.integers(-1, 2))),
+                               (0.2j, 3, 1)], w) for w, _ in layout]
+    ds = random_complex(g, len(layout) * cfg.N).reshape(-1, cfg.N)
+    sigma2s = [g.uniform(0.0, 1.0, k) for _, k in layout]
+    want = _single_solves(channels, ds, sigma2s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(receiver, "_SLAB", slab)
+        assert np.array_equal(mmse_detect(channels, ds, sigma2s), want)
 
 
 def _border_equals_offset_loop(N, delays, C, g) -> bool:
@@ -382,7 +423,7 @@ def test_mmse_multi_channel_call_rejects_bad_inputs():
     with pytest.raises(np.linalg.LinAlgError):
         mmse_detect([good, singular], [d, d], [[0.1], [0.0]])
     # with noise the singular channel's system is regular
-    (_, (x,)) = mmse_detect([good, singular], [d, d], [[0.1], [0.1]])
+    (_, x) = mmse_detect([good, singular], [d, d], [[0.1], [0.1]])
     assert np.max(np.abs(x)) == 0.0
 
 
@@ -399,14 +440,15 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
     monkeypatch.setattr(harness, "mmse_detect", recording_mmse)
     modes = harness.MODES
     harness._ber_chunk(cfg, (0.0, 35.0), [0], modes)
-    assert len(calls) == 2      # one per SNR point
-    for channels, ds, sigma2s, out in calls:
-        # one channel per waveform group, one output per mode of the group
-        assert [H.waveform for H in channels] == ["afdm", "otfs", "ofdm"]
-        assert [len(x) for x in out] == [3, 1, 1]
-        for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
-            for s2, x in zip(s2s, xs):
-                assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+    # one call per SNR block: per waveform group one channel per SNR point,
+    # and one system per mode of the group
+    ((channels, ds, sigma2s, out),) = calls
+    assert [H.waveform for H in channels] == ["afdm"] * 2 + ["otfs"] * 2 + ["ofdm"] * 2
+    assert [len(s) for s in sigma2s] == [3, 3, 1, 1, 1, 1] and len(out) == 10
+    rows = iter(out)
+    for H, d, s2s in zip(channels, ds, sigma2s):
+        for s2 in s2s:
+            assert np.max(np.abs(next(rows) - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
 def _desk_raw(**system):
@@ -441,10 +483,6 @@ def sweep_calls():
             "desk_320": _recorded_call(desk, 64, modes)}
 
 
-def _same(xs, ys) -> bool:
-    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
-
-
 def _in_new_thread(fn, *args):
     """fn(*args) in a thread of its own: one that has no work arrays yet, as in a fresh process."""
     out = []
@@ -456,9 +494,37 @@ def _in_new_thread(fn, *args):
 
 def test_mmse_work_arrays_serve_interleaved_shapes(sweep_calls):
     fresh = {name: _in_new_thread(mmse_detect, *call) for name, call in sweep_calls.items()}
-    assert [len(x) for x in fresh["desk_20"]] == [3] * 4 + [1] * 8
+    assert fresh["desk_20"].shape == (20, 256)
     for name in ("desk_20", "desk_otfs_4", "paper_5", "desk_320", "desk_20"):
-        assert _same(mmse_detect(*sweep_calls[name]), fresh[name]), name
+        assert np.array_equal(mmse_detect(*sweep_calls[name]), fresh[name]), name
+
+
+def test_mmse_slabs_change_no_solution_on_sweep_shapes(sweep_calls, monkeypatch):
+    def slab_count(channels, _, sigma2s):
+        return len(list(receiver._slabs(np.cumsum([0] + [len(s) for s in sigma2s]),
+                                        channels[0].cfg.N)))
+
+    # at the shipped size a paper-scale trial is one slab, a 64-trial desk chunk many
+    assert slab_count(*sweep_calls["paper_5"]) == 1 and slab_count(*sweep_calls["desk_320"]) > 1
+    want = {name: mmse_detect(*call) for name, call in sweep_calls.items()}
+    for slab in (1, 7 * 256):       # one channel per slab; 7 desk systems per slab
+        monkeypatch.setattr(receiver, "_SLAB", slab)
+        for name, call in sweep_calls.items():
+            assert np.array_equal(mmse_detect(*call), want[name]), (name, slab)
+
+
+def test_mmse_work_arrays_hold_one_slab(sweep_calls):
+    def buffer_bytes(channels, ds, sigma2s):
+        mmse_detect(channels, ds, sigma2s)
+        return {name: buf.nbytes for name, buf in vars(receiver._work).items()}
+
+    channels, ds, _ = call = sweep_calls["desk_320"]
+    got = _in_new_thread(buffer_bytes, *call)
+    # the slab that needs the most: _SLAB // N channels of one system each
+    k, c = receiver._SLAB // 256, next(i for i, H in enumerate(channels) if H.waveform == "otfs")
+    full = _in_new_thread(buffer_bytes, [channels[c]] * k, ds[[c] * k], [[0.1]] * k)
+    assert got.keys() == full.keys() and all(got[name] <= full[name] for name in got)
+    assert sum(got.values()) < 2_000_000      # as one slab, the call took 15.4 MB
 
 
 def test_border_plan_equals_offset_loop_on_sweep_shapes(sweep_calls):
@@ -470,13 +536,12 @@ def test_border_plan_equals_offset_loop_on_sweep_shapes(sweep_calls):
 
 def test_mmse_solutions_are_not_work_arrays(sweep_calls):
     call = sweep_calls["desk_20"]
-    want = [x.copy() for x in mmse_detect(*call)]
+    want = mmse_detect(*call).copy()
     first = mmse_detect(*call)
-    for x in first:
-        x[...] = np.nan
-    assert _same(mmse_detect(*call), want)
+    first[...] = np.nan
+    assert np.array_equal(mmse_detect(*call), want)
     # and the later call wrote nothing into the earlier call's solutions
-    assert all(np.isnan(x).all() for x in first)
+    assert np.isnan(first).all()
 
 
 def test_mmse_is_exact_after_a_singular_system(sweep_calls):
@@ -486,7 +551,7 @@ def test_mmse_is_exact_after_a_singular_system(sweep_calls):
     for _ in range(2):   # the failed factorization leaves its work arrays half written
         with pytest.raises(np.linalg.LinAlgError):
             mmse_detect([call[0][0], zero], call[1][:2], [[0.1], [0.0]])
-        assert _same(mmse_detect(*call), want)
+        assert np.array_equal(mmse_detect(*call), want)
 
 
 def test_mmse_threads_keep_their_own_work_arrays(sweep_calls):
@@ -509,7 +574,7 @@ def test_mmse_threads_keep_their_own_work_arrays(sweep_calls):
     finally:
         sys.setswitchinterval(interval)
     for order, results in got.items():
-        assert all(_same(x, want[name]) for name, x in zip(order * 3, results))
+        assert all(np.array_equal(x, want[name]) for name, x in zip(order * 3, results))
     assert len(got) == 2
 
 
