@@ -235,6 +235,14 @@ def _field(where: str, convert, value):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _float(value) -> float:
+    """float(value) for an int or a float, as every numeric field takes:
+    true/false and strings are not numbers."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _list(value, length=None) -> tuple:
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         raise ValueError(f"expected a list{f' of {length}' if length else ''}, got {value!r}")
@@ -253,18 +261,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if c1 is None:
         c1 = _field("system.N", lambda N: ChirpParams.for_max_doppler(frame.kappa_max, N).c1,
                     sd["N"])
-    chirp = ChirpParams(c1=_field("system.c1", float, c1),
-                        c2=_field("system.c2", float, sd.pop("c2", 0.0)))
+    chirp = ChirpParams(c1=_field("system.c1", _float, c1),
+                        c2=_field("system.c2", _float, sd.pop("c2", 0.0)))
     system = SystemConfig(chirp=chirp, **sd)
 
     cd = _checked(raw["channel"], "channel", ChannelConfig)
     cd["doppler_bins"] = _field("channel.doppler_bins", _list, cd["doppler_bins"])
     for name in ("range_bounds", "velocity_bounds"):
-        cd[name] = _field(f"channel.{name}", lambda v: tuple(map(float, _list(v, 2))), cd[name])
+        cd[name] = _field(f"channel.{name}", lambda v: tuple(map(_float, _list(v, 2))), cd[name])
     channel = ChannelConfig(**cd)
 
     wd = _checked(raw["sweep"], "sweep", SweepConfig)
-    wd["snr_db"] = _field("sweep.snr_db", lambda v: tuple(map(float, _list(v))), wd["snr_db"])
+    wd["snr_db"] = _field("sweep.snr_db", lambda v: tuple(map(_float, _list(v))), wd["snr_db"])
     wd["modes"] = _field("sweep.modes", _list, wd["modes"])
     sweep = SweepConfig(**wd)
 

@@ -35,15 +35,6 @@ it gets when solved alone: the batch is bit for bit a loop of single
 solves, in O(b^2 N) work per system. One b per call is why the channels of
 a call must share their delays.
 
-Border plan. The border columns A0[i, N - b + j] of every channel are
-summed from the band by one index plan, built once per (N, delay set) and
-cached: two fancy-index additions per call instead of two per delay
-offset. Each offset o = l_a - l_q >= 0 contributes A0[k - o, k] and, for
-o > 0, A0[k + o, k] = conj(A0[k, k + o]). When 2b >= N some of these
-land on one entry (o and N - o alias); the plan then adds them in layers,
-in the order the offsets are first seen, so each entry is summed as the
-per-offset loop summed it.
-
 Slabs. ``mmse_detect`` solves its channels in slabs: runs of consecutive
 channels whose systems hold at most _SLAB samples (systems times N), and
 one channel at least. Each slab runs the whole solve above, from T^H to T,
@@ -67,11 +58,12 @@ solutions) is a view of one of six per-thread buffers, each grown to the
 largest slab seen and reused by every later slab and call, so steady
 sweeps map no new pages; threads never share one. The arrays formed after
 the bands reuse the buffers of those that are dead by then. Only the
-solution array returned is fresh. The transforms T^H and T run in row
-blocks of 2048 samples, so their temporaries stay small and reuse freed
-memory. The buffers hold about 1 MB for 20 desk systems and at most
-1.4 MB for any call at N = 256 or 1024 (a whole 320-system call would
-take 15.4 MB at N = 256 and 62 MB at N = 1024).
+solution array returned is fresh. The buffers hold about 1 MB for 20 desk
+systems and at most 1.4 MB for any call at N = 256 or 1024 (a whole
+320-system call would take 15.4 MB at N = 256 and 62 MB at N = 1024).
+They stay because they pay: fresh arrays in every call gave the same
+solutions bit for bit, but lost 14 % of the benchmark's ber-desk and 16 %
+of its ber-paper trials per second (7 pairs each, none won).
 
 LAPACK. ``pbtrf`` and ``tbtrs`` are scipy's wrappers ``zpbtrf`` and
 ``ztbtrs`` in its compiled module ``scipy.linalg._flapack``, the module
@@ -100,12 +92,10 @@ import math
 import os
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import repeat
 
 import numpy as np
 import scipy
@@ -218,7 +208,6 @@ _flapack = _load_flapack()
 _pbtrf, _tbtrs = _flapack.zpbtrf, _flapack.ztbtrs
 
 _work = threading.local()       # each thread's work arrays, see _work_array
-_BLOCK = 1 << 11                # samples per row block of a transform in mmse_detect
 _SLAB = 6 << 10                 # samples (systems x N) per slab of mmse_detect; see "Slabs" above
 
 
@@ -243,48 +232,6 @@ def _gather(src, owner, axis: int, via: str, into: str) -> np.ndarray:
     flat[...] = src
     shape = src.shape[:axis] + (len(owner),) + src.shape[axis + 1:]
     return np.take(flat, owner, axis=axis, out=_work_array(into, shape), mode="clip")
-
-
-@lru_cache(maxsize=64)
-def _border_plan(N: int, delays: tuple) -> tuple:
-    """How the border columns rb[1 + j, :, i] = A0[i, n + j] are summed from
-    the band (see _solve_stacked), as layers of index arrays: each layer is
-    (direct, conjugated), each of those (rb rows, rb columns, band rows,
-    band columns). Offsets o = l_a - l_q >= 0 contribute in the order first
-    seen, each A0[k - o, k] from band row b - o before A0[k + o, k] =
-    conj(A0[k, k + o]), with k = n + j and cyclic rows. When 2b >= N several
-    terms land on one entry; layer m holds the m-th term of each entry, so
-    no layer writes an entry twice and each entry is summed in that order.
-    Cached per argument pair, so read-only."""
-    b = delays[-1] - delays[0]
-    n = N - b
-    k = np.arange(n, N)
-    terms = []      # (rb row, rb column, band row, band column, conjugated) per entry
-    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
-        rows = (k - o) % N
-        terms += zip(1 + k - n, rows, repeat(b - o), rows + o, repeat(False))
-        if o:
-            terms += zip(1 + k - n, (k + o) % N, repeat(b - o), k + o, repeat(True))
-    seen, layers = Counter(), []
-    for term in terms:
-        m = seen[term[:2]]
-        seen[term[:2]] += 1
-        if m == len(layers):
-            layers.append(([], []))
-        layers[m][term[4]].append(term[:4])
-    plan = tuple(tuple(np.array(part, dtype=np.intp).reshape(-1, 4).T.copy() for part in layer)
-                 for layer in layers)
-    for layer in plan:
-        for part in layer:
-            part.flags.writeable = False
-    return plan
-
-
-def _fill_border(rb, band, N: int, delays: tuple) -> None:
-    """Add the border columns A0[i, n + j] of every channel's band to rb[1 + j]."""
-    for (rj, ri, bj, bi), (cj, ci, cbj, cbi) in _border_plan(N, delays):
-        rb[rj, :, ri] += band[bj, :, bi]
-        rb[cj, :, ci] += band[cbj, :, cbi].conj()
 
 
 def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
@@ -323,7 +270,15 @@ def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     rb.fill(0)
     for q, l in enumerate(delays):
         rb[0] += np.multiply(taps_c[:, q, l:l + N], y[:, l:l + N], out=prod)
-    _fill_border(rb, band, N, delays)
+    # border columns rb[1 + j] = A0[:, k], k = n + j: each offset o >= 0, in the
+    # order first seen, adds A0[k - o, k], then A0[k + o, k] = conj(A0[k, k + o]),
+    # rows cyclic; when 2b >= N the terms of o and N - o meet on one entry in that order
+    k = np.arange(n, N)
+    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
+        rows = (k - o) % N
+        rb[1 + k - n, :, rows] += band[b - o, :, rows + o]
+        if o:
+            rb[1 + k - n, :, (k + o) % N] += band[b - o, :, k + o].conj()
     ab = _gather(band[..., :n].transpose(1, 2, 0), owner, 0, via="taps", into="band")
     # the diagonal sums conj(t) t, whose imaginary part t_r t_i - t_i t_r is +0
     ab[:, :, b].real += s2[:, None]
@@ -345,15 +300,6 @@ def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     z = _work_array("y", (S, N))
     z[:, :n], z[:, n:] = x1.reshape(S, n), x2[:, :, 0]
     return z
-
-
-def _rowwise(fn, src, dst, cfg) -> None:
-    """dst = fn(src, cfg) for a transform fn along the last axis, in blocks
-    of rows small enough that fn's temporaries stay in cache and reuse freed
-    memory instead of new pages."""
-    step = max(1, _BLOCK // src.shape[-1])
-    for i in range(0, len(src), step):
-        dst[i:i + step] = fn(src[i:i + step], cfg)
 
 
 def _slabs(bounds, N: int):
@@ -379,12 +325,12 @@ def _detect_slab(channels, ds, s2, counts, out) -> None:
     runs = [(lo, hi, *keys[lo]) for lo, hi in zip(starts, starts[1:])]
     y = _work_array("y", (C, N + l_D))
     for lo, hi, cfg, waveform in runs:
-        _rowwise(TRANSFORMS[waveform].to_time, ds[lo:hi], y[lo:hi, :N], cfg)
+        y[lo:hi, :N] = TRANSFORMS[waveform].to_time(ds[lo:hi], cfg)
     y[:, N:] = y[:, :l_D]
     z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
     for lo, hi, cfg, waveform in runs:
-        _rowwise(TRANSFORMS[waveform].from_time, z[bounds[lo]:bounds[hi]],
-                 out[bounds[lo]:bounds[hi]], cfg)
+        rows = slice(bounds[lo], bounds[hi])
+        out[rows] = TRANSFORMS[waveform].from_time(z[rows], cfg)
 
 
 def mmse_detect(channels, ds, sigma2s) -> np.ndarray:

@@ -241,20 +241,3 @@ def embed(syms: np.ndarray, layout) -> np.ndarray:
 
 def random_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def border_columns_loop(band: np.ndarray, N: int, delays) -> np.ndarray:
-    """The b border columns of the stacked MMSE solve, rb[j, c, i] =
-    A0_c[i, N - b + j], summed from the Gram band band[b - o, c, m] =
-    A0_c[m - o, m] by one pass per offset o = l_a - l_q >= 0 in the order
-    first seen: A0[k - o, k], then A0[k + o, k] = conj(A0[k, k + o])."""
-    b = delays[-1] - delays[0]
-    n = N - b
-    rb = np.zeros((b, band.shape[1], N), dtype=np.complex128)
-    k = np.arange(n, N)
-    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
-        rows = (k - o) % N
-        rb[k - n, :, rows] += band[b - o, :, rows + o]
-        if o:
-            rb[k - n, :, (k + o) % N] += band[b - o, :, k + o].conj()
-    return rb

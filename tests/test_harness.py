@@ -253,6 +253,24 @@ def test_config_names_the_field_of_a_malformed_value(section, field, value, matc
         config_from_dict(small_raw(**{section: {field: value}}))
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("sweep", "snr_db", ["5", 10.0]),           # float() read ["5", true] as (5.0, 1.0)
+    ("sweep", "snr_db", [5.0, True]),
+    ("channel", "range_bounds", [0.0, "50"]),
+    ("channel", "range_bounds", [False, 50.0]),
+    ("channel", "velocity_bounds", ["-20", 20.0]),
+    ("channel", "velocity_bounds", [-20.0, True]),
+    ("system", "c1", "0.005859375"),
+    ("system", "c1", True),
+    ("system", "c2", "0.25"),
+    ("system", "c2", False),
+])
+def test_config_rejects_bool_or_string_numbers(section, field, value):
+    # each was converted by float(), while f_c = "28e9" was rejected
+    with pytest.raises(ValueError, match=rf"{section}\.{field}: expected a number"):
+        config_from_dict(small_raw(**{section: {field: value}}))
+
+
 def test_config_rejects_duplicate_modes(capsys):
     # a repeated mode wrote two points per SNR into its curve
     with pytest.raises(ValueError, match="each once"):

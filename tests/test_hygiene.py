@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
-top-level definition has a caller in the package, every default parameter
-is set by some package call, and the CLI's import stays lean."""
+top-level definition and assignment is read in the package, every default
+parameter is set by some package call, and the CLI's import stays lean."""
 
 import ast
 import os
@@ -34,21 +34,36 @@ def test_every_from_import_is_used(path):
     assert _unused_from_imports(tree) == []
 
 
+def _module_level_names(tree: ast.Module) -> set:
+    """Names a module's top level defines: functions, classes and the
+    targets of its assignments, leaving out dunders such as __all__."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_every_package_def_has_a_package_caller():
-    # code that only tests use belongs in tests/oracles.py, or nowhere
-    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")]
-    defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    referenced = set()
-    for tree in trees:
+    # code or a constant that only tests use belongs in tests/oracles.py, or
+    # nowhere. A name is read in its own module, or by another that imports
+    # it or reads it as an attribute, so one module's name hides no other's
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    loaded, shared = {}, set()
+    for stem, tree in trees.items():
+        loaded[stem] = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loaded[stem].add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                shared.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    assert sorted(defined - referenced) == []
+                shared.update(alias.name for alias in node.names)
+    assert sorted((stem, name) for stem, tree in trees.items()
+                  for name in _module_level_names(tree) - loaded[stem] - shared) == []
 
 
 def _defaulted_params(path: Path) -> dict:

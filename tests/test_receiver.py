@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    border_columns_loop,
     dense_equivalent_channel,
     dense_mmse,
     embed,
@@ -24,8 +23,6 @@ from wdnoma import harness, receiver
 from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
-    _border_plan,
-    _fill_border,
     _tap_phases,
     build_equivalent_channel,
     estimate_noise_power,
@@ -378,26 +375,37 @@ def test_mmse_slabs_are_a_loop_of_single_solves(layout, slab, seed):
         assert np.array_equal(mmse_detect(channels, ds, sigma2s), want)
 
 
-def _border_equals_offset_loop(N, delays, C, g) -> bool:
-    """The planned border of C random bands, bit for bit and zero signs
-    included, against the per-offset loop it replaced."""
-    b = delays[-1] - delays[0]
-    band = random_complex(g, (b + 1) * C * (N + b)).reshape(b + 1, C, N + b)
-    band[g.random(band.shape) < 0.2] = -0.0
-    rb = np.zeros((b + 1, C, N), dtype=np.complex128)
-    _fill_border(rb, band, N, delays)
-    want = border_columns_loop(band, N, delays)
-    return np.array_equal(rb[1:], want) and np.array_equal(np.signbit(rb[1:].view(float)),
-                                                           np.signbit(want.view(float)))
+@st.composite
+def _delay_set_calls(draw):
+    """A small system, a set of 1-4 distinct path delays up to its prefix and
+    a call layout: the waveform and the sigma2 count of each channel. With
+    N = 4, 6 or 8 and the prefix up to N - 1, many sets have 2b >= N."""
+    N1, N2 = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (4, 4)]))
+    L = draw(st.integers(0, N1 * N2 - 1))
+    delays = sorted(draw(st.sets(st.integers(0, L), min_size=1, max_size=4)))
+    layout = draw(st.lists(st.tuples(st.sampled_from(["afdm", "otfs", "ofdm"]),
+                                     st.integers(1, 3)), min_size=1, max_size=5))
+    return make_cfg(N=N1 * N2, L=L, N1=N1, N2=N2), delays, layout
 
 
-@pytest.mark.parametrize("case", sorted(_BAND_EDGE_CASES))
-def test_border_plan_equals_offset_loop_on_band_edge_cases(case):
-    N1, N2, _, paths = _BAND_EDGE_CASES[case]
-    delays = tuple(sorted({l for _, l, _ in paths}))
-    assert _border_equals_offset_loop(N1 * N2, delays, 3, np.random.default_rng(111))
-    # with 2b >= N offsets o and N - o share entries, which a second layer adds
-    assert (len(_border_plan(N1 * N2, delays)) > 1) == (case in ("wide_spread", "full_spread"))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(call=_delay_set_calls(), seed=st.integers(0, 2**16))
+def test_mmse_on_any_delay_set_is_single_solves_and_the_oracle(call, seed):
+    # the border columns of any delay set, including those where offsets o
+    # and N - o add to one entry
+    cfg, delays, layout = call
+    g = np.random.default_rng(seed)
+    channels = [_channel(cfg, [(1.0, delays[0], int(g.integers(-1, 2)))]
+                         + [(0.3 * complex(*g.standard_normal(2)), l, int(g.integers(-1, 2)))
+                            for l in delays[1:]], w) for w, _ in layout]
+    ds = random_complex(g, len(layout) * cfg.N).reshape(-1, cfg.N)
+    sigma2s = [g.uniform(0.01, 2.0, k) for _, k in layout]
+    rows = iter(mmse_detect(channels, ds, sigma2s))
+    for H, d, s2s in zip(channels, ds, sigma2s):
+        for s2 in s2s:
+            x = next(rows)
+            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
+            assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
 def test_mmse_rejects_mixed_delay_sets():
@@ -525,13 +533,6 @@ def test_mmse_work_arrays_hold_one_slab(sweep_calls):
     full = _in_new_thread(buffer_bytes, [channels[c]] * k, ds[[c] * k], [[0.1]] * k)
     assert got.keys() == full.keys() and all(got[name] <= full[name] for name in got)
     assert sum(got.values()) < 2_000_000      # as one slab, the call took 15.4 MB
-
-
-def test_border_plan_equals_offset_loop_on_sweep_shapes(sweep_calls):
-    g = np.random.default_rng(112)
-    for name, (channels, _, _) in sweep_calls.items():
-        N, delays = channels[0].cfg.N, channels[0].delays
-        assert _border_equals_offset_loop(N, delays, len(channels), g), name
 
 
 def test_mmse_solutions_are_not_work_arrays(sweep_calls):
