@@ -38,9 +38,9 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from itertools import repeat
@@ -605,13 +605,24 @@ def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
     # imports them for its first chunk, and serial runs do not load them early
     import numpy.fft
     import numpy.random
+    # looked up on the module at call time, where tests and tracers may replace it
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
     # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
     points = []
     for snr_db in sweep.snr_db:
-        with ProcessPoolExecutor(max_workers=_pool_workers(cfg, workers)) as pool:
+        with pool_class(max_workers=_pool_workers(cfg, workers)) as pool:
             points.append(np.concatenate(list(pool.map(
                 chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))), axis=1))
     return np.concatenate(points)
+
+
+def __getattr__(name: str):
+    # PEP 562: the pool's modules (concurrent.futures.process, multiprocessing,
+    # socket) load on first use, so a serial run does not pay for them
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -635,6 +646,11 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     Returns {(mode, "velocity"|"distance"): [CurvePoint]}.
     """
     _check_workers(workers)
+    for name, (lo, hi) in (("range_bounds", cfg.channel.range_bounds),
+                           ("velocity_bounds", cfg.channel.velocity_bounds)):
+        if lo == hi == 0:     # every truth is 0, and so is the NMSE's denominator
+            raise ValueError(f"{name} = {[lo, hi]} puts every target at 0, where the "
+                             f"sensing NMSE is undefined")
     modes = cfg.sweep.modes
     curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
     for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_sense_chunk, cfg, workers)):

@@ -19,51 +19,45 @@ MMSE formulation. ``mmse_detect`` solves the normal equations
 in the time domain: x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same
 equations in a unitary change of basis. With the distinct path delays
 l_1 < ... < l_D, A = H_t^H H_t + sigma2 I is a cyclic band of half-width
-b = l_D - l_1: A[j, (j + o) mod N] is nonzero only for |o| <= b, the same
-for every Doppler draw. The band and H_t^H T^H d are built once per channel
-from its per-delay tap vectors, each extended cyclically so that every shift
-by a delay is a slice, and then gathered to the channel's systems. Each
-system keeps its last b unknowns as a border, which holds every wrapped
-(corner) entry, so its leading (N - b) x (N - b) block is a plain Hermitian
-band. The leading blocks of all systems of a call lie side by side in one
-block-diagonal band with zero coupling, factored by one LAPACK banded
-Cholesky (``pbtrf``) and solved by one triangular band solve (``tbtrs``)
-per direction; the b x b Schur complements are solved as one batch. Both
-routines work column by column, and a zero coupling entry only adds an
-exact zero to an update, so every block gets the operations, in the order,
-it gets when solved alone: the batch is bit for bit a loop of single
-solves, in O(b^2 N) work per system. One b per call is why the channels of
-a call must share their delays.
+b = l_D - l_1, the same for every Doppler draw. In the folded order 0,
+N - 1, 1, N - 2, ... of the unknowns it is a plain Hermitian band of
+half-width kd = min(2b, N - 1), the least any order gives (Golub & Van
+Loan, Matrix Computations, 4.3). Its cyclic band and H_t^H T^H d are built
+once per channel, and a cached plan per (N, b) gathers the folded band.
+The bands of all systems of a call lie side by side in one block-diagonal
+band with zero coupling, factored by one LAPACK banded Cholesky (``pbtrf``)
+and solved by two one-column band solves (``tbtrs``), U^H w = H_t^H y and
+U z = w. Each system leads with kd unknowns fixed at 0, so that its first
+columns see a kd-long window whatever precedes them: OpenBLAS's dot kernel
+behind the U^H solve splits 8 or more terms over SIMD lanes by the window's
+length. ``pbtrf`` and the U solve update by columns, where a zero coupling
+entry adds an exact zero, so every system gets the operations, in the
+order, it gets when solved alone: the batch is bit for bit a loop of single
+solves, in O(b^2 N) work per system.
 
 Slabs. ``mmse_detect`` solves its channels in slabs: runs of consecutive
 channels whose systems hold at most _SLAB samples (systems times N), and
 one channel at least. Each slab runs the whole solve above, from T^H to T,
-and writes its rows of the one solution array. Systems are independent and
-a stacked solve is bit for bit a loop of single solves, so slabs change no
-solution; they bound the working memory of a call, however many SNR
-points and channels it takes. _SLAB = 6144 samples is 24 systems at
-N = 256 and 6 at N = 1024, so that a 4-trial, 4-point block of one desk
-sense mode (16 systems) and the paper-scale 5-mode trial (5 systems) are
-one slab each. In a slab-size sweep on a 2-vCPU Xeon (4 MiB L2), 2048
-samples ran slower on every sweep shape, and 4096 to 16384 alike within
-the noise. Peak RSS of a 4-trial, 4-point desk BER loop grew with the slab
-(46.4 MB for one call per SNR point; 47.0, 47.2, 47.8 and 49.4 MB at 5120,
-6144, 8192 and 16384 samples). At 5120 that block takes 5 slabs instead
-of 4, and its solve took 5.85 ms against 5.97 ms for its four per-point
-calls and 5.47 ms at 6144.
+and writes its rows of the one solution array. As a stacked solve is bit
+for bit a loop of single solves, slabs change no solution; they bound the
+working memory of a call, however many SNR points and channels it takes.
+_SLAB = 6144 samples is 24 systems at N = 256 and 6 at N = 1024. On a
+2-vCPU Xeon (4 MiB L2), 4096, 6144 and 8192 samples ran within the noise
+on the sweep shapes (8192 at most 7 % faster on a 64-trial desk chunk,
+with a third more work arrays); 2048 ran slower on every shape.
 
-Work arrays. Every large array of the solve (the tap stack, the bands, the
-right-hand sides, the factor, the Schur terms and the time-domain
-solutions) is a view of one of six per-thread buffers, each grown to the
-largest slab seen and reused by every later slab and call, so steady
-sweeps map no new pages; threads never share one. The arrays formed after
-the bands reuse the buffers of those that are dead by then. Only the
-solution array returned is fresh. The buffers hold about 1 MB for 20 desk
-systems and at most 1.4 MB for any call at N = 256 or 1024 (a whole
-320-system call would take 15.4 MB at N = 256 and 62 MB at N = 1024).
-They stay because they pay: fresh arrays in every call gave the same
-solutions bit for bit, but lost 14 % of the benchmark's ber-desk and 16 %
-of its ber-paper trials per second (7 pairs each, none won).
+Work arrays. Every large array of the solve (the tap stack, the cyclic band
+and its conjugate, the right-hand sides, the folded bands and the
+time-domain solutions) is a view of one of six per-thread buffers, each
+grown to the largest slab seen and reused by every later slab and call, so
+steady sweeps map no new pages; threads never share one. The arrays formed
+after the bands reuse the buffers of those dead by then. Only the solution
+array returned is fresh. The buffers hold 1.2 MB for 20 desk systems and
+at most 1.9 MB for any call at N = 256 or 1024 (a whole 320-system call
+would take 18.9 MB at N = 256 and 100 MB at N = 1024). They stay because
+they pay: fresh arrays in every call gave the same solutions bit for bit,
+but lost 14 % of the benchmark's ber-desk and 16 % of its ber-paper trials
+per second (7 pairs each, none won).
 
 LAPACK. ``pbtrf`` and ``tbtrs`` are scipy's wrappers ``zpbtrf`` and
 ``ztbtrs`` in its compiled module ``scipy.linalg._flapack``, the module
@@ -224,82 +218,89 @@ def _work_array(name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _gather(src, owner, axis: int, via: str, into: str) -> np.ndarray:
-    """np.take(src, owner, axis) in the work array ``into``, which may be the
-    buffer src views. np.take copies a non-contiguous source to a fresh
-    array, so src is first copied to the work array ``via``."""
-    flat = _work_array(via, src.shape)
-    flat[...] = src
-    shape = src.shape[:axis] + (len(owner),) + src.shape[axis + 1:]
-    return np.take(flat, owner, axis=axis, out=_work_array(into, shape), mode="clip")
+@lru_cache(maxsize=64)
+def _fold_plan(N: int, b: int):
+    """(order, pos, take) of the folded solve, cached and read-only: by
+    position, ``order`` indexes H_t^H y ended by a 0 (N for the kd leading
+    unknowns), ``pos`` gives each unknown its position, and the sum of the
+    K gathers ``take`` (K, N + kd, kd + 1) of [band, conj(band), 0, 1] is
+    the upper band ab[j, kd + i - j] = A[order[i], order[j]]. K = 1 unless
+    2b >= N puts the offsets o and N - o on one entry, o's term first."""
+    kd = min(2 * b, N - 1)
+    perm = np.empty(N, dtype=np.intp)
+    perm[0::2], perm[1::2] = np.arange((N + 1) // 2), np.arange(N - 1, (N - 1) // 2, -1)
+    j = np.arange(-kd, N)[:, None]                      # column of ab[j + kd, t]
+    i = j - kd + np.arange(kd + 1)                      # and its row
+    r, s = perm[i % N], perm[j % N]
+    o, m = (s - r) % N, (b + 1) * (N + b)
+    up = np.where((i >= 0) & (o <= b), (b - o) * (N + b) + r + o, 2 * m)
+    down = np.where((i >= 0) & (N - o <= b), m + (b - N + o) * (N + b) + s + N - o, 2 * m)
+    up[:kd, kd] = 2 * m + 1
+    take = np.stack([np.minimum(up, down), np.maximum(up, down)])
+    plan = (np.concatenate((np.full(kd, N), perm)), np.argsort(perm) + kd,
+            take[:1] if np.all(take[1] == 2 * m) else take)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
-def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
-    """Solve (H_t^H H_t + s2 I) z = H_t^H y for each system s, whose channel
-    (H_t and the row of y) is owner[s]; returns the (S, N) solutions in the
-    buffer of y. y is the work array "y", each row extended cyclically by
-    the largest delay l_D, so that a shift by a delay is a slice.
-
-    band[b - o, c, k] = A0[k - o, k] holds the Gram band of channel c, and
-    ab[s, k, b - o] the leading block of system s; read as one
-    (b + 1, S n) Fortran array, ab holds the blocks side by side with no
-    coupling. rb[0, c] = H_t^H y and rb[1 + j, c, i] = A0[i, n + j], the
-    border columns of channel c. Once the bands and right-hand sides are
-    formed, the solve's arrays reuse the buffers of the taps, their
-    products and y, and each gather lands in the buffer of its source.
-    """
-    delays, C, S = channels[0].delays, len(channels), s2.size
+def _folded_gram(channels, y):
+    """Each channel's folded band of A0 = H_t^H H_t, (C, N + kd, kd + 1) in
+    the work array "taps", and H_t^H y ended by a 0, (C, N + 1) in "rhs". y
+    (work array "y") has each row extended cyclically by the largest delay,
+    so a shift by a delay is a slice. src[c] starts with channel c's cyclic
+    band, band[c, b - o, k] = A0[k - o, k mod N]."""
+    delays, C = channels[0].delays, len(channels)
     D, N = len(delays), y.shape[-1] - delays[-1]
     b = delays[-1] - delays[0]
-    n = N - b
     # taps[c, q, i] = H_t[i, i - l_q], i cyclic, and one conj for band and right-hand side
     taps = _work_array("taps", (C, D, N + delays[-1]))
     np.stack([H.taps for H in channels], out=taps[..., :N])
     taps[..., N:] = taps[..., :delays[-1]]
     taps_c = np.conjugate(taps, out=_work_array("taps_c", taps.shape))
     prod = _work_array("prod", (C, N))
-    # upper half of H_t^H H_t: A0[j, (j + o) mod N] sums, over the delay pairs
-    # (a, q) with l_a - l_q = o >= 0, conj(taps[a, j + l_a]) taps[q, j + l_a]
-    band = _work_array("band", (b + 1, C, N + b))
+    m = (b + 1) * (N + b)
+    src = _work_array("band", (C, 2 * m + 2))
+    band = src[:, :m].reshape(C, b + 1, N + b)
     band.fill(0)
+    # upper half: A0[j, (j + o) mod N] sums, over the delay pairs (a, q) with
+    # l_a - l_q = o >= 0, conj(taps[a, j + l_a]) taps[q, j + l_a]
     for a, la in enumerate(delays):
         for q, lq in enumerate(delays[:a + 1]):
-            band[b - la + lq, :, la - lq:la - lq + N] += np.multiply(
+            band[:, b - la + lq, la - lq:la - lq + N] += np.multiply(
                 taps_c[:, a, la:la + N], taps[:, q, la:la + N], out=prod)
-    rb = _work_array("rhs", (b + 1, C, N))
-    rb.fill(0)
+    np.conjugate(band, out=src[:, m:2 * m].reshape(band.shape))
+    src[:, 2 * m:] = 0, 1
+    rhs = _work_array("rhs", (C, N + 1))
+    rhs.fill(0)
     for q, l in enumerate(delays):
-        rb[0] += np.multiply(taps_c[:, q, l:l + N], y[:, l:l + N], out=prod)
-    # border columns rb[1 + j] = A0[:, k], k = n + j: each offset o >= 0, in the
-    # order first seen, adds A0[k - o, k], then A0[k + o, k] = conj(A0[k, k + o]),
-    # rows cyclic; when 2b >= N the terms of o and N - o meet on one entry in that order
-    k = np.arange(n, N)
-    for o in dict.fromkeys(la - lq for a, la in enumerate(delays) for lq in delays[:a + 1]):
-        rows = (k - o) % N
-        rb[1 + k - n, :, rows] += band[b - o, :, rows + o]
-        if o:
-            rb[1 + k - n, :, (k + o) % N] += band[b - o, :, k + o].conj()
-    ab = _gather(band[..., :n].transpose(1, 2, 0), owner, 0, via="taps", into="band")
+        rhs[:, :N] += np.multiply(taps_c[:, q, l:l + N], y[:, l:l + N], out=prod)
+    take = _fold_plan(N, b)[2]
+    fold = np.take(src, take[0], axis=1, out=_work_array("taps", (C, *take.shape[1:])), mode="clip")
+    for more in take[1:]:
+        fold += src[:, more]
+    return fold, rhs
+
+
+def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
+    """Solve (H_t^H H_t + s2 I) z = H_t^H y for each system s, whose channel
+    (H_t and the row of y) is owner[s]; returns the (S, N) solutions in the
+    work array "rhs". Read as one (kd + 1, S n) Fortran array, ab holds the
+    systems' folded bands side by side with no coupling, n = N + kd. The
+    arrays after the bands reuse the buffers of dead ones."""
+    S, N = s2.size, y.shape[-1] - channels[0].delays[-1]
+    order, pos, _ = _fold_plan(N, channels[0].delays[-1] - channels[0].delays[0])
+    (fold, rhs), n = _folded_gram(channels, y), len(order)
+    ab = np.take(fold, owner, axis=0, out=_work_array("taps_c", (S, *fold.shape[1:])), mode="clip")
     # the diagonal sums conj(t) t, whose imaginary part t_r t_i - t_i t_r is +0
-    ab[:, :, b].real += s2[:, None]
-    c, info = _pbtrf(ab.reshape(S * n, b + 1).T, overwrite_ab=1)    # A11 = U^H U
+    ab[:, :, -1].real += s2[:, None]
+    c, info = _pbtrf(ab.reshape(S * n, -1).T, overwrite_ab=1)     # A = U^H U
     if info > 0:      # a leading minor is not positive definite
         raise np.linalg.LinAlgError(f"singular MMSE system at sigma2 = {s2[(info - 1) // n]}")
-    # U^{-H} [rhs_1, A12] in one triangular band solve; the Schur complement
-    # is then A22 + s2 I - W^H W
-    tail = rb[:, owner, n:]
-    head = _gather(rb[..., :n], owner, 1, via="taps", into="rhs")
-    w = _tbtrs(c, head.reshape(b + 1, S * n).T, trans="C", overwrite_b=1)[0].T.reshape(head.shape)
-    w1, W = w[0, :, :, None], w[1:].transpose(1, 2, 0)
-    Wh = np.conjugate(W, out=_work_array("taps_c", (b, S, n)).transpose(1, 2, 0))
-    Wh = Wh.transpose(0, 2, 1)
-    x2 = np.linalg.solve(tail[1:].transpose(1, 2, 0) + s2[:, None, None] * np.eye(b) - Wh @ W,
-                         tail[0, :, :, None] - Wh @ w1)
-    v = np.matmul(W, x2, out=_work_array("prod", (S, n, 1)))
-    x1, _ = _tbtrs(c, np.subtract(w1, v, out=v).reshape(S * n, 1), overwrite_b=1)
-    z = _work_array("y", (S, N))
-    z[:, :n], z[:, n:] = x1.reshape(S, n), x2[:, :, 0]
-    return z
+    x = np.take(np.take(rhs, order, axis=1, out=_work_array("prod", (len(rhs), n)), mode="clip"),
+                owner, axis=0, out=_work_array("y", (S, n)), mode="clip").reshape(S * n, 1)
+    x = _tbtrs(c, _tbtrs(c, x, trans="C", overwrite_b=1)[0], overwrite_b=1)[0]
+    return np.take(x.reshape(S, n), pos, axis=1, out=_work_array("rhs", (S, N)), mode="clip")
 
 
 def _slabs(bounds, N: int):
@@ -340,12 +341,11 @@ def mmse_detect(channels, ds, sigma2s) -> np.ndarray:
     within a channel in the order of its sigma2s.
 
     All channels must share N and the delay set, so that every system has
-    the same band half-width b. The channels are solved in slabs of
-    consecutive channels (see the module docstring). In each, every d goes
-    to the time domain by T^H, the Gram band of H_t and the right-hand side
-    H_t^H T^H d are formed once per channel, all systems are factored and
-    solved together, and each solution comes back by T. With s2 = 0 this is
-    zero-forcing; an exactly singular system raises LinAlgError.
+    the same band half-width b. The channels are solved in slabs (see the
+    module docstring); in each, every d goes to the time domain by T^H, all
+    systems are solved together in folded order, and each solution comes
+    back by T. With s2 = 0 this is zero-forcing; an exactly singular system
+    raises LinAlgError.
     """
     C = len(channels)
     N, delays = channels[0].cfg.N, channels[0].delays

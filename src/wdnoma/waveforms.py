@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -85,25 +86,33 @@ class SystemConfig:
 # Gray-coded square QAM
 # ---------------------------------------------------------------------------
 
-def _gray_decode(g: np.ndarray) -> np.ndarray:
-    b = g.copy()
-    shift = 1
-    while shift < b.itemsize * 8:
-        b ^= b >> shift
-        shift *= 2
-    return b
-
-
-def _gray_encode(b: np.ndarray) -> np.ndarray:
-    return b ^ (b >> 1)
-
-
 def _axis_params(M: int):
     m_axis = int(round(np.sqrt(M)))
     bits_per_axis = int(np.log2(m_axis))
     # unit average symbol energy for square QAM built from two PAM axes
     scale = np.sqrt(2.0 * (M - 1) / 3.0)
     return m_axis, bits_per_axis, scale
+
+
+@lru_cache(maxsize=8)
+def _qam_tables(M: int):
+    """Read-only tables of Gray-coded square M-QAM: by the bits of a symbol
+    read as a number, its point; and by the level indices (ki, kq) of its
+    axes, at ki m_axis + kq, its point and its bits. Axis level index k is
+    the level m_axis - 1 - 2k and carries the Gray code k ^ (k >> 1)."""
+    m_axis, bpa, scale = _axis_params(M)
+    k = np.arange(m_axis)
+    level, gray = m_axis - 1 - 2 * k, k ^ (k >> 1)
+    li, lq = np.repeat(level, m_axis), np.tile(level, m_axis)
+    points = (li + 1j * lq) / scale
+    by_bits = np.empty_like(points)
+    by_bits[np.repeat(gray, m_axis) * m_axis + np.tile(gray, m_axis)] = points
+    axis_bits = (gray[:, None] >> np.arange(bpa - 1, -1, -1)) & 1
+    bits = np.concatenate([np.repeat(axis_bits, m_axis, axis=0), np.tile(axis_bits, (m_axis, 1))],
+                          axis=1)
+    for a in (by_bits, points, bits):
+        a.flags.writeable = False
+    return by_bits, points, bits
 
 
 def qam_map(bits: np.ndarray, M: int) -> np.ndarray:
@@ -113,53 +122,38 @@ def qam_map(bits: np.ndarray, M: int) -> np.ndarray:
     in-phase level, the second half the quadrature level. All-zero bits map
     to the top-right corner point, e.g. (1+1j)/sqrt(2) for QPSK.
     """
-    m_axis, bpa, scale = _axis_params(M)
+    n = int(np.log2(M))
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1 or bits.size % (2 * bpa) != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by log2(M) = {2 * bpa}")
-    groups = bits.reshape(-1, 2 * bpa)
-    weights = 1 << np.arange(bpa - 1, -1, -1, dtype=np.int64)
-    gi = groups[:, :bpa] @ weights
-    gq = groups[:, bpa:] @ weights
-    li = m_axis - 1 - 2 * _gray_decode(gi)
-    lq = m_axis - 1 - 2 * _gray_decode(gq)
-    return (li + 1j * lq) / scale
+    if bits.ndim != 1 or bits.size % n != 0:
+        raise ValueError(f"bit count {bits.size} not divisible by log2(M) = {n}")
+    return _qam_tables(M)[0].take(bits.reshape(-1, n) @ (1 << np.arange(n - 1, -1, -1)))
 
 
-def _axis_index(vals: np.ndarray, m_axis: int) -> np.ndarray:
-    """Index k of the nearest level m_axis - 1 - 2k of one scaled PAM axis."""
-    return np.clip(np.round((m_axis - 1 - vals) / 2.0).astype(np.int64), 0, m_axis - 1)
+def _levels(symbols, M: int) -> np.ndarray:
+    """ki m_axis + kq of the nearest point of each symbol: k is the index of
+    the nearest level m_axis - 1 - 2k of each scaled axis."""
+    m_axis, _, scale = _axis_params(M)
+    symbols = np.asarray(symbols) * scale
+    ki, kq = (np.clip(np.round((m_axis - 1 - v) / 2.0).astype(np.int64), 0, m_axis - 1)
+              for v in (symbols.real, symbols.imag))
+    return ki * m_axis + kq
 
 
 def qam_demap_hard(symbols: np.ndarray, M: int) -> np.ndarray:
-    """Nearest-point hard decision; exact inverse of qam_map on clean input."""
-    m_axis, bpa, scale = _axis_params(M)
-    symbols = np.asarray(symbols) * scale
-
-    def axis_bits(vals):
-        g = _gray_encode(_axis_index(vals, m_axis))
-        return (g[:, None] >> np.arange(bpa - 1, -1, -1)) & 1
-
-    bi = axis_bits(symbols.real)
-    bq = axis_bits(symbols.imag)
-    return np.concatenate([bi, bq], axis=1).reshape(-1)
+    """Nearest-point hard decision, the bits of each symbol in turn; exact
+    inverse of qam_map on clean input."""
+    return _qam_tables(M)[2].take(_levels(symbols, M), axis=0).reshape(-1)
 
 
 def qam_slice(symbols: np.ndarray, M: int) -> np.ndarray:
     """Nearest constellation point of each symbol, any shape: bit for bit
     ``qam_map(qam_demap_hard(symbols, M), M)``, without the Gray bits."""
-    m_axis, _, scale = _axis_params(M)
-    symbols = np.asarray(symbols) * scale
-    li = m_axis - 1 - 2 * _axis_index(symbols.real, m_axis)
-    lq = m_axis - 1 - 2 * _axis_index(symbols.imag, m_axis)
-    return (li + 1j * lq) / scale
+    return _qam_tables(M)[1].take(_levels(symbols, M))
 
 
 def constellation(M: int) -> np.ndarray:
     """All M constellation points, indexed by their bit pattern."""
-    bpa = int(np.log2(M))
-    bits = ((np.arange(M)[:, None] >> np.arange(bpa - 1, -1, -1)) & 1).reshape(-1)
-    return qam_map(bits, M)
+    return _qam_tables(M)[0].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,56 @@ def embed(syms: np.ndarray, layout) -> np.ndarray:
 
 def random_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _gray_decode(g: np.ndarray) -> np.ndarray:
+    b = g.copy()
+    shift = 1
+    while shift < b.itemsize * 8:
+        b ^= b >> shift
+        shift *= 2
+    return b
+
+
+def _qam_axis(M: int):
+    m_axis = int(round(np.sqrt(M)))
+    return m_axis, int(np.log2(m_axis)), np.sqrt(2.0 * (M - 1) / 3.0)
+
+
+def _axis_index(vals: np.ndarray, m_axis: int) -> np.ndarray:
+    """Index k of the nearest level m_axis - 1 - 2k of one scaled PAM axis."""
+    return np.clip(np.round((m_axis - 1 - vals) / 2.0).astype(np.int64), 0, m_axis - 1)
+
+
+def qam_map_formula(bits: np.ndarray, M: int) -> np.ndarray:
+    """Gray-coded square M-QAM by arithmetic: each half of a symbol's bits
+    is Gray-decoded to the index k of its axis level m_axis - 1 - 2k."""
+    m_axis, bpa, scale = _qam_axis(M)
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, 2 * bpa)
+    weights = 1 << np.arange(bpa - 1, -1, -1, dtype=np.int64)
+    li = m_axis - 1 - 2 * _gray_decode(groups[:, :bpa] @ weights)
+    lq = m_axis - 1 - 2 * _gray_decode(groups[:, bpa:] @ weights)
+    return (li + 1j * lq) / scale
+
+
+def qam_demap_formula(symbols: np.ndarray, M: int) -> np.ndarray:
+    """Nearest-point hard bits by arithmetic: each axis's level index, Gray
+    coded as k ^ (k >> 1), in-phase bits first."""
+    m_axis, bpa, scale = _qam_axis(M)
+    symbols = np.asarray(symbols) * scale
+
+    def axis_bits(vals):
+        g = _axis_index(vals, m_axis)
+        g = g ^ (g >> 1)
+        return (g[:, None] >> np.arange(bpa - 1, -1, -1)) & 1
+
+    return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=1).reshape(-1)
+
+
+def qam_slice_formula(symbols: np.ndarray, M: int) -> np.ndarray:
+    """Nearest constellation point by arithmetic, any shape."""
+    m_axis, _, scale = _qam_axis(M)
+    symbols = np.asarray(symbols) * scale
+    li = m_axis - 1 - 2 * _axis_index(symbols.real, m_axis)
+    lq = m_axis - 1 - 2 * _axis_index(symbols.imag, m_axis)
+    return (li + 1j * lq) / scale

@@ -586,6 +586,24 @@ def test_sweeps_reject_bad_workers_before_any_work(tmp_path, monkeypatch, worker
     assert not out.exists()
 
 
+@pytest.mark.parametrize("channel", [{"velocity_bounds": [0.0, 0.0]},
+                                     {"range_bounds": [0.0, 0.0], "target_count": 1}])
+def test_sensing_rejects_a_box_pinned_at_zero_before_any_work(monkeypatch, channel):
+    # static targets gave a velocity NMSE of inf or nan, and targets at range 0
+    # a distance NMSE of nan, each with only a RuntimeWarning
+    monkeypatch.setattr(harness, "_per_snr", lambda *a, **k: pytest.fail("swept"))
+    (name,) = set(channel) - {"target_count"}
+    with pytest.raises(ValueError, match=name):
+        run_sensing(config_from_dict(small_raw(channel=channel)))
+
+
+def test_ber_runs_with_boxes_pinned_at_zero():
+    cfg = config_from_dict(small_raw(channel={"range_bounds": [0.0, 0.0], "target_count": 1,
+                                              "velocity_bounds": [0.0, 0.0]}))
+    curves = run_ber(cfg)
+    assert all(0.0 <= p.metric <= 0.5 for points in curves.values() for p in points)
+
+
 def test_pool_tasks_import_no_module():
     # numpy loads numpy.random and numpy.fft on first use, so a forked worker
     # whose parent had not used them imported both for its first chunk

@@ -118,6 +118,16 @@ def test_cli_import_loads_no_scipy_stats_or_constants():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a sweep with more than one worker makes a pool; its modules
+    # (multiprocessing, socket) cost every serial run 14-23 ms of start-up
+    code = "import sys, wdnoma.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_harness_has_no_per_waveform_branch():
     # a comparison with a waveform's name is a dispatch outside the waveform
     # tables, in the harness or any module below it: the harness reads

@@ -265,12 +265,15 @@ def test_mmse_scalar_shrinkage():
 
 
 # (N1, N2, prefix, paths): b = largest - smallest distinct delay is the
-# half-width of the Gram band and the size of the solve's border
+# half-width of the cyclic Gram band, which the solve folds into a plain band
+# of half-width min(2b, N - 1)
 _BAND_EDGE_CASES = {
     "single_delay": (4, 4, 4, [(1.0, 2, 1)]),
     "wide_spread": (2, 3, 5, [(1.0, 0, 1), (0.15j, 2, -1), (-0.1, 3, 0)]),      # 2b = N
     "full_spread": (2, 2, 3, [(1.0, 0, 0), (0.2, 1, 1), (0.1j, 3, -1)]),  # b = N - 1; o = 1, -3 alias
     "shared_delay": (4, 4, 4, [(1.0, 1, -1), (0.3j, 1, 1), (0.1, 3, 0)]),
+    # b = 11: a window of 8 or more band entries, which BLAS dot kernels split over SIMD lanes
+    "long_spread": (4, 8, 12, [(1.0, 0, 1), (0.4j, 3, -1), (-0.3, 11, 0)]),
 }
 
 
@@ -391,8 +394,8 @@ def _delay_set_calls(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(call=_delay_set_calls(), seed=st.integers(0, 2**16))
 def test_mmse_on_any_delay_set_is_single_solves_and_the_oracle(call, seed):
-    # the border columns of any delay set, including those where offsets o
-    # and N - o add to one entry
+    # the folded band of any delay set, including those where offsets o and
+    # N - o add to one entry
     cfg, delays, layout = call
     g = np.random.default_rng(seed)
     channels = [_channel(cfg, [(1.0, delays[0], int(g.integers(-1, 2)))]
@@ -406,6 +409,38 @@ def test_mmse_on_any_delay_set_is_single_solves_and_the_oracle(call, seed):
             x = next(rows)
             assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 17), data=st.data())
+def test_folded_band_is_the_permuted_gram_matrix(N, data):
+    # any N, odd ones included, and 1-4 delays up to N - 1, so that 2b >= N is common
+    delays = sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=4)))
+    b, g = delays[-1] - delays[0], np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    taps = random_complex(g, len(delays) * N).reshape(len(delays), N)
+    H = receiver.EquivalentChannel(make_cfg(N=N, L=N - 1, N1=1, N2=N), "afdm", tuple(delays), taps)
+    fold, _ = receiver._folded_gram([H], np.zeros((1, N + delays[-1]), complex))
+    kd = min(2 * b, N - 1)
+    assert fold.shape == (1, N + kd, kd + 1)
+    # dense H_t^H H_t, then in the folded order behind kd unknowns fixed at 0
+    Ht = np.zeros((N, N), complex)
+    for l, t in zip(delays, taps):
+        Ht[np.arange(N), (np.arange(N) - l) % N] += t
+    order = receiver._fold_plan(N, b)[0][kd:]
+    assert sorted(order) == list(range(N)) and list(order[:3]) == [0, N - 1, 1][:N]
+    full = np.eye(N + kd, dtype=complex)
+    full[kd:, kd:] = (Ht.conj().T @ Ht)[np.ix_(order, order)]
+    i, j = np.indices(full.shape)
+    assert np.all(full[abs(i - j) > kd] == 0)
+    if 2 * b < N:       # the half-width is the least that holds the band
+        assert np.any(full[abs(i - j) == kd] != 0)
+    # LAPACK's upper band, column by column: fold[j, kd + i - j] = full[i, j], 0 above column 0
+    want = np.zeros_like(fold[0])
+    for col, t in np.ndindex(want.shape):
+        if col - kd + t >= 0:
+            want[col, t] = full[col - kd + t, col]
+    assert np.all(fold[0][want == 0] == 0)
+    assert np.max(np.abs(fold[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_mmse_rejects_mixed_delay_sets():

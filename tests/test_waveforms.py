@@ -7,9 +7,12 @@ from oracles import (
     dense_afdm_mod,
     dense_ofdm_mod,
     dense_otfs_w,
+    qam_demap_formula,
+    qam_map_formula,
+    qam_slice_formula,
     random_complex,
 )
-from wdnoma import harness
+from wdnoma import harness, waveforms
 from wdnoma.transforms import ChirpParams, add_cp_samples, add_cpp_samples
 from wdnoma.waveforms import (
     TRANSFORMS,
@@ -92,6 +95,35 @@ def test_qam_slice_is_the_bit_round_trip_bit_for_bit(M):
     # any shape: the last axes need no flattening
     stack = gauss.reshape(4, 10, 100)
     assert qam_slice(stack, M).tobytes() == qam_slice(gauss, M).tobytes()
+
+
+@pytest.mark.parametrize("M", [4, 16, 64])
+def test_qam_tables_are_the_formulas_byte_for_byte(M):
+    # every bit pattern, Gaussian symbols, every midpoint between levels (ties
+    # round half to even) and points far outside the grid, as 1-D and stacked
+    n, m_axis = int(np.log2(M)), int(np.sqrt(M))
+    bits = ((np.arange(M)[:, None] >> np.arange(n - 1, -1, -1)) & 1).reshape(-1)
+    assert qam_map(bits, M).tobytes() == qam_map_formula(bits, M).tobytes()
+    random_bits = np.random.default_rng(M).integers(0, 2, n * 500)
+    assert qam_map(random_bits, M).tobytes() == qam_map_formula(random_bits, M).tobytes()
+    scale = np.sqrt(2.0 * (M - 1) / 3.0)
+    ticks = np.arange(-m_axis - 2, m_axis + 3) / scale
+    pts = np.concatenate([random_complex(np.random.default_rng(M + 1), 4000),
+                          (ticks[:, None] + 1j * ticks[None, :]).reshape(-1),
+                          [1e6 + 1e6j, -1e6 - 1e6j, 1e6 - 1e6j, -1e6 + 1e6j]])
+    got = qam_demap_hard(pts, M)
+    assert got.dtype == np.int64 and got.tobytes() == qam_demap_formula(pts, M).tobytes()
+    assert qam_slice(pts, M).tobytes() == qam_slice_formula(pts, M).tobytes()
+    stack = pts[:4000].reshape(4, 10, 100)
+    assert qam_slice(stack, M).tobytes() == qam_slice_formula(stack, M).tobytes()
+
+
+def test_qam_tables_are_cached_read_only():
+    tables = waveforms._qam_tables(16)
+    assert waveforms._qam_tables(16) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_qam_rejects_bad_bit_count():
