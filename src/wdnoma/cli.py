@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .harness import MODES, config_hash, load_config, run_and_write
+from .harness import MODES, _field, config_hash, load_config, run_and_write
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -46,7 +46,8 @@ def _apply_overrides(cfg, args):
     if args.trials is not None:
         sweep = replace(sweep, trials=args.trials)
     if args.snr is not None:
-        sweep = replace(sweep, snr_db=tuple(float(s) for s in args.snr.split(",")))
+        sweep = replace(sweep, snr_db=_field(
+            "--snr", lambda v: tuple(float(s) for s in v.split(",")), args.snr))
     if args.mode is not None:
         sweep = replace(sweep, modes=tuple(args.mode.split(",")))
     cfg = replace(cfg, sweep=sweep)

@@ -461,36 +461,36 @@ class _Chunk:
 
 
 def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
-    """Demodulate, estimate the noise and MMSE-detect the trials of ``chunk``
-    at p SNR points for every waveform group of ``modes``: one demodulator
-    and one NPE pass per group on its (p, T, ·) stack, then one
-    ``mmse_detect`` call for every point and group. Returns per group: its
+    """Estimate the noise and MMSE-detect the trials of ``chunk`` at p SNR
+    points for every waveform group of ``modes``: one demodulator and one NPE
+    pass per group that has an NPE mode, on its (p, T, ·) stack, then one
+    ``mmse_detect`` call for every point and group on the received core
+    samples (the detector reads no demodulated frame). Returns per group: its
     modes, the received frames (p, T, N + L_cp), the sent bits (T, n_bits)
     and the MMSE estimates of the data symbols (p, T, len(group), n_data).
     """
     sys_ = chunk.cfg.system
     p, T = len(snr_points), len(chunk.ctxs)
-    groups, channels, ds, sigma2s = [], [], [], []
+    groups, channels, ys, sigma2s = [], [], [], []
     for waveform, entry in WAVEFORMS.items():
         group = [m for m in modes if MODES[m][0] == waveform]
         if not group:
             continue
         layout, up = chunk.layouts[waveform], chunk.uplink(waveform)
         r, sigma2 = chunk.compose(up, snr_points)
-        d = entry.demod(r, sys_)
         noise = {"sigma2": sigma2[:, None], "sigma2+echo": sigma2[:, None] + up["echo_bin_power"]}
         if any(MODES[m][1] == "npe" for m in group):
-            noise["npe"] = estimate_noise_power(d, layout)
+            noise["npe"] = estimate_noise_power(entry.demod(r, sys_), layout)
         s2 = np.empty((p, T, len(group)))     # each mode's noise power
         for j, m in enumerate(group):
             s2[..., j] = noise[MODES[m][1]]
         # one build per (SNR point, trial), as perfbench/tests counts them (ROADMAP 1)
         channels += [build_equivalent_channel(c.ul_ps, sys_, waveform)
                      for _ in snr_points for c in chunk.ctxs]
-        ds.append(d.reshape(p * T, -1))
+        ys.append(r[..., sys_.L_cp:].reshape(p * T, -1))
         sigma2s += list(s2.reshape(p * T, -1))
         groups.append((group, layout.data, r, up["bits"]))
-    x = mmse_detect(channels, np.concatenate(ds), sigma2s)     # rows: group, point, trial, mode
+    x = mmse_detect(channels, np.concatenate(ys), sigma2s)     # rows: group, point, trial, mode
     ends = np.cumsum([p * T * len(group) for group, *_ in groups])[:-1]
     return [(group, r, bits, np.take(rows.reshape(p, T, len(group), -1), data, axis=-1))
             for (group, data, r, bits), rows in zip(groups, np.split(x, ends))]

@@ -16,28 +16,32 @@ whatever the drawn Doppler bins.
 
 MMSE formulation. ``mmse_detect`` solves the normal equations
 (H^H H + sigma2 I) x = H^H d of many (channel, sigma2) systems in one call,
-in the time domain: x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H T^H d, the same
-equations in a unitary change of basis. With the distinct path delays
-l_1 < ... < l_D, A = H_t^H H_t + sigma2 I is a cyclic band of half-width
-b = l_D - l_1, the same for every Doppler draw. In the folded order 0,
-N - 1, 1, N - 2, ... of the unknowns it is a plain Hermitian band of
-half-width kd = min(2b, N - 1), the least any order gives (Golub & Van
-Loan, Matrix Computations, 4.3). Its cyclic band and H_t^H T^H d are built
-once per channel, and a cached plan per (N, b) gathers the folded band.
-The bands of all systems of a call lie side by side in one block-diagonal
-band with zero coupling, factored by one LAPACK banded Cholesky (``pbtrf``)
-and solved by two one-column band solves (``tbtrs``), U^H w = H_t^H y and
-U z = w. Each system leads with kd unknowns fixed at 0, so that its first
-columns see a kd-long window whatever precedes them: OpenBLAS's dot kernel
-behind the U^H solve splits 8 or more terms over SIMD lanes by the window's
-length. ``pbtrf`` and the U solve update by columns, where a zero coupling
-entry adds an exact zero, so every system gets the operations, in the
-order, it gets when solved alone: the batch is bit for bit a loop of single
-solves, in O(b^2 N) work per system.
+in the time domain. It takes each frame as its received core samples y,
+the frame without its prefix, whose demodulated frame is d = T y, and
+solves x = T (H_t^H H_t + sigma2 I)^{-1} H_t^H y, the same equations in a
+unitary change of basis; no frame is demodulated for the solve. With the
+distinct path delays l_1 < ... < l_D, A = H_t^H H_t + sigma2 I is a cyclic
+band of half-width b = l_D - l_1, the same for every Doppler draw. In the
+folded order 0, N - 1, 1, N - 2, ... of the unknowns it is a plain
+Hermitian band of half-width kd = min(2b, N - 1), the least any order
+gives (Golub & Van Loan, Matrix Computations, 4.3). Its b + 1 diagonals
+and H_t^H y are summed once per channel, and a cached plan per (N, b)
+gathers the folded band from the diagonals in one layer (two only where
+2b >= N puts two cyclic offsets on one entry) and conjugates the entries
+below them. The bands of all systems of a call lie side by side in one
+block-diagonal band with zero coupling, factored by one LAPACK banded
+Cholesky (``pbtrf``) and solved by two one-column band solves (``tbtrs``),
+U^H w = H_t^H y and U z = w. Each system leads with kd unknowns fixed at 0,
+so that its first columns see a kd-long window whatever precedes them:
+OpenBLAS's dot kernel behind the U^H solve splits 8 or more terms over
+SIMD lanes by the window's length. ``pbtrf`` and the U solve update by
+columns, where a zero coupling entry adds an exact zero, so every system
+gets the operations, in the order, it gets when solved alone: the batch is
+bit for bit a loop of single solves, in O(b^2 N) work per system.
 
 Slabs. ``mmse_detect`` solves its channels in slabs: runs of consecutive
 channels whose systems hold at most _SLAB samples (systems times N), and
-one channel at least. Each slab runs the whole solve above, from T^H to T,
+one channel at least. Each slab runs the whole solve above, from y to T,
 and writes its rows of the one solution array. As a stacked solve is bit
 for bit a loop of single solves, slabs change no solution; they bound the
 working memory of a call, however many SNR points and channels it takes.
@@ -46,15 +50,15 @@ _SLAB = 6144 samples is 24 systems at N = 256 and 6 at N = 1024. On a
 on the sweep shapes (8192 at most 7 % faster on a 64-trial desk chunk,
 with a third more work arrays); 2048 ran slower on every shape.
 
-Work arrays. Every large array of the solve (the tap stack, the cyclic band
-and its conjugate, the right-hand sides, the folded bands and the
+Work arrays. Every large array of the solve (the tap stack and its
+conjugate, the diagonals, the right-hand sides, the folded bands and the
 time-domain solutions) is a view of one of six per-thread buffers, each
 grown to the largest slab seen and reused by every later slab and call, so
 steady sweeps map no new pages; threads never share one. The arrays formed
 after the bands reuse the buffers of those dead by then. Only the solution
-array returned is fresh. The buffers hold 1.2 MB for 20 desk systems and
-at most 1.9 MB for any call at N = 256 or 1024 (a whole 320-system call
-would take 18.9 MB at N = 256 and 100 MB at N = 1024). They stay because
+array returned is fresh. The buffers hold 1.0 MB for 20 desk systems and
+at most 1.6 MB for any call at N = 256 or 1024 (a whole 320-system call
+would take 16.5 MB at N = 256 and 65 MB at N = 1024). They stay because
 they pay: fresh arrays in every call gave the same solutions bit for bit,
 but lost 14 % of the benchmark's ber-desk and 16 % of its ber-paper trials
 per second (7 pairs each, none won).
@@ -93,6 +97,7 @@ from importlib.util import module_from_spec, spec_from_loader
 
 import numpy as np
 import scipy
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import PathSet
 from .transforms import cpp_prefix_phases
@@ -148,6 +153,18 @@ def _tap_phases(N: int, prefix: int, delay: int, kappa: int) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=64)
+def _prefix_weights(N: int, prefix: int, c1: float) -> np.ndarray:
+    """(prefix + 1, prefix) table, cached and read-only: row l weights core
+    samples i < prefix of a path at delay l by the chirp-periodic prefix
+    phase of the frame sample prefix + i - l they read where i < l, else 1.
+    Row l is the window prefix - l of [prefix phases, ones], so the table
+    is a view of those 2 prefix entries."""
+    w = np.concatenate((cpp_prefix_phases(N, prefix, c1), np.ones(prefix)))
+    w.flags.writeable = False
+    return sliding_window_view(w, prefix)[::-1]
+
+
 def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> EquivalentChannel:
     """N x N transmit-domain equivalent channel demod(channel(mod(.))).
 
@@ -156,7 +173,9 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> E
     h e^{-j 2 pi kappa (L + i - l) / N} times sample (i - l) mod N, weighted
     by the prefix phase when i < l and the waveform's prefix is
     chirp-periodic (AFDM). Path delays must fit inside the prefix and
-    Doppler must sit on an integer bin; paths sharing a delay are summed.
+    Doppler must sit on an integer bin; paths sharing a delay are summed in
+    path order. The P paths are formed together, from the cached tables
+    ``_tap_phases`` and ``_prefix_weights``.
     """
     if waveform not in TRANSFORMS:
         raise ValueError(f"unknown waveform {waveform!r}")
@@ -165,15 +184,17 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> E
         raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
     if ch.frame_len != N + prefix:
         raise ValueError(f"channel frame length {ch.frame_len} != N + prefix = {N + prefix}")
-    delays = tuple(sorted({p.delay_samples for p in ch.paths}))
-    taps = np.zeros((len(delays), N), dtype=np.complex128)
-    for p in ch.paths:
-        l = p.delay_samples
-        val = p.gain * _tap_phases(N, prefix, l, _integer_bin(p.doppler_norm, N, ch.frame_len))
-        if l and TRANSFORMS[waveform].chirp_prefix:     # core samples i < l read the prefix
-            val[:l] *= cpp_prefix_phases(N, prefix, cfg.chirp.c1)[prefix - l:]
-        taps[delays.index(l)] += val
-    return EquivalentChannel(cfg=cfg, waveform=waveform, delays=delays, taps=taps)
+    paths = sorted(ch.paths, key=lambda p: p.delay_samples)     # stable: path order per delay
+    ls = [p.delay_samples for p in paths]
+    taps = np.array([p.gain for p in paths], dtype=np.complex128)[:, None] * np.array(
+        [_tap_phases(N, prefix, l, _integer_bin(p.doppler_norm, N, ch.frame_len))
+         for l, p in zip(ls, paths)])
+    if TRANSFORMS[waveform].chirp_prefix:     # core samples i < l read the prefix
+        taps[:, :prefix] = taps[:, :prefix] * _prefix_weights(N, prefix, cfg.chirp.c1)[ls]
+    delays = sorted(set(ls))
+    if len(delays) < len(ls):     # each delay's rows, summed one after another
+        taps = np.array([taps[ls.index(l):ls.index(l) + ls.count(l)].sum(axis=0) for l in delays])
+    return EquivalentChannel(cfg=cfg, waveform=waveform, delays=tuple(delays), taps=taps)
 
 
 def _load_flapack():
@@ -220,25 +241,30 @@ def _work_array(name: str, shape) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _fold_plan(N: int, b: int):
-    """(order, pos, take) of the folded solve, cached and read-only: by
+    """(order, pos, take, sign) of the folded solve, cached and read-only: by
     position, ``order`` indexes H_t^H y ended by a 0 (N for the kd leading
-    unknowns), ``pos`` gives each unknown its position, and the sum of the
-    K gathers ``take`` (K, N + kd, kd + 1) of [band, conj(band), 0, 1] is
-    the upper band ab[j, kd + i - j] = A[order[i], order[j]]. K = 1 unless
-    2b >= N puts the offsets o and N - o on one entry, o's term first."""
+    unknowns), and ``pos`` gives each unknown its position. The upper band
+    ab[j, kd + i - j] = A[order[i], order[j]] is the gather ``take[0]``
+    (N + kd, kd + 1) of [diag, 0, 1], diag[o, r] = A0[r, (r + o) mod N]
+    flattened, with its imaginary parts times ``sign``: -1 where the entry
+    is the conjugate A0[r, s] = conj(A0[s, r]) of a diagonal's entry. A
+    second gather ``take[1]``, added conjugated, exists only where 2b >= N
+    puts the offsets o and N - o on one entry, o's term first."""
     kd = min(2 * b, N - 1)
     perm = np.empty(N, dtype=np.intp)
     perm[0::2], perm[1::2] = np.arange((N + 1) // 2), np.arange(N - 1, (N - 1) // 2, -1)
     j = np.arange(-kd, N)[:, None]                      # column of ab[j + kd, t]
     i = j - kd + np.arange(kd + 1)                      # and its row
     r, s = perm[i % N], perm[j % N]
-    o, m = (s - r) % N, (b + 1) * (N + b)
-    up = np.where((i >= 0) & (o <= b), (b - o) * (N + b) + r + o, 2 * m)
-    down = np.where((i >= 0) & (N - o <= b), m + (b - N + o) * (N + b) + s + N - o, 2 * m)
-    up[:kd, kd] = 2 * m + 1
-    take = np.stack([np.minimum(up, down), np.maximum(up, down)])
-    plan = (np.concatenate((np.full(kd, N), perm)), np.argsort(perm) + kd,
-            take[:1] if np.all(take[1] == 2 * m) else take)
+    o, zero = (s - r) % N, (b + 1) * N
+    up = (i >= 0) & (o <= b)
+    down = (i >= 0) & (N - o <= b)
+    first = np.where(up, o * N + r, np.where(down, (N - o) * N + s, zero))
+    first[:kd, kd] = zero + 1
+    both = np.where(up & down, (N - o) * N + s, zero)
+    take = np.stack([first, both]) if np.any(up & down) else first[None]
+    plan = (np.concatenate((np.full(kd, N), perm)), np.argsort(perm) + kd, take,
+            np.where(down & ~up, -1.0, 1.0))
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -248,8 +274,8 @@ def _folded_gram(channels, y):
     """Each channel's folded band of A0 = H_t^H H_t, (C, N + kd, kd + 1) in
     the work array "taps", and H_t^H y ended by a 0, (C, N + 1) in "rhs". y
     (work array "y") has each row extended cyclically by the largest delay,
-    so a shift by a delay is a slice. src[c] starts with channel c's cyclic
-    band, band[c, b - o, k] = A0[k - o, k mod N]."""
+    so a shift by a delay is a slice. src[c] starts with channel c's
+    diagonals, diag[c, o, r] = A0[r, (r + o) mod N] for o = 0 .. b."""
     delays, C = channels[0].delays, len(channels)
     D, N = len(delays), y.shape[-1] - delays[-1]
     b = delays[-1] - delays[0]
@@ -259,26 +285,34 @@ def _folded_gram(channels, y):
     taps[..., N:] = taps[..., :delays[-1]]
     taps_c = np.conjugate(taps, out=_work_array("taps_c", taps.shape))
     prod = _work_array("prod", (C, N))
-    m = (b + 1) * (N + b)
-    src = _work_array("band", (C, 2 * m + 2))
-    band = src[:, :m].reshape(C, b + 1, N + b)
-    band.fill(0)
-    # upper half: A0[j, (j + o) mod N] sums, over the delay pairs (a, q) with
-    # l_a - l_q = o >= 0, conj(taps[a, j + l_a]) taps[q, j + l_a]
+    m = (b + 1) * N
+    src = _work_array("band", (C, m + 2))
+    diag = src[:, :m].reshape(C, b + 1, N)
+    # A0[j, (j + o) mod N] sums, over the delay pairs (a, q) with
+    # l_a - l_q = o >= 0, conj(taps[a, j + l_a]) taps[q, j + l_a]; the first
+    # pair of an offset writes its diagonal, and an offset of no pair is 0
+    unwritten = set(range(b + 1))
     for a, la in enumerate(delays):
         for q, lq in enumerate(delays[:a + 1]):
-            band[:, b - la + lq, la - lq:la - lq + N] += np.multiply(
-                taps_c[:, a, la:la + N], taps[:, q, la:la + N], out=prod)
-    np.conjugate(band, out=src[:, m:2 * m].reshape(band.shape))
-    src[:, 2 * m:] = 0, 1
+            pair = taps_c[:, a, la:la + N], taps[:, q, la:la + N]
+            if la - lq in unwritten:
+                unwritten.remove(la - lq)
+                np.multiply(*pair, out=diag[:, la - lq])
+            else:
+                diag[:, la - lq] += np.multiply(*pair, out=prod)
+    diag[:, sorted(unwritten)] = 0
+    src[:, m:] = 0, 1
     rhs = _work_array("rhs", (C, N + 1))
-    rhs.fill(0)
-    for q, l in enumerate(delays):
+    rhs[:, N] = 0
+    np.multiply(taps_c[:, 0, delays[0]:delays[0] + N], y[:, delays[0]:delays[0] + N],
+                out=rhs[:, :N])
+    for q, l in enumerate(delays[1:], 1):
         rhs[:, :N] += np.multiply(taps_c[:, q, l:l + N], y[:, l:l + N], out=prod)
-    take = _fold_plan(N, b)[2]
+    _, _, take, sign = _fold_plan(N, b)
     fold = np.take(src, take[0], axis=1, out=_work_array("taps", (C, *take.shape[1:])), mode="clip")
+    fold.imag *= sign       # conjugates exactly, 5x faster than a masked np.conjugate
     for more in take[1:]:
-        fold += src[:, more]
+        fold += np.conjugate(src[:, more])
     return fold, rhs
 
 
@@ -289,10 +323,11 @@ def _solve_stacked(channels, y, owner, s2) -> np.ndarray:
     systems' folded bands side by side with no coupling, n = N + kd. The
     arrays after the bands reuse the buffers of dead ones."""
     S, N = s2.size, y.shape[-1] - channels[0].delays[-1]
-    order, pos, _ = _fold_plan(N, channels[0].delays[-1] - channels[0].delays[0])
+    order, pos, *_ = _fold_plan(N, channels[0].delays[-1] - channels[0].delays[0])
     (fold, rhs), n = _folded_gram(channels, y), len(order)
     ab = np.take(fold, owner, axis=0, out=_work_array("taps_c", (S, *fold.shape[1:])), mode="clip")
-    # the diagonal sums conj(t) t, whose imaginary part t_r t_i - t_i t_r is +0
+    # the diagonal sums conj(t) t: its imaginary parts hold only the rounding of
+    # numpy's fused complex product, and pbtrf reads the diagonal's real parts only
     ab[:, :, -1].real += s2[:, None]
     c, info = _pbtrf(ab.reshape(S * n, -1).T, overwrite_ab=1)     # A = U^H U
     if info > 0:      # a leading minor is not positive definite
@@ -314,47 +349,49 @@ def _slabs(bounds, N: int):
         lo = hi
 
 
-def _detect_slab(channels, ds, s2, counts, out) -> None:
-    """mmse_detect on one slab: channel c of ``channels`` has the row ds[c]
+def _detect_slab(channels, ys, s2, counts, out) -> None:
+    """mmse_detect on one slab: channel c of ``channels`` has the row ys[c]
     and the next counts[c] noise variances of ``s2``; ``out`` receives the
     solutions, one row per system."""
-    C, N, l_D = len(channels), ds.shape[-1], channels[0].delays[-1]
+    C, N, l_D = len(channels), ys.shape[-1], channels[0].delays[-1]
     bounds = np.cumsum([0] + counts)            # systems of channel i: bounds[i]:bounds[i + 1]
+    y = _work_array("y", (C, N + l_D))
+    y[:, :N] = ys
+    y[:, N:] = ys[:, :l_D]
+    z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
     # maximal runs of consecutive channels that share one transform
     keys = [(H.cfg, H.waveform) for H in channels]
     starts = [i for i in range(C) if i == 0 or keys[i] != keys[i - 1]] + [C]
     runs = [(lo, hi, *keys[lo]) for lo, hi in zip(starts, starts[1:])]
-    y = _work_array("y", (C, N + l_D))
-    for lo, hi, cfg, waveform in runs:
-        y[lo:hi, :N] = TRANSFORMS[waveform].to_time(ds[lo:hi], cfg)
-    y[:, N:] = y[:, :l_D]
-    z = _solve_stacked(channels, y, np.repeat(np.arange(C), counts), s2)
     for lo, hi, cfg, waveform in runs:
         rows = slice(bounds[lo], bounds[hi])
         out[rows] = TRANSFORMS[waveform].from_time(z[rows], cfg)
 
 
-def mmse_detect(channels, ds, sigma2s) -> np.ndarray:
-    """Solve (H^H H + s2 I) x = H^H d for every channel H in ``channels``,
-    its received frame d (row of ``ds``) and each s2 in its entry of
-    ``sigma2s``; returns the (systems, N) solutions, channel by channel and
-    within a channel in the order of its sigma2s.
+def mmse_detect(channels, ys, sigma2s) -> np.ndarray:
+    """Solve (H^H H + s2 I) x = H^H T y for every channel H in ``channels``,
+    its received core samples y (row of ``ys``: a received frame r without
+    its prefix, r[..., L_cp:]) and each s2 in its entry of ``sigma2s``;
+    returns the (systems, N) solutions, channel by channel and within a
+    channel in the order of its sigma2s. T y is the demodulated frame d, so
+    these are the normal equations of H x = d; y itself is what the solve
+    reads, so no frame is demodulated for it.
 
     All channels must share N and the delay set, so that every system has
     the same band half-width b. The channels are solved in slabs (see the
-    module docstring); in each, every d goes to the time domain by T^H, all
-    systems are solved together in folded order, and each solution comes
-    back by T. With s2 = 0 this is zero-forcing; an exactly singular system
+    module docstring); in each, all systems are solved together in folded
+    order in the time domain, and each solution goes to the transform domain
+    by T. With s2 = 0 this is zero-forcing; an exactly singular system
     raises LinAlgError.
     """
     C = len(channels)
     N, delays = channels[0].cfg.N, channels[0].delays
     if any(H.cfg.N != N or H.delays != delays for H in channels):
         raise ValueError("the channels of one call must share N and the delay set")
-    ds = np.asarray(ds)
-    if ds.shape != (C, N) or len(sigma2s) != C:
+    ys = np.asarray(ys)
+    if ys.shape != (C, N) or len(sigma2s) != C:
         raise ValueError(f"{C} {N}x{N} channels need {C} signals of length {N} and "
-                         f"{C} lists of noise variances, got signals of shape {ds.shape}")
+                         f"{C} lists of noise variances, got signals of shape {ys.shape}")
     counts = [len(s) for s in sigma2s]
     s2 = np.concatenate(sigma2s, dtype=np.float64)
     if np.any(s2 < 0):
@@ -363,5 +400,5 @@ def mmse_detect(channels, ds, sigma2s) -> np.ndarray:
     x = np.empty((bounds[-1], N), dtype=np.complex128)
     for lo, hi in _slabs(bounds, N):
         rows = slice(bounds[lo], bounds[hi])
-        _detect_slab(channels[lo:hi], ds[lo:hi], s2[rows], counts[lo:hi], x[rows])
+        _detect_slab(channels[lo:hi], ys[lo:hi], s2[rows], counts[lo:hi], x[rows])
     return x

@@ -205,6 +205,35 @@ def dense_equivalent_channel(N: int, L: int, c1: float, c2: float, paths,
     return (R @ mod).conj().T @ R @ dense_channel(N + L, paths) @ mod
 
 
+def equivalent_channel_taps_loop(ch, cfg, waveform: str):
+    """(delays, taps) of the time-domain factor H_t, one path at a time: the
+    distinct delays ascending, and per delay the sum, in path order, of
+    h e^{-j 2 pi kappa (L + i - l) / N} over core samples i, with samples
+    i < l weighted by the chirp-periodic prefix phase of the frame sample
+    L + i - l they read (AFDM only).
+
+    The build loop ``build_equivalent_channel`` ran before it formed all
+    paths in one pass. It weighted each path in place, ``val[:l] *= w``;
+    here the product is written out of place, as the one-pass build forms
+    it. numpy runs an in-place product of one element through its reduction
+    loop, which rounds without the fused multiply-add of its vector loop, so
+    with l = 1 the in-place form can differ in the last bit.
+    """
+    N, prefix = cfg.N, cfg.L_cp
+    delays = tuple(sorted({p.delay_samples for p in ch.paths}))
+    taps = np.zeros((len(delays), N), dtype=np.complex128)
+    k = np.arange(prefix)
+    weights = np.exp(-2j * np.pi * cfg.chirp.c1 * (N * N - 2.0 * N * (prefix - k)))
+    for p in ch.paths:
+        l, kappa = p.delay_samples, round(p.doppler_norm * N / ch.frame_len)
+        src = prefix + np.arange(N) - l
+        val = p.gain * np.exp(-2j * np.pi * (kappa * src % N) / N)
+        if l and waveform == "afdm":
+            val[:l] = val[:l] * weights[prefix - l:]
+        taps[delays.index(l)] += val
+    return delays, taps
+
+
 def dense_mmse(H: np.ndarray, d: np.ndarray, sigma2: float) -> np.ndarray:
     """Textbook regularized solve via explicit inversion (test-only)."""
     N = H.shape[0]

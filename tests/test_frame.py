@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from oracles import embed, random_complex
 from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
@@ -112,3 +113,68 @@ def test_otfs_leakage_containment(trial):
     r = apply_dd_channel_samples(otfs_mod_samples(frame, N1, N2, 16), ps)
     d = otfs_demod_samples(r, N1, N2, 16)
     assert np.max(np.abs(d[layout.npe_window])) < 1e-10
+
+
+def _leakage_fraction(layout, d) -> float:
+    """Share of the demodulated frame d's energy in the layout's NPE window."""
+    total = np.sum(np.abs(d) ** 2)
+    return np.sum(np.abs(d[layout.npe_window]) ** 2) / total if total else 0.0
+
+
+def _paths(draw, N, prefix, max_delay, kappa_max):
+    """1-4 integer-Doppler paths with delays up to ``max_delay``."""
+    path = st.builds(lambda re, im, l, kappa: path_from_bin(complex(re, im), l, kappa, N,
+                                                            N + prefix),
+                     st.floats(-2, 2), st.floats(-2, 2), st.integers(0, max_delay),
+                     st.integers(-kappa_max, kappa_max))
+    return PathSet(tuple(draw(st.lists(path, min_size=1, max_size=4))), N + prefix)
+
+
+# the allocators reject some draws (an empty window, no room for data); those are skipped
+_LEAKAGE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@_LEAKAGE_SETTINGS
+@given(data=st.data())
+def test_afdm_npe_window_takes_no_data_leakage(data):
+    # any N, kappa_max, delay spread and guard placement, the guards wrapping
+    # around the grid's end included: a data-only frame through any
+    # integer-Doppler channel leaves the NPE window empty up to roundoff
+    draw = data.draw
+    kappa_max, max_delay = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    spread = kappa_max + (2 * kappa_max + 1) * max_delay
+    K1 = draw(st.integers(0, 8))
+    K2 = kappa_max + spread + 3 + draw(st.integers(-2, 6))    # the least window is 1 bin
+    N = K1 + K2 + draw(st.integers(0, 24))
+    chirp = ChirpParams.for_max_doppler(kappa_max, N)
+    try:
+        layout = allocate_frame(N, draw(st.integers(0, N - 1)), K1, K2, kappa_max, chirp.c1,
+                                max_delay)
+    except ValueError:
+        reject()
+    prefix = min(N - 1, max_delay + draw(st.integers(0, 2)))
+    ps = _paths(draw, N, prefix, max_delay, kappa_max)
+    g = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frame = embed(random_complex(g, layout.n_data), layout)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, chirp, prefix), ps)
+    assert _leakage_fraction(layout, afdm_demod_samples(r, chirp, prefix)) <= 1e-12
+
+
+@_LEAKAGE_SETTINGS
+@given(data=st.data())
+def test_otfs_npe_window_takes_no_data_leakage(data):
+    # any grid, kappa_max and guard columns, delays up to the prefix
+    draw = data.draw
+    N1, N2 = draw(st.integers(1, 8)), draw(st.integers(3, 16))
+    N, kappa_max = N1 * N2, draw(st.integers(0, 3))
+    try:
+        layout = allocate_otfs_frame(N1, N2, draw(st.integers(1, N2 // 2)), kappa_max)
+    except ValueError:
+        reject()
+    prefix = draw(st.integers(0, N - 1))
+    ps = _paths(draw, N, prefix, prefix, kappa_max)
+    g = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frame = embed(random_complex(g, layout.n_data), layout)
+    r = apply_dd_channel_samples(otfs_mod_samples(frame, N1, N2, prefix), ps)
+    assert _leakage_fraction(layout, otfs_demod_samples(r, N1, N2, prefix)) <= 1e-12

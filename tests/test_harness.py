@@ -150,6 +150,14 @@ def test_cli_rejects_negative_seed_override(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr", ["5,,10", "5,ten"])
+def test_cli_names_snr_in_a_malformed_list(capsys, monkeypatch, snr):
+    # a config error that names the flag, as the config file's errors name their field
+    monkeypatch.setattr("wdnoma.cli.run_and_write", lambda *a, **k: pytest.fail("swept"))
+    assert main(["ber", "--config", str(CONFIG), "--snr", snr]) == 2
+    assert "config error: --snr: could not convert string to float: " in capsys.readouterr().err
+
+
 def test_config_rejects_negative_range():
     with pytest.raises(ValueError, match="range_bounds"):
         config_from_dict(small_raw(channel={"range_bounds": [-1.0, 50.0]}))
@@ -435,8 +443,12 @@ def test_waveform_table_calls_each_kernel_by_its_harness_name(chunk_fn, monkeypa
 
     for name in KERNELS:
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
-    chunk_fn(load_config(CONFIG), (10.0,), [0, 1], MODES)
+    cfg = load_config(CONFIG)
+    chunk_fn(cfg, (10.0,), [0, 1], MODES)
     calls["ofdm_mod_samples"] -= 1      # the chunk's downlink, sent outside the table
+    # a sweep demodulates only for NPE, which no OFDM mode runs
+    assert calls["ofdm_demod_samples"] == 0
+    harness.WAVEFORMS["ofdm"].demod(np.zeros(cfg.system.frame_len_cp, complex), cfg.system)
     assert min(calls.values()) > 0, calls
 
 
@@ -502,8 +514,10 @@ def test_stacked_passes_hold_at_most_a_chunk_of_rows(chunk_fn, monkeypatch):
         # (SNR point, ..., trial, samples) stacks, or (trial, samples) uplinks
         assert max(s[0] * s[-2] if len(s) > 2 else s[0] for s in seen) <= harness._CHUNK_TRIALS
         assert {s[0] for s in seen if len(s) > 2} == {points_per_pass}
+        # one demodulator pass per waveform group that has an NPE mode
         demods = [s for name in KERNELS if "demod" in name for s in shapes[name]]
-        assert len(demods) == len(WAVEFORMS) * len(snrs) // points_per_pass
+        npe_groups = {waveform for waveform, noise in MODES.values() if noise == "npe"}
+        assert len(demods) == len(npe_groups) * len(snrs) // points_per_pass
 
 
 def test_stacked_composition_equals_each_point_alone():

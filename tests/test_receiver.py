@@ -17,6 +17,7 @@ from oracles import (
     dense_equivalent_channel,
     dense_mmse,
     embed,
+    equivalent_channel_taps_loop,
     random_complex,
 )
 from wdnoma import harness, receiver
@@ -41,6 +42,12 @@ def make_cfg(N=16, L=4, kappa_max=1, N1=4, N2=4):
 
 def _paths_as_tuples(ps):
     return [(p.gain, p.delay_samples, p.doppler_norm) for p in ps.paths]
+
+
+def _core(channels, ds):
+    """The received core samples y = T^H d that mmse_detect takes, one row
+    per channel, for the demodulated frames ``ds``."""
+    return np.array([TRANSFORMS[H.waveform].to_time(d, H.cfg) for H, d in zip(channels, ds)])
 
 
 def test_equivalent_channel_identity():
@@ -129,7 +136,7 @@ def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
     rotated = from_time((H_t @ to_time(np.eye(N), cfg).T).T, cfg).T
     assert np.max(np.abs(rotated - H)) < 1e-11
     d = random_complex(np.random.default_rng(N + len(ps.paths)), N)
-    for s2, x in zip((0.05, 1.0), mmse_detect([eq], [d], [(0.05, 1.0)])):
+    for s2, x in zip((0.05, 1.0), mmse_detect([eq], _core([eq], [d]), [(0.05, 1.0)])):
         assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
 
 
@@ -203,6 +210,34 @@ def test_tap_phase_cache_is_read_only_and_exact():
     assert np.array_equal(phases, np.exp(-2j * np.pi * (kappa * src % N) / N))
 
 
+@st.composite
+def _build_draws(draw):
+    """A small system and 1-5 integer-Doppler paths in any order, with
+    delays up to the prefix that often repeat, and an odd or even N."""
+    N = draw(st.integers(2, 40))
+    L = draw(st.integers(0, min(N - 1, 8)))
+    kappa_max = draw(st.integers(0, 3))
+    cfg = SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
+                       chirp=ChirpParams.for_max_doppler(kappa_max, N), N1=1, N2=N)
+    gain = st.one_of(st.just(1.0), st.floats(-2, 2),
+                     st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+    path = st.builds(lambda h, l, kappa: path_from_bin(h, l, kappa, N, N + L),
+                     gain, st.integers(0, L), st.integers(-kappa_max, kappa_max))
+    return cfg, PathSet(tuple(draw(st.lists(path, min_size=1, max_size=5))), N + L)
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(draws=_build_draws())
+def test_build_equals_the_per_path_loop(waveform, draws):
+    # the one-pass build against the path-by-path loop, bit for bit
+    cfg, ps = draws
+    H = build_equivalent_channel(ps, cfg, waveform)
+    delays, taps = equivalent_channel_taps_loop(ps, cfg, waveform)
+    assert H.delays == delays
+    assert np.array_equal(H.taps, taps)
+
+
 def _channel(cfg, paths, waveform="afdm"):
     """EquivalentChannel of (gain, delay, kappa) paths on ``cfg``."""
     frame_len = cfg.N + cfg.L_cp
@@ -228,7 +263,7 @@ def test_mmse_matches_dense_normal_equation_oracle():
                  for _ in range(int(g.integers(1, 4)))]
         H = _channel(cfg, paths, ("afdm", "otfs", "ofdm")[trial % 3])
         d = random_complex(g, N)
-        (got,) = mmse_detect([H], [d], [[0.1]])
+        (got,) = mmse_detect([H], _core([H], [d]), [[0.1]])
         ref = dense_mmse(H.matrix, d, 0.1)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -240,7 +275,7 @@ def test_mmse_zero_noise_is_zero_forcing():
     for waveform in ("afdm", "otfs", "ofdm"):
         H = _channel(cfg, _dominant_path(g, cfg, 3), waveform)
         d = random_complex(g, N)
-        (x,) = mmse_detect([H], [d], [[0.0]])
+        (x,) = mmse_detect([H], _core([H], [d]), [[0.0]])
         assert np.max(np.abs(x - np.linalg.solve(H.matrix, d))) < 1e-8
 
 
@@ -260,7 +295,7 @@ def test_mmse_scalar_shrinkage():
     N = 8
     H = _channel(make_cfg(N=N, N1=4, N2=2), [(1.0, 0, 0)])
     d = random_complex(np.random.default_rng(104), N)
-    (x,) = mmse_detect([H], [d], [[1.0]])
+    (x,) = mmse_detect([H], _core([H], [d]), [[1.0]])
     assert np.max(np.abs(x - d / 2)) < 1e-12
 
 
@@ -286,7 +321,7 @@ def test_mmse_band_solve_edge_cases(case, waveform):
     assert H.delays == tuple(sorted({l for _, l, _ in paths}))
     d = random_complex(np.random.default_rng(105), cfg.N)
     sigma2s = (0.0, 0.01, 0.5, 2.0)
-    xs = mmse_detect([H], [d], [sigma2s])
+    xs = mmse_detect([H], _core([H], [d]), [sigma2s])
     assert len(xs) == len(sigma2s)
     # every case has one dominant path, so H is nonsingular and sigma2 = 0 is zero-forcing
     assert np.max(np.abs(xs[0] - np.linalg.solve(H.matrix, d))) < 1e-9
@@ -314,11 +349,12 @@ def test_mmse_one_call_mixes_waveforms_with_ragged_sigma2s():
                                for l in (0, 1, 2)], w) for w in ("afdm", "otfs", "ofdm")]
     ds = [random_complex(g, 16) for _ in channels]
     sigma2s = [(0.0, 0.05, 1.0), (0.2,), (0.01,)]
-    out = mmse_detect(channels, ds, sigma2s)
+    ys = _core(channels, ds)
+    out = mmse_detect(channels, ys, sigma2s)
     assert out.shape == (5, 16)
-    for H, d, s2s, xs in zip(channels, ds, sigma2s, np.split(out, [3, 4])):
+    for H, d, y, s2s, xs in zip(channels, ds, ys, sigma2s, np.split(out, [3, 4])):
         for s2, x in zip(s2s, xs):
-            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
+            assert np.array_equal(x, mmse_detect([H], [y], [[s2]])[0])
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
@@ -331,10 +367,11 @@ def test_mmse_band_edge_cases_in_one_call(case):
     g = np.random.default_rng(108)
     ds = [random_complex(g, cfg.N) for _ in channels]
     sigma2s = [(0.0, 0.01, 0.5, 2.0), (0.5,), (0.01, 2.0)]
-    out = np.split(mmse_detect(channels, ds, sigma2s), [4, 5])
-    for H, d, s2s, xs in zip(channels, ds, sigma2s, out):
+    ys = _core(channels, ds)
+    out = np.split(mmse_detect(channels, ys, sigma2s), [4, 5])
+    for H, d, y, s2s, xs in zip(channels, ds, ys, sigma2s, out):
         for s2, x in zip(s2s, xs):
-            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
+            assert np.array_equal(x, mmse_detect([H], [y], [[s2]])[0])
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
@@ -403,11 +440,12 @@ def test_mmse_on_any_delay_set_is_single_solves_and_the_oracle(call, seed):
                             for l in delays[1:]], w) for w, _ in layout]
     ds = random_complex(g, len(layout) * cfg.N).reshape(-1, cfg.N)
     sigma2s = [g.uniform(0.01, 2.0, k) for _, k in layout]
-    rows = iter(mmse_detect(channels, ds, sigma2s))
-    for H, d, s2s in zip(channels, ds, sigma2s):
+    ys = _core(channels, ds)
+    rows = iter(mmse_detect(channels, ys, sigma2s))
+    for H, d, y, s2s in zip(channels, ds, ys, sigma2s):
         for s2 in s2s:
             x = next(rows)
-            assert np.array_equal(x, mmse_detect([H], [d], [[s2]])[0])
+            assert np.array_equal(x, mmse_detect([H], [y], [[s2]])[0])
             assert np.max(np.abs(x - dense_mmse(H.matrix, d, s2))) < 1e-9
 
 
@@ -443,6 +481,17 @@ def test_folded_band_is_the_permuted_gram_matrix(N, data):
     assert np.max(np.abs(fold[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_fold_plan_has_a_second_layer_only_where_offsets_meet():
+    # one gather layer while 2b < N; the offsets o and N - o meet on one
+    # entry, and add a second layer, only where 2b >= N
+    assert receiver._fold_plan(256, 2)[2].shape == (1, 260, 5)
+    assert receiver._fold_plan(1024, 2)[2].shape == (1, 1028, 5)
+    for N in range(2, 41):
+        for b in range(N):
+            take = receiver._fold_plan(N, b)[2]
+            assert len(take) == (2 if 2 * b >= N else 1), (N, b)
+
+
 def test_mmse_rejects_mixed_delay_sets():
     cfg = make_cfg(N=16)
     d = random_complex(np.random.default_rng(109), 16)
@@ -475,9 +524,9 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
     cfg = harness.load_config(Path(__file__).parent.parent / "configs" / "desk.json")
     calls = []
 
-    def recording_mmse(channels, ds, sigma2s):
-        out = mmse_detect(channels, ds, sigma2s)
-        calls.append((channels, ds, sigma2s, out))
+    def recording_mmse(channels, ys, sigma2s):
+        out = mmse_detect(channels, ys, sigma2s)
+        calls.append((channels, ys, sigma2s, out))
         return out
 
     monkeypatch.setattr(harness, "mmse_detect", recording_mmse)
@@ -485,11 +534,12 @@ def test_harness_mmse_matches_dense_oracle_on_desk_trial(monkeypatch):
     harness._ber_chunk(cfg, (0.0, 35.0), [0], modes)
     # one call per SNR block: per waveform group one channel per SNR point,
     # and one system per mode of the group
-    ((channels, ds, sigma2s, out),) = calls
+    ((channels, ys, sigma2s, out),) = calls
     assert [H.waveform for H in channels] == ["afdm"] * 2 + ["otfs"] * 2 + ["ofdm"] * 2
     assert [len(s) for s in sigma2s] == [3, 3, 1, 1, 1, 1] and len(out) == 10
     rows = iter(out)
-    for H, d, s2s in zip(channels, ds, sigma2s):
+    for H, y, s2s in zip(channels, ys, sigma2s):
+        d = TRANSFORMS[H.waveform].from_time(y, H.cfg)     # the demodulated frame T y
         for s2 in s2s:
             assert np.max(np.abs(next(rows) - dense_mmse(H.matrix, d, s2))) < 1e-9
 
