@@ -40,17 +40,12 @@ def _apply_overrides(cfg, args):
     out = args.out
     if args.command != "validate-config" and os.path.lexists(out) and not os.path.isdir(out):
         raise ValueError(f"--out {out} exists and is not a directory")
-    sweep = cfg.sweep
-    if args.seed is not None:
-        sweep = replace(sweep, master_seed=args.seed)
-    if args.trials is not None:
-        sweep = replace(sweep, trials=args.trials)
-    if args.snr is not None:
-        sweep = replace(sweep, snr_db=_field(
-            "--snr", lambda v: tuple(float(s) for s in v.split(",")), args.snr))
-    if args.mode is not None:
-        sweep = replace(sweep, modes=tuple(args.mode.split(",")))
-    cfg = replace(cfg, sweep=sweep)
+    # the sweep section checks each override as it checks the config file's values
+    over = {"master_seed": args.seed, "trials": args.trials,
+            "snr_db": None if args.snr is None else _field(
+                "--snr", lambda v: [float(s) for s in v.split(",")], args.snr),
+            "modes": None if args.mode is None else args.mode.split(",")}
+    cfg = replace(cfg, sweep=replace(cfg.sweep, **{k: v for k, v in over.items() if v is not None}))
     # the floors of affine_stats.empirical_stats and gaussianity_check
     trials, N = cfg.sweep.trials, cfg.system.N
     if args.command == "stats" and (trials < 100 or trials * N < 1e4):

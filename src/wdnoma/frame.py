@@ -18,7 +18,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FrameLayout:
-    N: int
     data: np.ndarray        # ascending data bin indices
     npe_window: np.ndarray  # guard bins free of data leakage
 
@@ -55,13 +54,13 @@ def allocate_frame(N: int, guard1_start: int, K1: int, K2: int,
     mask = np.ones(N, dtype=bool)
     mask[(guard1_start + np.arange(K1 + K2)) % N] = False
     data = np.nonzero(mask)[0]
-    return FrameLayout(N=N, data=data, npe_window=window)
+    return FrameLayout(data=data, npe_window=window)
 
 
 def full_grid_layout(N: int) -> FrameLayout:
     """Every bin carries data: no guards and an empty NPE window (the
     PD-NOMA OFDM frame, whose receiver treats the echo as white noise)."""
-    return FrameLayout(N=N, data=np.arange(N), npe_window=np.zeros(0, dtype=np.int64))
+    return FrameLayout(data=np.arange(N), npe_window=np.zeros(0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,6 @@ def allocate_otfs_frame(N1: int, N2: int, guard_cols_per_edge: int, kappa_max: i
         raise ValueError(
             f"OTFS NPE window is empty: {g} guard columns per edge cannot host "
             f"kappa_max = {kappa_max}; add guard columns")
-    N = N1 * N2
     data = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in data_cols]))
     window = np.sort(np.concatenate([c * N1 + np.arange(N1) for c in window_cols]))
-    return FrameLayout(N=N, data=data, npe_window=window)
+    return FrameLayout(data=data, npe_window=window)

@@ -83,7 +83,7 @@ from .transforms import ChirpParams
 from .waveforms import (
     SystemConfig,
     afdm_demod_samples,
-    check_field_types,
+    check_fields,
     afdm_mod_samples,
     ofdm_demod_samples,
     ofdm_mod_samples,
@@ -119,6 +119,12 @@ _RNG_TAGS = {
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _at_least(obj, section: str, **least) -> None:
+    for name, low in least.items():
+        if getattr(obj, name) < low:
+            raise ValueError(f"{section}.{name} = {getattr(obj, name)} must be at least {low}")
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     guard_start: int
@@ -128,24 +134,48 @@ class FrameConfig:
     otfs_guard_cols: int
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "frame")
+        _at_least(self, "frame", kappa_max=0)
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     uplink_taps: int
-    doppler_bins: tuple
+    doppler_bins: tuple[int, ...]
     target_count: int
-    range_bounds: tuple
-    velocity_bounds: tuple
+    range_bounds: tuple[float, float]
+    velocity_bounds: tuple[float, float]
+
+    def __post_init__(self):
+        check_fields(self, "channel")
+        _at_least(self, "channel", uplink_taps=1, target_count=1)
+        for name in ("range_bounds", "velocity_bounds"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(hi - lo) and lo <= hi):
+                raise ValueError(f"{name} = {[lo, hi]} must be finite and ordered low, high")
+        if self.range_bounds[0] < 0:
+            raise ValueError(f"range_bounds[0] = {self.range_bounds[0]} must be non-negative")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    snr_db: tuple
+    snr_db: tuple[float, ...]
     trials: int
     master_seed: int
-    modes: tuple
+    modes: tuple[str, ...]
+
+    def __post_init__(self):
+        check_fields(self, "sweep")
+        # the MMSE solve needs sigma2 bounded away from zero (receiver docstring): on desk it
+        # met a singular system at 160 dB (sigma2 = 7.5e-17); at -4000 dB 10 ** 400 overflowed
+        if max(map(abs, self.snr_db)) > 100:
+            raise ValueError(f"snr_db must lie from -100 to 100 dB, got {list(self.snr_db)}")
+        _at_least(self, "sweep", trials=1, master_seed=0)
+        for m in self.modes:
+            if m not in MODES:
+                raise ValueError(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
+        if len(set(self.modes)) < len(self.modes):
+            raise ValueError(f"modes must name receiver modes, each once, got {list(self.modes)}")
 
 
 @dataclass(frozen=True)
@@ -156,38 +186,14 @@ class ExperimentConfig:
     sweep: SweepConfig
 
     def __post_init__(self):
-        sw, ch = self.sweep, self.channel
-        # the MMSE solve needs sigma2 bounded away from zero (receiver docstring): on
-        # desk it met a singular system at 160 dB (sigma2 = 7.5e-17); 100 dB keeps 7.5e-11
-        if not sw.snr_db or not np.all(np.isfinite(sw.snr_db)) or max(sw.snr_db) > 100:
-            raise ValueError(f"snr_db must be a non-empty list of finite values of at most "
-                             f"100 dB, got {list(sw.snr_db)}")
-        for name, value, least in (("trials", sw.trials, 1), ("master_seed", sw.master_seed, 0),
-                                   ("target_count", ch.target_count, 1),
-                                   ("uplink_taps", ch.uplink_taps, 1)):
-            # bool is an int subclass, but true/false are not a count or a seed
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name, (lo, hi) in (("range_bounds", ch.range_bounds),
-                               ("velocity_bounds", ch.velocity_bounds)):
-            if not (np.isfinite(hi - lo) and lo <= hi):
-                raise ValueError(f"{name} = {[lo, hi]} must be finite and ordered low, high")
-        if not ch.doppler_bins or not all(type(b) is int for b in ch.doppler_bins):
-            raise ValueError(f"doppler_bins must be a non-empty list of integer Doppler "
-                             f"bins, got {list(ch.doppler_bins)}")
-        for m in sw.modes:
-            if not isinstance(m, str) or m not in MODES:
-                raise ValueError(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
-        if not sw.modes or len(set(sw.modes)) < len(sw.modes):
-            raise ValueError(f"modes must name receiver modes, each once, got {list(sw.modes)}")
+        # the checks that span sections; each section checks its own fields
+        ch = self.channel
         if ch.uplink_taps - 1 > self.system.L_cp:
             raise ValueError("uplink delay spread exceeds the prefix length")
         if max(abs(b) for b in ch.doppler_bins) > self.frame.kappa_max:
             raise ValueError("uplink Doppler bins exceed kappa_max")
         # every drawn target must quantize onto the 2D-OMP grid, each into
         # its own cell; quantization is monotone, so the bounds span the box
-        if ch.range_bounds[0] < 0:
-            raise ValueError(f"range_bounds[0] = {ch.range_bounds[0]} must be non-negative")
         (near, k_lo), (far, k_hi) = (quantize_target(r, v, self.system)
                                      for r, v in zip(ch.range_bounds, ch.velocity_bounds))
         if far > self.system.L_cp - 1:
@@ -235,48 +241,22 @@ def _field(where: str, convert, value):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _float(value) -> float:
-    """float(value) for an int or a float, as every numeric field takes:
-    true/false and strings are not numbers."""
-    if type(value) not in (int, float):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _list(value, length=None) -> tuple:
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        raise ValueError(f"expected a list{f' of {length}' if length else ''}, got {value!r}")
-    return tuple(value)
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Strict parser: each section holds the fields of its dataclass and no
-    other key, and a malformed value raises a ValueError naming its field.
-    c1 defaults to (2*kappa_max + 1)/(2N) when omitted or null."""
+    other key, and each section checks its values (a malformed one raises a
+    ValueError naming its field). c1 defaults to (2*kappa_max + 1)/(2N) when
+    omitted or null."""
     raw = _checked(raw, "config", ExperimentConfig)
     frame = FrameConfig(**_checked(raw["frame"], "frame", FrameConfig))
-
     sd = _checked(raw["system"], "system", SystemConfig, ("c1", "c2"))
     c1 = sd.pop("c1", None)
     if c1 is None:
         c1 = _field("system.N", lambda N: ChirpParams.for_max_doppler(frame.kappa_max, N).c1,
                     sd["N"])
-    chirp = ChirpParams(c1=_field("system.c1", _float, c1),
-                        c2=_field("system.c2", _float, sd.pop("c2", 0.0)))
-    system = SystemConfig(chirp=chirp, **sd)
-
-    cd = _checked(raw["channel"], "channel", ChannelConfig)
-    cd["doppler_bins"] = _field("channel.doppler_bins", _list, cd["doppler_bins"])
-    for name in ("range_bounds", "velocity_bounds"):
-        cd[name] = _field(f"channel.{name}", lambda v: tuple(map(_float, _list(v, 2))), cd[name])
-    channel = ChannelConfig(**cd)
-
-    wd = _checked(raw["sweep"], "sweep", SweepConfig)
-    wd["snr_db"] = _field("sweep.snr_db", lambda v: tuple(map(_float, _list(v))), wd["snr_db"])
-    wd["modes"] = _field("sweep.modes", _list, wd["modes"])
-    sweep = SweepConfig(**wd)
-
-    return ExperimentConfig(system=system, frame=frame, channel=channel, sweep=sweep)
+    return ExperimentConfig(
+        system=SystemConfig(chirp=ChirpParams(c1, sd.pop("c2", 0.0)), **sd), frame=frame,
+        channel=ChannelConfig(**_checked(raw["channel"], "channel", ChannelConfig)),
+        sweep=SweepConfig(**_checked(raw["sweep"], "sweep", SweepConfig)))
 
 
 def load_config(path) -> ExperimentConfig:

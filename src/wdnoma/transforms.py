@@ -47,10 +47,9 @@ class ChirpParams:
     def shift_factor(self, N: int) -> int:
         """2*N*c1 rounded to the nearest integer (validated)."""
         raw = 2.0 * N * self.c1
-        k = int(round(raw))
-        if abs(raw - k) > 1e-9:
+        if not (np.isfinite(raw) and abs(raw - round(raw)) <= 1e-9):
             raise ValueError(f"2*N*c1 = {raw} is not an integer; c1 must be k/(2N)")
-        return k
+        return int(round(raw))
 
 
 @lru_cache(maxsize=64)

@@ -6,10 +6,12 @@ demodulators are exact inverses over an ideal channel.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,16 +28,39 @@ from .transforms import (
 )
 
 
-def check_field_types(obj, off=()) -> None:
-    """ValueError unless each ``int`` field of the dataclass ``obj`` holds an
-    int (bool is an int subclass, but true/false are not a size) and each
-    ``float`` field a finite int or float, or -inf for a dB level named in
-    ``off`` (it switches that signal off)."""
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if f.type == "int" and type(v) is not int or f.type == "float" and not (
-                type(v) in (int, float) and (np.isfinite(v) or f.name in off and v == -np.inf)):
-            raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
+_field_types = lru_cache(maxsize=None)(get_type_hints)
+
+
+def _canonical(value, hint, where: str, off: bool):
+    """``value`` in the form of its annotation ``hint``: an int; a finite int
+    or float as a float (or -inf, if ``off``); a string; a non-empty list of
+    these as a tuple. Else a ValueError "where: expected ...": true/false are neither
+    sizes nor numbers, though bool is an int subclass."""
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        n = None if items[-1] is Ellipsis else len(items)
+        if not isinstance(value, (list, tuple)) or n not in (None, len(value)) or not value:
+            raise ValueError(f"{where}: expected a list of {n or 'one or more'}, got {value!r}")
+        return tuple(_canonical(v, items[0], where, off) for v in value)
+    if type(value) not in ((int, float) if hint is float else (hint,)):
+        raise ValueError(f"{where}: expected {_EXPECTED.get(hint, hint.__name__)}, got {value!r}")
+    if hint is float and not (abs(value) <= sys.float_info.max or off and value == -np.inf):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def check_fields(obj, section: str, off=()) -> None:
+    """Store each field of the dataclass ``obj`` in its annotation's form
+    (``_canonical``), a bad one named "section.field". A dataclass field's own
+    fields count as the section's, as c1 and c2 are system keys; the float
+    fields in ``off`` are dB levels that -inf switches off."""
+    for name, hint in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if is_dataclass(hint) and isinstance(value, hint):
+            check_fields(value, section)
+        else:
+            object.__setattr__(obj, name, _canonical(value, hint, f"{section}.{name}", name in off))
 
 
 @dataclass(frozen=True)
@@ -54,16 +79,18 @@ class SystemConfig:
     echo_power_offset_db: float = -20.0
 
     def __post_init__(self):
-        check_field_types(self, off=("echo_power_offset_db",))
-        check_field_types(self.chirp)
+        check_fields(self, "system", off=("echo_power_offset_db",))
         for name in ("N", "f_c", "delta_f"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} = {getattr(self, name)} must be positive")
         if self.N1 * self.N2 != self.N:
             raise ValueError(f"N1*N2 = {self.N1 * self.N2} must equal N = {self.N}")
-        m_axis = int(round(np.sqrt(self.M)))
-        if m_axis * m_axis != self.M or self.M < 4 or (self.M & (self.M - 1)) != 0:
+        # 4, 16, 64, ...: a power of two with an odd bit length
+        if self.M < 4 or self.M & (self.M - 1) or self.M.bit_length() % 2 == 0:
             raise ValueError(f"M = {self.M} must be a square power of two (4, 16, 64, ...)")
+        # bounded like snr_db: at 1e9 dB the echo's amplitude overflowed mid-sweep
+        if self.echo_power_offset_db > 100:
+            raise ValueError(f"echo_power_offset_db = {self.echo_power_offset_db} exceeds 100 dB")
         if not 0 <= self.L_cp < self.N:
             raise ValueError(f"L_cp = {self.L_cp} out of range [0, N)")
         # one prefix length: the AFDM (or OTFS) uplink frame aligns with the OFDM echo

@@ -261,9 +261,9 @@ def lstsq_mmse(H: np.ndarray, d: np.ndarray, sigma2: float) -> np.ndarray:
     return x
 
 
-def embed(syms: np.ndarray, layout) -> np.ndarray:
-    """Zero-guarded frame with ``syms`` on the layout's data bins."""
-    frame = np.zeros(layout.N, dtype=np.complex128)
+def embed(syms: np.ndarray, layout, N: int) -> np.ndarray:
+    """Zero-guarded length-N frame with ``syms`` on the layout's data bins."""
+    frame = np.zeros(N, dtype=np.complex128)
     frame[layout.data] = syms
     return frame
 

@@ -183,7 +183,7 @@ def test_criterion_2_noiseless_end_to_end():
         rng = np.random.default_rng(5000 + trial)
         ch = build_uplink_channel(3, [-1, 0, 1], rng, N, N + L)
         bits = rng.integers(0, 2, size=2 * layout.n_data)
-        s = afdm_mod_samples(embed(qam_map(bits, 4), layout), cfg.chirp, L)
+        s = afdm_mod_samples(embed(qam_map(bits, 4), layout, N), cfg.chirp, L)
         r = apply_dd_channel_samples(s, ch)
         d = afdm_demod_samples(r, cfg.chirp, L)
         sigma2_hat = estimate_noise_power(d, layout)
@@ -198,7 +198,7 @@ def test_criterion_2_noiseless_end_to_end():
     ch = build_uplink_channel(3, [-1, 0, 1], rng, N, N + L)
     bits = rng.integers(0, 2, size=2 * layout.n_data)
     syms = qam_map(bits, 4)
-    s = afdm_mod_samples(embed(syms, layout), cfg.chirp, L)
+    s = afdm_mod_samples(embed(syms, layout, N), cfg.chirp, L)
     r_ul = apply_dd_channel_samples(s, ch)
     r_dl = random_complex(rng, N + L)
     w = 0.05 * random_complex(rng, N + L)

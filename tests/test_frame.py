@@ -65,7 +65,7 @@ def test_afdm_leakage_containment(trial):
         for _ in range(3))
     ps = PathSet(paths, N + L_cpp)
     syms = random_complex(g, layout.n_data)
-    frame = embed(syms, layout)
+    frame = embed(syms, layout, N)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, chirp, L_cpp), ps)
     d = afdm_demod_samples(r, chirp, L_cpp)
     assert np.max(np.abs(d[layout.npe_window])) < 1e-10
@@ -73,7 +73,7 @@ def test_afdm_leakage_containment(trial):
 
 def test_otfs_layout_partition():
     layout = allocate_otfs_frame(N1=16, N2=16, guard_cols_per_edge=3, kappa_max=2)
-    assert layout.N == 256
+    assert np.all((layout.data < 256) & ~np.isin(layout.data, layout.npe_window))
     data_cols = np.unique(layout.data // 16)   # delay-major: bin n2 * N1 + n1
     assert data_cols.size == 10
     assert layout.n_data == 160
@@ -109,7 +109,7 @@ def test_otfs_leakage_containment(trial):
         for _ in range(3))
     ps = PathSet(paths, L)
     syms = random_complex(g, layout.n_data)
-    frame = embed(syms, layout)
+    frame = embed(syms, layout, N1 * N2)
     r = apply_dd_channel_samples(otfs_mod_samples(frame, N1, N2, 16), ps)
     d = otfs_demod_samples(r, N1, N2, 16)
     assert np.max(np.abs(d[layout.npe_window])) < 1e-10
@@ -156,7 +156,7 @@ def test_afdm_npe_window_takes_no_data_leakage(data):
     prefix = min(N - 1, max_delay + draw(st.integers(0, 2)))
     ps = _paths(draw, N, prefix, max_delay, kappa_max)
     g = np.random.default_rng(draw(st.integers(0, 2**16)))
-    frame = embed(random_complex(g, layout.n_data), layout)
+    frame = embed(random_complex(g, layout.n_data), layout, N)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, chirp, prefix), ps)
     assert _leakage_fraction(layout, afdm_demod_samples(r, chirp, prefix)) <= 1e-12
 
@@ -175,6 +175,6 @@ def test_otfs_npe_window_takes_no_data_leakage(data):
     prefix = draw(st.integers(0, N - 1))
     ps = _paths(draw, N, prefix, prefix, kappa_max)
     g = np.random.default_rng(draw(st.integers(0, 2**16)))
-    frame = embed(random_complex(g, layout.n_data), layout)
+    frame = embed(random_complex(g, layout.n_data), layout, N)
     r = apply_dd_channel_samples(otfs_mod_samples(frame, N1, N2, prefix), ps)
     assert _leakage_fraction(layout, otfs_demod_samples(r, N1, N2, prefix)) <= 1e-12

@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense_afdm_mod, dense_channel, dense_ofdm_mod, dense_otfs_w, embed
 from wdnoma import harness
@@ -279,6 +281,104 @@ def test_config_rejects_bool_or_string_numbers(section, field, value):
         config_from_dict(small_raw(**{section: {field: value}}))
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("system", "N", 256.0),
+    ("system", "c1", "0.005859375"),      # a chirp field is a system key
+    ("frame", "kappa_max", True),
+    ("channel", "range_bounds", (0.0,)),
+    ("channel", "doppler_bins", (0.5, -1)),
+    ("sweep", "trials", True),
+    ("sweep", "modes", ("pdnoma_ofdm", 1)),
+])
+def test_each_section_checks_its_own_field_types(section, field, value):
+    # a section built in code, not parsed, checks its fields as the parser's do
+    cfg = config_from_dict(small_raw())
+    obj = getattr(cfg, section)
+    with pytest.raises(ValueError, match=rf"^{section}\.{field}: expected "):
+        if field == "c1":
+            replace(obj, chirp=replace(obj.chirp, c1=value))
+        else:
+            replace(obj, **{field: value})
+
+
+def test_a_section_stores_numbers_and_lists_in_one_form():
+    cfg = config_from_dict(small_raw(system={"f_c": 28_000_000_000, "c2": 0},
+                                     channel={"range_bounds": [0, 50]}))
+    assert type(cfg.system.f_c) is float and type(cfg.system.chirp.c2) is float
+    assert cfg.channel.range_bounds == (0.0, 50.0)
+    assert all(type(b) is float for b in cfg.channel.range_bounds)
+    sweep = replace(cfg.sweep, snr_db=[5, 10], modes=["pdnoma_ofdm"])
+    assert (sweep.snr_db, sweep.modes) == ((5.0, 10.0), ("pdnoma_ofdm",))
+
+
+def test_a_negative_kappa_max_is_named_in_its_section():
+    # its error used to name system.N, from the c1 default it reached first
+    with pytest.raises(ValueError, match=r"^frame\.kappa_max = -1 must be at least 0"):
+        config_from_dict(small_raw(frame={"kappa_max": -1}))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("sweep", "snr_db", [-4000.0]),              # 10 ** 400 overflowed mid-sweep
+    ("sweep", "snr_db", [10.0, -100.5]),
+    ("system", "M", -4),                         # np.sqrt(-4) warned before any check
+    ("system", "echo_power_offset_db", 1e9),     # 10 ** (1e9 / 20) overflowed mid-sweep
+    ("system", "echo_power_offset_db", 100.5),
+    ("system", "c1", 1e308),                     # 2*N*c1 = inf: an OverflowError
+])
+def test_config_bounds_each_value_before_it_is_used(section, field, value):
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(small_raw(**{section: {field: value}}))
+
+
+def test_config_takes_the_ends_of_its_db_ranges():
+    cfg = config_from_dict(small_raw(sweep={"snr_db": [-100, 100]},
+                                     system={"echo_power_offset_db": 100}))
+    assert (cfg.sweep.snr_db, cfg.system.echo_power_offset_db) == ((-100.0, 100.0), 100.0)
+    # -inf switches the echo off
+    config_from_dict(small_raw(system={"echo_power_offset_db": float("-inf")}))
+
+
+# values a config field must either reject at parse time or run with
+_ODD = (0, 1, 2, 3, -1, -4, 0.5, -0.5, 100, 101, -101, 400, -4000, 1e9, 2**31, 1e308,
+        float("nan"), float("inf"), float("-inf"), True, False, "1", None)
+
+
+def _odd_values(value):
+    """A field's odd values: one of _ODD, or its own value scaled, or for a
+    list a list of _ODD values or its own list one item short or long."""
+    odd = st.sampled_from(_ODD)
+    if isinstance(value, list):
+        return st.one_of(odd, st.lists(odd, max_size=4), st.just(value[:-1]),
+                         st.just(value + value[-1:]))
+    if type(value) in (int, float):
+        return st.one_of(odd, st.sampled_from((-1, 0, 0.5, 2, 10)).map(lambda k: k * value))
+    return odd
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_config_fails_at_parse_time_or_runs_to_finite_curves(data):
+    # the desk config with 1-3 fields changed: a value either fails in
+    # config_from_dict or runs (warnings are errors, as in every test)
+    raw = json.loads(CONFIG.read_text())
+    keys = [(section, key) for section in raw for key in raw[section]]
+    for section, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                           unique=True)):
+        raw[section][key] = data.draw(_odd_values(raw[section][key]))
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        return
+    cfg = replace(cfg, sweep=replace(cfg.sweep, trials=1, snr_db=cfg.sweep.snr_db[:1]))
+    curves = list(run_ber(cfg).values())
+    try:
+        curves += run_sensing(cfg).values()
+    except ValueError as exc:       # the documented [0, 0] box
+        assert "sensing NMSE is undefined" in str(exc)
+    assert all(np.isfinite([p.metric, p.confidence_halfwidth]).all()
+               for points in curves for p in points)
+
+
 def test_config_rejects_duplicate_modes(capsys):
     # a repeated mode wrote two points per SNR into its curve
     with pytest.raises(ValueError, match="each once"):
@@ -423,7 +523,7 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
     for row, x, ps in zip(rebuilt, syms, paths):
         H = dense_channel(ps.frame_len, [(p.gain, p.delay_samples, p.doppler_norm)
                                          for p in ps.paths])
-        assert np.max(np.abs(row - H @ mod @ embed(x, layout))) < 1e-10
+        assert np.max(np.abs(row - H @ mod @ embed(x, layout, sys_.N))) < 1e-10
 
 
 KERNELS = tuple(f"{w}_{op}_samples" for w in WAVEFORMS for op in ("mod", "demod"))

@@ -753,7 +753,7 @@ def test_perfect_cancellation_no_noise():
     cfg, layout = _layout_and_cfg()
     g = np.random.default_rng(17)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
-    frame = embed(syms, layout)
+    frame = embed(syms, layout, cfg.N)
     ps = PathSet((path_from_bin(0.7 - 0.1j, 1, 1, 64, 72),
                   path_from_bin(0.2j, 2, -1, 64, 72)), 72)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
@@ -765,7 +765,7 @@ def test_cancellation_residual_is_echo_plus_noise():
     cfg, layout = _layout_and_cfg()
     g = np.random.default_rng(18)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
-    frame = embed(syms, layout)
+    frame = embed(syms, layout, cfg.N)
     ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
     r_ul = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
     echo = random_complex(g, 72)
@@ -780,13 +780,13 @@ def test_cancellation_error_energy_via_linearity():
     cfg, layout = _layout_and_cfg()
     g = np.random.default_rng(19)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
-    frame = embed(syms, layout)
+    frame = embed(syms, layout, cfg.N)
     ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
     bad = syms.copy()
     bad[5] += 2.0
     res = r - harness._transmit(cfg, layout, "afdm", bad, ps)
-    err_frame = embed(bad - syms, layout)
+    err_frame = embed(bad - syms, layout, cfg.N)
     expected = apply_dd_channel_samples(afdm_mod_samples(err_frame, cfg.chirp, cfg.L_cpp), ps)
     assert abs(np.sum(np.abs(res) ** 2) - np.sum(np.abs(expected) ** 2)) < 1e-10
 
@@ -794,6 +794,6 @@ def test_cancellation_error_energy_via_linearity():
 def test_demodulate_frame_roundtrip():
     cfg, layout = _layout_and_cfg()
     syms = random_complex(rng, layout.n_data)
-    frame = embed(syms, layout)
+    frame = embed(syms, layout, cfg.N)
     d = afdm_demod_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), cfg.chirp, cfg.L_cpp)
     assert np.max(np.abs(d - frame)) < 1e-12
