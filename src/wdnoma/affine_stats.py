@@ -133,17 +133,23 @@ def write_report_csv(report: StatReport, path) -> None:
 
 def run_stats(cfg: SystemConfig, channel: PathSet, out_dir, trials: int, seed: int) -> list:
     """Affine-domain statistics without and with ``channel``; writes one CSV
-    each plus a gaussianity summary of the latter. Returns the written paths."""
+    each, and gaussianity.json: a gaussianity summary of the latter and, under
+    "whiteness", each one's mean_abs, trace and flatness_ratio. Returns the
+    written paths."""
     out_dir = FsPath(out_dir)
     reports = []
     for key, ch in ((100, None), (101, channel)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, key)))
         reports.append(empirical_stats(trials, cfg, ch, rng))
-    paths = []
-    for name, report in zip(("stats_prechannel.csv", "stats_postchannel.csv"), reports):
-        paths.append(out_dir / name)
+    paths, names = [], ("prechannel", "postchannel")
+    for name, report in zip(names, reports):
+        paths.append(out_dir / f"stats_{name}.csv")
         write_report_csv(report, paths[-1])
     paths.append(out_dir / "gaussianity.json")
+    summary = asdict(gaussianity_check(reports[1]))
+    summary["whiteness"] = {name: {"mean_abs": r.mean_abs, "trace": r.trace,
+                                   "flatness_ratio": r.flatness_ratio}
+                            for name, r in zip(names, reports)}
     with open(paths[-1], "w") as fh:
-        json.dump(asdict(gaussianity_check(reports[1])), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
     return paths

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transforms import ChirpParams
+
 
 @dataclass(frozen=True)
 class FrameLayout:
@@ -27,13 +29,14 @@ class FrameLayout:
 
 
 def allocate_frame(N: int, guard1_start: int, K1: int, K2: int,
-                   kappa_max: int, c1: float, max_delay: int) -> FrameLayout:
+                   kappa_max: int, chirp: ChirpParams, max_delay: int) -> FrameLayout:
     """Partition N subcarriers into G1, G2 (right after G1) and data, and
     derive the NPE window.
 
     The window keeps the G2 bins more than kappa_max away from the data edge
     on the low side and more than kappa_max + 2*N*c1*max_delay + 1 away on
-    the high side (the delay-coupled spread grows with 2*N*c1).
+    the high side (the delay-coupled spread grows with the chirp's affine
+    shift 2*N*c1, ``chirp.shift_factor(N)``).
     """
     if K1 < 0 or K2 <= 0:
         raise ValueError("guard lengths must be positive (K1 may be zero)")
@@ -41,9 +44,7 @@ def allocate_frame(N: int, guard1_start: int, K1: int, K2: int,
         raise ValueError(f"guards K1+K2 = {K1 + K2} must leave room for data in N = {N}")
     if kappa_max < 0 or max_delay < 0:
         raise ValueError("kappa_max and max_delay must be non-negative")
-    shift = int(round(2.0 * N * c1))
-    if abs(2.0 * N * c1 - shift) > 1e-9:
-        raise ValueError("2*N*c1 must be an integer for the window bound")
+    shift = chirp.shift_factor(N)
     spread = kappa_max + shift * max_delay
     window_rel = np.arange(kappa_max + 1, K2 - 1 - spread)
     if window_rel.size == 0:

@@ -82,6 +82,7 @@ from .sensing import (
 from .transforms import ChirpParams
 from .waveforms import (
     SystemConfig,
+    _field,
     afdm_demod_samples,
     check_fields,
     afdm_mod_samples,
@@ -152,9 +153,9 @@ class ChannelConfig:
         for name in ("range_bounds", "velocity_bounds"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(hi - lo) and lo <= hi):
-                raise ValueError(f"{name} = {[lo, hi]} must be finite and ordered low, high")
+                raise ValueError(f"channel.{name} = {[lo, hi]} must be finite, low <= high")
         if self.range_bounds[0] < 0:
-            raise ValueError(f"range_bounds[0] = {self.range_bounds[0]} must be non-negative")
+            raise ValueError(f"channel.range_bounds[0] = {self.range_bounds[0]} is negative")
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,13 @@ class SweepConfig:
         # the MMSE solve needs sigma2 bounded away from zero (receiver docstring): on desk it
         # met a singular system at 160 dB (sigma2 = 7.5e-17); at -4000 dB 10 ** 400 overflowed
         if max(map(abs, self.snr_db)) > 100:
-            raise ValueError(f"snr_db must lie from -100 to 100 dB, got {list(self.snr_db)}")
+            raise ValueError(f"sweep.snr_db must lie in [-100, 100] dB, got {list(self.snr_db)}")
         _at_least(self, "sweep", trials=1, master_seed=0)
         for m in self.modes:
             if m not in MODES:
-                raise ValueError(f"unknown mode {m!r}; valid: {', '.join(MODES)}")
+                raise ValueError(f"sweep.modes: unknown mode {m!r}; valid: {', '.join(MODES)}")
         if len(set(self.modes)) < len(self.modes):
-            raise ValueError(f"modes must name receiver modes, each once, got {list(self.modes)}")
+            raise ValueError(f"sweep.modes must list modes each once, got {list(self.modes)}")
 
 
 @dataclass(frozen=True)
@@ -189,28 +190,31 @@ class ExperimentConfig:
         # the checks that span sections; each section checks its own fields
         ch = self.channel
         if ch.uplink_taps - 1 > self.system.L_cp:
-            raise ValueError("uplink delay spread exceeds the prefix length")
+            raise ValueError(f"channel.uplink_taps = {ch.uplink_taps}: delay spread above L_cp")
         if max(abs(b) for b in ch.doppler_bins) > self.frame.kappa_max:
-            raise ValueError("uplink Doppler bins exceed kappa_max")
+            raise ValueError("channel.doppler_bins: uplink Doppler bins exceed kappa_max")
+        # one config per layout: allocate_frame reads the start modulo N
+        if not 0 <= self.frame.guard_start < self.system.N:
+            raise ValueError(f"frame.guard_start = {self.frame.guard_start} must lie in [0, N)")
         # every drawn target must quantize onto the 2D-OMP grid, each into
         # its own cell; quantization is monotone, so the bounds span the box
         (near, k_lo), (far, k_hi) = (quantize_target(r, v, self.system)
                                      for r, v in zip(ch.range_bounds, ch.velocity_bounds))
         if far > self.system.L_cp - 1:
-            raise ValueError(f"range_bounds[1] = {ch.range_bounds[1]} m quantizes to delay {far}, "
-                             f"beyond the sensing delay grid 0..{self.system.L_cp - 1}")
+            raise ValueError(f"channel.range_bounds[1] = {ch.range_bounds[1]} m quantizes to "
+                             f"delay {far}, beyond the delay grid 0..{self.system.L_cp - 1}")
         if max(-k_lo, k_hi) > self.frame.kappa_max:
-            raise ValueError(f"velocity_bounds {list(ch.velocity_bounds)} m/s quantize to Doppler "
-                             f"bins {k_lo}..{k_hi}, beyond kappa_max = {self.frame.kappa_max}")
+            raise ValueError(f"channel.velocity_bounds {list(ch.velocity_bounds)} m/s quantize to "
+                             f"Doppler bins {k_lo}..{k_hi}, past kappa_max {self.frame.kappa_max}")
         cells = (far - near + 1) * (k_hi - k_lo + 1)
         if ch.target_count > cells:
-            raise ValueError(f"target_count = {ch.target_count} exceeds the {cells} "
+            raise ValueError(f"channel.target_count = {ch.target_count} exceeds the {cells} "
                              f"delay-Doppler cells of the range/velocity box")
         p_fail = _target_draw_failure(self)
         if p_fail > 1e-9:
-            raise ValueError(f"target_count = {ch.target_count}: the targets fall in distinct "
-                             f"cells too rarely; a trial fails all {_TARGET_DRAWS} draws with "
-                             f"probability {p_fail:.2g}")
+            raise ValueError(f"channel.target_count = {ch.target_count}: the targets fall in "
+                             f"distinct cells too rarely; a trial fails all {_TARGET_DRAWS} "
+                             f"draws with probability {p_fail:.2g}")
         # fail early if the guard layouts are inconsistent; this also fills the cache
         _layouts(self)
 
@@ -231,14 +235,6 @@ def _checked(d, where: str, cls, optional=()) -> dict:
         if keys:
             raise ValueError(f"{problem} keys in {where}: {sorted(keys)}")
     return dict(d)
-
-
-def _field(where: str, convert, value):
-    """``convert(value)``, raising a ValueError that names the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -276,7 +272,7 @@ Waveform = namedtuple("Waveform", "layout mod demod")
 WAVEFORMS = MappingProxyType({
     "afdm": Waveform(
         lambda cfg: allocate_frame(cfg.system.N, cfg.frame.guard_start, cfg.frame.K1,
-                                   cfg.frame.K2, cfg.frame.kappa_max, cfg.system.chirp.c1,
+                                   cfg.frame.K2, cfg.frame.kappa_max, cfg.system.chirp,
                                    max_delay=cfg.channel.uplink_taps - 1),
         lambda x, s: afdm_mod_samples(x, s.chirp, s.L_cp),
         lambda r, s: afdm_demod_samples(r, s.chirp, s.L_cp)),
@@ -629,7 +625,7 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     for name, (lo, hi) in (("range_bounds", cfg.channel.range_bounds),
                            ("velocity_bounds", cfg.channel.velocity_bounds)):
         if lo == hi == 0:     # every truth is 0, and so is the NMSE's denominator
-            raise ValueError(f"{name} = {[lo, hi]} puts every target at 0, where the "
+            raise ValueError(f"channel.{name} = {[lo, hi]} puts every target at 0, where the "
                              f"sensing NMSE is undefined")
     modes = cfg.sweep.modes
     curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}

@@ -9,10 +9,11 @@ the detected uplink with the transmitter that sent it
 The equivalent channel H factors as T H_t T^H, where T is the waveform's
 unitary transform (DFT, DAFT, or the DFT across the OTFS Doppler axis) and
 H_t is the channel on the N core time samples after prefix removal: one
-phase-ramped cyclic delay per path. H_t is what is built and solved with;
-H itself is formed densely only on request, for tests and oracles. The
-Gram matrix of H_t has its diagonals at the path delay differences only,
-whatever the drawn Doppler bins.
+cyclic delay per path, times the channel's own Doppler ramp
+(``channel.doppler_ramp``), so fractional Doppler is exact too. H_t is what
+is built and solved with; H itself is formed densely only on request, for
+tests and oracles. The Gram matrix of H_t has its diagonals at the path
+delay differences only, whatever the Doppler.
 
 MMSE formulation. ``mmse_detect`` solves the normal equations
 (H^H H + sigma2 I) x = H^H d of many (channel, sigma2) systems in one call,
@@ -99,7 +100,7 @@ import numpy as np
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import PathSet
+from .channel import PathSet, doppler_ramp
 from .transforms import cpp_prefix_phases
 from .waveforms import TRANSFORMS, SystemConfig
 
@@ -133,26 +134,6 @@ def estimate_noise_power(d: np.ndarray, layout):
     return np.mean(np.abs(d.take(window, axis=-1)) ** 2, axis=-1)
 
 
-def _integer_bin(doppler_norm: float, N: int, frame_len: int) -> int:
-    raw = doppler_norm * N / frame_len
-    kappa = int(round(raw))
-    if abs(raw - kappa) > 1e-9:
-        raise ValueError(f"Doppler of {raw} bins is not an integer; the equivalent "
-                         "channel is built for integer Doppler bins only")
-    return kappa
-
-
-@lru_cache(maxsize=256)
-def _tap_phases(N: int, prefix: int, delay: int, kappa: int) -> np.ndarray:
-    """Unit-gain tap of a (delay, kappa) path: core sample i receives frame
-    sample prefix + i - delay times e^{-j 2 pi kappa (prefix + i - delay) / N};
-    cached per argument tuple, so read-only."""
-    src = prefix + np.arange(N) - delay
-    v = np.exp(-2j * np.pi * (kappa * src % N) / N)
-    v.flags.writeable = False
-    return v
-
-
 @lru_cache(maxsize=64)
 def _prefix_weights(N: int, prefix: int, c1: float) -> np.ndarray:
     """(prefix + 1, prefix) table, cached and read-only: row l weights core
@@ -169,13 +150,14 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> E
     """N x N transmit-domain equivalent channel demod(channel(mod(.))).
 
     What is built, in O(P N), is the time-domain factor H_t as one tap
-    vector per distinct delay: core sample i receives
-    h e^{-j 2 pi kappa (L + i - l) / N} times sample (i - l) mod N, weighted
-    by the prefix phase when i < l and the waveform's prefix is
-    chirp-periodic (AFDM). Path delays must fit inside the prefix and
-    Doppler must sit on an integer bin; paths sharing a delay are summed in
-    path order. The P paths are formed together, from the cached tables
-    ``_tap_phases`` and ``_prefix_weights``.
+    vector per distinct delay: core sample i receives h times sample
+    (i - l) mod N, times the channel's own Doppler factor
+    e^{-j 2 pi nu (L + i - l) / (N + L)} at the frame sample L + i - l it
+    reads, weighted by the prefix phase when i < l and the waveform's
+    prefix is chirp-periodic (AFDM). Path delays must fit inside the
+    prefix; any Doppler, integer or fractional, is exact. Paths sharing a
+    delay are summed in path order. The P paths are formed together, from
+    the cached ``channel.doppler_ramp`` and ``_prefix_weights`` tables.
     """
     if waveform not in TRANSFORMS:
         raise ValueError(f"unknown waveform {waveform!r}")
@@ -187,7 +169,7 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> E
     paths = sorted(ch.paths, key=lambda p: p.delay_samples)     # stable: path order per delay
     ls = [p.delay_samples for p in paths]
     taps = np.array([p.gain for p in paths], dtype=np.complex128)[:, None] * np.array(
-        [_tap_phases(N, prefix, l, _integer_bin(p.doppler_norm, N, ch.frame_len))
+        [doppler_ramp(p.doppler_norm, ch.frame_len)[prefix - l:prefix - l + N]
          for l, p in zip(ls, paths)])
     if TRANSFORMS[waveform].chirp_prefix:     # core samples i < l read the prefix
         taps[:, :prefix] = taps[:, :prefix] * _prefix_weights(N, prefix, cfg.chirp.c1)[ls]

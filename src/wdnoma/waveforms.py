@@ -50,6 +50,14 @@ def _canonical(value, hint, where: str, off: bool):
     return float(value) if hint is float else value
 
 
+def _field(where: str, convert, value):
+    """``convert(value)``, raising a ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def check_fields(obj, section: str, off=()) -> None:
     """Store each field of the dataclass ``obj`` in its annotation's form
     (``_canonical``), a bad one named "section.field". A dataclass field's own
@@ -82,23 +90,24 @@ class SystemConfig:
         check_fields(self, "system", off=("echo_power_offset_db",))
         for name in ("N", "f_c", "delta_f"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} = {getattr(self, name)} must be positive")
+                raise ValueError(f"system.{name} = {getattr(self, name)} must be positive")
         if self.N1 * self.N2 != self.N:
-            raise ValueError(f"N1*N2 = {self.N1 * self.N2} must equal N = {self.N}")
-        # 4, 16, 64, ...: a power of two with an odd bit length
-        if self.M < 4 or self.M & (self.M - 1) or self.M.bit_length() % 2 == 0:
-            raise ValueError(f"M = {self.M} must be a square power of two (4, 16, 64, ...)")
+            raise ValueError(f"system.N1 * N2 = {self.N1 * self.N2} must equal N = {self.N}")
+        # 4, 16, ..., 1024 (3GPP NR's largest order): a power of two with an odd bit length;
+        # M = 4^15 parsed, then asked _qam_tables for 16-240 GB mid-sweep
+        if not 4 <= self.M <= 1024 or self.M & (self.M - 1) or self.M.bit_length() % 2 == 0:
+            raise ValueError(f"system.M = {self.M} must be a square power of two from 4 to 1024")
         # bounded like snr_db: at 1e9 dB the echo's amplitude overflowed mid-sweep
         if self.echo_power_offset_db > 100:
-            raise ValueError(f"echo_power_offset_db = {self.echo_power_offset_db} exceeds 100 dB")
+            raise ValueError(f"system.echo_power_offset_db = {self.echo_power_offset_db} > 100")
         if not 0 <= self.L_cp < self.N:
-            raise ValueError(f"L_cp = {self.L_cp} out of range [0, N)")
+            raise ValueError(f"system.L_cp = {self.L_cp} must lie in [0, N = {self.N})")
         # one prefix length: the AFDM (or OTFS) uplink frame aligns with the OFDM echo
         if self.L_cpp != self.L_cp:
-            raise ValueError(f"L_cpp = {self.L_cpp} must equal L_cp = {self.L_cp} "
+            raise ValueError(f"system.L_cpp = {self.L_cpp} must equal L_cp = {self.L_cp} "
                              f"so the superimposed frames align")
-        # sanity: the chirp must give an integer affine shift factor
-        self.chirp.shift_factor(self.N)
+        # the chirp must give an integer affine shift factor
+        _field("system.c1", self.chirp.shift_factor, self.N)
 
     @property
     def sample_rate(self) -> float:

@@ -208,9 +208,9 @@ def dense_equivalent_channel(N: int, L: int, c1: float, c2: float, paths,
 def equivalent_channel_taps_loop(ch, cfg, waveform: str):
     """(delays, taps) of the time-domain factor H_t, one path at a time: the
     distinct delays ascending, and per delay the sum, in path order, of
-    h e^{-j 2 pi kappa (L + i - l) / N} over core samples i, with samples
-    i < l weighted by the chirp-periodic prefix phase of the frame sample
-    L + i - l they read (AFDM only).
+    h e^{-j 2 pi nu (L + i - l) / (N + L)} over core samples i, the channel's
+    Doppler factor at the frame sample L + i - l they read, with samples
+    i < l weighted by that sample's chirp-periodic prefix phase (AFDM only).
 
     The build loop ``build_equivalent_channel`` ran before it formed all
     paths in one pass. It weighted each path in place, ``val[:l] *= w``;
@@ -225,9 +225,9 @@ def equivalent_channel_taps_loop(ch, cfg, waveform: str):
     k = np.arange(prefix)
     weights = np.exp(-2j * np.pi * cfg.chirp.c1 * (N * N - 2.0 * N * (prefix - k)))
     for p in ch.paths:
-        l, kappa = p.delay_samples, round(p.doppler_norm * N / ch.frame_len)
+        l = p.delay_samples
         src = prefix + np.arange(N) - l
-        val = p.gain * np.exp(-2j * np.pi * (kappa * src % N) / N)
+        val = p.gain * np.exp(-2j * np.pi * p.doppler_norm * src / ch.frame_len)
         if l and waveform == "afdm":
             val[:l] = val[:l] * weights[prefix - l:]
         taps[delays.index(l)] += val

@@ -177,7 +177,7 @@ def test_criterion_2_noiseless_end_to_end():
     # full-grid equivalent channel and do not recover every noiseless frame.
     N, L, kappa_max = 256, 16, 1
     cfg = desk_system(N=N, kappa_max=kappa_max, L=L)
-    layout = allocate_frame(N, 0, 32, 32, kappa_max, cfg.chirp.c1, max_delay=2)
+    layout = allocate_frame(N, 0, 32, 32, kappa_max, cfg.chirp, max_delay=2)
     total_errors = 0
     for trial in range(100):
         rng = np.random.default_rng(5000 + trial)

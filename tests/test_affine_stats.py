@@ -1,12 +1,19 @@
 """Affine-domain statistics of OFDM frames: whiteness and reporting."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from oracles import random_complex
-from wdnoma.affine_stats import _BATCH, empirical_stats, gaussianity_check, write_report_csv
+from wdnoma.affine_stats import (
+    _BATCH,
+    empirical_stats,
+    gaussianity_check,
+    run_stats,
+    write_report_csv,
+)
 from wdnoma.channel import PathSet, path_from_bin
 from wdnoma.transforms import ChirpParams, daft_samples, idft_samples
 from wdnoma.waveforms import SystemConfig, constellation
@@ -93,3 +100,18 @@ def test_write_report_csv(tmp_path):
     assert kinds == {"variance", "hist_real", "hist_imag"}
     n_var = sum(1 for r in rows[1:] if r[0] == "variance")
     assert n_var == 64
+
+
+def test_run_stats_records_the_whiteness_of_both_reports(tmp_path):
+    # the numbers behind the claim that the echo is AWGN-like reach the output
+    cfg = make_cfg()
+    ch = PathSet((path_from_bin(0.8, 2, -1, 64, 64), path_from_bin(0.6j, 5, 1, 64, 64)), 64)
+    run_stats(cfg, ch, tmp_path, 200, seed=7)
+    summary = json.loads((tmp_path / "gaussianity.json").read_text())
+    for name, key, c in (("prechannel", 100, None), ("postchannel", 101, ch)):
+        g = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0, key)))
+        rep = empirical_stats(200, cfg, c, g)
+        assert summary["whiteness"][name] == {"mean_abs": rep.mean_abs, "trace": rep.trace,
+                                              "flatness_ratio": rep.flatness_ratio}
+        assert (tmp_path / f"stats_{name}.csv").exists()
+    assert summary["n_samples"] == gaussianity_check(rep).n_samples

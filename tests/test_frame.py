@@ -13,7 +13,7 @@ from wdnoma.waveforms import afdm_demod_samples, afdm_mod_samples, otfs_demod_sa
 
 def test_partition_is_exact():
     layout = allocate_frame(N=256, guard1_start=0, K1=32, K2=32,
-                            kappa_max=2, c1=5 / 512, max_delay=2)
+                            kappa_max=2, chirp=ChirpParams(5 / 512), max_delay=2)
     # the data are exactly the bins outside G1 = 0..31 and G2 = 32..63
     assert np.array_equal(layout.data, np.arange(64, 256))
     assert layout.n_data == 192
@@ -28,7 +28,7 @@ def test_npe_window_size_with_delay_coupling():
     # K2 = 32, kappa_max = 2, 2Nc1 = 5, max_delay = 2:
     # window spans bins kappa_max+1 .. K2-2-(kappa_max + 5*2) -> 16 bins
     layout = allocate_frame(N=256, guard1_start=0, K1=32, K2=32,
-                            kappa_max=2, c1=5 / 512, max_delay=2)
+                            kappa_max=2, chirp=ChirpParams(5 / 512), max_delay=2)
     assert layout.npe_window.size == 16
     assert layout.npe_window[0] == 32 + 3
 
@@ -36,18 +36,16 @@ def test_npe_window_size_with_delay_coupling():
 def test_npe_window_static_channel():
     # no Doppler, no delay spread: only the edge bins are dropped
     layout = allocate_frame(N=64, guard1_start=0, K1=0, K2=16,
-                            kappa_max=0, c1=1 / 128, max_delay=0)
+                            kappa_max=0, chirp=ChirpParams(1 / 128), max_delay=0)
     assert layout.npe_window.size == 14
 
 
 def test_allocate_frame_validation():
     with pytest.raises(ValueError):
-        allocate_frame(64, 0, 32, 32, 0, 1 / 128, 0)  # no data left
+        allocate_frame(64, 0, 32, 32, 0, ChirpParams(1 / 128), 0)  # no data left
     with pytest.raises(ValueError):
         # kappa_max too big for K2
-        allocate_frame(64, 0, 8, 4, 2, 5 / 128, 2)
-    with pytest.raises(ValueError):
-        allocate_frame(64, 0, 8, 8, 0, 0.001, 0)  # non-integer 2Nc1
+        allocate_frame(64, 0, 8, 4, 2, ChirpParams(5 / 128), 2)
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -55,7 +53,7 @@ def test_afdm_leakage_containment(trial):
     """Integer-Doppler channels leave the NPE window exactly data-free."""
     N, L_cpp, kappa_max, max_delay = 256, 16, 2, 2
     chirp = ChirpParams.for_max_doppler(kappa_max, N)
-    layout = allocate_frame(N, 0, 32, 32, kappa_max, chirp.c1, max_delay)
+    layout = allocate_frame(N, 0, 32, 32, kappa_max, chirp, max_delay)
     g = np.random.default_rng(1000 + trial)
     paths = tuple(
         path_from_bin(complex(*g.standard_normal(2)),
@@ -149,7 +147,7 @@ def test_afdm_npe_window_takes_no_data_leakage(data):
     N = K1 + K2 + draw(st.integers(0, 24))
     chirp = ChirpParams.for_max_doppler(kappa_max, N)
     try:
-        layout = allocate_frame(N, draw(st.integers(0, N - 1)), K1, K2, kappa_max, chirp.c1,
+        layout = allocate_frame(N, draw(st.integers(0, N - 1)), K1, K2, kappa_max, chirp,
                                 max_delay)
     except ValueError:
         reject()

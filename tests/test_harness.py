@@ -125,7 +125,7 @@ def test_config_rejects_snr_points_above_100_db(snr_db, tmp_path, capsys):
     out = tmp_path / "out"
     snr = ",".join(map(str, snr_db))
     assert main(["ber", "--config", str(CONFIG), "--out", str(out), "--snr", snr]) == 2
-    assert "config error: snr_db" in capsys.readouterr().err
+    assert "config error: sweep.snr_db must lie in [-100, 100] dB" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -324,10 +324,34 @@ def test_a_negative_kappa_max_is_named_in_its_section():
     ("system", "echo_power_offset_db", 1e9),     # 10 ** (1e9 / 20) overflowed mid-sweep
     ("system", "echo_power_offset_db", 100.5),
     ("system", "c1", 1e308),                     # 2*N*c1 = inf: an OverflowError
+    ("system", "M", 4 ** 15),                    # asked _qam_tables for 16-240 GB mid-sweep
+    ("system", "M", 4096),
+    ("frame", "guard_start", -5),                # read modulo N: -5 and 251 were one layout
+    ("frame", "guard_start", 256),
+    ("system", "c1", 0.001),                     # 2*N*c1 = 0.512
+    ("system", "L_cp", 256),
+    ("sweep", "modes", ["nope"]),
+    ("channel", "uplink_taps", 18),
+    ("channel", "doppler_bins", [5]),
+    ("channel", "range_bounds", [0.0, 315.0]),
+    ("channel", "velocity_bounds", [0.0, 300.0]),
+    ("channel", "target_count", 9),
 ])
 def test_config_bounds_each_value_before_it_is_used(section, field, value):
-    with pytest.raises(ValueError, match=field):
+    # the error names "section.field" first, as a type error does
+    with pytest.raises(ValueError, match=rf"^{section}\.{field}\b"):
         config_from_dict(small_raw(**{section: {field: value}}))
+
+
+def test_config_takes_the_ends_of_its_ranges():
+    # M up to 1024, 3GPP NR's largest QAM order; the guards may start on the last bin
+    cfg = config_from_dict(small_raw(system={"M": 1024}, frame={"guard_start": 255}))
+    assert (cfg.system.M, cfg.frame.guard_start) == (1024, 255)
+    with pytest.raises(ValueError, match="must be a square power of two from 4 to 1024"):
+        config_from_dict(small_raw(system={"M": 4096}))
+    # the paper-scale config keeps its hash (the desk one is pinned below)
+    assert config_hash(load_config(ROOT / "perfbench" / "paper.json")) == \
+        "7b49c39d23b5e7e35e85acf8e86f7dba7535973e2507e7bea017adce16e9a7d4"
 
 
 def test_config_takes_the_ends_of_its_db_ranges():

@@ -21,15 +21,20 @@ from oracles import (
     random_complex,
 )
 from wdnoma import harness, receiver
-from wdnoma.channel import Path as ChannelPath, PathSet, apply_dd_channel_samples, path_from_bin
+from wdnoma.channel import (
+    Path as ChannelPath,
+    PathSet,
+    apply_dd_channel_samples,
+    doppler_ramp,
+    path_from_bin,
+)
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
-    _tap_phases,
     build_equivalent_channel,
     estimate_noise_power,
     mmse_detect,
 )
-from wdnoma.transforms import ChirpParams
+from wdnoma.transforms import ChirpParams, cpp_prefix_phases
 from wdnoma.waveforms import TRANSFORMS, SystemConfig, afdm_demod_samples, afdm_mod_samples
 
 rng = np.random.default_rng(41)
@@ -80,11 +85,21 @@ def test_equivalent_channel_random_dense_oracle():
         assert np.max(np.abs(H - Href)) < 1e-11
 
 
+def _doppler(N, frame_len, kappa_max, fractional):
+    """Strategy for a path's doppler_norm: an integer bin in +-kappa_max, or
+    with ``fractional`` any value up to one bin past it, fractional bins
+    included."""
+    if not fractional:
+        return st.integers(-kappa_max, kappa_max).map(lambda k: k * frame_len / N)
+    return st.floats(-kappa_max - 1, kappa_max + 1).map(lambda b: b * frame_len / N)
+
+
 @st.composite
-def _chains(draw):
-    """A small system and 1-4 integer-Doppler paths with delays up to the
-    prefix, including delays past the OTFS delay axis (l >= N1). An odd N
-    makes the AFDM chirp-periodic prefix phases differ from 1.
+def _chains(draw, fractional=False):
+    """A small system and 1-4 paths with delays up to the prefix, including
+    delays past the OTFS delay axis (l >= N1), and integer Doppler bins
+    (fractional ones with ``fractional``). An odd N makes the AFDM
+    chirp-periodic prefix phases differ from 1.
 
     A nonzero c2 is drawn below 1/(2N), the AFDM design range. With c2 near
     1 the c2 n^2 chirp phases reach thousands of radians, and float64
@@ -100,9 +115,9 @@ def _chains(draw):
     cfg = SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
                        chirp=ChirpParams(ChirpParams.for_max_doppler(kappa_max, N).c1, c2),
                        N1=N1, N2=N2)
-    path = st.builds(lambda re, im, l, kappa: path_from_bin(complex(re, im), l, kappa, N, N + L),
+    path = st.builds(lambda re, im, l, nu: ChannelPath(complex(re, im), l, nu),
                      st.floats(-2, 2), st.floats(-2, 2), st.integers(0, L),
-                     st.integers(-kappa_max, kappa_max))
+                     _doppler(N, N + L, kappa_max, fractional))
     return cfg, PathSet(tuple(draw(st.lists(path, min_size=1, max_size=4))), N + L)
 
 
@@ -159,16 +174,20 @@ def test_time_domain_gram_pattern_ignores_doppler(waveform):
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
-def test_equivalent_channel_rejects_fractional_doppler(waveform):
-    cfg = make_cfg(N=16, L=4)
-    for bins in (0.5, 1e-6, -1.25):
-        ps = PathSet((ChannelPath(1.0, 1, bins * 20 / 16),), 20)
-        with pytest.raises(ValueError, match="integer"):
-            build_equivalent_channel(ps, cfg, waveform)
-    # one bin up to roundoff is still an integer bin
-    ps = PathSet((ChannelPath(1.0, 1, (1 + 1e-12) * 20 / 16),), 20)
-    H = build_equivalent_channel(ps, cfg, waveform).matrix
-    assert np.count_nonzero(np.abs(H) > 1e-12) == 16
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain=_chains(fractional=True))
+def test_fractional_doppler_channel_matches_dense_oracle(waveform, chain):
+    # the taps are the channel's own per-sample Doppler factors, so H is
+    # exact off the integer bins too; MMSE through H_t solves its normal equations
+    cfg, ps = chain
+    eq = build_equivalent_channel(ps, cfg, waveform)
+    H = eq.matrix
+    Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
+                                    _paths_as_tuples(ps), waveform, cfg.N1)
+    assert np.max(np.abs(H - Href)) < 1e-12
+    d = random_complex(np.random.default_rng(cfg.N + len(ps.paths)), cfg.N)
+    for s2, x in zip((0.05, 1.0), mmse_detect([eq], _core([eq], [d]), [(0.05, 1.0)])):
+        assert np.max(np.abs(x - dense_mmse(Href, d, s2))) < 1e-9
 
 
 def test_equivalent_channel_single_path_sparsity():
@@ -200,20 +219,11 @@ def test_equivalent_channel_rejects_long_delay():
         build_equivalent_channel(ps, cfg, "afdm")
 
 
-def test_tap_phase_cache_is_read_only_and_exact():
-    N, prefix, delay, kappa = 256, 16, 2, -1
-    phases = _tap_phases(N, prefix, delay, kappa)
-    assert _tap_phases(N, prefix, delay, kappa) is phases
-    with pytest.raises(ValueError):
-        phases[0] = 0.0
-    src = prefix + np.arange(N) - delay
-    assert np.array_equal(phases, np.exp(-2j * np.pi * (kappa * src % N) / N))
-
-
 @st.composite
-def _build_draws(draw):
-    """A small system and 1-5 integer-Doppler paths in any order, with
-    delays up to the prefix that often repeat, and an odd or even N."""
+def _build_draws(draw, distinct_delays=False):
+    """A small system and 1-5 paths in any order, with integer or fractional
+    Doppler and delays up to the prefix that often repeat (never, with
+    ``distinct_delays``), and an odd or even N."""
     N = draw(st.integers(2, 40))
     L = draw(st.integers(0, min(N - 1, 8)))
     kappa_max = draw(st.integers(0, 3))
@@ -221,9 +231,28 @@ def _build_draws(draw):
                        chirp=ChirpParams.for_max_doppler(kappa_max, N), N1=1, N2=N)
     gain = st.one_of(st.just(1.0), st.floats(-2, 2),
                      st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
-    path = st.builds(lambda h, l, kappa: path_from_bin(h, l, kappa, N, N + L),
-                     gain, st.integers(0, L), st.integers(-kappa_max, kappa_max))
-    return cfg, PathSet(tuple(draw(st.lists(path, min_size=1, max_size=5))), N + L)
+    path = st.builds(ChannelPath, gain, st.integers(0, L),
+                     _doppler(N, N + L, kappa_max, draw(st.booleans())))
+    paths = st.lists(path, min_size=1, max_size=5,
+                     unique_by=(lambda p: p.delay_samples) if distinct_delays else None)
+    return cfg, PathSet(tuple(draw(paths)), N + L)
+
+
+@pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(draws=_build_draws(distinct_delays=True))
+def test_taps_are_the_channels_own_doppler_ramps(waveform, draws):
+    # bit for bit: a path's tap is its gain times the window of the cached
+    # ramp the channel applies, and for AFDM times the prefix phases where i < l
+    cfg, ps = draws
+    N, prefix = cfg.N, cfg.L_cp
+    H = build_equivalent_channel(ps, cfg, waveform)
+    for p in ps.paths:
+        l = p.delay_samples
+        tap = p.gain * doppler_ramp(p.doppler_norm, ps.frame_len)[prefix - l:prefix - l + N]
+        if waveform == "afdm":
+            tap[:l] = tap[:l] * cpp_prefix_phases(N, prefix, cfg.chirp.c1)[prefix - l:]
+        assert np.array_equal(H.taps[H.delays.index(l)], tap)
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
@@ -729,14 +758,14 @@ def test_band_factor_and_solves_equal_scipy_linalgs(nrhs):
 
 def _layout_and_cfg():
     cfg = make_cfg(N=64, L=8, kappa_max=1, N1=8, N2=8)
-    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp.c1, 2)
+    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp, 2)
     return cfg, layout
 
 
 def test_estimate_noise_power_pure_noise():
     cfg, _ = _layout_and_cfg()
     # static-channel layout: 8-bin window for a tighter Monte Carlo estimate
-    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp.c1, 0)
+    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp, 0)
     g = np.random.default_rng(9)
     acc = 0.0
     trials = 400
