@@ -8,6 +8,4 @@ extracts delay-Doppler targets from the residual echo with 2D-OMP.
 
 __version__ = "0.1.0"
 
-from .transforms import ChirpParams
-
-__all__ = ["ChirpParams", "__version__"]
+__all__ = ["__version__"]

@@ -73,7 +73,7 @@ def empirical_stats(trials: int, cfg: SystemConfig, channel: PathSet | None,
         S = idft_samples(X)
         if channel is not None:
             S = apply_dd_channel_samples(S, channel)
-        Y = daft_samples(S, cfg.chirp)
+        Y = daft_samples(S, cfg.c1, cfg.c2)
         mean_acc += Y.sum(axis=0)
         power_acc += np.sum(Y.real ** 2 + Y.imag ** 2, axis=0)
         if buffered < _BUFFER_CAP:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import ChirpParams
+from .transforms import shift_factor
 
 
 @dataclass(frozen=True)
@@ -29,22 +29,23 @@ class FrameLayout:
 
 
 def allocate_frame(N: int, guard1_start: int, K1: int, K2: int,
-                   kappa_max: int, chirp: ChirpParams, max_delay: int) -> FrameLayout:
+                   kappa_max: int, c1: float, max_delay: int) -> FrameLayout:
     """Partition N subcarriers into G1, G2 (right after G1) and data, and
     derive the NPE window.
 
     The window keeps the G2 bins more than kappa_max away from the data edge
     on the low side and more than kappa_max + 2*N*c1*max_delay + 1 away on
     the high side (the delay-coupled spread grows with the chirp's affine
-    shift 2*N*c1, ``chirp.shift_factor(N)``).
+    shift 2*N*c1, ``shift_factor(N, c1)``, which must be a non-negative
+    integer).
     """
+    shift = shift_factor(N, c1)
     if K1 < 0 or K2 <= 0:
         raise ValueError("guard lengths must be positive (K1 may be zero)")
     if K1 + K2 >= N:
         raise ValueError(f"guards K1+K2 = {K1 + K2} must leave room for data in N = {N}")
     if kappa_max < 0 or max_delay < 0:
         raise ValueError("kappa_max and max_delay must be non-negative")
-    shift = chirp.shift_factor(N)
     spread = kappa_max + shift * max_delay
     window_rel = np.arange(kappa_max + 1, K2 - 1 - spread)
     if window_rel.size == 0:

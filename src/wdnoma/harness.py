@@ -79,7 +79,7 @@ from .sensing import (
     matched_squared_errors,
     omp_2d,
 )
-from .transforms import ChirpParams
+from .transforms import default_c1
 from .waveforms import (
     SystemConfig,
     _field,
@@ -218,19 +218,14 @@ class ExperimentConfig:
         # fail early if the guard layouts are inconsistent; this also fills the cache
         _layouts(self)
 
-    def to_dict(self) -> dict:
-        d = {name: asdict(getattr(self, name)) for name in ("system", "frame", "channel", "sweep")}
-        d["system"].update(d["system"].pop("chirp"))   # c1 and c2, as in the config file
-        return d
-
 
 def _checked(d, where: str, cls, optional=()) -> dict:
     """A copy of the JSON object ``d``: it must hold each field of the dataclass ``cls``
-    that has no default, except chirp (c1, c2), and no key but its fields and ``optional``."""
+    that has no default and is not in ``optional``, and no key but its fields."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be an object, got {d!r}")
-    names = {f.name: f.default is MISSING for f in fields(cls) if f.name != "chirp"}
-    for problem, keys in (("unknown", set(d) - set(names) - set(optional)),
+    names = {f.name: f.default is MISSING and f.name not in optional for f in fields(cls)}
+    for problem, keys in (("unknown", set(d) - set(names)),
                           ("missing", {k for k, needed in names.items() if needed} - set(d))):
         if keys:
             raise ValueError(f"{problem} keys in {where}: {sorted(keys)}")
@@ -244,13 +239,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     omitted or null."""
     raw = _checked(raw, "config", ExperimentConfig)
     frame = FrameConfig(**_checked(raw["frame"], "frame", FrameConfig))
-    sd = _checked(raw["system"], "system", SystemConfig, ("c1", "c2"))
-    c1 = sd.pop("c1", None)
-    if c1 is None:
-        c1 = _field("system.N", lambda N: ChirpParams.for_max_doppler(frame.kappa_max, N).c1,
-                    sd["N"])
+    sd = _checked(raw["system"], "system", SystemConfig, optional=("c1",))
+    if sd.get("c1") is None:
+        sd["c1"] = _field("system.N", lambda N: default_c1(frame.kappa_max, N), sd["N"])
     return ExperimentConfig(
-        system=SystemConfig(chirp=ChirpParams(c1, sd.pop("c2", 0.0)), **sd), frame=frame,
+        system=SystemConfig(**sd), frame=frame,
         channel=ChannelConfig(**_checked(raw["channel"], "channel", ChannelConfig)),
         sweep=SweepConfig(**_checked(raw["sweep"], "sweep", SweepConfig)))
 
@@ -261,7 +254,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True)
+    canon = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -272,10 +265,10 @@ Waveform = namedtuple("Waveform", "layout mod demod")
 WAVEFORMS = MappingProxyType({
     "afdm": Waveform(
         lambda cfg: allocate_frame(cfg.system.N, cfg.frame.guard_start, cfg.frame.K1,
-                                   cfg.frame.K2, cfg.frame.kappa_max, cfg.system.chirp,
+                                   cfg.frame.K2, cfg.frame.kappa_max, cfg.system.c1,
                                    max_delay=cfg.channel.uplink_taps - 1),
-        lambda x, s: afdm_mod_samples(x, s.chirp, s.L_cp),
-        lambda r, s: afdm_demod_samples(r, s.chirp, s.L_cp)),
+        lambda x, s: afdm_mod_samples(x, s.c1, s.c2, s.L_cp),
+        lambda r, s: afdm_demod_samples(r, s.c1, s.c2, s.L_cp)),
     "otfs": Waveform(
         lambda cfg: allocate_otfs_frame(cfg.system.N1, cfg.system.N2,
                                         cfg.frame.otfs_guard_cols, cfg.frame.kappa_max),
@@ -683,6 +676,8 @@ def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, wo
     out = FsPath(out_dir) / "run_manifest.json"
     with open(out, "w") as fh:
         json.dump({
+            # the resolved config, the dict config_hash hashes: a run can be redone from it
+            "config": asdict(cfg),
             "config_hash": config_hash(cfg),
             "master_seed": cfg.sweep.master_seed,
             "code_version": __version__,

@@ -172,7 +172,7 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> E
         [doppler_ramp(p.doppler_norm, ch.frame_len)[prefix - l:prefix - l + N]
          for l, p in zip(ls, paths)])
     if TRANSFORMS[waveform].chirp_prefix:     # core samples i < l read the prefix
-        taps[:, :prefix] = taps[:, :prefix] * _prefix_weights(N, prefix, cfg.chirp.c1)[ls]
+        taps[:, :prefix] = taps[:, :prefix] * _prefix_weights(N, prefix, cfg.c1)[ls]
     delays = sorted(set(ls))
     if len(delays) < len(ls):     # each delay's rows, summed one after another
         taps = np.array([taps[ls.index(l):ls.index(l) + ls.count(l)].sum(axis=0) for l in delays])

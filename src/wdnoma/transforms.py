@@ -20,36 +20,29 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ChirpParams:
-    """Quadratic chirp rates (cycles per squared sample index)."""
+def default_c1(kappa_max: int, N: int) -> float:
+    """The paper's c1 = (2*kappa_max + 1) / (2N).
 
-    c1: float
-    c2: float = 0.0
+    Makes 2*N*c1 an odd integer, so a (delay, Doppler) path maps to a
+    single coupled shift in the affine domain.
+    """
+    if kappa_max < 0:
+        raise ValueError("kappa_max must be non-negative")
+    return (2 * kappa_max + 1) / (2 * N)
 
-    @classmethod
-    def for_max_doppler(cls, kappa_max: int, N: int) -> "ChirpParams":
-        """Default c1 = (2*kappa_max + 1) / (2N), c2 = 0.
 
-        Makes 2*N*c1 an odd integer, so a (delay, Doppler) path maps to a
-        single coupled shift in the affine domain.
-        """
-        if kappa_max < 0:
-            raise ValueError("kappa_max must be non-negative")
-        return cls(c1=(2 * kappa_max + 1) / (2 * N), c2=0.0)
-
-    def shift_factor(self, N: int) -> int:
-        """2*N*c1 rounded to the nearest integer (validated)."""
-        raw = 2.0 * N * self.c1
-        if not (np.isfinite(raw) and abs(raw - round(raw)) <= 1e-9):
-            raise ValueError(f"2*N*c1 = {raw} is not an integer; c1 must be k/(2N)")
-        return int(round(raw))
+def shift_factor(N: int, c1: float) -> int:
+    """The affine shift 2*N*c1, validated as a non-negative integer: below
+    zero a guard's delay-coupled spread would reach past its far edge."""
+    raw = 2.0 * N * c1
+    if not (np.isfinite(raw) and abs(raw - round(raw)) <= 1e-9 and round(raw) >= 0):
+        raise ValueError(f"2*N*c1 = {raw} is not a non-negative integer k; c1 must be k/(2N)")
+    return int(round(raw))
 
 
 @lru_cache(maxsize=64)
@@ -87,14 +80,14 @@ def doppler_idft_samples(X: np.ndarray, N1: int, N2: int) -> np.ndarray:
     return np.fft.ifft(grid, axis=-2, norm="ortho").reshape(X.shape)
 
 
-def daft_samples(x: np.ndarray, p: ChirpParams) -> np.ndarray:
+def daft_samples(x: np.ndarray, c1: float, c2: float) -> np.ndarray:
     N = x.shape[-1]
-    return chirp_vector(N, p.c2) * dft_samples(chirp_vector(N, p.c1) * x)
+    return chirp_vector(N, c2) * dft_samples(chirp_vector(N, c1) * x)
 
 
-def idaft_samples(y: np.ndarray, p: ChirpParams) -> np.ndarray:
+def idaft_samples(y: np.ndarray, c1: float, c2: float) -> np.ndarray:
     N = y.shape[-1]
-    return chirp_vector(N, p.c1).conj() * idft_samples(chirp_vector(N, p.c2).conj() * y)
+    return chirp_vector(N, c1).conj() * idft_samples(chirp_vector(N, c2).conj() * y)
 
 
 def add_cp_samples(x: np.ndarray, L_cp: int) -> np.ndarray:

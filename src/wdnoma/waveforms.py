@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import get_args, get_origin, get_type_hints
@@ -16,7 +16,6 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .transforms import (
-    ChirpParams,
     add_cp_samples,
     add_cpp_samples,
     daft_samples,
@@ -25,6 +24,7 @@ from .transforms import (
     doppler_idft_samples,
     idaft_samples,
     idft_samples,
+    shift_factor,
 )
 
 
@@ -60,15 +60,11 @@ def _field(where: str, convert, value):
 
 def check_fields(obj, section: str, off=()) -> None:
     """Store each field of the dataclass ``obj`` in its annotation's form
-    (``_canonical``), a bad one named "section.field". A dataclass field's own
-    fields count as the section's, as c1 and c2 are system keys; the float
-    fields in ``off`` are dB levels that -inf switches off."""
+    (``_canonical``), a bad one named "section.field"; the float fields in
+    ``off`` are dB levels that -inf switches off."""
     for name, hint in _field_types(type(obj)).items():
         value = getattr(obj, name)
-        if is_dataclass(hint) and isinstance(value, hint):
-            check_fields(value, section)
-        else:
-            object.__setattr__(obj, name, _canonical(value, hint, f"{section}.{name}", name in off))
+        object.__setattr__(obj, name, _canonical(value, hint, f"{section}.{name}", name in off))
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,10 @@ class SystemConfig:
     delta_f: float
     L_cp: int
     L_cpp: int          # the AFDM prefix; a config key that must equal L_cp
-    chirp: ChirpParams
+    c1: float           # AFDM chirp rates, cycles per squared sample index
     N1: int
     N2: int
+    c2: float = 0.0
     echo_power_offset_db: float = -20.0
 
     def __post_init__(self):
@@ -106,8 +103,8 @@ class SystemConfig:
         if self.L_cpp != self.L_cp:
             raise ValueError(f"system.L_cpp = {self.L_cpp} must equal L_cp = {self.L_cp} "
                              f"so the superimposed frames align")
-        # the chirp must give an integer affine shift factor
-        _field("system.c1", self.chirp.shift_factor, self.N)
+        # the chirp must give a non-negative integer affine shift factor
+        _field("system.c1", lambda c1: shift_factor(self.N, c1), self.c1)
 
     @property
     def sample_rate(self) -> float:
@@ -205,13 +202,13 @@ def ofdm_demod_samples(r: np.ndarray, L_cp: int) -> np.ndarray:
     return dft_samples(r[..., L_cp:])
 
 
-def afdm_mod_samples(X: np.ndarray, chirp: ChirpParams, L_cpp: int) -> np.ndarray:
+def afdm_mod_samples(X: np.ndarray, c1: float, c2: float, L_cpp: int) -> np.ndarray:
     """IDAFT + chirp-periodic prefix; affine -> time, length N + L_cpp."""
-    return add_cpp_samples(idaft_samples(X, chirp), L_cpp, chirp.c1)
+    return add_cpp_samples(idaft_samples(X, c1, c2), L_cpp, c1)
 
 
-def afdm_demod_samples(r: np.ndarray, chirp: ChirpParams, L_cpp: int) -> np.ndarray:
-    return daft_samples(r[..., L_cpp:], chirp)
+def afdm_demod_samples(r: np.ndarray, c1: float, c2: float, L_cpp: int) -> np.ndarray:
+    return daft_samples(r[..., L_cpp:], c1, c2)
 
 
 def otfs_mod_samples(X: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray:
@@ -233,8 +230,8 @@ def otfs_demod_samples(r: np.ndarray, N1: int, N2: int, L_cp: int) -> np.ndarray
 # entry looks its kernel up here when it runs, so a wrapper set on the name sees it
 Transform = namedtuple("Transform", "to_time from_time chirp_prefix")
 TRANSFORMS = MappingProxyType({
-    "afdm": Transform(lambda x, s: idaft_samples(x, s.chirp),
-                      lambda r, s: daft_samples(r, s.chirp), True),
+    "afdm": Transform(lambda x, s: idaft_samples(x, s.c1, s.c2),
+                      lambda r, s: daft_samples(r, s.c1, s.c2), True),
     "otfs": Transform(lambda x, s: doppler_idft_samples(x, s.N1, s.N2),
                       lambda r, s: doppler_dft_samples(r, s.N1, s.N2), False),
     "ofdm": Transform(lambda x, s: idft_samples(x), lambda r, s: dft_samples(r), False),

@@ -223,7 +223,7 @@ def equivalent_channel_taps_loop(ch, cfg, waveform: str):
     delays = tuple(sorted({p.delay_samples for p in ch.paths}))
     taps = np.zeros((len(delays), N), dtype=np.complex128)
     k = np.arange(prefix)
-    weights = np.exp(-2j * np.pi * cfg.chirp.c1 * (N * N - 2.0 * N * (prefix - k)))
+    weights = np.exp(-2j * np.pi * cfg.c1 * (N * N - 2.0 * N * (prefix - k)))
     for p in ch.paths:
         l = p.delay_samples
         src = prefix + np.arange(N) - l

@@ -55,10 +55,10 @@ from wdnoma.receiver import (
 )
 from wdnoma.sensing import build_dictionary, correlate, omp_2d
 from wdnoma.transforms import (
-    ChirpParams,
     add_cp_samples,
     add_cpp_samples,
     daft_samples,
+    default_c1,
     idaft_samples,
 )
 from wdnoma.waveforms import (
@@ -82,7 +82,7 @@ def desk_config(**sweep_over):
 
 def desk_system(N=256, kappa_max=1, L=16):
     return SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
-                        chirp=ChirpParams.for_max_doppler(kappa_max, N),
+                        c1=default_c1(kappa_max, N),
                         N1=16, N2=N // 16)
 
 
@@ -101,11 +101,10 @@ def test_criterion_1_transform_correctness():
         N = int(rng.choice([8, 16, 32, 64]))
         c1 = int(rng.integers(1, 8)) / (2 * N)
         c2 = float(rng.uniform(-0.1, 0.1))
-        p = ChirpParams(c1, c2)
         A = dense_daft(N, c1, c2)
         x = random_complex(rng, N)
-        assert np.max(np.abs(daft_samples(x, p) - A @ x)) < tol
-        assert np.max(np.abs(idaft_samples(x, p) - A.conj().T @ x)) < tol
+        assert np.max(np.abs(daft_samples(x, c1, c2) - A @ x)) < tol
+        assert np.max(np.abs(idaft_samples(x, c1, c2) - A.conj().T @ x)) < tol
         cases += 1
 
     # CP / CPP prefixes
@@ -122,10 +121,9 @@ def test_criterion_1_transform_correctness():
     for _ in range(30):
         N, L = 32, 8
         c1 = int(rng.integers(1, 6)) / (2 * N)
-        chirp = ChirpParams(c1, 0.0)
         x = random_complex(rng, N)
         assert np.max(np.abs(ofdm_mod_samples(x, L) - dense_ofdm_mod(N, L) @ x)) < tol
-        assert np.max(np.abs(afdm_mod_samples(x, chirp, L)
+        assert np.max(np.abs(afdm_mod_samples(x, c1, 0.0, L)
                              - dense_afdm_mod(N, L, c1, 0.0) @ x)) < tol
         assert np.max(np.abs(otfs_mod_samples(x, 8, 4, L) - dense_otfs_w(8, 4, L) @ x)) < tol
         cases += 1
@@ -145,7 +143,7 @@ def test_criterion_1_transform_correctness():
 
     # equivalent channel H_a^eq, built analytically, vs dense five-matrix product
     cfg = SystemConfig(N=32, M=4, f_c=28e9, delta_f=30e3, L_cp=8, L_cpp=8,
-                       chirp=ChirpParams.for_max_doppler(2, 32), N1=8, N2=4)
+                       c1=default_c1(2, 32), N1=8, N2=4)
     for _ in range(40):
         n_paths = int(rng.integers(1, 4))
         paths = tuple(path_from_bin(complex(*rng.standard_normal(2)),
@@ -154,7 +152,7 @@ def test_criterion_1_transform_correctness():
                       for _ in range(n_paths))
         ps = PathSet(paths, 40)
         H = build_equivalent_channel(ps, cfg, "afdm").matrix
-        Href = dense_equivalent_channel(32, 8, cfg.chirp.c1, cfg.chirp.c2,
+        Href = dense_equivalent_channel(32, 8, cfg.c1, cfg.c2,
                                         [(p.gain, p.delay_samples, p.doppler_norm)
                                          for p in ps.paths])
         assert np.max(np.abs(H - Href)) < tol
@@ -177,15 +175,15 @@ def test_criterion_2_noiseless_end_to_end():
     # full-grid equivalent channel and do not recover every noiseless frame.
     N, L, kappa_max = 256, 16, 1
     cfg = desk_system(N=N, kappa_max=kappa_max, L=L)
-    layout = allocate_frame(N, 0, 32, 32, kappa_max, cfg.chirp, max_delay=2)
+    layout = allocate_frame(N, 0, 32, 32, kappa_max, cfg.c1, max_delay=2)
     total_errors = 0
     for trial in range(100):
         rng = np.random.default_rng(5000 + trial)
         ch = build_uplink_channel(3, [-1, 0, 1], rng, N, N + L)
         bits = rng.integers(0, 2, size=2 * layout.n_data)
-        s = afdm_mod_samples(embed(qam_map(bits, 4), layout, N), cfg.chirp, L)
+        s = afdm_mod_samples(embed(qam_map(bits, 4), layout, N), cfg.c1, cfg.c2, L)
         r = apply_dd_channel_samples(s, ch)
-        d = afdm_demod_samples(r, cfg.chirp, L)
+        d = afdm_demod_samples(r, cfg.c1, cfg.c2, L)
         sigma2_hat = estimate_noise_power(d, layout)
         H = build_equivalent_channel(ch, cfg, "afdm").matrix
         x_hat = lstsq_mmse(H, d, sigma2_hat)
@@ -198,7 +196,7 @@ def test_criterion_2_noiseless_end_to_end():
     ch = build_uplink_channel(3, [-1, 0, 1], rng, N, N + L)
     bits = rng.integers(0, 2, size=2 * layout.n_data)
     syms = qam_map(bits, 4)
-    s = afdm_mod_samples(embed(syms, layout, N), cfg.chirp, L)
+    s = afdm_mod_samples(embed(syms, layout, N), cfg.c1, cfg.c2, L)
     r_ul = apply_dd_channel_samples(s, ch)
     r_dl = random_complex(rng, N + L)
     w = 0.05 * random_complex(rng, N + L)
@@ -245,7 +243,7 @@ def test_criterion_4_npe_accuracy():
             chunk = _Chunk(cfg, [trial])
             up = chunk.uplink("afdm")
             (r,), (sigma2,) = chunk.compose(up, (snr_db,))
-            d = afdm_demod_samples(r, sys_.chirp, sys_.L_cpp)
+            d = afdm_demod_samples(r, sys_.c1, sys_.c2, sys_.L_cpp)
             est_sum += estimate_noise_power(d, layout).item()
             echo_core = up["g"] * chunk.r_dl[:, sys_.L_cpp:]
             ref_sum += sigma2 + float(np.mean(np.abs(echo_core) ** 2))

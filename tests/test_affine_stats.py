@@ -15,7 +15,7 @@ from wdnoma.affine_stats import (
     write_report_csv,
 )
 from wdnoma.channel import PathSet, path_from_bin
-from wdnoma.transforms import ChirpParams, daft_samples, idft_samples
+from wdnoma.transforms import daft_samples, default_c1, idft_samples
 from wdnoma.waveforms import SystemConfig, constellation
 
 rng = np.random.default_rng(61)
@@ -23,12 +23,12 @@ rng = np.random.default_rng(61)
 
 def make_cfg(N=64):
     return SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=8, L_cpp=8,
-                        chirp=ChirpParams.for_max_doppler(2, N), N1=8, N2=N // 8)
+                        c1=default_c1(2, N), N1=8, N2=N // 8)
 
 
 def _affine_view(X, cfg):
     # the affine view empirical_stats takes of a CP-free OFDM frame
-    return daft_samples(idft_samples(X), cfg.chirp)
+    return daft_samples(idft_samples(X), cfg.c1, cfg.c2)
 
 
 def test_affine_view_preserves_energy():

@@ -23,7 +23,7 @@ from wdnoma.channel import (
     target_to_path,
 )
 from wdnoma.harness import _Chunk, config_from_dict
-from wdnoma.transforms import ChirpParams
+from wdnoma.transforms import default_c1
 from wdnoma.waveforms import SystemConfig
 
 rng = np.random.default_rng(23)
@@ -238,7 +238,7 @@ def test_compose_received_amplitude_scaling():
 
 def test_target_quantization():
     cfg = SystemConfig(N=1024, M=4, f_c=28e9, delta_f=30e3, L_cp=16, L_cpp=16,
-                       chirp=ChirpParams.for_max_doppler(2, 1024), N1=32, N2=32)
+                       c1=default_c1(2, 1024), N1=32, N2=32)
     # 50 m at 30.72 MHz sampling -> round(2*50/c * 1024*30e3) = 10 samples
     t = PhysicalTarget(range_m=50.0, velocity_mps=0.0, rcs_gain=1.0)
     assert target_to_path(t, cfg).delay_samples == 10

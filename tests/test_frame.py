@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 from oracles import embed, random_complex
 from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
 from wdnoma.frame import allocate_frame, allocate_otfs_frame, full_grid_layout
-from wdnoma.transforms import ChirpParams
+from wdnoma.transforms import default_c1
 from wdnoma.waveforms import afdm_demod_samples, afdm_mod_samples, otfs_demod_samples, otfs_mod_samples
 
 
 def test_partition_is_exact():
     layout = allocate_frame(N=256, guard1_start=0, K1=32, K2=32,
-                            kappa_max=2, chirp=ChirpParams(5 / 512), max_delay=2)
+                            kappa_max=2, c1=5 / 512, max_delay=2)
     # the data are exactly the bins outside G1 = 0..31 and G2 = 32..63
     assert np.array_equal(layout.data, np.arange(64, 256))
     assert layout.n_data == 192
@@ -28,7 +28,7 @@ def test_npe_window_size_with_delay_coupling():
     # K2 = 32, kappa_max = 2, 2Nc1 = 5, max_delay = 2:
     # window spans bins kappa_max+1 .. K2-2-(kappa_max + 5*2) -> 16 bins
     layout = allocate_frame(N=256, guard1_start=0, K1=32, K2=32,
-                            kappa_max=2, chirp=ChirpParams(5 / 512), max_delay=2)
+                            kappa_max=2, c1=5 / 512, max_delay=2)
     assert layout.npe_window.size == 16
     assert layout.npe_window[0] == 32 + 3
 
@@ -36,24 +36,24 @@ def test_npe_window_size_with_delay_coupling():
 def test_npe_window_static_channel():
     # no Doppler, no delay spread: only the edge bins are dropped
     layout = allocate_frame(N=64, guard1_start=0, K1=0, K2=16,
-                            kappa_max=0, chirp=ChirpParams(1 / 128), max_delay=0)
+                            kappa_max=0, c1=1 / 128, max_delay=0)
     assert layout.npe_window.size == 14
 
 
 def test_allocate_frame_validation():
     with pytest.raises(ValueError):
-        allocate_frame(64, 0, 32, 32, 0, ChirpParams(1 / 128), 0)  # no data left
+        allocate_frame(64, 0, 32, 32, 0, 1 / 128, 0)  # no data left
     with pytest.raises(ValueError):
         # kappa_max too big for K2
-        allocate_frame(64, 0, 8, 4, 2, ChirpParams(5 / 128), 2)
+        allocate_frame(64, 0, 8, 4, 2, 5 / 128, 2)
 
 
 @pytest.mark.parametrize("trial", range(10))
 def test_afdm_leakage_containment(trial):
     """Integer-Doppler channels leave the NPE window exactly data-free."""
     N, L_cpp, kappa_max, max_delay = 256, 16, 2, 2
-    chirp = ChirpParams.for_max_doppler(kappa_max, N)
-    layout = allocate_frame(N, 0, 32, 32, kappa_max, chirp, max_delay)
+    c1 = default_c1(kappa_max, N)
+    layout = allocate_frame(N, 0, 32, 32, kappa_max, c1, max_delay)
     g = np.random.default_rng(1000 + trial)
     paths = tuple(
         path_from_bin(complex(*g.standard_normal(2)),
@@ -64,8 +64,8 @@ def test_afdm_leakage_containment(trial):
     ps = PathSet(paths, N + L_cpp)
     syms = random_complex(g, layout.n_data)
     frame = embed(syms, layout, N)
-    r = apply_dd_channel_samples(afdm_mod_samples(frame, chirp, L_cpp), ps)
-    d = afdm_demod_samples(r, chirp, L_cpp)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, c1, 0.0, L_cpp), ps)
+    d = afdm_demod_samples(r, c1, 0.0, L_cpp)
     assert np.max(np.abs(d[layout.npe_window])) < 1e-10
 
 
@@ -136,27 +136,34 @@ _LEAKAGE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 @_LEAKAGE_SETTINGS
 @given(data=st.data())
 def test_afdm_npe_window_takes_no_data_leakage(data):
-    # any N, kappa_max, delay spread and guard placement, the guards wrapping
-    # around the grid's end included: a data-only frame through any
-    # integer-Doppler channel leaves the NPE window empty up to roundoff
+    # any N, kappa_max, delay spread, chirp and guard placement, the guards
+    # wrapping around the grid's end included: a data-only frame through any
+    # integer-Doppler channel leaves the NPE window empty up to roundoff. The
+    # affine shift 2*N*c1 spans the default 2*kappa_max + 1 and its
+    # neighbours; a negative one is refused, as its spread would pass G2's edge
     draw = data.draw
     kappa_max, max_delay = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    spread = kappa_max + (2 * kappa_max + 1) * max_delay
+    shift = draw(st.integers(-3, 2 * kappa_max + 3))
+    spread = kappa_max + max(shift, 0) * max_delay
     K1 = draw(st.integers(0, 8))
     K2 = kappa_max + spread + 3 + draw(st.integers(-2, 6))    # the least window is 1 bin
     N = K1 + K2 + draw(st.integers(0, 24))
-    chirp = ChirpParams.for_max_doppler(kappa_max, N)
+    c1 = shift / (2 * N)
+    args = (N, draw(st.integers(0, N - 1)), K1, K2, kappa_max, c1, max_delay)
+    if shift < 0:
+        with pytest.raises(ValueError, match="non-negative"):
+            allocate_frame(*args)
+        return
     try:
-        layout = allocate_frame(N, draw(st.integers(0, N - 1)), K1, K2, kappa_max, chirp,
-                                max_delay)
+        layout = allocate_frame(*args)
     except ValueError:
         reject()
     prefix = min(N - 1, max_delay + draw(st.integers(0, 2)))
     ps = _paths(draw, N, prefix, max_delay, kappa_max)
     g = np.random.default_rng(draw(st.integers(0, 2**16)))
     frame = embed(random_complex(g, layout.n_data), layout, N)
-    r = apply_dd_channel_samples(afdm_mod_samples(frame, chirp, prefix), ps)
-    assert _leakage_fraction(layout, afdm_demod_samples(r, chirp, prefix)) <= 1e-12
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, c1, 0.0, prefix), ps)
+    assert _leakage_fraction(layout, afdm_demod_samples(r, c1, 0.0, prefix)) <= 1e-12
 
 
 @_LEAKAGE_SETTINGS

@@ -36,6 +36,7 @@ from wdnoma.harness import (
     run_sensing,
 )
 from wdnoma.channel import quantize_target, target_to_path
+from wdnoma.transforms import shift_factor
 from wdnoma.waveforms import qam_map
 
 ROOT = Path(__file__).parent.parent
@@ -57,7 +58,7 @@ def test_load_example_config():
     assert cfg.system.N == 256
     assert cfg.sweep.modes == tuple(MODES)
     # c1 defaulted from kappa_max: (2*1 + 1)/(2N)
-    assert cfg.system.chirp.shift_factor(256) == 3
+    assert shift_factor(256, cfg.system.c1) == 3
     # the paper-scale config passes the same parse-time checks
     assert load_config(ROOT / "perfbench" / "paper.json").system.N == 1024
 
@@ -200,8 +201,8 @@ def test_config_rejects_bad_physical_scalars(system, match):
 
 def test_config_keeps_c2_with_default_c1():
     # c1 null takes its default; a configured c2 is kept, not dropped
-    chirp = config_from_dict(small_raw(system={"c2": 0.25})).system.chirp
-    assert (chirp.shift_factor(256), chirp.c2) == (3, 0.25)
+    system = config_from_dict(small_raw(system={"c2": 0.25})).system
+    assert (shift_factor(256, system.c1), system.c2) == (3, 0.25)
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -283,7 +284,7 @@ def test_config_rejects_bool_or_string_numbers(section, field, value):
 
 @pytest.mark.parametrize("section, field, value", [
     ("system", "N", 256.0),
-    ("system", "c1", "0.005859375"),      # a chirp field is a system key
+    ("system", "c1", "0.005859375"),
     ("frame", "kappa_max", True),
     ("channel", "range_bounds", (0.0,)),
     ("channel", "doppler_bins", (0.5, -1)),
@@ -295,16 +296,13 @@ def test_each_section_checks_its_own_field_types(section, field, value):
     cfg = config_from_dict(small_raw())
     obj = getattr(cfg, section)
     with pytest.raises(ValueError, match=rf"^{section}\.{field}: expected "):
-        if field == "c1":
-            replace(obj, chirp=replace(obj.chirp, c1=value))
-        else:
-            replace(obj, **{field: value})
+        replace(obj, **{field: value})
 
 
 def test_a_section_stores_numbers_and_lists_in_one_form():
     cfg = config_from_dict(small_raw(system={"f_c": 28_000_000_000, "c2": 0},
                                      channel={"range_bounds": [0, 50]}))
-    assert type(cfg.system.f_c) is float and type(cfg.system.chirp.c2) is float
+    assert type(cfg.system.f_c) is float and type(cfg.system.c2) is float
     assert cfg.channel.range_bounds == (0.0, 50.0)
     assert all(type(b) is float for b in cfg.channel.range_bounds)
     sweep = replace(cfg.sweep, snr_db=[5, 10], modes=["pdnoma_ofdm"])
@@ -336,6 +334,8 @@ def test_a_negative_kappa_max_is_named_in_its_section():
     ("channel", "range_bounds", [0.0, 315.0]),
     ("channel", "velocity_bounds", [0.0, 300.0]),
     ("channel", "target_count", 9),
+    ("system", "c1", -0.005859375),              # 2*N*c1 = -3: data bins 64-67 in the NPE window
+    ("system", "c1", -1),                        # a 1052-entry window over all 256 bins
 ])
 def test_config_bounds_each_value_before_it_is_used(section, field, value):
     # the error names "section.field" first, as a type error does
@@ -367,40 +367,63 @@ _ODD = (0, 1, 2, 3, -1, -4, 0.5, -0.5, 100, 101, -101, 400, -4000, 1e9, 2**31, 1
         float("nan"), float("inf"), float("-inf"), True, False, "1", None)
 
 
-def _odd_values(value):
+def _odd_values(value, near: bool):
     """A field's odd values: one of _ODD, or its own value scaled, or for a
-    list a list of _ODD values or its own list one item short or long."""
+    list a list of _ODD values. If ``near``, its own value nudged instead: an
+    int by 1, a float by 10 %, a list one item short or long (null has no
+    near values, so it draws odd ones)."""
     odd = st.sampled_from(_ODD)
     if isinstance(value, list):
-        return st.one_of(odd, st.lists(odd, max_size=4), st.just(value[:-1]),
-                         st.just(value + value[-1:]))
+        return (st.sampled_from((value[:-1], value + value[-1:])) if near
+                else st.one_of(odd, st.lists(odd, max_size=4)))
     if type(value) in (int, float):
+        if near:
+            return st.sampled_from((value - 1, value + 1) if type(value) is int
+                                   else (0.9 * value, 1.1 * value))
         return st.one_of(odd, st.sampled_from((-1, 0, 0.5, 2, 10)).map(lambda k: k * value))
     return odd
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_a_mutated_config_fails_at_parse_time_or_runs_to_finite_curves(data):
+# of the 100 examples, 8 reached run_ber before nudged values were drawn, and 21 after
+_MUTATED_CONFIGS_RUN = 18
+
+
+def test_a_mutated_config_fails_at_parse_time_or_runs_to_finite_curves():
     # the desk config with 1-3 fields changed: a value either fails in
-    # config_from_dict or runs (warnings are errors, as in every test)
-    raw = json.loads(CONFIG.read_text())
-    keys = [(section, key) for section in raw for key in raw[section]]
-    for section, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
-                                           unique=True)):
-        raw[section][key] = data.draw(_odd_values(raw[section][key]))
-    try:
-        cfg = config_from_dict(raw)
-    except ValueError:
-        return
-    cfg = replace(cfg, sweep=replace(cfg.sweep, trials=1, snr_db=cfg.sweep.snr_db[:1]))
-    curves = list(run_ber(cfg).values())
-    try:
-        curves += run_sensing(cfg).values()
-    except ValueError as exc:       # the documented [0, 0] box
-        assert "sensing NMSE is undefined" in str(exc)
-    assert all(np.isfinite([p.metric, p.confidence_halfwidth]).all()
-               for points in curves for p in points)
+    # config_from_dict or gives NPE windows of distinct, data-free bins and
+    # runs (warnings are errors, as in every test)
+    ran = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def mutated(data):
+        raw = json.loads(CONFIG.read_text())
+        keys = [(section, key) for section in raw for key in raw[section]]
+        near = data.draw(st.sampled_from((False, True, True)))     # two in three nudge
+        for section, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                               unique=True)):
+            raw[section][key] = data.draw(_odd_values(raw[section][key], near))
+        try:
+            cfg = config_from_dict(raw)
+        except ValueError:
+            return
+        for waveform in ("afdm", "otfs"):
+            layout = _layouts(cfg)[waveform]
+            window = layout.npe_window
+            assert np.unique(window).size == window.size, waveform
+            assert not np.isin(window, layout.data).any(), waveform
+        cfg = replace(cfg, sweep=replace(cfg.sweep, trials=1, snr_db=cfg.sweep.snr_db[:1]))
+        ran.append(cfg)
+        curves = list(run_ber(cfg).values())
+        try:
+            curves += run_sensing(cfg).values()
+        except ValueError as exc:       # the documented [0, 0] box
+            assert "sensing NMSE is undefined" in str(exc)
+        assert all(np.isfinite([p.metric, p.confidence_halfwidth]).all()
+                   for points in curves for p in points)
+
+    mutated()
+    assert len(ran) >= _MUTATED_CONFIGS_RUN, f"only {len(ran)} of 100 mutated configs ran"
 
 
 def test_config_rejects_duplicate_modes(capsys):
@@ -541,7 +564,7 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
     rebuilt = _transmit(sys_, layout, waveform, syms, paths)
     echo_and_noise = up["g"] * chunk.r_dl + np.sqrt(sigma2) * chunk.noise_unit
     assert np.max(np.abs(r - rebuilt - echo_and_noise)) < 1e-10
-    mod = {"afdm": dense_afdm_mod(sys_.N, L, sys_.chirp.c1, sys_.chirp.c2),
+    mod = {"afdm": dense_afdm_mod(sys_.N, L, sys_.c1, sys_.c2),
            "otfs": dense_otfs_w(sys_.N1, sys_.N2, L),
            "ofdm": dense_ofdm_mod(sys_.N, L)}[waveform]
     for row, x, ps in zip(rebuilt, syms, paths):
@@ -913,6 +936,18 @@ def test_manifest_hashes_every_listed_file(tmp_path):
     assert len(manifest["files"]) == 4   # two modes, distance and velocity
     for f in manifest["files"]:
         assert hashlib.sha256(Path(f).read_bytes()).hexdigest() == manifest["sha256"][f]
+
+
+def test_manifest_config_reruns_to_the_run_config_and_its_hash(tmp_path):
+    # the resolved config, c1's default filled in: an output directory can
+    # be re-run and its hash re-checked on its own
+    cfg = config_from_dict(small_raw(sweep={"trials": 1}, system={"c2": 0.25}))
+    run_and_write("ber", cfg, tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"]["system"]["c1"] == 3 / 512
+    again = config_from_dict(manifest["config"])
+    assert again == cfg
+    assert config_hash(again) == manifest["config_hash"]
 
 
 def test_cli_repeat_runs_byte_identical(tmp_path):

@@ -34,7 +34,7 @@ from wdnoma.receiver import (
     estimate_noise_power,
     mmse_detect,
 )
-from wdnoma.transforms import ChirpParams, cpp_prefix_phases
+from wdnoma.transforms import cpp_prefix_phases, default_c1, shift_factor
 from wdnoma.waveforms import TRANSFORMS, SystemConfig, afdm_demod_samples, afdm_mod_samples
 
 rng = np.random.default_rng(41)
@@ -42,7 +42,7 @@ rng = np.random.default_rng(41)
 
 def make_cfg(N=16, L=4, kappa_max=1, N1=4, N2=4):
     return SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
-                        chirp=ChirpParams.for_max_doppler(kappa_max, N), N1=N1, N2=N2)
+                        c1=default_c1(kappa_max, N), N1=N1, N2=N2)
 
 
 def _paths_as_tuples(ps):
@@ -66,7 +66,7 @@ def test_equivalent_channel_single_path_dense_oracle():
     cfg = make_cfg(N=16, L=4)
     ps = PathSet((path_from_bin(1.0, 2, 1, 16, 20),), 20)
     H = build_equivalent_channel(ps, cfg, "afdm").matrix
-    Href = dense_equivalent_channel(16, 4, cfg.chirp.c1, cfg.chirp.c2, _paths_as_tuples(ps))
+    Href = dense_equivalent_channel(16, 4, cfg.c1, cfg.c2, _paths_as_tuples(ps))
     assert np.max(np.abs(H - Href)) < 1e-11
 
 
@@ -80,7 +80,7 @@ def test_equivalent_channel_random_dense_oracle():
                       for _ in range(int(g.integers(1, 4))))
         ps = PathSet(paths, 20)
         H = build_equivalent_channel(ps, cfg, "afdm").matrix
-        Href = dense_equivalent_channel(16, 4, cfg.chirp.c1, cfg.chirp.c2,
+        Href = dense_equivalent_channel(16, 4, cfg.c1, cfg.c2,
                                         _paths_as_tuples(ps))
         assert np.max(np.abs(H - Href)) < 1e-11
 
@@ -113,7 +113,7 @@ def _chains(draw, fractional=False):
     kappa_max = draw(st.integers(0, 3))
     c2 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 / (2 * N))))
     cfg = SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
-                       chirp=ChirpParams(ChirpParams.for_max_doppler(kappa_max, N).c1, c2),
+                       c1=default_c1(kappa_max, N), c2=c2,
                        N1=N1, N2=N2)
     path = st.builds(lambda re, im, l, nu: ChannelPath(complex(re, im), l, nu),
                      st.floats(-2, 2), st.floats(-2, 2), st.integers(0, L),
@@ -128,7 +128,7 @@ def test_analytic_equivalent_channel_matches_dense_oracle(waveform, chain):
     # H built from the time-domain taps against the five-matrix product
     cfg, ps = chain
     H = build_equivalent_channel(ps, cfg, waveform).matrix
-    Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
+    Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.c1, cfg.c2,
                                     _paths_as_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-11
 
@@ -182,7 +182,7 @@ def test_fractional_doppler_channel_matches_dense_oracle(waveform, chain):
     cfg, ps = chain
     eq = build_equivalent_channel(ps, cfg, waveform)
     H = eq.matrix
-    Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.chirp.c1, cfg.chirp.c2,
+    Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.c1, cfg.c2,
                                     _paths_as_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-12
     d = random_complex(np.random.default_rng(cfg.N + len(ps.paths)), cfg.N)
@@ -197,7 +197,7 @@ def test_equivalent_channel_single_path_sparsity():
     tau, kappa = 3, -1
     ps = PathSet((path_from_bin(1.0, tau, kappa, 32, 40),), 40)
     H = build_equivalent_channel(ps, cfg, "afdm").matrix
-    shift = (cfg.chirp.shift_factor(32) * tau + kappa) % 32
+    shift = (shift_factor(32, cfg.c1) * tau + kappa) % 32
     mask = np.zeros((32, 32), dtype=bool)
     k = np.arange(32)
     mask[k, (k + shift) % 32] = True
@@ -228,7 +228,7 @@ def _build_draws(draw, distinct_delays=False):
     L = draw(st.integers(0, min(N - 1, 8)))
     kappa_max = draw(st.integers(0, 3))
     cfg = SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
-                       chirp=ChirpParams.for_max_doppler(kappa_max, N), N1=1, N2=N)
+                       c1=default_c1(kappa_max, N), N1=1, N2=N)
     gain = st.one_of(st.just(1.0), st.floats(-2, 2),
                      st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
     path = st.builds(ChannelPath, gain, st.integers(0, L),
@@ -251,7 +251,7 @@ def test_taps_are_the_channels_own_doppler_ramps(waveform, draws):
         l = p.delay_samples
         tap = p.gain * doppler_ramp(p.doppler_norm, ps.frame_len)[prefix - l:prefix - l + N]
         if waveform == "afdm":
-            tap[:l] = tap[:l] * cpp_prefix_phases(N, prefix, cfg.chirp.c1)[prefix - l:]
+            tap[:l] = tap[:l] * cpp_prefix_phases(N, prefix, cfg.c1)[prefix - l:]
         assert np.array_equal(H.taps[H.delays.index(l)], tap)
 
 
@@ -758,14 +758,14 @@ def test_band_factor_and_solves_equal_scipy_linalgs(nrhs):
 
 def _layout_and_cfg():
     cfg = make_cfg(N=64, L=8, kappa_max=1, N1=8, N2=8)
-    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp, 2)
+    layout = allocate_frame(64, 0, 8, 12, 1, cfg.c1, 2)
     return cfg, layout
 
 
 def test_estimate_noise_power_pure_noise():
     cfg, _ = _layout_and_cfg()
     # static-channel layout: 8-bin window for a tighter Monte Carlo estimate
-    layout = allocate_frame(64, 0, 8, 12, 1, cfg.chirp, 0)
+    layout = allocate_frame(64, 0, 8, 12, 1, cfg.c1, 0)
     g = np.random.default_rng(9)
     acc = 0.0
     trials = 400
@@ -785,7 +785,7 @@ def test_perfect_cancellation_no_noise():
     frame = embed(syms, layout, cfg.N)
     ps = PathSet((path_from_bin(0.7 - 0.1j, 1, 1, 64, 72),
                   path_from_bin(0.2j, 2, -1, 64, 72)), 72)
-    r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     res = r - harness._transmit(cfg, layout, "afdm", syms, ps)
     assert np.max(np.abs(res)) < 1e-10
 
@@ -796,7 +796,7 @@ def test_cancellation_residual_is_echo_plus_noise():
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
     frame = embed(syms, layout, cfg.N)
     ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
-    r_ul = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
+    r_ul = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     echo = random_complex(g, 72)
     w = random_complex(g, 72) * 0.1
     r = r_ul + 0.1 * echo + w
@@ -811,12 +811,12 @@ def test_cancellation_error_energy_via_linearity():
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
     frame = embed(syms, layout, cfg.N)
     ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
-    r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), ps)
+    r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     bad = syms.copy()
     bad[5] += 2.0
     res = r - harness._transmit(cfg, layout, "afdm", bad, ps)
     err_frame = embed(bad - syms, layout, cfg.N)
-    expected = apply_dd_channel_samples(afdm_mod_samples(err_frame, cfg.chirp, cfg.L_cpp), ps)
+    expected = apply_dd_channel_samples(afdm_mod_samples(err_frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     assert abs(np.sum(np.abs(res) ** 2) - np.sum(np.abs(expected) ** 2)) < 1e-10
 
 
@@ -824,5 +824,6 @@ def test_demodulate_frame_roundtrip():
     cfg, layout = _layout_and_cfg()
     syms = random_complex(rng, layout.n_data)
     frame = embed(syms, layout, cfg.N)
-    d = afdm_demod_samples(afdm_mod_samples(frame, cfg.chirp, cfg.L_cpp), cfg.chirp, cfg.L_cpp)
+    d = afdm_demod_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), cfg.c1, cfg.c2,
+                           cfg.L_cpp)
     assert np.max(np.abs(d - frame)) < 1e-12

@@ -23,7 +23,7 @@ from wdnoma.sensing import (
     omp_2d,
 )
 from wdnoma.channel import PhysicalTarget
-from wdnoma.transforms import ChirpParams
+from wdnoma.transforms import default_c1
 from wdnoma.waveforms import SystemConfig
 
 rng = np.random.default_rng(53)
@@ -31,7 +31,7 @@ rng = np.random.default_rng(53)
 
 def make_cfg(N=16, N1=4, N2=4):
     return SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=4, L_cpp=4,
-                        chirp=ChirpParams.for_max_doppler(1, N), N1=N1, N2=N2)
+                        c1=default_c1(1, N), N1=N1, N2=N2)
 
 
 def _frame(L=20):

@@ -13,7 +13,7 @@ from oracles import (
     random_complex,
 )
 from wdnoma import harness, waveforms
-from wdnoma.transforms import ChirpParams, add_cp_samples, add_cpp_samples
+from wdnoma.transforms import add_cp_samples, add_cpp_samples, default_c1
 from wdnoma.waveforms import (
     TRANSFORMS,
     SystemConfig,
@@ -34,7 +34,7 @@ rng = np.random.default_rng(11)
 
 def make_cfg(N=16, M=4, L=4, N1=4, N2=4, kappa_max=1):
     return SystemConfig(N=N, M=M, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
-                        chirp=ChirpParams.for_max_doppler(kappa_max, N), N1=N1, N2=N2)
+                        c1=default_c1(kappa_max, N), N1=N1, N2=N2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +145,10 @@ def test_ofdm_matches_dense_oracle():
 
 def test_afdm_matches_dense_oracle():
     cfg = make_cfg()
-    B = dense_afdm_mod(cfg.N, cfg.L_cpp, cfg.chirp.c1, cfg.chirp.c2)
+    B = dense_afdm_mod(cfg.N, cfg.L_cpp, cfg.c1, cfg.c2)
     for _ in range(10):
         x = random_complex(rng, cfg.N)
-        got = afdm_mod_samples(x, cfg.chirp, cfg.L_cpp)
+        got = afdm_mod_samples(x, cfg.c1, cfg.c2, cfg.L_cpp)
         assert np.max(np.abs(got - B @ x)) < 1e-12
 
 
@@ -163,7 +163,7 @@ def test_otfs_matches_dense_kronecker_oracle():
 
 def test_otfs_n2_equal_one_reduces_to_cp_only():
     cfg = SystemConfig(N=8, M=4, f_c=28e9, delta_f=30e3, L_cp=2, L_cpp=2,
-                       chirp=ChirpParams(0.0), N1=8, N2=1)
+                       c1=0.0, N1=8, N2=1)
     x = random_complex(rng, 8)
     got = otfs_mod_samples(x, cfg.N1, cfg.N2, cfg.L_cp)
     assert np.allclose(got[2:], x, atol=1e-13)
@@ -216,13 +216,13 @@ def test_transform_table_is_each_kernel_without_its_prefix(waveform, L):
     cfg = make_cfg(N=15, L=L, N1=5, N2=3)
     kernels = {
         "ofdm": (lambda x: ofdm_mod_samples(x, L), lambda r: ofdm_demod_samples(r, L)),
-        "afdm": (lambda x: afdm_mod_samples(x, cfg.chirp, L),
-                 lambda r: afdm_demod_samples(r, cfg.chirp, L)),
+        "afdm": (lambda x: afdm_mod_samples(x, cfg.c1, cfg.c2, L),
+                 lambda r: afdm_demod_samples(r, cfg.c1, cfg.c2, L)),
         "otfs": (lambda x: otfs_mod_samples(x, 5, 3, L), lambda r: otfs_demod_samples(r, 5, 3, L)),
     }
     mod, demod = kernels[waveform]
     entry = TRANSFORMS[waveform]
-    prefix = ((lambda y: add_cpp_samples(y, L, cfg.chirp.c1)) if entry.chirp_prefix
+    prefix = ((lambda y: add_cpp_samples(y, L, cfg.c1)) if entry.chirp_prefix
               else (lambda y: add_cp_samples(y, L)))
     x = random_complex(rng, 2 * 3 * 15).reshape(2, 3, 15)
     r = random_complex(rng, 2 * 3 * (15 + L)).reshape(2, 3, 15 + L)
@@ -233,7 +233,7 @@ def test_transform_table_is_each_kernel_without_its_prefix(waveform, L):
 def test_zero_in_zero_out():
     cfg = make_cfg()
     z = np.zeros(cfg.N, dtype=np.complex128)
-    assert np.all(afdm_mod_samples(z, cfg.chirp, cfg.L_cpp) == 0)
+    assert np.all(afdm_mod_samples(z, cfg.c1, cfg.c2, cfg.L_cpp) == 0)
 
 
 # ---------------------------------------------------------------------------
