@@ -6,24 +6,22 @@ purpose), so results do not depend on execution order or worker count, and
 the same channel/bit/noise draws pair all receiver modes and all SNR points
 (common random numbers).
 
-The sweeps run chunks of trials. With one worker the loop is chunk-major:
-each chunk's draws, prepared uplink channels, uplinks and sensing
-dictionary are built once and serve every SNR point. With more workers
-each SNR point gets its own pool, which calls the same chunk function with
-that one point.
+The sweeps run chunks of trials. With one worker a chunk takes every SNR
+point, so it holds max(1, _CHUNK_ROWS // p) of the trials for p points and
+its stacked passes at most _CHUNK_ROWS (SNR point, trial) rows (p, when p
+exceeds it): the shipped 8 points run 8-trial chunks, a one-point sweep
+64-trial ones. With more workers each SNR point gets its own pool, which
+calls the same chunk function on 64-trial chunks with that one point.
 
-Inside a chunk of T trials the SNR points run in blocks of
-max(1, _CHUNK_TRIALS // T) points, so no stacked pass holds more than
-_CHUNK_TRIALS (SNR point, trial) rows: a 64-trial chunk takes one point per
-pass, a 4-trial chunk up to 16. Per block, the composition, each waveform
-group's demodulator, NPE, demapping and cancellation, and the sense
-sweep's correlation run once on (p, T, ...) stacks, and one MMSE solve
-takes every point and group (it works in slabs of a bounded size, so its
-work arrays do not grow with the block); the sense scoring runs once per
-chunk and mode. Each row gets the operations of its own one-point pass,
-so the blocks do not move a curve. Two calls stay per SNR point: the
-equivalent channel builds and the 2D-OMP calls, which perfbench/tests
-counts per point.
+A chunk builds its draws, prepared uplink channels, uplinks and sensing
+dictionary once. Its composition, each waveform group's demodulator, NPE,
+demapping and cancellation, and the sense sweep's correlation run once on
+(p, T, ...) stacks, one MMSE solve takes every point and group (it works in
+slabs of a bounded size, so its work arrays do not grow with the chunk),
+and the sense scoring runs once per mode. Each row gets the operations of
+its own one-point, one-trial pass, so the chunk size moves no curve. Two
+calls stay per SNR point: the equivalent channel builds and the 2D-OMP
+calls, which perfbench/tests counts per point.
 
 A chunk returns one array, (SNR point, trial, mode, ...), each mode at its
 position in the sweep's modes; the sweep concatenates the chunks along the
@@ -136,7 +134,7 @@ class FrameConfig:
 
     def __post_init__(self):
         check_fields(self, "frame")
-        _at_least(self, "frame", kappa_max=0)
+        _at_least(self, "frame", K1=0, K2=1, kappa_max=0, otfs_guard_cols=1)
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,17 @@ class ExperimentConfig:
             raise ValueError(f"channel.uplink_taps = {ch.uplink_taps}: delay spread above L_cp")
         if max(abs(b) for b in ch.doppler_bins) > self.frame.kappa_max:
             raise ValueError("channel.doppler_bins: uplink Doppler bins exceed kappa_max")
+        fr, N, N2 = self.frame, self.system.N, self.system.N2
         # one config per layout: allocate_frame reads the start modulo N
-        if not 0 <= self.frame.guard_start < self.system.N:
-            raise ValueError(f"frame.guard_start = {self.frame.guard_start} must lie in [0, N)")
+        if not 0 <= fr.guard_start < N:
+            raise ValueError(f"frame.guard_start = {fr.guard_start} must lie in [0, N)")
+        # the guards leave data bins (AFDM) and data columns (OTFS)
+        if fr.K1 + fr.K2 >= N:
+            raise ValueError(f"frame.K2 = {fr.K2}: guards K1+K2 = {fr.K1 + fr.K2} must leave "
+                             f"room for data in N = {N}")
+        if 2 * fr.otfs_guard_cols >= N2:
+            raise ValueError(f"frame.otfs_guard_cols = {fr.otfs_guard_cols}: guard columns at "
+                             f"both edges must leave data columns in N2 = {N2}")
         # every drawn target must quantize onto the 2D-OMP grid, each into
         # its own cell; quantization is monotone, so the bounds span the box
         (near, k_lo), (far, k_hi) = (quantize_target(r, v, self.system)
@@ -215,7 +221,7 @@ class ExperimentConfig:
             raise ValueError(f"channel.target_count = {ch.target_count}: the targets fall in "
                              f"distinct cells too rarely; a trial fails all {_TARGET_DRAWS} "
                              f"draws with probability {p_fail:.2g}")
-        # fail early if the guard layouts are inconsistent; this also fills the cache
+        # fail early if a guard leaves its NPE window empty; this also fills the cache
         _layouts(self)
 
 
@@ -281,10 +287,15 @@ WAVEFORMS = MappingProxyType({
 })
 
 
+# the field that sizes each waveform's layout, named in its error: once the
+# guards fit the grid, what a layout can still reject is an empty NPE window
+_LAYOUT_FIELDS = {"afdm": "frame.K2", "otfs": "frame.otfs_guard_cols", "ofdm": "system.N"}
+
+
 @lru_cache(maxsize=8)
 def _layouts(cfg: ExperimentConfig):
     """The frame layout of each waveform; cached per config, so read-only."""
-    layouts = {w: entry.layout(cfg) for w, entry in WAVEFORMS.items()}
+    layouts = {w: _field(_LAYOUT_FIELDS[w], entry.layout, cfg) for w, entry in WAVEFORMS.items()}
     for layout in layouts.values():
         for value in vars(layout).values():
             if isinstance(value, np.ndarray):
@@ -379,10 +390,10 @@ def _transmit(sys_, layout, waveform: str, syms, paths) -> np.ndarray:
 
 
 class _Chunk:
-    """A chunk of trials: each trial's draws, and the signals built from them
-    as (T, ·) stacks by one call per stage, row for row the one-trial values.
-    The uplink channels are prepared once; they send every waveform's uplink
-    and rebuild it for every cancellation."""
+    """A chunk of trials, a sweep's unit of work: each trial's draws, and the
+    signals built from them as (T, ·) stacks by one call per stage, row for
+    row the one-trial values. The uplink channels are prepared once; they
+    send every waveform's uplink and rebuild it for every cancellation."""
 
     def __init__(self, cfg: ExperimentConfig, trials):
         sys_ = cfg.system
@@ -395,30 +406,24 @@ class _Chunk:
         self.r_dl = apply_dd_channel_samples(self.s_dl, [c.sense_ps for c in self.ctxs])
         self.noise_unit = np.stack([c.noise_unit for c in self.ctxs])
         self.n_targets = np.array([[len(c.targets)] for c in self.ctxs])
-        self._uplinks = {}
 
     def uplink(self, waveform: str):
         """For one waveform: the transmit bits (T, n_bits), the received uplink
         signals (T, L), its power p_ul, the (T, 1) echo amplitudes g that put
         the echo echo_power_offset_db below p_ul, and the echo's mean power per
-        bin (T,). Built on the first call, so bits are drawn only for the
-        waveforms a sweep runs; every SNR point shares them, so read-only."""
-        if waveform not in self._uplinks:
-            sys_, seed = self.cfg.system, self.cfg.sweep.master_seed
-            layout = self.layouts[waveform]
-            n_bits = layout.n_data * int(np.log2(sys_.M))
-            bits = np.stack([_rng(seed, t, f"bits_{waveform}").integers(0, 2, n_bits)
-                             for t in self.trials])
-            syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
-            r_ul = _transmit(sys_, layout, waveform, syms, self.ul_channels)
-            p_ul = layout.n_data / sys_.N
-            g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
-            echo_bin_power = np.mean(np.abs(g * self.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
-            for a in (bits, r_ul, g, echo_bin_power):
-                a.flags.writeable = False
-            self._uplinks[waveform] = {"bits": bits, "r_ul": r_ul, "p_ul": p_ul, "g": g,
-                                       "echo_bin_power": echo_bin_power}
-        return self._uplinks[waveform]
+        bin (T,). Built on each call; ``_detect_chunk`` makes one per waveform
+        group, so bits are drawn only for the waveforms a sweep runs."""
+        sys_, seed = self.cfg.system, self.cfg.sweep.master_seed
+        layout = self.layouts[waveform]
+        n_bits = layout.n_data * int(np.log2(sys_.M))
+        bits = np.stack([_rng(seed, t, f"bits_{waveform}").integers(0, 2, n_bits)
+                         for t in self.trials])
+        syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
+        r_ul = _transmit(sys_, layout, waveform, syms, self.ul_channels)
+        p_ul = layout.n_data / sys_.N
+        g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
+        echo_bin_power = np.mean(np.abs(g * self.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
+        return {"bits": bits, "r_ul": r_ul, "p_ul": p_ul, "g": g, "echo_bin_power": echo_bin_power}
 
     def compose(self, up, snr_points):
         """(p, T, L) uplink plus echo plus noise at each of the p ``snr_points``,
@@ -431,8 +436,9 @@ class _Chunk:
 
 def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
     """Estimate the noise and MMSE-detect the trials of ``chunk`` at p SNR
-    points for every waveform group of ``modes``: one demodulator and one NPE
-    pass per group that has an NPE mode, on its (p, T, ·) stack, then one
+    points for every waveform group of ``modes``: each group's uplink built
+    once and composed at every point, one demodulator and one NPE pass per
+    group that has an NPE mode, on its (p, T, ·) stack, then one
     ``mmse_detect`` call for every point and group on the received core
     samples (the detector reads no demodulated frame). Returns per group: its
     modes, the received frames (p, T, N + L_cp), the sent bits (T, n_bits)
@@ -478,62 +484,54 @@ class CurvePoint:
     confidence_halfwidth: float
 
 
-_CHUNK_TRIALS = 64     # trials per chunk, one task of a worker; rows per stacked pass
+_CHUNK_ROWS = 64     # (SNR point, trial) rows per stacked pass
 
 
-def _chunks(n_trials: int):
-    for start in range(0, n_trials, _CHUNK_TRIALS):
-        yield list(range(start, min(start + _CHUNK_TRIALS, n_trials)))
-
-
-def _snr_blocks(n_points: int, T: int) -> list:
-    """Slices of a chunk's SNR points that one stacked pass takes: at most
-    _CHUNK_TRIALS (SNR point, trial) rows, and one point at least."""
-    step = max(1, _CHUNK_TRIALS // T)
-    return [slice(lo, lo + step) for lo in range(0, n_points, step)]
+def _chunks(n_trials: int, n_points: int):
+    """Trials 0 .. n_trials - 1 in order, in chunks of max(1, _CHUNK_ROWS //
+    n_points): a chunk that takes n_points SNR points stacks at most
+    _CHUNK_ROWS rows, or n_points when there are more."""
+    size = max(1, _CHUNK_ROWS // n_points)
+    for start in range(0, n_trials, size):
+        yield list(range(start, min(start + size, n_trials)))
 
 
 def _ber_chunk(cfg, snr_points, trials, modes):
     """Bit errors of each trial of a chunk, (SNR point, trial, mode) int64."""
-    chunk, T = _Chunk(cfg, trials), len(trials)
     col = {m: i for i, m in enumerate(modes)}
-    out = np.zeros((len(snr_points), T, len(modes)), dtype=np.int64)
-    for block in _snr_blocks(len(snr_points), T):
-        for group, _, bits, syms in _detect_chunk(chunk, snr_points[block], modes):
-            bits_hat = qam_demap_hard(syms.ravel(), cfg.system.M).reshape(*syms.shape[:3], -1)
-            errors = np.count_nonzero(bits_hat != bits[:, None], axis=-1)     # (p, T, G)
-            out[block, :, [col[m] for m in group]] = errors
+    out = np.zeros((len(snr_points), len(trials), len(modes)), dtype=np.int64)
+    for group, _, bits, syms in _detect_chunk(_Chunk(cfg, trials), snr_points, modes):
+        bits_hat = qam_demap_hard(syms.ravel(), cfg.system.M).reshape(*syms.shape[:3], -1)
+        out[..., [col[m] for m in group]] = np.count_nonzero(bits_hat != bits[:, None], axis=-1)
     return out
 
 
 def _sense_chunk(cfg, snr_points, trials, modes):
     """(err_r, ref_r, err_v, ref_v, index_errors) of each trial of a chunk,
-    (SNR point, trial, mode, 5) float64. Per block of SNR points: every
-    mode's detection, one cancellation per waveform group, one correlation
-    pass over all points, trials and modes against the chunk's dictionary
-    and one 2D-OMP per (SNR point, trial, mode). Then per mode one scoring
-    pass over every (SNR point, trial) row against the targets and their
-    sorted cells."""
+    (SNR point, trial, mode, 5) float64: every mode's detection, one
+    cancellation per waveform group, one correlation pass over all points,
+    trials and modes against the chunk's dictionary and one 2D-OMP per (SNR
+    point, trial, mode). Then per mode one scoring pass over every (SNR
+    point, trial) row against the targets and their sorted cells."""
     sys_, k = cfg.system, cfg.frame.kappa_max
     chunk, n, T = _Chunk(cfg, trials), len(snr_points), len(trials)
     col = {m: i for i, m in enumerate(modes)}
     dic = build_dictionary(chunk.s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
     targets = [c.targets for c in chunk.ctxs]
     P = len(targets[0])
+    cols, residuals = [], []
+    for group, r, _, syms in _detect_chunk(chunk, snr_points, modes):
+        waveform = MODES[group[0]][0]
+        hard = qam_slice(syms, sys_.M).transpose(0, 2, 1, 3)     # (p, G, T, n_data)
+        rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ul_channels)
+        cols += [col[m] for m in group]
+        residuals.append((r[:, None] - rebuilt).transpose(2, 0, 1, 3))  # (T, p, G, L)
+    res = np.concatenate(residuals, axis=2)
+    corr = correlate(dic, res.reshape(T, -1, res.shape[-1])).reshape(*res.shape[:3], -1)
+    found = np.array([omp_2d(corr[t, i, m], dic, t, P).targets
+                      for t, i, m in np.ndindex(corr.shape[:3])])
     picks = np.empty((n, T, len(modes), P, 2), dtype=np.int64)    # (tau, nu) of each pick
-    for block in _snr_blocks(n, T):
-        cols, residuals = [], []
-        for group, r, _, syms in _detect_chunk(chunk, snr_points[block], modes):
-            waveform = MODES[group[0]][0]
-            hard = qam_slice(syms, sys_.M).transpose(0, 2, 1, 3)     # (p, G, T, n_data)
-            rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ul_channels)
-            cols += [col[m] for m in group]
-            residuals.append((r[:, None] - rebuilt).transpose(2, 0, 1, 3))  # (T, p, G, L)
-        res = np.concatenate(residuals, axis=2)
-        corr = correlate(dic, res.reshape(T, -1, res.shape[-1])).reshape(*res.shape[:3], -1)
-        found = np.array([omp_2d(corr[t, i, m], dic, t, P).targets
-                          for t, i, m in np.ndindex(corr.shape[:3])])
-        picks[block, :, cols] = found.reshape(*corr.shape[:3], P, 2).swapaxes(0, 1)
+    picks[:, :, cols] = found.reshape(*corr.shape[:3], P, 2).swapaxes(0, 1)
     # every (SNR point, trial) row against its trial's truths
     true_r = np.tile([[t.range_m for t in ts] for ts in targets], (n, 1))
     true_v = np.tile([[t.velocity_mps for t in ts] for ts in targets], (n, 1))
@@ -560,24 +558,24 @@ def _check_workers(workers) -> None:
 def _pool_workers(cfg, workers: int) -> int:
     """The workers a sweep's pools run: a worker without a chunk would only
     add a fork and an exit."""
-    return min(workers, math.ceil(cfg.sweep.trials / _CHUNK_TRIALS))
+    return min(workers, math.ceil(cfg.sweep.trials / _CHUNK_ROWS))
 
 
 def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
     """``chunk_fn``'s array over every trial, (SNR point, trial, ...), in trial order."""
     sweep = cfg.sweep
-    chunks = list(_chunks(sweep.trials))
     if workers <= 1:
         return np.concatenate([chunk_fn(cfg, sweep.snr_db, trials, sweep.modes)
-                               for trials in chunks], axis=1)
+                               for trials in _chunks(sweep.trials, len(sweep.snr_db))], axis=1)
     # numpy loads these on first use; loaded here, before any fork, no worker
     # imports them for its first chunk, and serial runs do not load them early
     import numpy.fft
     import numpy.random
     # looked up on the module at call time, where tests and tracers may replace it
     pool_class = sys.modules[__name__].ProcessPoolExecutor
-    # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b)
-    points = []
+    # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b);
+    # its tasks take one point each, so their chunks hold _CHUNK_ROWS trials
+    chunks, points = list(_chunks(sweep.trials, 1)), []
     for snr_db in sweep.snr_db:
         with pool_class(max_workers=_pool_workers(cfg, workers)) as pool:
             points.append(np.concatenate(list(pool.map(

@@ -10,7 +10,7 @@ difference of the grid. That is 16 n_nu^2 (2 n_tau - 1) bytes per trial
 on a contiguous delay grid.
 
 Correlations. ``correlate`` gives every cell's correlation with each of
-M residuals per trial (every SNR point and mode of a block) in one FFT
+M residuals per trial (every SNR point and mode of a chunk) in one FFT
 pass: one FFT per residual, one product with the trial's conjugate
 replica spectra and one inverse FFT per replica, read at the grid delays. Each row of a
 numpy FFT is transformed alone, so a row of the stack is bit for bit the

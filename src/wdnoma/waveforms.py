@@ -85,7 +85,7 @@ class SystemConfig:
 
     def __post_init__(self):
         check_fields(self, "system", off=("echo_power_offset_db",))
-        for name in ("N", "f_c", "delta_f"):
+        for name in ("N", "N1", "N2", "f_c", "delta_f"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"system.{name} = {getattr(self, name)} must be positive")
         if self.N1 * self.N2 != self.N:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -336,11 +337,24 @@ def test_a_negative_kappa_max_is_named_in_its_section():
     ("channel", "target_count", 9),
     ("system", "c1", -0.005859375),              # 2*N*c1 = -3: data bins 64-67 in the NPE window
     ("system", "c1", -1),                        # a 1052-entry window over all 256 bins
+    # each of these raised from the frame layouts, naming no field; a dict
+    # holds the sections changed, where the named field is not the one changed
+    ("system", "N1", {"system": {"N1": -16, "N2": -16}}),    # N1 * N2 = N
+    ("frame", "K1", -1),
+    ("frame", "K2", 0),
+    ("frame", "K2", 230),                        # guards K1+K2 = 262 in N = 256
+    ("frame", "K2", 3),                          # an empty AFDM NPE window
+    ("frame", "K2", {"frame": {"kappa_max": 7}}),          # a Doppler spread that crowds it
+    ("frame", "K2", {"channel": {"uplink_taps": 17}}),     # a delay spread that crowds it
+    ("frame", "otfs_guard_cols", 0),
+    ("frame", "otfs_guard_cols", 8),             # every one of N2 = 16 columns a guard
+    ("frame", "otfs_guard_cols", 1),             # an empty OTFS NPE window
 ])
 def test_config_bounds_each_value_before_it_is_used(section, field, value):
     # the error names "section.field" first, as a type error does
+    over = value if isinstance(value, dict) else {section: {field: value}}
     with pytest.raises(ValueError, match=rf"^{section}\.{field}\b"):
-        config_from_dict(small_raw(**{section: {field: value}}))
+        config_from_dict(small_raw(**over))
 
 
 def test_config_takes_the_ends_of_its_ranges():
@@ -367,31 +381,61 @@ _ODD = (0, 1, 2, 3, -1, -4, 0.5, -0.5, 100, 101, -101, 400, -4000, 1e9, 2**31, 1
         float("nan"), float("inf"), float("-inf"), True, False, "1", None)
 
 
-def _odd_values(value, near: bool):
+def _odd_values(value):
     """A field's odd values: one of _ODD, or its own value scaled, or for a
-    list a list of _ODD values. If ``near``, its own value nudged instead: an
-    int by 1, a float by 10 %, a list one item short or long (null has no
-    near values, so it draws odd ones)."""
+    list a list of _ODD values."""
     odd = st.sampled_from(_ODD)
     if isinstance(value, list):
-        return (st.sampled_from((value[:-1], value + value[-1:])) if near
-                else st.one_of(odd, st.lists(odd, max_size=4)))
+        return st.one_of(odd, st.lists(odd, max_size=4))
     if type(value) in (int, float):
-        if near:
-            return st.sampled_from((value - 1, value + 1) if type(value) is int
-                                   else (0.9 * value, 1.1 * value))
         return st.one_of(odd, st.sampled_from((-1, 0, 0.5, 2, 10)).map(lambda k: k * value))
     return odd
 
 
-# of the 100 examples, 8 reached run_ber before nudged values were drawn, and 21 after
-_MUTATED_CONFIGS_RUN = 18
+# the field a grid nudge moves with it, and the power of the nudge's factor it
+# takes: N with N1, N1 against N2, so that N1 * N2 = N still holds
+_GRID_PARTNERS = {"N": ("N1", 1), "N1": ("N2", -1), "N2": ("N1", -1)}
+
+
+def _nudge(draw, section: dict, key: str) -> None:
+    """Move ``section[key]`` near its own value, in a way that can parse: M by
+    a factor 4; N, N1 or N2 by a factor 2 with its grid partner; L_cp and
+    L_cpp by the same 1; another int by 1; a float, or one item of a pair, by
+    10 %; a longer list one item short or long. Null has no near value, so it
+    draws an odd one."""
+    value = section[key]
+    if value is None:
+        section[key] = draw(st.sampled_from(_ODD))
+    elif key in _GRID_PARTNERS:
+        partner, sign = _GRID_PARTNERS[key]
+        f = draw(st.sampled_from((0.5, 2.0)))
+        section[key], section[partner] = int(value * f), int(section[partner] * f ** sign)
+    elif key in ("L_cp", "L_cpp"):
+        step = draw(st.sampled_from((-1, 1)))
+        section["L_cp"], section["L_cpp"] = section["L_cp"] + step, section["L_cpp"] + step
+    elif key == "M":
+        section[key] = draw(st.sampled_from((value * 4, value // 4)))
+    elif isinstance(value, list) and len(value) == 2:
+        i, f = draw(st.sampled_from((0, 1))), draw(st.sampled_from((0.9, 1.1)))
+        section[key] = [v * f if j == i else v for j, v in enumerate(value)]
+    elif isinstance(value, list):
+        section[key] = draw(st.sampled_from((value[:-1], value + value[-1:])))
+    elif type(value) is int:
+        section[key] = draw(st.sampled_from((value - 1, value + 1)))
+    else:
+        section[key] = draw(st.sampled_from((0.9 * value, 1.1 * value)))
+
+
+# of the 100 examples, 8 reached run_ber before nudged values were drawn, 21
+# while a third of the nudges could never parse, and 40 with nudges that can
+_MUTATED_CONFIGS_RUN = 37
 
 
 def test_a_mutated_config_fails_at_parse_time_or_runs_to_finite_curves():
     # the desk config with 1-3 fields changed: a value either fails in
-    # config_from_dict or gives NPE windows of distinct, data-free bins and
-    # runs (warnings are errors, as in every test)
+    # config_from_dict with an error that names its field, or gives NPE
+    # windows of distinct, data-free bins and runs (warnings are errors, as
+    # in every test)
     ran = []
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -402,10 +446,14 @@ def test_a_mutated_config_fails_at_parse_time_or_runs_to_finite_curves():
         near = data.draw(st.sampled_from((False, True, True)))     # two in three nudge
         for section, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                                                unique=True)):
-            raw[section][key] = data.draw(_odd_values(raw[section][key], near))
+            if near:
+                _nudge(data.draw, raw[section], key)
+            else:
+                raw[section][key] = data.draw(_odd_values(raw[section][key]))
         try:
             cfg = config_from_dict(raw)
-        except ValueError:
+        except ValueError as exc:
+            assert re.match(r"^(system|frame|channel|sweep)\.\w+", str(exc)), exc
             return
         for waveform in ("afdm", "otfs"):
             layout = _layouts(cfg)[waveform]
@@ -624,24 +672,38 @@ def test_chunk_serves_every_snr_point_as_the_pool_calls_do(chunk_fn):
         assert np.array_equal(joint[s:s + 1], chunk_fn(cfg, (snr_db,), trials, MODES))
 
 
+@pytest.mark.parametrize("n_points", [1, 3, 8, 65])
+def test_chunks_cover_the_trials_in_order_in_chunks_of_rows(n_points):
+    # a chunk takes every SNR point, so it holds _CHUNK_ROWS // n_points
+    # trials, and one when the points alone fill a pass
+    size = max(1, 64 // n_points)
+    for n_trials in (1, size, size + 1, 130):
+        chunks = list(harness._chunks(n_trials, n_points))
+        assert [t for chunk in chunks for t in chunk] == list(range(n_trials))
+        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= size
+
+
 @pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
-def test_blocks_of_snr_points_give_each_point_its_own_results(chunk_fn, monkeypatch):
-    # at 8 rows per stacked pass, 4 trials take their 3 SNR points in two
-    # blocks, of 2 points and 1; each point's results are those it gets alone
-    monkeypatch.setattr(harness, "_CHUNK_TRIALS", 8)
-    cfg = load_config(CONFIG)
-    trials, snrs = list(range(4)), (0.0, 17.5, 35.0)
-    assert harness._snr_blocks(len(snrs), len(trials)) == [slice(0, 2), slice(2, 4)]
-    joint = chunk_fn(cfg, snrs, trials, MODES)
-    for s, snr_db in enumerate(snrs):
-        assert np.array_equal(joint[s:s + 1], chunk_fn(cfg, (snr_db,), trials, MODES))
+def test_chunk_rows_do_not_move_the_sweep_arrays(chunk_fn, monkeypatch):
+    # 10 trials at 3 points: 10 one-trial chunks at 1 row per pass, 1-trial
+    # chunks at 5 (3 rows), one chunk at 64; through the pools as well
+    cfg = config_from_dict(small_raw(sweep={"trials": 10, "snr_db": [0.0, 17.5, 35.0],
+                                            "modes": list(MODES)}))
+    want = harness._per_snr(chunk_fn, cfg, 1)
+    assert want.shape[:3] == (3, 10, len(MODES))
+    for rows in (1, 5, 64):
+        monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+        for workers in (1, 2):
+            assert np.array_equal(harness._per_snr(chunk_fn, cfg, workers), want)
 
 
 @pytest.mark.parametrize("chunk_fn", [_ber_chunk, _sense_chunk])
 def test_stacked_passes_hold_at_most_a_chunk_of_rows(chunk_fn, monkeypatch):
-    # a stacked pass takes a block of SNR points of at most _CHUNK_TRIALS
-    # (SNR point, trial) rows: a 4-trial chunk runs its 3 points in one pass
-    # per waveform group, a 64-trial chunk one point per pass
+    # through the serial sweep, a stacked pass takes every SNR point of a
+    # chunk and at most max(_CHUNK_ROWS, points) (SNR point, trial) rows:
+    # 50 trials at 3 points run chunks of 21, 21 and 8 trials, and at 2 rows
+    # per pass 3 one-trial chunks of 3 rows
     shapes = {name: [] for name in KERNELS}
 
     def recording(name, fn):
@@ -652,19 +714,22 @@ def test_stacked_passes_hold_at_most_a_chunk_of_rows(chunk_fn, monkeypatch):
 
     for name in KERNELS:
         monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
-    cfg, snrs = load_config(CONFIG), (0.0, 17.5, 35.0)
-    for n_trials, points_per_pass in ((4, 3), (64, 1)):
+    snrs = [0.0, 17.5, 35.0]
+    for rows, n_trials, n_chunks in ((64, 50, 3), (2, 3, 3)):
+        monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+        cfg = config_from_dict(small_raw(sweep={"trials": n_trials, "snr_db": snrs,
+                                                "modes": list(MODES)}))
         for calls in shapes.values():
             calls.clear()
-        chunk_fn(cfg, snrs, list(range(n_trials)), MODES)
+        harness._per_snr(chunk_fn, cfg, 1)
         seen = [s for calls in shapes.values() for s in calls]
         # (SNR point, ..., trial, samples) stacks, or (trial, samples) uplinks
-        assert max(s[0] * s[-2] if len(s) > 2 else s[0] for s in seen) <= harness._CHUNK_TRIALS
-        assert {s[0] for s in seen if len(s) > 2} == {points_per_pass}
-        # one demodulator pass per waveform group that has an NPE mode
+        assert max(s[0] * s[-2] if len(s) > 2 else s[0] for s in seen) <= max(rows, len(snrs))
+        assert {s[0] for s in seen if len(s) > 2} == {len(snrs)}
+        # one demodulator pass per chunk and waveform group that has an NPE mode
         demods = [s for name in KERNELS if "demod" in name for s in shapes[name]]
         npe_groups = {waveform for waveform, noise in MODES.values() if noise == "npe"}
-        assert len(demods) == len(npe_groups) * len(snrs) // points_per_pass
+        assert len(demods) == len(npe_groups) * n_chunks
 
 
 def test_stacked_composition_equals_each_point_alone():
@@ -686,17 +751,12 @@ def test_stacked_composition_equals_each_point_alone():
                                   + np.sqrt(want) * chunk.noise_unit)
 
 
-def test_chunk_uplink_is_built_once_and_read_only():
-    # every SNR point of a chunk reads the same uplink; none may write to it
+def test_chunk_uplink_is_deterministic():
+    # a chunk's uplink depends only on its config and trials
     cfg = config_from_dict(small_raw())
     chunk = _Chunk(cfg, [0, 1])
     for waveform in ("afdm", "otfs", "ofdm"):
         up = chunk.uplink(waveform)
-        again = chunk.uplink(waveform)
-        for key in ("bits", "r_ul"):
-            assert again[key] is up[key]
-            with pytest.raises(ValueError):
-                up[key][0, 0] = 0
         fresh = _Chunk(cfg, [0, 1]).uplink(waveform)
         assert np.array_equal(fresh["r_ul"], up["r_ul"])
         assert np.array_equal(fresh["bits"], up["bits"])
