@@ -10,8 +10,11 @@ The sweeps run chunks of trials. With one worker a chunk takes every SNR
 point, so it holds max(1, _CHUNK_ROWS // p) of the trials for p points and
 its stacked passes at most _CHUNK_ROWS (SNR point, trial) rows (p, when p
 exceeds it): the shipped 8 points run 8-trial chunks, a one-point sweep
-64-trial ones. With more workers each SNR point gets its own pool, which
-calls the same chunk function on 64-trial chunks with that one point.
+64-trial ones. With K > 1 workers each SNR point gets its own pool of
+min(K, chunks) workers, which calls the same chunk function on 64-trial
+chunks with that one point. The pools of K // min(K, chunks) consecutive
+points run side by side, so at most K worker processes run at once, and
+each point's results are collected in point order.
 
 A chunk builds its draws, prepared uplink channels, uplinks and sensing
 dictionary once. Its composition, each waveform group's demodulator, NPE,
@@ -39,7 +42,8 @@ import platform
 import sys
 import time
 from collections import namedtuple
-from dataclasses import MISSING, asdict, dataclass, fields
+from contextlib import ExitStack
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path as FsPath
@@ -246,10 +250,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = _checked(raw, "config", ExperimentConfig)
     frame = FrameConfig(**_checked(raw["frame"], "frame", FrameConfig))
     sd = _checked(raw["system"], "system", SystemConfig, optional=("c1",))
-    if sd.get("c1") is None:
-        sd["c1"] = _field("system.N", lambda N: default_c1(frame.kappa_max, N), sd["N"])
+    c1 = sd.pop("c1", None)
+    # c1's default reads N, so the section checks N first, with a c1 of 0 (valid for any N)
+    system = SystemConfig(**sd, c1=0.0 if c1 is None else c1)
+    if c1 is None:
+        system = replace(system, c1=default_c1(frame.kappa_max, system.N))
     return ExperimentConfig(
-        system=SystemConfig(**sd), frame=frame,
+        system=system, frame=frame,
         channel=ChannelConfig(**_checked(raw["channel"], "channel", ChannelConfig)),
         sweep=SweepConfig(**_checked(raw["sweep"], "sweep", SweepConfig)))
 
@@ -574,12 +581,21 @@ def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
     # looked up on the module at call time, where tests and tracers may replace it
     pool_class = sys.modules[__name__].ProcessPoolExecutor
     # one pool per SNR point: perfbench/tests pins harness.pool == len(snr_db) (ROADMAP 1b);
-    # its tasks take one point each, so their chunks hold _CHUNK_ROWS trials
+    # its tasks take one point each, so their chunks hold _CHUNK_ROWS trials. The pools of
+    # workers // width consecutive points (a wave) run side by side, at most `workers`
+    # processes in all. A later pool of a wave forks while an earlier pool's manager
+    # thread runs; Python >= 3.12 warns of that from os.fork (checked on 3.11.7)
+    width = _pool_workers(cfg, workers)
+    per_wave = workers // width
     chunks, points = list(_chunks(sweep.trials, 1)), []
-    for snr_db in sweep.snr_db:
-        with pool_class(max_workers=_pool_workers(cfg, workers)) as pool:
-            points.append(np.concatenate(list(pool.map(
-                chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))), axis=1))
+    for start in range(0, len(sweep.snr_db), per_wave):
+        # map submits every task at once; the stack shuts the pools down in the
+        # reverse order of their creation, as perfbench's pool spans must close
+        with ExitStack() as stack:
+            maps = [stack.enter_context(pool_class(max_workers=width)).map(
+                        chunk_fn, repeat(cfg), repeat((snr_db,)), chunks, repeat(sweep.modes))
+                    for snr_db in sweep.snr_db[start:start + per_wave]]
+            points += [np.concatenate(list(results), axis=1) for results in maps]
     return np.concatenate(points)
 
 

@@ -200,6 +200,17 @@ def test_config_rejects_bad_physical_scalars(system, match):
         config_from_dict(small_raw(system=system))
 
 
+@pytest.mark.parametrize("N", [0, -4])
+@pytest.mark.parametrize("c1", ["omitted", None, 3 / 512])
+def test_config_checks_n_before_c1_defaults_from_it(N, c1):
+    # N = 0 failed as "system.N: division by zero" while c1's default was taken
+    raw = small_raw(system={"N": N, "c1": c1})
+    if c1 == "omitted":
+        del raw["system"]["c1"]
+    with pytest.raises(ValueError, match=rf"^system\.N = {N} must be positive$"):
+        config_from_dict(raw)
+
+
 def test_config_keeps_c2_with_default_c1():
     # c1 null takes its default; a configured c2 is kept, not dropped
     system = config_from_dict(small_raw(system={"c2": 0.25})).system
@@ -787,10 +798,13 @@ def test_run_ber_shapes_and_counts():
 
 def test_run_ber_worker_count_invariance():
     # 65 trials are two chunks, the last of one trial: the serial sweep and
-    # the pool concatenate chunks and SNR points along their own axes
+    # the pools concatenate chunks and SNR points along their own axes, with
+    # one pool at a time (65 trials, 2 workers) or pools side by side
     for trials in (4, 65):
         cfg = config_from_dict(small_raw(sweep={"trials": trials}))
-        assert run_ber(cfg, workers=2) == run_ber(cfg, workers=1)
+        want = run_ber(cfg, workers=1)
+        for workers in (2, 3):
+            assert run_ber(cfg, workers=workers) == want
 
 
 @pytest.mark.parametrize("workers", [0, -2, True, 1.5, "2", None])
@@ -827,15 +841,16 @@ def test_ber_runs_with_boxes_pinned_at_zero():
 
 def test_pool_tasks_import_no_module():
     # numpy loads numpy.random and numpy.fft on first use, so a forked worker
-    # whose parent had not used them imported both for its first chunk
+    # whose parent had not used them imported both for its first chunk. The
+    # pools of two points run at once, so each task writes its line in one call
     code = textwrap.dedent("""
-        import json, sys
+        import json, os, sys
         from wdnoma import harness
 
         def task(*args):
             before = set(sys.modules)
             out = chunk(*args)
-            print(json.dumps(sorted(set(sys.modules) - before)), flush=True)
+            os.write(1, (json.dumps(sorted(set(sys.modules) - before)) + "\\n").encode())
             return out
 
         chunk, harness._ber_chunk = harness._ber_chunk, task
@@ -866,6 +881,77 @@ def test_pool_starts_no_idle_workers(monkeypatch):
     assert sizes == [1] * len(cfg.sweep.snr_db)
 
 
+@pytest.mark.parametrize("trials, workers, width, per_wave", [
+    (4, 2, 1, 2), (4, 3, 1, 3), (65, 3, 2, 1)])
+def test_pools_run_side_by_side_within_the_worker_count(monkeypatch, trials, workers, width,
+                                                         per_wave):
+    # each SNR point keeps its own pool of one worker per chunk, at most
+    # `workers`, and workers // width pools are open at once, shut down newest first
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    opened, shut, open_now, open_sums, alive = [], [], [], [], []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers=max_workers, **kwargs)
+            self.index, self.size = len(opened), max_workers
+            opened.append(max_workers)
+            open_now.append(self)
+            open_sums.append(sum(pool.size for pool in open_now))
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            alive.append(len(multiprocessing.active_children()))
+            return future
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            open_now.remove(self)
+            shut.append(self.index)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = config_from_dict(small_raw(sweep={"trials": trials, "snr_db": [0.0, 10.0, 20.0, 30.0],
+                                            "modes": ["wdnoma_afdm_npe"]}))
+    assert np.array_equal(harness._per_snr(_ber_chunk, cfg, workers),
+                          harness._per_snr(_ber_chunk, cfg, 1))
+    assert opened == [width] * len(cfg.sweep.snr_db)
+    assert max(open_sums) == width * per_wave <= workers
+    assert max(alive) <= workers
+    # waves of consecutive points, each closed in the reverse order it opened
+    points = range(len(cfg.sweep.snr_db))
+    waves = [points[i:i + per_wave] for i in range(0, len(points), per_wave)]
+    assert shut == [i for wave in waves for i in reversed(wave)]
+    assert not open_now and not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("failing_snr", [0.0, 10.0])
+def test_a_chunk_that_raises_reaches_the_caller_and_leaves_no_worker(failing_snr):
+    # the first or the second pool of a two-pool wave fails; the other keeps
+    # running its tasks until the stack shuts both down
+    code = textwrap.dedent("""
+        import json, multiprocessing, sys
+        from wdnoma import harness
+
+        def task(cfg, snr_points, trials, modes):
+            if snr_points == (float(sys.argv[2]),):
+                raise RuntimeError(f"chunk failed at {snr_points[0]} dB")
+            return harness._ber_chunk(cfg, snr_points, trials, modes)
+
+        cfg = harness.config_from_dict(json.loads(sys.argv[1]))
+        try:
+            harness._per_snr(task, cfg, 2)
+        except RuntimeError as exc:
+            print(exc)
+        print(len(multiprocessing.active_children()))
+        """)
+    raw = small_raw(sweep={"snr_db": [0.0, 10.0, 20.0, 30.0]})
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(raw), str(failing_snr)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.splitlines() == [f"chunk failed at {failing_snr} dB", "0"]
+
+
 def test_run_sensing_pools_and_worker_count_invariance(monkeypatch):
     # one pool per SNR point, as in run_ber, and the same curves as in-process,
     # also over two chunks
@@ -882,10 +968,12 @@ def test_run_sensing_pools_and_worker_count_invariance(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     for trials in (3, 65):
-        starts.clear()
         cfg = config_from_dict(small_raw(sweep={"trials": trials}))
-        assert run_sensing(cfg, workers=2) == run_sensing(cfg, workers=1)
-        assert len(starts) == len(cfg.sweep.snr_db)
+        want = run_sensing(cfg, workers=1)
+        for workers in (2, 3):
+            starts.clear()
+            assert run_sensing(cfg, workers=workers) == want
+            assert len(starts) == len(cfg.sweep.snr_db)
 
 
 def test_run_sensing_output_structure():
@@ -1013,13 +1101,13 @@ def test_manifest_config_reruns_to_the_run_config_and_its_hash(tmp_path):
 def test_cli_repeat_runs_byte_identical(tmp_path):
     p = _write_cfg(tmp_path, small_raw())
     outs = []
-    for name, workers in (("a", "1"), ("b", "2")):
+    for name, workers in (("a", "1"), ("b", "2"), ("c", "3")):
         out = tmp_path / name
         main(["ber", "--config", str(p), "--out", str(out), "--workers", workers,
               "--mode", "wdnoma_afdm_npe,pdnoma_ofdm", "--trials", "3"])
         outs.append(out)
     for f in ("ber_wdnoma_afdm_npe.csv", "ber_pdnoma_ofdm.csv"):
-        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+        assert {(out / f).read_bytes() for out in outs} == {(outs[0] / f).read_bytes()}
 
 
 def test_cli_sense_default_modes(tmp_path):
