@@ -18,7 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 from scipy import stats as sps
 
-from .channel import PathSet, apply_dd_channel_samples
+from .channel import Channels, apply_dd_channel_samples
 from .transforms import daft_samples, idft_samples
 from .waveforms import SystemConfig, constellation
 
@@ -49,7 +49,7 @@ class GaussianityReport:
     n_samples: int
 
 
-def empirical_stats(trials: int, cfg: SystemConfig, channel: PathSet | None,
+def empirical_stats(trials: int, cfg: SystemConfig, channel: Channels | None,
                     rng: np.random.Generator) -> StatReport:
     """Accumulate affine-domain moments of random QAM-fed OFDM frames.
 
@@ -131,7 +131,7 @@ def write_report_csv(report: StatReport, path) -> None:
                 w.writerow([kind, i, int(c), repr(float(edges[i]))])
 
 
-def run_stats(cfg: SystemConfig, channel: PathSet, out_dir, trials: int, seed: int) -> list:
+def run_stats(cfg: SystemConfig, channel: Channels, out_dir, trials: int, seed: int) -> list:
     """Affine-domain statistics without and with ``channel``; writes one CSV
     each, and gaussianity.json: a gaussianity summary of the latter and, under
     "whiteness", each one's mean_abs, trace and flatness_ratio. Returns the

@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .harness import MODES, _field, config_hash, load_config, run_and_write
+from .harness import MODES, _check_sense_box, _field, config_hash, load_config, run_and_write
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -51,6 +51,8 @@ def _apply_overrides(cfg, args):
     if args.command == "stats" and (trials < 100 or trials * N < 1e4):
         raise ValueError(f"stats needs trials >= 100 and trials * N >= 1e4, "
                          f"got trials = {trials}, N = {N}")
+    if args.command == "sense":
+        _check_sense_box(cfg)
     return cfg
 
 

@@ -16,8 +16,8 @@ chunks with that one point. The pools of K // min(K, chunks) consecutive
 points run side by side, so at most K worker processes run at once, and
 each point's results are collected in point order.
 
-A chunk builds its draws, prepared uplink channels, uplinks and sensing
-dictionary once. Its composition, each waveform group's demodulator, NPE,
+A chunk builds its draws, stacked channels, uplinks and sensing dictionary
+once. Its composition, each waveform group's demodulator, NPE,
 demapping and cancellation, and the sense sweep's correlation run once on
 (p, T, ...) stacks, one MMSE solve takes every point and group (it works in
 slabs of a bounded size, so its work arrays do not grow with the chunk),
@@ -55,12 +55,11 @@ import scipy
 from . import __version__
 from .channel import (
     SPEED_OF_LIGHT,
-    PathSet,
-    PhysicalTarget,
+    Channels,
     apply_dd_channel_samples,
     build_uplink_channel,
+    doppler_bin_to_norm,
     path_from_bin,
-    prepare_channels,
     quantize_target,
     target_to_path,
 )
@@ -208,8 +207,8 @@ class ExperimentConfig:
                              f"both edges must leave data columns in N2 = {N2}")
         # every drawn target must quantize onto the 2D-OMP grid, each into
         # its own cell; quantization is monotone, so the bounds span the box
-        (near, k_lo), (far, k_hi) = (quantize_target(r, v, self.system)
-                                     for r, v in zip(ch.range_bounds, ch.velocity_bounds))
+        (near, far), (k_lo, k_hi) = quantize_target(ch.range_bounds, ch.velocity_bounds,
+                                                    self.system)
         if far > self.system.L_cp - 1:
             raise ValueError(f"channel.range_bounds[1] = {ch.range_bounds[1]} m quantizes to "
                              f"delay {far}, beyond the delay grid 0..{self.system.L_cp - 1}")
@@ -271,38 +270,38 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# waveform -> its frame layout for a config, and its modulator and demodulator
-# with the prefix, each f(signal, system). Each entry looks its kernel up by name
+# waveform -> its frame layout for a config, its modulator and demodulator with
+# the prefix, each f(signal, system), and the config field that sizes its layout,
+# named in the layout's errors: once the guards fit the grid, what a layout can
+# still reject is an empty NPE window. Each entry looks its kernel up by name
 # here when it runs, so a wrapper set on that name (perfbench's tracer) sees the call
-Waveform = namedtuple("Waveform", "layout mod demod")
+Waveform = namedtuple("Waveform", "layout mod demod layout_field")
 WAVEFORMS = MappingProxyType({
     "afdm": Waveform(
         lambda cfg: allocate_frame(cfg.system.N, cfg.frame.guard_start, cfg.frame.K1,
                                    cfg.frame.K2, cfg.frame.kappa_max, cfg.system.c1,
                                    max_delay=cfg.channel.uplink_taps - 1),
         lambda x, s: afdm_mod_samples(x, s.c1, s.c2, s.L_cp),
-        lambda r, s: afdm_demod_samples(r, s.c1, s.c2, s.L_cp)),
+        lambda r, s: afdm_demod_samples(r, s.c1, s.c2, s.L_cp),
+        "frame.K2"),
     "otfs": Waveform(
         lambda cfg: allocate_otfs_frame(cfg.system.N1, cfg.system.N2,
                                         cfg.frame.otfs_guard_cols, cfg.frame.kappa_max),
         lambda x, s: otfs_mod_samples(x, s.N1, s.N2, s.L_cp),
-        lambda r, s: otfs_demod_samples(r, s.N1, s.N2, s.L_cp)),
+        lambda r, s: otfs_demod_samples(r, s.N1, s.N2, s.L_cp),
+        "frame.otfs_guard_cols"),
     "ofdm": Waveform(
         lambda cfg: full_grid_layout(cfg.system.N),
         lambda x, s: ofdm_mod_samples(x, s.L_cp),
-        lambda r, s: ofdm_demod_samples(r, s.L_cp)),
+        lambda r, s: ofdm_demod_samples(r, s.L_cp),
+        "system.N"),
 })
-
-
-# the field that sizes each waveform's layout, named in its error: once the
-# guards fit the grid, what a layout can still reject is an empty NPE window
-_LAYOUT_FIELDS = {"afdm": "frame.K2", "otfs": "frame.otfs_guard_cols", "ofdm": "system.N"}
 
 
 @lru_cache(maxsize=8)
 def _layouts(cfg: ExperimentConfig):
     """The frame layout of each waveform; cached per config, so read-only."""
-    layouts = {w: _field(_LAYOUT_FIELDS[w], entry.layout, cfg) for w, entry in WAVEFORMS.items()}
+    layouts = {w: _field(entry.layout_field, entry.layout, cfg) for w, entry in WAVEFORMS.items()}
     for layout in layouts.values():
         for value in vars(layout).values():
             if isinstance(value, np.ndarray):
@@ -350,74 +349,71 @@ def _rng(seed: int, trial: int, tag: str) -> np.random.Generator:
 def draw_targets(cfg: ExperimentConfig, trial: int):
     """Uniform targets in the configured range/velocity box, redrawn until
     they quantize to distinct delay-Doppler cells (unresolvable targets
-    that share a grid cell are a degenerate scenario, not a noise effect)."""
+    that share a grid cell are a degenerate scenario, not a noise effect).
+    Returns the (k,) ranges and velocities of the k targets, and their echo
+    channel: one row of k unit-gain paths, at the targets' cells."""
     rng = _rng(cfg.sweep.master_seed, trial, "targets")
-    lo_r, hi_r = cfg.channel.range_bounds
-    lo_v, hi_v = cfg.channel.velocity_bounds
+    (lo_r, hi_r), (lo_v, hi_v) = cfg.channel.range_bounds, cfg.channel.velocity_bounds
+    k = cfg.channel.target_count
     for _ in range(_TARGET_DRAWS):
-        out = []
-        for _ in range(cfg.channel.target_count):
-            gain = np.exp(2j * np.pi * rng.uniform())
-            out.append(PhysicalTarget(range_m=rng.uniform(lo_r, hi_r),
-                                      velocity_mps=rng.uniform(lo_v, hi_v),
-                                      rcs_gain=gain))
-        cells = {(p.delay_samples, p.doppler_norm)
-                 for p in (target_to_path(t, cfg.system) for t in out)}
-        if len(cells) == cfg.channel.target_count:
-            return out
+        # target by target: its gain's phase, its range, its velocity
+        phase, range_m, velocity = rng.uniform([0, lo_r, lo_v], [1, hi_r, hi_v], size=(k, 3)).T
+        echo = target_to_path(range_m, velocity, np.exp(2j * np.pi * phase), cfg.system)
+        if len(set(zip(echo.delays[0].tolist(), echo.doppler[0].tolist()))) == k:
+            return range_m, velocity, echo
     raise ValueError("range/velocity bounds cannot host distinct target cells")
 
 
 class _TrialContext:
-    """One trial's random draws, the same at every SNR point and for every mode."""
+    """One trial's random draws, the same at every SNR point and for every
+    mode: the targets' ranges and velocities, their echo channel, and the
+    uplink channel ``ul_ps``, each channel one row of its paths."""
 
     def __init__(self, cfg: ExperimentConfig, trial: int):
         sys_ = cfg.system
         seed = cfg.sweep.master_seed
         L = sys_.frame_len_cp
         self.bits_dl = _rng(seed, trial, "bits_dl").integers(0, 2, sys_.N * int(np.log2(sys_.M)))
-        self.targets = draw_targets(cfg, trial)
-        self.sense_ps = PathSet(tuple(target_to_path(t, sys_) for t in self.targets), L)
+        self.range_m, self.velocity_mps, self.echo = draw_targets(cfg, trial)
         self.ul_ps = build_uplink_channel(cfg.channel.uplink_taps, cfg.channel.doppler_bins,
                                           _rng(seed, trial, "channel"), sys_.N, L)
         nrng = _rng(seed, trial, "noise")
         self.noise_unit = (nrng.standard_normal(L) + 1j * nrng.standard_normal(L)) / np.sqrt(2.0)
 
 
-def _transmit(sys_, layout, waveform: str, syms, paths) -> np.ndarray:
+def _transmit(sys_, layout, waveform: str, syms, channels: Channels) -> np.ndarray:
     """The uplink: symbols (last axis) on the data bins, zero guards, the
-    waveform's modulator and prefix, then the channel ``paths`` (one PathSet,
-    or R of them, or their PreparedChannels, for the last R rows of any
-    leading axes). It sends the uplink of a chunk's (T, n_data) symbols and
-    rebuilds a waveform group's (G, T, n_data) hard decisions in one call
-    for cancellation."""
+    waveform's modulator and prefix, then ``channels`` (one channel, or R
+    for the last R rows of any leading axes). It sends the uplink of a
+    chunk's (T, n_data) symbols and rebuilds a waveform group's
+    (G, T, n_data) hard decisions in one call for cancellation."""
     frames = np.zeros(np.shape(syms)[:-1] + (sys_.N,), dtype=np.complex128)
     frames[..., layout.data] = syms
-    return apply_dd_channel_samples(WAVEFORMS[waveform].mod(frames, sys_), paths)
+    return apply_dd_channel_samples(WAVEFORMS[waveform].mod(frames, sys_), channels)
 
 
 class _Chunk:
     """A chunk of trials, a sweep's unit of work: each trial's draws, and the
     signals built from them as (T, ·) stacks by one call per stage, row for
-    row the one-trial values. The uplink channels are prepared once; they
-    send every waveform's uplink and rebuild it for every cancellation."""
+    row the one-trial values. The trials' uplink channels are stacked once;
+    they send every waveform's uplink and rebuild it for every cancellation."""
 
     def __init__(self, cfg: ExperimentConfig, trials):
         sys_ = cfg.system
         self.cfg, self.layouts, self.trials = cfg, _layouts(cfg), trials
         self.ctxs = [_TrialContext(cfg, t) for t in trials]
-        self.ul_channels = prepare_channels([c.ul_ps for c in self.ctxs])
+        self.ul_channels = Channels.stack(c.ul_ps for c in self.ctxs)
+        self.echoes = Channels.stack(c.echo for c in self.ctxs)
         bits_dl = np.concatenate([c.bits_dl for c in self.ctxs])
         self.x_dl = qam_map(bits_dl, sys_.M).reshape(len(self.ctxs), sys_.N)
         self.s_dl = ofdm_mod_samples(self.x_dl, sys_.L_cp)
-        self.r_dl = apply_dd_channel_samples(self.s_dl, [c.sense_ps for c in self.ctxs])
+        self.r_dl = apply_dd_channel_samples(self.s_dl, self.echoes)
         self.noise_unit = np.stack([c.noise_unit for c in self.ctxs])
-        self.n_targets = np.array([[len(c.targets)] for c in self.ctxs])
 
     def uplink(self, waveform: str):
         """For one waveform: the transmit bits (T, n_bits), the received uplink
-        signals (T, L), its power p_ul, the (T, 1) echo amplitudes g that put
-        the echo echo_power_offset_db below p_ul, and the echo's mean power per
+        signals (T, L), its power p_ul, the echo amplitude g that puts the
+        echo echo_power_offset_db below p_ul, and the echo's mean power per
         bin (T,). Built on each call; ``_detect_chunk`` makes one per waveform
         group, so bits are drawn only for the waveforms a sweep runs."""
         sys_, seed = self.cfg.system, self.cfg.sweep.master_seed
@@ -428,7 +424,8 @@ class _Chunk:
         syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
         r_ul = _transmit(sys_, layout, waveform, syms, self.ul_channels)
         p_ul = layout.n_data / sys_.N
-        g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(p_ul / self.n_targets)
+        g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(
+            p_ul / self.cfg.channel.target_count)
         echo_bin_power = np.mean(np.abs(g * self.r_dl[:, sys_.L_cp:]) ** 2, axis=-1)
         return {"bits": bits, "r_ul": r_ul, "p_ul": p_ul, "g": g, "echo_bin_power": echo_bin_power}
 
@@ -520,12 +517,10 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     trials and modes against the chunk's dictionary and one 2D-OMP per (SNR
     point, trial, mode). Then per mode one scoring pass over every (SNR
     point, trial) row against the targets and their sorted cells."""
-    sys_, k = cfg.system, cfg.frame.kappa_max
+    sys_, k, P = cfg.system, cfg.frame.kappa_max, cfg.channel.target_count
     chunk, n, T = _Chunk(cfg, trials), len(snr_points), len(trials)
     col = {m: i for i, m in enumerate(modes)}
     dic = build_dictionary(chunk.s_dl, np.arange(sys_.L_cp), np.arange(-k, k + 1), sys_.N)
-    targets = [c.targets for c in chunk.ctxs]
-    P = len(targets[0])
     cols, residuals = [], []
     for group, r, _, syms in _detect_chunk(chunk, snr_points, modes):
         waveform = MODES[group[0]][0]
@@ -540,18 +535,19 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     picks = np.empty((n, T, len(modes), P, 2), dtype=np.int64)    # (tau, nu) of each pick
     picks[:, :, cols] = found.reshape(*corr.shape[:3], P, 2).swapaxes(0, 1)
     # every (SNR point, trial) row against its trial's truths
-    true_r = np.tile([[t.range_m for t in ts] for ts in targets], (n, 1))
-    true_v = np.tile([[t.velocity_mps for t in ts] for ts in targets], (n, 1))
-    # a cell (tau, nu) as tau + j nu: numpy sorts complex values by the real
-    # part, then the imaginary part, so the cells sort as (tau, nu) pairs
-    true_cells = np.array([[quantize_target(t.range_m, t.velocity_mps, sys_) for t in ts]
-                           for ts in targets] * n)
-    true_keys = np.sort(true_cells[..., 0] + 1j * true_cells[..., 1], axis=-1)
+    true_r = np.tile([c.range_m for c in chunk.ctxs], (n, 1))
+    true_v = np.tile([c.velocity_mps for c in chunk.ctxs], (n, 1))
+    # a cell as delay + j Doppler, the Doppler in cycles per frame as the echo
+    # paths hold it: numpy sorts complex values by the real part, then the
+    # imaginary part, so the cells sort as (delay, Doppler) pairs
+    echoes = chunk.echoes
+    true_keys = np.sort(np.tile(echoes.delays + 1j * echoes.doppler, (n, 1)), axis=-1)
     out = np.empty((n, T, len(modes), 5))
     for c in range(len(modes)):
         tau, nu = picks[:, :, c, :, 0].reshape(-1, P), picks[:, :, c, :, 1].reshape(-1, P)
         scores = matched_squared_errors(*estimate_to_physical(tau, nu, sys_), true_r, true_v)
-        index_errors = np.count_nonzero(np.sort(tau + 1j * nu, axis=-1) != true_keys, axis=-1)
+        keys = tau + 1j * doppler_bin_to_norm(nu, sys_.N, echoes.frame_len)
+        index_errors = np.count_nonzero(np.sort(keys, axis=-1) != true_keys, axis=-1)
         out[:, :, c] = np.column_stack((*scores, index_errors)).reshape(n, T, 5)
     return out
 
@@ -584,7 +580,8 @@ def _per_snr(chunk_fn, cfg, workers: int) -> np.ndarray:
     # its tasks take one point each, so their chunks hold _CHUNK_ROWS trials. The pools of
     # workers // width consecutive points (a wave) run side by side, at most `workers`
     # processes in all. A later pool of a wave forks while an earlier pool's manager
-    # thread runs; Python >= 3.12 warns of that from os.fork (checked on 3.11.7)
+    # thread runs (checked on 3.11.7). Python >= 3.12 warns of that from os.fork, but drops
+    # the warning under an error filter, so filterwarnings = error cannot catch it (ROADMAP 2)
     width = _pool_workers(cfg, workers)
     per_wave = workers // width
     chunks, points = list(_chunks(sweep.trials, 1)), []
@@ -623,17 +620,22 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> dict:
     return curves
 
 
+def _check_sense_box(cfg: ExperimentConfig) -> None:
+    """A sense sweep needs targets off 0 in range and in velocity."""
+    for name, (lo, hi) in (("range_bounds", cfg.channel.range_bounds),
+                           ("velocity_bounds", cfg.channel.velocity_bounds)):
+        if lo == hi == 0:     # every truth is 0, and so is the NMSE's denominator
+            raise ValueError(f"channel.{name} = {[lo, hi]} puts every target at 0, where the "
+                             f"sensing NMSE is undefined")
+
+
 def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Velocity and distance NMSE vs SNR per mode.
 
     Returns {(mode, "velocity"|"distance"): [CurvePoint]}.
     """
     _check_workers(workers)
-    for name, (lo, hi) in (("range_bounds", cfg.channel.range_bounds),
-                           ("velocity_bounds", cfg.channel.velocity_bounds)):
-        if lo == hi == 0:     # every truth is 0, and so is the NMSE's denominator
-            raise ValueError(f"channel.{name} = {[lo, hi]} puts every target at 0, where the "
-                             f"sensing NMSE is undefined")
+    _check_sense_box(cfg)
     modes = cfg.sweep.modes
     curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
     for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_sense_chunk, cfg, workers)):
@@ -711,6 +713,8 @@ def write_manifest(cfg: ExperimentConfig, out_dir, wall_time_s: float, files, wo
 def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> list:
     """Execute one subcommand end to end and write CSVs plus the manifest."""
     _check_workers(workers)
+    if command == "sense":     # before the output directory is made
+        _check_sense_box(cfg)
     out_dir = FsPath(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -725,8 +729,7 @@ def run_and_write(command: str, cfg: ExperimentConfig, out_dir, workers: int = 1
         workers = 1     # run_stats runs in this process, whatever was asked for
         sys_ = cfg.system
         path = path_from_bin(1.0, min(5, sys_.L_cp), min(2, cfg.frame.kappa_max), sys_.N, sys_.N)
-        files = run_stats(sys_, PathSet((path,), sys_.N), out_dir, cfg.sweep.trials,
-                          cfg.sweep.master_seed)
+        files = run_stats(sys_, path, out_dir, cfg.sweep.trials, cfg.sweep.master_seed)
     else:
         raise ValueError(f"unknown command {command!r}")
     for name, points in curves.items():

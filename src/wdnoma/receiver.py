@@ -100,7 +100,7 @@ import numpy as np
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import PathSet, doppler_ramp
+from .channel import Channels, doppler_ramp
 from .transforms import cpp_prefix_phases
 from .waveforms import TRANSFORMS, SystemConfig
 
@@ -146,8 +146,9 @@ def _prefix_weights(N: int, prefix: int, c1: float) -> np.ndarray:
     return sliding_window_view(w, prefix)[::-1]
 
 
-def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> EquivalentChannel:
-    """N x N transmit-domain equivalent channel demod(channel(mod(.))).
+def build_equivalent_channel(ch: Channels, cfg: SystemConfig, waveform: str) -> EquivalentChannel:
+    """N x N transmit-domain equivalent channel demod(channel(mod(.))) of
+    the one channel ``ch`` (a one-row Channels).
 
     What is built, in O(P N), is the time-domain factor H_t as one tap
     vector per distinct delay: core sample i receives h times sample
@@ -161,16 +162,19 @@ def build_equivalent_channel(ch: PathSet, cfg: SystemConfig, waveform: str) -> E
     """
     if waveform not in TRANSFORMS:
         raise ValueError(f"unknown waveform {waveform!r}")
+    if len(ch.gains) != 1:
+        raise ValueError(f"an equivalent channel is built from one channel, got {len(ch.gains)}")
     N, prefix = cfg.N, cfg.L_cp
-    if ch.max_delay > prefix:
-        raise ValueError(f"path delay {ch.max_delay} exceeds the prefix length {prefix}")
+    # (delay, gain, Doppler) of each path; the sort is stable: path order per delay
+    paths = sorted(zip(*(a[0].tolist() for a in (ch.delays, ch.gains, ch.doppler))),
+                   key=lambda p: p[0])
+    ls = [l for l, _, _ in paths]
+    if ls[-1] > prefix:
+        raise ValueError(f"path delay {ls[-1]} exceeds the prefix length {prefix}")
     if ch.frame_len != N + prefix:
         raise ValueError(f"channel frame length {ch.frame_len} != N + prefix = {N + prefix}")
-    paths = sorted(ch.paths, key=lambda p: p.delay_samples)     # stable: path order per delay
-    ls = [p.delay_samples for p in paths]
-    taps = np.array([p.gain for p in paths], dtype=np.complex128)[:, None] * np.array(
-        [doppler_ramp(p.doppler_norm, ch.frame_len)[prefix - l:prefix - l + N]
-         for l, p in zip(ls, paths)])
+    taps = np.array([h for _, h, _ in paths], dtype=np.complex128)[:, None] * np.array(
+        [doppler_ramp(nu, ch.frame_len)[prefix - l:prefix - l + N] for l, _, nu in paths])
     if TRANSFORMS[waveform].chirp_prefix:     # core samples i < l read the prefix
         taps[:, :prefix] = taps[:, :prefix] * _prefix_weights(N, prefix, cfg.c1)[ls]
     delays = sorted(set(ls))

@@ -13,7 +13,61 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lstsq
 
-from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
+from wdnoma.channel import Channels, apply_dd_channel_samples, path_from_bin
+from wdnoma.harness import _rng
+
+
+def channel_of(paths, frame_len: int) -> Channels:
+    """One channel of ``paths``, an iterable of (gain, delay_samples,
+    doppler_norm) tuples, the Doppler in cycles per frame."""
+    paths = list(paths)
+    return Channels([p[0] for p in paths], [p[1] for p in paths], [p[2] for p in paths],
+                    frame_len)
+
+
+def bin_channel(paths, N: int, frame_len: int) -> Channels:
+    """One channel of (gain, delay_samples, kappa) paths, each kappa an
+    integer Doppler bin: kappa cycles across the N core samples."""
+    return channel_of([(g, l, kappa * frame_len / N) for g, l, kappa in paths], frame_len)
+
+
+def path_tuples(ch: Channels) -> list:
+    """The (gain, delay_samples, doppler_norm) of each path of a one-row channel."""
+    (gains,), (delays,), (doppler,) = ch.gains.tolist(), ch.delays.tolist(), ch.doppler.tolist()
+    return list(zip(gains, delays, doppler))
+
+
+def draw_targets_loop(cfg, trial: int) -> list:
+    """One trial's targets as (range_m, velocity_mps, gain, delay,
+    doppler_norm), drawn and quantized one target at a time: per target a
+    uniform phase of its gain, a uniform range and a uniform velocity, each a
+    scalar draw from the trial's "targets" stream, redrawn in full until no
+    two targets share a (delay, Doppler) cell. The delay rounds 2 r f_s / c
+    to samples, the Doppler bin kappa rounds 2 f_c v / (c delta_f), and the
+    path's Doppler is kappa L / N cycles per frame."""
+    sys_, ch = cfg.system, cfg.channel
+    rng = _rng(cfg.sweep.master_seed, trial, "targets")
+    c = 299_792_458.0
+    while True:
+        out = []
+        for _ in range(ch.target_count):
+            gain = np.exp(2j * np.pi * rng.uniform())
+            r, v = rng.uniform(*ch.range_bounds), rng.uniform(*ch.velocity_bounds)
+            delay = int(round(2.0 * r / c * sys_.sample_rate))
+            kappa = int(round(2.0 * sys_.f_c * v / c / sys_.delta_f))
+            assert delay <= sys_.L_cp
+            out.append((r, v, gain, delay, kappa * sys_.frame_len_cp / sys_.N))
+        if len({(t[3], t[4]) for t in out}) == ch.target_count:
+            return out
+
+
+def uplink_paths_loop(taps: int, doppler_bins, rng, N: int, frame_len: int) -> list:
+    """(gain, delay_samples, doppler_norm) of each Rayleigh uplink tap, built
+    tap by tap: CN(0, 1/taps) gains at delays 0..taps-1, then one Doppler bin
+    per tap drawn from ``doppler_bins``."""
+    gains = (rng.standard_normal(taps) + 1j * rng.standard_normal(taps)) / np.sqrt(2.0 * taps)
+    kappas = rng.choice(np.asarray(list(doppler_bins), dtype=np.int64), size=taps)
+    return [(gains[i], i, int(kappas[i]) * frame_len / N) for i in range(taps)]
 
 
 def dense_dft(N: int) -> np.ndarray:
@@ -97,8 +151,7 @@ def dictionary_atoms(s: np.ndarray, tau_grid, nu_grid, N: int) -> np.ndarray:
     atoms = np.empty((tau_grid.size, len(nu_grid), L), dtype=np.complex128)
     delayed = (np.arange(L) - tau_grid[:, None]) % L
     for j, kappa in enumerate(nu_grid):
-        path = path_from_bin(1.0, 0, int(kappa), N, L)
-        atoms[:, j] = apply_dd_channel_samples(s, PathSet((path,), L))[delayed]
+        atoms[:, j] = apply_dd_channel_samples(s, path_from_bin(1.0, 0, int(kappa), N, L))[delayed]
     return atoms
 
 
@@ -220,14 +273,14 @@ def equivalent_channel_taps_loop(ch, cfg, waveform: str):
     with l = 1 the in-place form can differ in the last bit.
     """
     N, prefix = cfg.N, cfg.L_cp
-    delays = tuple(sorted({p.delay_samples for p in ch.paths}))
+    paths = path_tuples(ch)
+    delays = tuple(sorted({l for _, l, _ in paths}))
     taps = np.zeros((len(delays), N), dtype=np.complex128)
     k = np.arange(prefix)
     weights = np.exp(-2j * np.pi * cfg.c1 * (N * N - 2.0 * N * (prefix - k)))
-    for p in ch.paths:
-        l = p.delay_samples
+    for gain, l, doppler_norm in paths:
         src = prefix + np.arange(N) - l
-        val = p.gain * np.exp(-2j * np.pi * p.doppler_norm * src / ch.frame_len)
+        val = gain * np.exp(-2j * np.pi * doppler_norm * src / ch.frame_len)
         if l and waveform == "afdm":
             val[:l] = val[:l] * weights[prefix - l:]
         taps[delays.index(l)] += val

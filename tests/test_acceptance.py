@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bin_channel,
+    channel_of,
     dense_afdm_mod,
     dense_channel,
     dense_cp_add,
@@ -25,16 +27,11 @@ from oracles import (
     dictionary_atoms,
     embed,
     lstsq_mmse,
+    path_tuples,
     random_complex,
     refit_gains,
 )
-from wdnoma.channel import (
-    Path as ChannelPath,
-    PathSet,
-    apply_dd_channel_samples,
-    build_uplink_channel,
-    path_from_bin,
-)
+from wdnoma.channel import apply_dd_channel_samples, build_uplink_channel, path_from_bin
 from wdnoma.affine_stats import empirical_stats
 from wdnoma.frame import allocate_frame
 from wdnoma.harness import (
@@ -134,8 +131,7 @@ def test_criterion_1_transform_correctness():
         n_paths = int(rng.integers(1, 4))
         triples = [(complex(*rng.standard_normal(2)), int(rng.integers(0, L)),
                     float(rng.uniform(-3, 3))) for _ in range(n_paths)]
-        ps = PathSet(tuple(ChannelPath(gain=g, delay_samples=d, doppler_norm=nu)
-                           for g, d, nu in triples), L)
+        ps = channel_of(triples, L)
         x = random_complex(rng, L)
         got = apply_dd_channel_samples(x, ps)
         assert np.max(np.abs(got - dense_channel(L, triples) @ x)) < tol
@@ -146,15 +142,13 @@ def test_criterion_1_transform_correctness():
                        c1=default_c1(2, 32), N1=8, N2=4)
     for _ in range(40):
         n_paths = int(rng.integers(1, 4))
-        paths = tuple(path_from_bin(complex(*rng.standard_normal(2)),
-                                    int(rng.integers(0, 9)),
-                                    int(rng.integers(-2, 3)), 32, 40)
+        paths = tuple((complex(*rng.standard_normal(2)),
+                       int(rng.integers(0, 9)),
+                       int(rng.integers(-2, 3)))
                       for _ in range(n_paths))
-        ps = PathSet(paths, 40)
+        ps = bin_channel(paths, 32, 40)
         H = build_equivalent_channel(ps, cfg, "afdm").matrix
-        Href = dense_equivalent_channel(32, 8, cfg.c1, cfg.c2,
-                                        [(p.gain, p.delay_samples, p.doppler_norm)
-                                         for p in ps.paths])
+        Href = dense_equivalent_channel(32, 8, cfg.c1, cfg.c2, path_tuples(ps))
         assert np.max(np.abs(H - Href)) < tol
         cases += 1
 
@@ -216,7 +210,7 @@ def test_criterion_3_affine_whiteness():
     t0 = time.monotonic()
     trials = 10_000
     cfg = desk_system(N=256)
-    ch = PathSet((path_from_bin(1.0, 5, 1, 256, 256),), 256)
+    ch = path_from_bin(1.0, 5, 1, 256, 256)
     rep = empirical_stats(trials, cfg, ch, np.random.default_rng(31337))
     elapsed = time.monotonic() - t0
     assert rep.mean_abs < 4 / np.sqrt(trials)

@@ -14,7 +14,7 @@ from wdnoma.affine_stats import (
     run_stats,
     write_report_csv,
 )
-from wdnoma.channel import PathSet, path_from_bin
+from wdnoma.channel import path_from_bin
 from wdnoma.transforms import daft_samples, default_c1, idft_samples
 from wdnoma.waveforms import SystemConfig, constellation
 
@@ -62,7 +62,7 @@ def test_empirical_stats_whiteness_small():
 
 def test_empirical_stats_with_channel_preserves_whiteness():
     cfg = make_cfg()
-    ch = PathSet((path_from_bin(1.0, 3, 1, 64, 64),), 64)
+    ch = path_from_bin(1.0, 3, 1, 64, 64)
     rep = empirical_stats(2000, cfg, ch, np.random.default_rng(2))
     # a unit-gain single-path channel is unitary: trace and flatness unchanged
     assert abs(rep.trace / 64 - 1.0) < 0.05
@@ -73,7 +73,7 @@ def test_empirical_stats_validation():
     cfg = make_cfg()
     with pytest.raises(ValueError):
         empirical_stats(50, cfg, None, np.random.default_rng(0))
-    bad_ch = PathSet((path_from_bin(1.0, 0, 0, 64, 72),), 72)
+    bad_ch = path_from_bin(1.0, 0, 0, 64, 72)
     with pytest.raises(ValueError):
         empirical_stats(200, cfg, bad_ch, np.random.default_rng(0))
 
@@ -105,7 +105,7 @@ def test_write_report_csv(tmp_path):
 def test_run_stats_records_the_whiteness_of_both_reports(tmp_path):
     # the numbers behind the claim that the echo is AWGN-like reach the output
     cfg = make_cfg()
-    ch = PathSet((path_from_bin(0.8, 2, -1, 64, 64), path_from_bin(0.6j, 5, 1, 64, 64)), 64)
+    ch = path_from_bin([0.8, 0.6j], [2, 5], [-1, 1], 64, 64)
     run_stats(cfg, ch, tmp_path, 200, seed=7)
     summary = json.loads((tmp_path / "gaussianity.json").read_text())
     for name, key, c in (("prechannel", 100, None), ("postchannel", 101, ch)):

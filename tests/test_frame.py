@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
-from oracles import embed, random_complex
-from wdnoma.channel import PathSet, apply_dd_channel_samples, path_from_bin
+from oracles import bin_channel, embed, random_complex
+from wdnoma.channel import apply_dd_channel_samples
 from wdnoma.frame import allocate_frame, allocate_otfs_frame, full_grid_layout
 from wdnoma.transforms import default_c1
 from wdnoma.waveforms import afdm_demod_samples, afdm_mod_samples, otfs_demod_samples, otfs_mod_samples
@@ -56,12 +56,11 @@ def test_afdm_leakage_containment(trial):
     layout = allocate_frame(N, 0, 32, 32, kappa_max, c1, max_delay)
     g = np.random.default_rng(1000 + trial)
     paths = tuple(
-        path_from_bin(complex(*g.standard_normal(2)),
-                      int(g.integers(0, max_delay + 1)),
-                      int(g.integers(-kappa_max, kappa_max + 1)),
-                      N, N + L_cpp)
+        (complex(*g.standard_normal(2)),
+         int(g.integers(0, max_delay + 1)),
+         int(g.integers(-kappa_max, kappa_max + 1)))
         for _ in range(3))
-    ps = PathSet(paths, N + L_cpp)
+    ps = bin_channel(paths, N, N + L_cpp)
     syms = random_complex(g, layout.n_data)
     frame = embed(syms, layout, N)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, c1, 0.0, L_cpp), ps)
@@ -100,12 +99,11 @@ def test_otfs_leakage_containment(trial):
     g = np.random.default_rng(2000 + trial)
     L = N1 * N2 + 16
     paths = tuple(
-        path_from_bin(complex(*g.standard_normal(2)),
-                      int(g.integers(0, 3)),
-                      int(g.integers(-kappa_max, kappa_max + 1)),
-                      N1 * N2, L)
+        (complex(*g.standard_normal(2)),
+         int(g.integers(0, 3)),
+         int(g.integers(-kappa_max, kappa_max + 1)))
         for _ in range(3))
-    ps = PathSet(paths, L)
+    ps = bin_channel(paths, N1 * N2, L)
     syms = random_complex(g, layout.n_data)
     frame = embed(syms, layout, N1 * N2)
     r = apply_dd_channel_samples(otfs_mod_samples(frame, N1, N2, 16), ps)
@@ -121,11 +119,10 @@ def _leakage_fraction(layout, d) -> float:
 
 def _paths(draw, N, prefix, max_delay, kappa_max):
     """1-4 integer-Doppler paths with delays up to ``max_delay``."""
-    path = st.builds(lambda re, im, l, kappa: path_from_bin(complex(re, im), l, kappa, N,
-                                                            N + prefix),
+    path = st.builds(lambda re, im, l, kappa: (complex(re, im), l, kappa),
                      st.floats(-2, 2), st.floats(-2, 2), st.integers(0, max_delay),
                      st.integers(-kappa_max, kappa_max))
-    return PathSet(tuple(draw(st.lists(path, min_size=1, max_size=4))), N + prefix)
+    return bin_channel(draw(st.lists(path, min_size=1, max_size=4)), N, N + prefix)
 
 
 # the allocators reject some draws (an empty window, no room for data); those are skipped

@@ -17,7 +17,17 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_afdm_mod, dense_channel, dense_ofdm_mod, dense_otfs_w, embed
+from oracles import (
+    channel_of,
+    dense_afdm_mod,
+    dense_channel,
+    dense_ofdm_mod,
+    dense_otfs_w,
+    draw_targets_loop,
+    embed,
+    path_tuples,
+    uplink_paths_loop,
+)
 from wdnoma import harness
 from wdnoma.cli import main
 from wdnoma.harness import (
@@ -36,7 +46,7 @@ from wdnoma.harness import (
     run_ber,
     run_sensing,
 )
-from wdnoma.channel import quantize_target, target_to_path
+from wdnoma.channel import Channels, apply_dd_channel_samples, quantize_target
 from wdnoma.transforms import shift_factor
 from wdnoma.waveforms import qam_map
 
@@ -546,13 +556,33 @@ def test_layouts_from_config():
 
 def test_draw_targets_deterministic_and_distinct():
     cfg = config_from_dict(small_raw())
-    t1 = draw_targets(cfg, 7)
-    t2 = draw_targets(cfg, 7)
-    assert [t.range_m for t in t1] == [t.range_m for t in t2]
-    cells = {(p.delay_samples, p.doppler_norm)
-             for p in (target_to_path(t, cfg.system) for t in t1)}
+    r1, _, echo = draw_targets(cfg, 7)
+    r2, _, _ = draw_targets(cfg, 7)
+    assert r1.tolist() == r2.tolist()
+    cells = {(l, nu) for _, l, nu in path_tuples(echo)}
     assert len(cells) == cfg.channel.target_count
-    assert draw_targets(cfg, 8)[0].range_m != t1[0].range_m
+    assert draw_targets(cfg, 8)[0][0] != r1[0]
+
+
+def test_trial_draws_equal_the_target_by_target_loop():
+    # the draws as arrays, bit for bit the scalar draws they replaced: the
+    # targets, their cells, the uplink taps and the chunk's stacked echoes
+    cfg = load_config(CONFIG)
+    sys_, ch, L = cfg.system, cfg.channel, cfg.system.frame_len_cp
+    chunk = _Chunk(cfg, list(range(64)))
+    for t, ctx in enumerate(chunk.ctxs):
+        targets = draw_targets_loop(cfg, t)
+        r, v, gain, delay, doppler_norm = (np.array(col) for col in zip(*targets))
+        assert np.array_equal(ctx.range_m, r)
+        assert np.array_equal(ctx.velocity_mps, v)
+        assert np.array_equal(ctx.echo.gains, [gain])
+        assert np.array_equal(ctx.echo.delays, [delay])
+        assert np.array_equal(ctx.echo.doppler, [doppler_norm])
+        uplink = uplink_paths_loop(ch.uplink_taps, ch.doppler_bins,
+                                   harness._rng(cfg.sweep.master_seed, t, "channel"), sys_.N, L)
+        assert path_tuples(ctx.ul_ps) == uplink
+        echo = channel_of(zip(gain, delay, doppler_norm), L)
+        assert np.array_equal(chunk.r_dl[t], apply_dd_channel_samples(chunk.s_dl[t], echo))
 
 
 def test_trial_context_crn_across_snr():
@@ -580,7 +610,7 @@ def test_compose_echo_calibration():
     chunk = _Chunk(cfg, [0])
     up = chunk.uplink("afdm")
     g = up["g"]
-    n_targets = len(chunk.ctxs[0].targets)
+    n_targets = len(chunk.ctxs[0].range_m)
     expected = 10 ** (cfg.system.echo_power_offset_db / 20) * np.sqrt(up["p_ul"] / n_targets)
     assert g == pytest.approx(expected)
     # unit-magnitude target gains -> E|g*r_dl|^2 = g^2 * n_targets * E|s_dl|^2;
@@ -620,15 +650,14 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
     (r,), (sigma2,) = chunk.compose(up, (10.0,))
     syms = qam_map(up["bits"].reshape(-1), sys_.M).reshape(3, -1)
     paths = [c.ul_ps for c in chunk.ctxs]
-    rebuilt = _transmit(sys_, layout, waveform, syms, paths)
+    rebuilt = _transmit(sys_, layout, waveform, syms, Channels.stack(paths))
     echo_and_noise = up["g"] * chunk.r_dl + np.sqrt(sigma2) * chunk.noise_unit
     assert np.max(np.abs(r - rebuilt - echo_and_noise)) < 1e-10
     mod = {"afdm": dense_afdm_mod(sys_.N, L, sys_.c1, sys_.c2),
            "otfs": dense_otfs_w(sys_.N1, sys_.N2, L),
            "ofdm": dense_ofdm_mod(sys_.N, L)}[waveform]
     for row, x, ps in zip(rebuilt, syms, paths):
-        H = dense_channel(ps.frame_len, [(p.gain, p.delay_samples, p.doppler_norm)
-                                         for p in ps.paths])
+        H = dense_channel(ps.frame_len, path_tuples(ps))
         assert np.max(np.abs(row - H @ mod @ embed(x, layout, sys_.N))) < 1e-10
 
 
@@ -823,13 +852,19 @@ def test_sweeps_reject_bad_workers_before_any_work(tmp_path, monkeypatch, worker
 
 @pytest.mark.parametrize("channel", [{"velocity_bounds": [0.0, 0.0]},
                                      {"range_bounds": [0.0, 0.0], "target_count": 1}])
-def test_sensing_rejects_a_box_pinned_at_zero_before_any_work(monkeypatch, channel):
+def test_sensing_rejects_a_box_pinned_at_zero_before_any_work(monkeypatch, tmp_path, channel):
     # static targets gave a velocity NMSE of inf or nan, and targets at range 0
     # a distance NMSE of nan, each with only a RuntimeWarning
     monkeypatch.setattr(harness, "_per_snr", lambda *a, **k: pytest.fail("swept"))
     (name,) = set(channel) - {"target_count"}
+    cfg = config_from_dict(small_raw(channel=channel))
     with pytest.raises(ValueError, match=name):
-        run_sensing(config_from_dict(small_raw(channel=channel)))
+        run_sensing(cfg)
+    # run_and_write made its output directory first, and left it empty
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=name):
+        run_and_write("sense", cfg, out)
+    assert not out.exists()
 
 
 def test_ber_runs_with_boxes_pinned_at_zero():
@@ -1016,6 +1051,19 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, monkeypatch, workers):
     out = tmp_path / "out"
     assert main(["ber", "--config", str(CONFIG), "--out", str(out), "--workers", workers]) == 2
     assert f"config error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channel", [{"velocity_bounds": [0.0, 0.0]},
+                                     {"range_bounds": [0.0, 0.0], "target_count": 1}])
+def test_cli_sense_rejects_a_box_pinned_at_zero_as_a_config_error(tmp_path, capsys, channel):
+    # it made an empty --out directory, then died in run_sensing with a traceback
+    (name,) = set(channel) - {"target_count"}
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, small_raw(channel=channel))
+    assert main(["sense", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: channel.{name} = [0.0, 0.0] puts every target at 0" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

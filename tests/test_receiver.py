@@ -14,20 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    bin_channel,
+    channel_of,
     dense_equivalent_channel,
     dense_mmse,
     embed,
     equivalent_channel_taps_loop,
+    path_tuples,
     random_complex,
 )
 from wdnoma import harness, receiver
-from wdnoma.channel import (
-    Path as ChannelPath,
-    PathSet,
-    apply_dd_channel_samples,
-    doppler_ramp,
-    path_from_bin,
-)
+from wdnoma.channel import apply_dd_channel_samples, doppler_ramp, path_from_bin
 from wdnoma.frame import allocate_frame, full_grid_layout
 from wdnoma.receiver import (
     build_equivalent_channel,
@@ -45,10 +42,6 @@ def make_cfg(N=16, L=4, kappa_max=1, N1=4, N2=4):
                         c1=default_c1(kappa_max, N), N1=N1, N2=N2)
 
 
-def _paths_as_tuples(ps):
-    return [(p.gain, p.delay_samples, p.doppler_norm) for p in ps.paths]
-
-
 def _core(channels, ds):
     """The received core samples y = T^H d that mmse_detect takes, one row
     per channel, for the demodulated frames ``ds``."""
@@ -57,16 +50,16 @@ def _core(channels, ds):
 
 def test_equivalent_channel_identity():
     cfg = make_cfg()
-    ps = PathSet((path_from_bin(1.0, 0, 0, cfg.N, cfg.frame_len_cp),), cfg.frame_len_cp)
+    ps = path_from_bin(1.0, 0, 0, cfg.N, cfg.frame_len_cp)
     H = build_equivalent_channel(ps, cfg, "afdm").matrix
     assert np.max(np.abs(H - np.eye(cfg.N))) < 1e-10
 
 
 def test_equivalent_channel_single_path_dense_oracle():
     cfg = make_cfg(N=16, L=4)
-    ps = PathSet((path_from_bin(1.0, 2, 1, 16, 20),), 20)
+    ps = path_from_bin(1.0, 2, 1, 16, 20)
     H = build_equivalent_channel(ps, cfg, "afdm").matrix
-    Href = dense_equivalent_channel(16, 4, cfg.c1, cfg.c2, _paths_as_tuples(ps))
+    Href = dense_equivalent_channel(16, 4, cfg.c1, cfg.c2, path_tuples(ps))
     assert np.max(np.abs(H - Href)) < 1e-11
 
 
@@ -74,14 +67,14 @@ def test_equivalent_channel_random_dense_oracle():
     cfg = make_cfg(N=16, L=4, kappa_max=2)
     for _ in range(30):
         g = np.random.default_rng(int(rng.integers(1 << 30)))
-        paths = tuple(path_from_bin(complex(*g.standard_normal(2)),
-                                    int(g.integers(0, 5)),
-                                    int(g.integers(-2, 3)), 16, 20)
+        paths = tuple((complex(*g.standard_normal(2)),
+                       int(g.integers(0, 5)),
+                       int(g.integers(-2, 3)))
                       for _ in range(int(g.integers(1, 4))))
-        ps = PathSet(paths, 20)
+        ps = bin_channel(paths, 16, 20)
         H = build_equivalent_channel(ps, cfg, "afdm").matrix
         Href = dense_equivalent_channel(16, 4, cfg.c1, cfg.c2,
-                                        _paths_as_tuples(ps))
+                                        path_tuples(ps))
         assert np.max(np.abs(H - Href)) < 1e-11
 
 
@@ -115,10 +108,10 @@ def _chains(draw, fractional=False):
     cfg = SystemConfig(N=N, M=4, f_c=28e9, delta_f=30e3, L_cp=L, L_cpp=L,
                        c1=default_c1(kappa_max, N), c2=c2,
                        N1=N1, N2=N2)
-    path = st.builds(lambda re, im, l, nu: ChannelPath(complex(re, im), l, nu),
+    path = st.builds(lambda re, im, l, nu: (complex(re, im), l, nu),
                      st.floats(-2, 2), st.floats(-2, 2), st.integers(0, L),
                      _doppler(N, N + L, kappa_max, fractional))
-    return cfg, PathSet(tuple(draw(st.lists(path, min_size=1, max_size=4))), N + L)
+    return cfg, channel_of(draw(st.lists(path, min_size=1, max_size=4)), N + L)
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
@@ -129,7 +122,7 @@ def test_analytic_equivalent_channel_matches_dense_oracle(waveform, chain):
     cfg, ps = chain
     H = build_equivalent_channel(ps, cfg, waveform).matrix
     Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.c1, cfg.c2,
-                                    _paths_as_tuples(ps), waveform, cfg.N1)
+                                    path_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-11
 
 
@@ -150,7 +143,7 @@ def test_time_domain_factor_matches_equivalent_channel(waveform, chain):
     H = eq.matrix
     rotated = from_time((H_t @ to_time(np.eye(N), cfg).T).T, cfg).T
     assert np.max(np.abs(rotated - H)) < 1e-11
-    d = random_complex(np.random.default_rng(N + len(ps.paths)), N)
+    d = random_complex(np.random.default_rng(N + len(path_tuples(ps))), N)
     for s2, x in zip((0.05, 1.0), mmse_detect([eq], _core([eq], [d]), [(0.05, 1.0)])):
         assert np.max(np.abs(x - dense_mmse(H, d, s2))) < 1e-9
 
@@ -164,8 +157,7 @@ def test_time_domain_gram_pattern_ignores_doppler(waveform):
     offset = np.subtract.outer(np.arange(16), np.arange(16)) % 16
     inside = np.minimum(offset, 16 - offset) <= 2
     for kappas in ((0, 0, 0), (-1, 0, 1), (1, 1, -1)):
-        ps = PathSet(tuple(path_from_bin(0.6 + 0.3j * l, l, kappa, 16, 20)
-                           for l, kappa in enumerate(kappas)), 20)
+        ps = bin_channel([(0.6 + 0.3j * l, l, kappa) for l, kappa in enumerate(kappas)], 16, 20)
         H = build_equivalent_channel(ps, cfg, waveform).matrix
         H_t = T_H @ H @ T_H.conj().T
         gram = np.abs(H_t.conj().T @ H_t)
@@ -183,9 +175,9 @@ def test_fractional_doppler_channel_matches_dense_oracle(waveform, chain):
     eq = build_equivalent_channel(ps, cfg, waveform)
     H = eq.matrix
     Href = dense_equivalent_channel(cfg.N, cfg.L_cp, cfg.c1, cfg.c2,
-                                    _paths_as_tuples(ps), waveform, cfg.N1)
+                                    path_tuples(ps), waveform, cfg.N1)
     assert np.max(np.abs(H - Href)) < 1e-12
-    d = random_complex(np.random.default_rng(cfg.N + len(ps.paths)), cfg.N)
+    d = random_complex(np.random.default_rng(cfg.N + len(path_tuples(ps))), cfg.N)
     for s2, x in zip((0.05, 1.0), mmse_detect([eq], _core([eq], [d]), [(0.05, 1.0)])):
         assert np.max(np.abs(x - dense_mmse(Href, d, s2))) < 1e-9
 
@@ -195,7 +187,7 @@ def test_equivalent_channel_single_path_sparsity():
     # shift (2 N c1 tau + kappa) mod N
     cfg = make_cfg(N=32, L=8, kappa_max=2, N1=8, N2=4)
     tau, kappa = 3, -1
-    ps = PathSet((path_from_bin(1.0, tau, kappa, 32, 40),), 40)
+    ps = path_from_bin(1.0, tau, kappa, 32, 40)
     H = build_equivalent_channel(ps, cfg, "afdm").matrix
     shift = (shift_factor(32, cfg.c1) * tau + kappa) % 32
     mask = np.zeros((32, 32), dtype=bool)
@@ -208,13 +200,13 @@ def test_equivalent_channel_single_path_sparsity():
 def test_equivalent_channel_rejects_long_delay():
     # and the two other inputs it cannot build a channel for
     cfg = make_cfg(N=16, L=2)
-    ps = PathSet((path_from_bin(1.0, 3, 0, 16, 18),), 18)
+    ps = path_from_bin(1.0, 3, 0, 16, 18)
     with pytest.raises(ValueError, match="path delay 3 exceeds the prefix length 2"):
         build_equivalent_channel(ps, cfg, "afdm")
-    ps = PathSet((path_from_bin(1.0, 1, 0, 16, 18),), 18)
+    ps = path_from_bin(1.0, 1, 0, 16, 18)
     with pytest.raises(ValueError, match="unknown waveform 'fbmc'"):
         build_equivalent_channel(ps, cfg, "fbmc")
-    ps = PathSet((path_from_bin(1.0, 1, 0, 16, 20),), 20)
+    ps = path_from_bin(1.0, 1, 0, 16, 20)
     with pytest.raises(ValueError, match="channel frame length 20 != N \\+ prefix = 18"):
         build_equivalent_channel(ps, cfg, "afdm")
 
@@ -231,11 +223,11 @@ def _build_draws(draw, distinct_delays=False):
                        c1=default_c1(kappa_max, N), N1=1, N2=N)
     gain = st.one_of(st.just(1.0), st.floats(-2, 2),
                      st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
-    path = st.builds(ChannelPath, gain, st.integers(0, L),
+    path = st.tuples(gain, st.integers(0, L),
                      _doppler(N, N + L, kappa_max, draw(st.booleans())))
     paths = st.lists(path, min_size=1, max_size=5,
-                     unique_by=(lambda p: p.delay_samples) if distinct_delays else None)
-    return cfg, PathSet(tuple(draw(paths)), N + L)
+                     unique_by=(lambda p: p[1]) if distinct_delays else None)
+    return cfg, channel_of(draw(paths), N + L)
 
 
 @pytest.mark.parametrize("waveform", ["afdm", "otfs", "ofdm"])
@@ -247,9 +239,8 @@ def test_taps_are_the_channels_own_doppler_ramps(waveform, draws):
     cfg, ps = draws
     N, prefix = cfg.N, cfg.L_cp
     H = build_equivalent_channel(ps, cfg, waveform)
-    for p in ps.paths:
-        l = p.delay_samples
-        tap = p.gain * doppler_ramp(p.doppler_norm, ps.frame_len)[prefix - l:prefix - l + N]
+    for gain, l, doppler_norm in path_tuples(ps):
+        tap = gain * doppler_ramp(doppler_norm, ps.frame_len)[prefix - l:prefix - l + N]
         if waveform == "afdm":
             tap[:l] = tap[:l] * cpp_prefix_phases(N, prefix, cfg.c1)[prefix - l:]
         assert np.array_equal(H.taps[H.delays.index(l)], tap)
@@ -270,8 +261,7 @@ def test_build_equals_the_per_path_loop(waveform, draws):
 def _channel(cfg, paths, waveform="afdm"):
     """EquivalentChannel of (gain, delay, kappa) paths on ``cfg``."""
     frame_len = cfg.N + cfg.L_cp
-    ps = PathSet(tuple(path_from_bin(h, l, kappa, cfg.N, frame_len) for h, l, kappa in paths),
-                 frame_len)
+    ps = bin_channel(paths, cfg.N, frame_len)
     return build_equivalent_channel(ps, cfg, waveform)
 
 
@@ -783,8 +773,7 @@ def test_perfect_cancellation_no_noise():
     g = np.random.default_rng(17)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
     frame = embed(syms, layout, cfg.N)
-    ps = PathSet((path_from_bin(0.7 - 0.1j, 1, 1, 64, 72),
-                  path_from_bin(0.2j, 2, -1, 64, 72)), 72)
+    ps = path_from_bin([0.7 - 0.1j, 0.2j], [1, 2], [1, -1], 64, 72)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     res = r - harness._transmit(cfg, layout, "afdm", syms, ps)
     assert np.max(np.abs(res)) < 1e-10
@@ -795,7 +784,7 @@ def test_cancellation_residual_is_echo_plus_noise():
     g = np.random.default_rng(18)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
     frame = embed(syms, layout, cfg.N)
-    ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
+    ps = path_from_bin(0.7, 1, 1, 64, 72)
     r_ul = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     echo = random_complex(g, 72)
     w = random_complex(g, 72) * 0.1
@@ -810,7 +799,7 @@ def test_cancellation_error_energy_via_linearity():
     g = np.random.default_rng(19)
     syms = (g.standard_normal(layout.n_data) + 1j * g.standard_normal(layout.n_data))
     frame = embed(syms, layout, cfg.N)
-    ps = PathSet((path_from_bin(0.7, 1, 1, 64, 72),), 72)
+    ps = path_from_bin(0.7, 1, 1, 64, 72)
     r = apply_dd_channel_samples(afdm_mod_samples(frame, cfg.c1, cfg.c2, cfg.L_cpp), ps)
     bad = syms.copy()
     bad[5] += 2.0

@@ -22,7 +22,6 @@ from wdnoma.sensing import (
     matched_squared_errors,
     omp_2d,
 )
-from wdnoma.channel import PhysicalTarget
 from wdnoma.transforms import default_c1
 from wdnoma.waveforms import SystemConfig
 
@@ -228,7 +227,7 @@ def _nmse(estimates, truths):
 
 
 def test_nmse_trivial_cases():
-    t = [PhysicalTarget(100.0, 20.0, 1.0)]
+    t = [TargetEstimate(0, 0, 100.0, 20.0)]
     perfect = [TargetEstimate(0, 0, range_m=100.0, velocity_mps=20.0)]
     assert _nmse(perfect, t) == (0.0, 0.0)
     doubled = [TargetEstimate(0, 0, range_m=200.0, velocity_mps=40.0)]
@@ -238,7 +237,7 @@ def test_nmse_trivial_cases():
 
 
 def test_nmse_two_target_hand_computed():
-    truths = [PhysicalTarget(100.0, 10.0, 1.0), PhysicalTarget(200.0, -20.0, 1.0)]
+    truths = [TargetEstimate(0, 0, 100.0, 10.0), TargetEstimate(0, 0, 200.0, -20.0)]
     ests = [TargetEstimate(0, 0, range_m=110.0, velocity_mps=10.0),
             TargetEstimate(0, 0, range_m=200.0, velocity_mps=-18.0)]
     range_nmse, velocity_nmse = _nmse(ests, truths)
@@ -247,7 +246,7 @@ def test_nmse_two_target_hand_computed():
 
 
 def test_match_targets_pairs_nearest_regardless_of_order():
-    truths = [PhysicalTarget(100.0, 10.0, 1.0), PhysicalTarget(500.0, -30.0, 1.0)]
+    truths = [TargetEstimate(0, 0, 100.0, 10.0), TargetEstimate(0, 0, 500.0, -30.0)]
     ests = [TargetEstimate(0, 0, range_m=498.0, velocity_mps=-29.0),
             TargetEstimate(0, 0, range_m=101.0, velocity_mps=11.0)]
     # each estimate pairs with the truth it is near: errors 1 m and 2 m, 1 m/s twice
@@ -263,7 +262,7 @@ def _scored_loop(est_r, est_v, true_r, true_v):
     out = []
     for row in zip(est_r.tolist(), est_v.tolist(), true_r.tolist(), true_v.tolist()):
         ests = [TargetEstimate(0, 0, range_m=r, velocity_mps=v) for r, v in zip(row[0], row[1])]
-        truths = [PhysicalTarget(r, v, 1.0) for r, v in zip(row[2], row[3])]
+        truths = [TargetEstimate(0, 0, r, v) for r, v in zip(row[2], row[3])]
         pairs = match_targets_loop(ests, truths)
         out.append((sum(abs(e.range_m - t.range_m) ** 2 for e, t in pairs),
                     sum(abs(t.range_m) ** 2 for _, t in pairs),
