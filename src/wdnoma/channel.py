@@ -14,9 +14,10 @@ produces a single coupled shift in the affine domain, which is what the
 guard-based noise estimator relies on.
 
 ``Channels`` is the one channel type: R channels of P paths each, as
-(R, P) arrays. The draws build them as arrays (a trial's uplink taps, its
-target echoes), a chunk stacks its trials' rows, and
-``apply_dd_channel_samples`` reads the arrays.
+(R, P) arrays. The draws build a chunk's channels as arrays, one row per
+trial (the uplink taps, the target echoes), ``apply_dd_channel_samples``
+reads the arrays, and ``Channels.row`` cuts out the one-row channel that an
+equivalent-channel build takes.
 """
 
 from __future__ import annotations
@@ -61,18 +62,10 @@ class Channels:
         if max(delays) >= self.frame_len:
             raise ValueError("path delay exceeds the frame length")
 
-    @classmethod
-    def stack(cls, chs) -> Channels:
-        """The rows of the channels ``chs``, in order, as one Channels."""
-        chs = list(chs)
-        lengths = sorted({c.frame_len for c in chs})
-        if len(lengths) != 1:
-            raise ValueError(f"the channels of a stack must share their frame length, got "
-                             f"frame lengths {lengths}")
-        if len({c.gains.shape[1] for c in chs}) != 1:
-            raise ValueError("the channels of a stack must share their path count")
-        return cls(*(np.concatenate([getattr(c, name) for c in chs])
-                     for name in ("gains", "delays", "doppler")), lengths[0])
+    def row(self, i: int) -> Channels:
+        """Channel ``i`` alone, as a one-row Channels."""
+        return Channels(self.gains[i:i + 1], self.delays[i:i + 1], self.doppler[i:i + 1],
+                        self.frame_len)
 
     @cached_property
     def _gather(self):
@@ -151,12 +144,13 @@ def apply_dd_channel_samples(s: np.ndarray, ch: Channels) -> np.ndarray:
     return out.reshape(s.shape)
 
 
-def build_uplink_channel(taps: int, doppler_bins, rng: np.random.Generator,
-                         N: int, frame_len: int) -> Channels:
-    """Rayleigh taps at delays 0..taps-1 with unit total average power.
+def build_uplink_channel(taps: int, doppler_bins, rngs, N: int, frame_len: int) -> Channels:
+    """Rayleigh taps at delays 0..taps-1 with unit total average power, one
+    channel (row) per generator of ``rngs``.
 
     Each tap gets an i.i.d. CN(0, 1/taps) gain and an integer Doppler bin
-    drawn uniformly from ``doppler_bins``.
+    drawn uniformly from ``doppler_bins``. Each generator draws its row's
+    real parts, imaginary parts and bin indices, in that order.
     """
     prefix = frame_len - N
     if taps - 1 > prefix:     # Channels rejects taps < 1: a channel needs a path
@@ -164,5 +158,8 @@ def build_uplink_channel(taps: int, doppler_bins, rng: np.random.Generator,
     bins = np.asarray(list(doppler_bins), dtype=np.int64)
     if bins.size == 0:
         raise ValueError("doppler_bins must be non-empty")
-    gains = (rng.standard_normal(taps) + 1j * rng.standard_normal(taps)) / np.sqrt(2.0 * taps)
-    return path_from_bin(gains, np.arange(taps), rng.choice(bins, size=taps), N, frame_len)
+    draws = [(rng.standard_normal(taps), rng.standard_normal(taps),
+              rng.integers(0, bins.size, taps)) for rng in rngs]
+    re, im, idx = (np.array(a) for a in zip(*draws))       # (rows, taps) each
+    return path_from_bin((re + 1j * im) / np.sqrt(2.0 * taps),
+                         np.broadcast_to(np.arange(taps), re.shape), bins[idx], N, frame_len)

@@ -16,12 +16,15 @@ chunks with that one point. The pools of K // min(K, chunks) consecutive
 points run side by side, so at most K worker processes run at once, and
 each point's results are collected in point order.
 
-A chunk builds its draws, stacked channels, uplinks and sensing dictionary
-once. Its composition, each waveform group's demodulator, NPE,
-demapping and cancellation, and the sense sweep's correlation run once on
-(p, T, ...) stacks, one MMSE solve takes every point and group (it works in
-slabs of a bounded size, so its work arrays do not grow with the chunk),
-and the sense scoring runs once per mode. Each row gets the operations of
+A chunk builds its draws, uplinks and sensing dictionary once. Its
+trials' draws are (T, ·) arrays: each trial's streams make their own
+generator calls, and the quantizing, the redraw check and the channels
+run once over all of the chunk's trials. Its composition, each waveform
+group's demodulator, NPE, demapping and cancellation, and the sense
+sweep's correlation run once on (p, T, ...) stacks, one MMSE solve takes
+every point and group (it works in slabs of a bounded size, so its work
+arrays do not grow with the chunk), and the sense scoring runs once per
+mode. Each row gets the operations of
 its own one-point, one-trial pass, so the chunk size moves no curve. Two
 calls stay per SNR point: the equivalent channel builds and the 2D-OMP
 calls, which perfbench/tests counts per point.
@@ -29,6 +32,7 @@ calls, which perfbench/tests counts per point.
 A chunk returns one array, (SNR point, trial, mode, ...), each mode at its
 position in the sweep's modes; the sweep concatenates the chunks along the
 trial axis, and a curve point sums one (SNR point, mode) column over trials.
+The sense curves come from one pass over every point, mode and column.
 """
 
 from __future__ import annotations
@@ -346,39 +350,56 @@ def _rng(seed: int, trial: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, _RNG_TAGS[tag])))
 
 
-def draw_targets(cfg: ExperimentConfig, trial: int):
+def draw_targets(cfg: ExperimentConfig, *trials):
     """Uniform targets in the configured range/velocity box, redrawn until
     they quantize to distinct delay-Doppler cells (unresolvable targets
     that share a grid cell are a degenerate scenario, not a noise effect).
-    Returns the (k,) ranges and velocities of the k targets, and their echo
-    channel: one row of k unit-gain paths, at the targets' cells."""
-    rng = _rng(cfg.sweep.master_seed, trial, "targets")
+    Returns the (T, k) ranges and velocities of the k targets of each of the
+    T ``trials``, and their echo channels: per trial one row of k unit-gain
+    paths, at the targets' cells.
+
+    Each trial draws from its own stream, one attempt after another. Every
+    trial's attempt is drawn, then all of the trials' targets are quantized
+    and checked at once, and only the trials whose attempt failed draw
+    again."""
+    rngs = [_rng(cfg.sweep.master_seed, t, "targets") for t in trials]
     (lo_r, hi_r), (lo_v, hi_v) = cfg.channel.range_bounds, cfg.channel.velocity_bounds
+    low, high = np.array([0.0, lo_r, lo_v]), np.array([1.0, hi_r, hi_v])
     k = cfg.channel.target_count
+    draws = np.empty((len(rngs), 3, k))       # per trial: the targets' phases, ranges, velocities
+    redraw = range(len(rngs))
     for _ in range(_TARGET_DRAWS):
-        # target by target: its gain's phase, its range, its velocity
-        phase, range_m, velocity = rng.uniform([0, lo_r, lo_v], [1, hi_r, hi_v], size=(k, 3)).T
+        for i in redraw:    # target by target: its gain's phase, its range, its velocity
+            draws[i] = rngs[i].uniform(low, high, size=(k, 3)).T
+        phase, range_m, velocity = draws.transpose(1, 0, 2)
         echo = target_to_path(range_m, velocity, np.exp(2j * np.pi * phase), cfg.system)
-        if len(set(zip(echo.delays[0].tolist(), echo.doppler[0].tolist()))) == k:
+        cells = np.sort(echo.delays + 1j * echo.doppler, axis=-1)  # sorted as (delay, Doppler)
+        redraw = np.flatnonzero((cells[:, 1:] == cells[:, :-1]).any(axis=-1)).tolist()
+        if not redraw:
             return range_m, velocity, echo
     raise ValueError("range/velocity bounds cannot host distinct target cells")
 
 
 class _TrialContext:
-    """One trial's random draws, the same at every SNR point and for every
-    mode: the targets' ranges and velocities, their echo channel, and the
-    uplink channel ``ul_ps``, each channel one row of its paths."""
+    """The random draws of the T ``trials``, the same at every SNR point and
+    for every mode, one row per trial: the downlink bits ``bits_dl`` (T, n),
+    the targets' ``range_m`` and ``velocity_mps`` (T, k), their echo
+    channels ``echo`` and the uplink channels ``ul_ps`` (T-row Channels),
+    and the unit noise ``noise_unit`` (T, L). Each trial draws from its own
+    streams, so its row is the same in any set of trials."""
 
-    def __init__(self, cfg: ExperimentConfig, trial: int):
+    def __init__(self, cfg: ExperimentConfig, *trials):
         sys_ = cfg.system
         seed = cfg.sweep.master_seed
         L = sys_.frame_len_cp
-        self.bits_dl = _rng(seed, trial, "bits_dl").integers(0, 2, sys_.N * int(np.log2(sys_.M)))
-        self.range_m, self.velocity_mps, self.echo = draw_targets(cfg, trial)
+        n_bits = sys_.N * int(np.log2(sys_.M))
+        self.bits_dl = np.array([_rng(seed, t, "bits_dl").integers(0, 2, n_bits) for t in trials])
+        self.range_m, self.velocity_mps, self.echo = draw_targets(cfg, *trials)
         self.ul_ps = build_uplink_channel(cfg.channel.uplink_taps, cfg.channel.doppler_bins,
-                                          _rng(seed, trial, "channel"), sys_.N, L)
-        nrng = _rng(seed, trial, "noise")
-        self.noise_unit = (nrng.standard_normal(L) + 1j * nrng.standard_normal(L)) / np.sqrt(2.0)
+                                          [_rng(seed, t, "channel") for t in trials], sys_.N, L)
+        noise = np.array([(g.standard_normal(L), g.standard_normal(L))
+                          for g in (_rng(seed, t, "noise") for t in trials)])
+        self.noise_unit = (noise[:, 0] + 1j * noise[:, 1]) / np.sqrt(2.0)
 
 
 def _transmit(sys_, layout, waveform: str, syms, channels: Channels) -> np.ndarray:
@@ -393,22 +414,20 @@ def _transmit(sys_, layout, waveform: str, syms, channels: Channels) -> np.ndarr
 
 
 class _Chunk:
-    """A chunk of trials, a sweep's unit of work: each trial's draws, and the
-    signals built from them as (T, ·) stacks by one call per stage, row for
-    row the one-trial values. The trials' uplink channels are stacked once;
-    they send every waveform's uplink and rebuild it for every cancellation."""
+    """A chunk of trials, a sweep's unit of work: its trials' draws ``ctx``,
+    one _TrialContext, and the signals built from them as (T, ·) stacks by
+    one call per stage, row for row the one-trial values. The uplink
+    channels ``ctx.ul_ps`` send every waveform's uplink and rebuild it for
+    every cancellation."""
 
     def __init__(self, cfg: ExperimentConfig, trials):
         sys_ = cfg.system
         self.cfg, self.layouts, self.trials = cfg, _layouts(cfg), trials
-        self.ctxs = [_TrialContext(cfg, t) for t in trials]
-        self.ul_channels = Channels.stack(c.ul_ps for c in self.ctxs)
-        self.echoes = Channels.stack(c.echo for c in self.ctxs)
-        bits_dl = np.concatenate([c.bits_dl for c in self.ctxs])
-        self.x_dl = qam_map(bits_dl, sys_.M).reshape(len(self.ctxs), sys_.N)
+        self.ctx = _TrialContext(cfg, *trials)
+        self.x_dl = qam_map(self.ctx.bits_dl.ravel(), sys_.M).reshape(len(trials), sys_.N)
         self.s_dl = ofdm_mod_samples(self.x_dl, sys_.L_cp)
-        self.r_dl = apply_dd_channel_samples(self.s_dl, self.echoes)
-        self.noise_unit = np.stack([c.noise_unit for c in self.ctxs])
+        self.r_dl = apply_dd_channel_samples(self.s_dl, self.ctx.echo)
+        self.noise_unit = self.ctx.noise_unit
 
     def uplink(self, waveform: str):
         """For one waveform: the transmit bits (T, n_bits), the received uplink
@@ -421,8 +440,8 @@ class _Chunk:
         n_bits = layout.n_data * int(np.log2(sys_.M))
         bits = np.stack([_rng(seed, t, f"bits_{waveform}").integers(0, 2, n_bits)
                          for t in self.trials])
-        syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.ctxs), -1)
-        r_ul = _transmit(sys_, layout, waveform, syms, self.ul_channels)
+        syms = qam_map(bits.reshape(-1), sys_.M).reshape(len(self.trials), -1)
+        r_ul = _transmit(sys_, layout, waveform, syms, self.ctx.ul_ps)
         p_ul = layout.n_data / sys_.N
         g = 10.0 ** (sys_.echo_power_offset_db / 20.0) * np.sqrt(
             p_ul / self.cfg.channel.target_count)
@@ -449,7 +468,8 @@ def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
     and the MMSE estimates of the data symbols (p, T, len(group), n_data).
     """
     sys_ = chunk.cfg.system
-    p, T = len(snr_points), len(chunk.ctxs)
+    p, T = len(snr_points), len(chunk.trials)
+    rows = [chunk.ctx.ul_ps.row(t) for t in range(T)]    # each trial's channel, for its builds
     groups, channels, ys, sigma2s = [], [], [], []
     for waveform, entry in WAVEFORMS.items():
         group = [m for m in modes if MODES[m][0] == waveform]
@@ -464,8 +484,8 @@ def _detect_chunk(chunk: _Chunk, snr_points, modes) -> list:
         for j, m in enumerate(group):
             s2[..., j] = noise[MODES[m][1]]
         # one build per (SNR point, trial), as perfbench/tests counts them (ROADMAP 1)
-        channels += [build_equivalent_channel(c.ul_ps, sys_, waveform)
-                     for _ in snr_points for c in chunk.ctxs]
+        channels += [build_equivalent_channel(row, sys_, waveform)
+                     for _ in snr_points for row in rows]
         ys.append(r[..., sys_.L_cp:].reshape(p * T, -1))
         sigma2s += list(s2.reshape(p * T, -1))
         groups.append((group, layout.data, r, up["bits"]))
@@ -525,7 +545,7 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     for group, r, _, syms in _detect_chunk(chunk, snr_points, modes):
         waveform = MODES[group[0]][0]
         hard = qam_slice(syms, sys_.M).transpose(0, 2, 1, 3)     # (p, G, T, n_data)
-        rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ul_channels)
+        rebuilt = _transmit(sys_, chunk.layouts[waveform], waveform, hard, chunk.ctx.ul_ps)
         cols += [col[m] for m in group]
         residuals.append((r[:, None] - rebuilt).transpose(2, 0, 1, 3))  # (T, p, G, L)
     res = np.concatenate(residuals, axis=2)
@@ -535,12 +555,12 @@ def _sense_chunk(cfg, snr_points, trials, modes):
     picks = np.empty((n, T, len(modes), P, 2), dtype=np.int64)    # (tau, nu) of each pick
     picks[:, :, cols] = found.reshape(*corr.shape[:3], P, 2).swapaxes(0, 1)
     # every (SNR point, trial) row against its trial's truths
-    true_r = np.tile([c.range_m for c in chunk.ctxs], (n, 1))
-    true_v = np.tile([c.velocity_mps for c in chunk.ctxs], (n, 1))
+    true_r = np.tile(chunk.ctx.range_m, (n, 1))
+    true_v = np.tile(chunk.ctx.velocity_mps, (n, 1))
     # a cell as delay + j Doppler, the Doppler in cycles per frame as the echo
     # paths hold it: numpy sorts complex values by the real part, then the
     # imaginary part, so the cells sort as (delay, Doppler) pairs
-    echoes = chunk.echoes
+    echoes = chunk.ctx.echo
     true_keys = np.sort(np.tile(echoes.delays + 1j * echoes.doppler, (n, 1)), axis=-1)
     out = np.empty((n, T, len(modes), 5))
     for c in range(len(modes)):
@@ -636,21 +656,21 @@ def run_sensing(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """
     _check_workers(workers)
     _check_sense_box(cfg)
-    modes = cfg.sweep.modes
-    curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
-    for snr, per_trial in zip(cfg.sweep.snr_db, _per_snr(_sense_chunk, cfg, workers)):
-        # sum each column as a 1-D vector over trials: pairwise, the same for
-        # any stride, where a sum over the whole array's axis adds row by row
-        for arr, mode in zip(per_trial.transpose(1, 0, 2), modes):
-            n, idx_errs = arr.shape[0], int(arr[:, 4].sum())
-            # columns: squared error, then squared true value
-            for param, col in (("velocity", 2), ("distance", 0)):
-                err, ref = arr[:, col].sum(), arr[:, col + 1].sum()
-                ratios = arr[:, col] / np.maximum(arr[:, col + 1], 1e-300)
-                curves[(mode, param)].append(CurvePoint(
-                    snr, float(err / ref), n, idx_errs,
-                    float(1.96 * ratios.std() / np.sqrt(n))))
-    return curves
+    # (SNR point, mode, column, trial): each column's trials lie contiguous on
+    # the last axis, so a reduction over it sums them pairwise, as a 1-D sum
+    # of the column does, where a sum over the trial axis in place adds row by row
+    cols = np.ascontiguousarray(_per_snr(_sense_chunk, cfg, workers).transpose(0, 2, 3, 1))
+    n, sums = cols.shape[-1], cols.sum(axis=-1)
+    # columns: squared error, then squared true value, of the velocity (2, 3)
+    # and of the distance (0, 1)
+    metric = (sums[..., [2, 0]] / sums[..., [3, 1]]).tolist()
+    ratios = cols[:, :, [2, 0]] / np.maximum(cols[:, :, [3, 1]], 1e-300)
+    ci = (1.96 * ratios.std(axis=-1) / np.sqrt(n)).tolist()
+    idx_errs = sums[..., 4].astype(np.int64).tolist()
+    return {(mode, param): [CurvePoint(snr, metric[i][m][j], n, idx_errs[i][m], ci[i][m][j])
+                            for i, snr in enumerate(cfg.sweep.snr_db)]
+            for m, mode in enumerate(cfg.sweep.modes)
+            for j, param in enumerate(("velocity", "distance"))}
 
 
 # ---------------------------------------------------------------------------

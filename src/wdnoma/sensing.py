@@ -7,7 +7,10 @@ atom is a cyclic delay of one of these replicas. It also builds, once per
 chunk, each trial's replica cross-correlation table: the cyclic
 cross-correlation of every pair of replicas, read at every delay
 difference of the grid. That is 16 n_nu^2 (2 n_tau - 1) bytes per trial
-on a contiguous delay grid.
+on a contiguous delay grid. The tables of a block of trials come from one
+inverse-FFT pass, its blocks bounded in samples as the correlation pass's
+are, and each row is transformed alone, so a trial's table does not
+depend on the block it was computed in.
 
 Correlations. ``correlate`` gives every cell's correlation with each of
 M residuals per trial (every SNR point and mode of a chunk) in one FFT
@@ -66,7 +69,10 @@ def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
 
     xcorr[t, j, u, i] is the cyclic cross-correlation of replicas i and j of
     trial t, sum_n conj(a_i[n]) a_j[(n + m) mod L], at the lag m of entry u:
-    every (tau_grid[a] - tau_grid[b]) mod L, numbered by lag_index[b, a]."""
+    every (tau_grid[a] - tau_grid[b]) mod L, numbered by lag_index[b, a].
+    It is computed for blocks of trials of at most _BLOCK samples (one
+    trial when a trial alone exceeds it), one inverse FFT per block, so its
+    work arrays do not grow with T."""
     s = np.asarray(s_dl, dtype=np.complex128)
     if s.ndim != 2:
         raise ValueError(f"expected a (trials, L) stack of transmit frames, got shape {s.shape}")
@@ -81,8 +87,10 @@ def build_dictionary(s_dl: np.ndarray, tau_grid, nu_grid, N: int) -> Dictionary:
     conj = spectra.conj()
     lags, lag_index = np.unique((tau_grid - tau_grid[:, None]) % L, return_inverse=True)
     xcorr = np.empty((len(s), nu_grid.size, lags.size, nu_grid.size), dtype=np.complex128)
-    for x, a, b in zip(xcorr, conj, spectra):       # one trial at a time keeps the FFTs small
-        x[...] = np.fft.ifft(a * b[:, None], axis=-1)[..., lags].swapaxes(-1, -2)
+    step = max(1, _BLOCK // (nu_grid.size ** 2 * L))     # trials per block of the inverse FFTs
+    for lo in range(0, len(s), step):
+        x = np.fft.ifft(conj[lo:lo + step, None] * spectra[lo:lo + step, :, None], axis=-1)
+        xcorr[lo:lo + step] = x[..., lags].swapaxes(-1, -2)
     return Dictionary(atoms=atoms, tau_grid=tau_grid, nu_grid=nu_grid, spectra_conj=conj,
                       energy=np.array([np.vdot(x, x).real for x in s]), xcorr=xcorr,
                       lag_index=lag_index.reshape(tau_grid.size, tau_grid.size))

@@ -37,6 +37,20 @@ def path_tuples(ch: Channels) -> list:
     return list(zip(gains, delays, doppler))
 
 
+def stack_channels(chs) -> Channels:
+    """The rows of the channels ``chs``, in order, as one Channels; they must
+    share their frame length and their path count."""
+    chs = list(chs)
+    lengths = sorted({c.frame_len for c in chs})
+    if len(lengths) != 1:
+        raise ValueError(f"the channels of a stack must share their frame length, got "
+                         f"frame lengths {lengths}")
+    if len({c.gains.shape[1] for c in chs}) != 1:
+        raise ValueError("the channels of a stack must share their path count")
+    return Channels(*(np.concatenate([getattr(c, name) for c in chs])
+                      for name in ("gains", "delays", "doppler")), lengths[0])
+
+
 def draw_targets_loop(cfg, trial: int) -> list:
     """One trial's targets as (range_m, velocity_mps, gain, delay,
     doppler_norm), drawn and quantized one target at a time: per target a
@@ -153,6 +167,48 @@ def dictionary_atoms(s: np.ndarray, tau_grid, nu_grid, N: int) -> np.ndarray:
     for j, kappa in enumerate(nu_grid):
         atoms[:, j] = apply_dd_channel_samples(s, path_from_bin(1.0, 0, int(kappa), N, L))[delayed]
     return atoms
+
+
+def dictionary_tables_loop(s_dl: np.ndarray, tau_grid, nu_grid, N: int):
+    """(xcorr, spectra_conj, energy) of a (T, L) stack of frames, as
+    ``build_dictionary`` lays them out, built one trial at a time: per trial
+    its Doppler replicas (the frame times exp(-j 2 pi nu n / L), nu = kappa L
+    / N cycles per frame), their FFTs, one inverse FFT of every pair's
+    spectrum product read at the lags (tau_a - tau_b) mod L in increasing
+    order, and the frame's energy."""
+    s_dl = np.asarray(s_dl, dtype=np.complex128)
+    L = s_dl.shape[-1]
+    tau_grid = np.asarray(list(tau_grid))
+    lags = np.unique((tau_grid - tau_grid[:, None]) % L)
+    n = np.arange(L)
+    ramps = np.array([np.exp(-2j * np.pi * (int(k) * L / N) * n / L) for k in nu_grid])
+    xcorr, conj, energy = [], [], []
+    for s in s_dl:
+        spectra = np.fft.fft(s * ramps, axis=-1)
+        conj.append(spectra.conj())
+        xcorr.append(np.fft.ifft(conj[-1] * spectra[:, None], axis=-1)[..., lags]
+                     .swapaxes(-1, -2))
+        energy.append(np.vdot(s, s).real)
+    return np.array(xcorr), np.array(conj), np.array(energy)
+
+
+def sense_curves_loop(snr_db, modes, per_snr: np.ndarray) -> dict:
+    """{(mode, "velocity"|"distance"): [(snr, metric, trials, index errors,
+    CI half-width)]} from a sense sweep's (SNR point, trial, mode, 5) array
+    of (err_r, ref_r, err_v, ref_v, index_errors), one (point, mode,
+    parameter) at a time: each column summed as a 1-D vector over trials,
+    the metric the ratio of the sums, the half-width 1.96 times the std of
+    the per-trial ratios over the square root of the trial count."""
+    curves = {(m, param): [] for m in modes for param in ("velocity", "distance")}
+    for snr, per_trial in zip(snr_db, per_snr):
+        for arr, mode in zip(per_trial.transpose(1, 0, 2), modes):
+            n, idx_errs = arr.shape[0], int(arr[:, 4].sum())
+            for param, col in (("velocity", 2), ("distance", 0)):
+                err, ref = arr[:, col].sum(), arr[:, col + 1].sum()
+                ratios = arr[:, col] / np.maximum(arr[:, col + 1], 1e-300)
+                curves[(mode, param)].append(
+                    (snr, float(err / ref), n, idx_errs, float(1.96 * ratios.std() / np.sqrt(n))))
+    return curves
 
 
 def grid_atoms(dic, cells, trial=0) -> np.ndarray:

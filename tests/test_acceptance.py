@@ -173,7 +173,7 @@ def test_criterion_2_noiseless_end_to_end():
     total_errors = 0
     for trial in range(100):
         rng = np.random.default_rng(5000 + trial)
-        ch = build_uplink_channel(3, [-1, 0, 1], rng, N, N + L)
+        ch = build_uplink_channel(3, [-1, 0, 1], [rng], N, N + L)
         bits = rng.integers(0, 2, size=2 * layout.n_data)
         s = afdm_mod_samples(embed(qam_map(bits, 4), layout, N), cfg.c1, cfg.c2, L)
         r = apply_dd_channel_samples(s, ch)
@@ -187,7 +187,7 @@ def test_criterion_2_noiseless_end_to_end():
 
     # cancellation residual with echo and noise present equals g*r_DL + w
     rng = np.random.default_rng(999)
-    ch = build_uplink_channel(3, [-1, 0, 1], rng, N, N + L)
+    ch = build_uplink_channel(3, [-1, 0, 1], [rng], N, N + L)
     bits = rng.integers(0, 2, size=2 * layout.n_data)
     syms = qam_map(bits, 4)
     s = afdm_mod_samples(embed(syms, layout, N), cfg.c1, cfg.c2, L)

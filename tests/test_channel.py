@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bin_channel, channel_of, dense_channel, path_tuples, random_complex
+from oracles import (
+    bin_channel,
+    channel_of,
+    dense_channel,
+    path_tuples,
+    random_complex,
+    stack_channels,
+)
 from wdnoma.channel import (
-    Channels,
     apply_dd_channel_samples,
     build_uplink_channel,
     doppler_bin_to_norm,
@@ -116,7 +122,20 @@ def test_stacked_channel_pass_equals_per_row_calls(case):
     # bit for bit: the sweeps' curves must not depend on how trials are stacked
     s, chs = case
     rows = [apply_dd_channel_samples(x, ch) for x, ch in zip(s, chs)]
-    assert np.array_equal(apply_dd_channel_samples(s, Channels.stack(chs)), np.stack(rows))
+    assert np.array_equal(apply_dd_channel_samples(s, stack_channels(chs)), np.stack(rows))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=_stacked_channels())
+def test_row_cuts_one_channel_out_of_a_stack(case):
+    # an equivalent-channel build reads one trial's row of the chunk's channels
+    _, chs = case
+    stacked = stack_channels(chs)
+    for i, ch in enumerate(chs):
+        row = stacked.row(i)
+        assert row.frame_len == ch.frame_len
+        for name in ("gains", "delays", "doppler"):
+            assert np.array_equal(getattr(row, name), getattr(ch, name))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -125,7 +144,7 @@ def test_prepared_channel_pass_equals_one_path_set_per_row(case):
     # the sweeps stack a chunk's channels once and apply them to several
     # signals; the first pass builds the stack's gather tables, later ones reuse them
     s, chs = case
-    prepared = Channels.stack(chs)
+    prepared = stack_channels(chs)
     for x in (s, s[::-1] * 0.5j):
         rows = [apply_dd_channel_samples(row, ch) for row, ch in zip(x, chs)]
         assert np.array_equal(apply_dd_channel_samples(x, prepared), np.stack(rows))
@@ -141,7 +160,7 @@ def test_prepared_channel_pass_equals_one_path_set_per_row(case):
 def test_prepared_channel_pass_over_leading_axes(G, case):
     # the sense sweep rebuilds a waveform group's G decision stacks in one pass
     s, chs = case
-    prepared = Channels.stack(chs)
+    prepared = stack_channels(chs)
     stack = np.stack([s * (0.5 + 1j) ** g for g in range(G)])
     passes = [apply_dd_channel_samples(x, prepared) for x in stack]
     assert np.array_equal(apply_dd_channel_samples(stack, prepared), np.stack(passes))
@@ -152,13 +171,13 @@ def test_stacked_channel_pass_validation():
     two = channel_of([(1.0, 0, 0.0), (0.5, 3, 1.0)], 16)
     s = random_complex(rng, 32).reshape(2, 16)
     with pytest.raises(ValueError, match="path count"):
-        apply_dd_channel_samples(s, Channels.stack([one, two]))
+        apply_dd_channel_samples(s, stack_channels([one, two]))
     with pytest.raises(ValueError, match="frame length"):
-        apply_dd_channel_samples(random_complex(rng, 30).reshape(2, 15), Channels.stack([one, one]))
+        apply_dd_channel_samples(random_complex(rng, 30).reshape(2, 15), stack_channels([one, one]))
     with pytest.raises(ValueError):     # two frames, three channels
-        apply_dd_channel_samples(s, Channels.stack([one, one, one]))
+        apply_dd_channel_samples(s, stack_channels([one, one, one]))
     with pytest.raises(ValueError, match="do not fit 2 channels"):     # four frames, two channels
-        apply_dd_channel_samples(np.concatenate([s, s]), Channels.stack([one, one]))
+        apply_dd_channel_samples(np.concatenate([s, s]), stack_channels([one, one]))
 
 
 def test_doppler_ramp_cache_is_read_only_and_exact():
@@ -177,21 +196,21 @@ def test_build_uplink_channel_unit_power():
     g = np.random.default_rng(5)
     total = 0.0
     for _ in range(draws):
-        ps = build_uplink_channel(3, [-1, 0, 1], g, 64, 72)
+        ps = build_uplink_channel(3, [-1, 0, 1], [g], 64, 72)
         total += sum(abs(gain) ** 2 for gain, _, _ in path_tuples(ps))
     assert abs(total / draws - 1.0) < 0.02
 
 
 def test_build_uplink_channel_structure():
-    ps = build_uplink_channel(3, [0], np.random.default_rng(1), 64, 72)
+    ps = build_uplink_channel(3, [0], [np.random.default_rng(1)], 64, 72)
     assert [l for _, l, _ in path_tuples(ps)] == [0, 1, 2]
     assert ps.delays.max() == 2
     with pytest.raises(ValueError):
-        build_uplink_channel(10, [0], np.random.default_rng(1), 64, 72)
+        build_uplink_channel(10, [0], [np.random.default_rng(1)], 64, 72)
     with pytest.raises(ValueError, match="at least one path"):
-        build_uplink_channel(0, [0], np.random.default_rng(1), 64, 72)
+        build_uplink_channel(0, [0], [np.random.default_rng(1)], 64, 72)
     with pytest.raises(ValueError):
-        build_uplink_channel(2, [], np.random.default_rng(1), 64, 72)
+        build_uplink_channel(2, [], [np.random.default_rng(1)], 64, 72)
 
 
 def _desk_chunk(trial=0, **system):
@@ -223,7 +242,7 @@ def test_compose_received_amplitude_scaling():
     chunk, up = _desk_chunk()
     (r,), _ = chunk.compose(up, (np.inf,))
     g = up["g"]
-    assert g == pytest.approx(0.1 * np.sqrt(up["p_ul"] / len(chunk.ctxs[0].range_m)))
+    assert g == pytest.approx(0.1 * np.sqrt(up["p_ul"] / chunk.ctx.range_m.shape[1]))
     assert np.allclose(r, up["r_ul"] + g * chunk.r_dl)
     chunk, up = _desk_chunk(echo_power_offset_db=-np.inf)
     (silent,), _ = chunk.compose(up, (np.inf,))

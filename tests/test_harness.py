@@ -26,6 +26,8 @@ from oracles import (
     draw_targets_loop,
     embed,
     path_tuples,
+    sense_curves_loop,
+    stack_channels,
     uplink_paths_loop,
 )
 from wdnoma import harness
@@ -46,7 +48,7 @@ from wdnoma.harness import (
     run_ber,
     run_sensing,
 )
-from wdnoma.channel import Channels, apply_dd_channel_samples, quantize_target
+from wdnoma.channel import apply_dd_channel_samples, quantize_target
 from wdnoma.transforms import shift_factor
 from wdnoma.waveforms import qam_map
 
@@ -561,28 +563,59 @@ def test_draw_targets_deterministic_and_distinct():
     assert r1.tolist() == r2.tolist()
     cells = {(l, nu) for _, l, nu in path_tuples(echo)}
     assert len(cells) == cfg.channel.target_count
-    assert draw_targets(cfg, 8)[0][0] != r1[0]
+    assert draw_targets(cfg, 8)[0][0, 0] != r1[0, 0]
+
+
+def _check_trial_draws(cfg, redrawn: int) -> None:
+    """The draws of a 64-trial chunk against the target-by-target loop, and
+    the number of its trials whose first attempt was redrawn."""
+    sys_, ch, L = cfg.system, cfg.channel, cfg.system.frame_len_cp
+    chunk = _Chunk(cfg, list(range(64)))
+    ctx, first_kept = chunk.ctx, 0
+    for t in range(64):
+        targets = draw_targets_loop(cfg, t)
+        r, v, gain, delay, doppler_norm = (np.array(col) for col in zip(*targets))
+        assert np.array_equal(ctx.range_m[t], r)
+        assert np.array_equal(ctx.velocity_mps[t], v)
+        assert np.array_equal(ctx.echo.gains[t], gain)
+        assert np.array_equal(ctx.echo.delays[t], delay)
+        assert np.array_equal(ctx.echo.doppler[t], doppler_norm)
+        uplink = uplink_paths_loop(ch.uplink_taps, ch.doppler_bins,
+                                   harness._rng(cfg.sweep.master_seed, t, "channel"), sys_.N, L)
+        assert path_tuples(ctx.ul_ps.row(t)) == uplink
+        echo = channel_of(zip(gain, delay, doppler_norm), L)
+        assert np.array_equal(chunk.r_dl[t], apply_dd_channel_samples(chunk.s_dl[t], echo))
+        # the first attempt's ranges, drawn target by target as the loop draws them
+        first = harness._rng(cfg.sweep.master_seed, t, "targets")
+        first_kept += r.tolist() == [(first.uniform(), first.uniform(*ch.range_bounds),
+                                      first.uniform(*ch.velocity_bounds))[1]
+                                     for _ in range(len(r))]
+    assert 64 - first_kept == redrawn
 
 
 def test_trial_draws_equal_the_target_by_target_loop():
-    # the draws as arrays, bit for bit the scalar draws they replaced: the
-    # targets, their cells, the uplink taps and the chunk's stacked echoes
-    cfg = load_config(CONFIG)
-    sys_, ch, L = cfg.system, cfg.channel, cfg.system.frame_len_cp
-    chunk = _Chunk(cfg, list(range(64)))
-    for t, ctx in enumerate(chunk.ctxs):
-        targets = draw_targets_loop(cfg, t)
-        r, v, gain, delay, doppler_norm = (np.array(col) for col in zip(*targets))
-        assert np.array_equal(ctx.range_m, r)
-        assert np.array_equal(ctx.velocity_mps, v)
-        assert np.array_equal(ctx.echo.gains, [gain])
-        assert np.array_equal(ctx.echo.delays, [delay])
-        assert np.array_equal(ctx.echo.doppler, [doppler_norm])
-        uplink = uplink_paths_loop(ch.uplink_taps, ch.doppler_bins,
-                                   harness._rng(cfg.sweep.master_seed, t, "channel"), sys_.N, L)
-        assert path_tuples(ctx.ul_ps) == uplink
-        echo = channel_of(zip(gain, delay, doppler_norm), L)
-        assert np.array_equal(chunk.r_dl[t], apply_dd_channel_samples(chunk.s_dl[t], echo))
+    # the chunk's draws as arrays, bit for bit the scalar draws they replaced:
+    # the targets, their cells, the uplink taps and the chunk's stacked echoes
+    _check_trial_draws(load_config(CONFIG), redrawn=15)
+
+
+def test_trial_draws_under_heavy_redraw_equal_the_target_by_target_loop():
+    # 4 targets in the desk box: most trials redraw, some 14 times, each from
+    # its own stream, while the chunk's other trials keep their draws
+    _check_trial_draws(config_from_dict(small_raw(channel={"target_count": 4})), redrawn=48)
+
+
+@pytest.mark.parametrize("draws, fails", [(14, True), (15, False)])
+def test_draw_targets_counts_each_trials_attempts(draws, fails, monkeypatch):
+    # with 4 desk targets the 64 trials need at most 15 attempts each; a
+    # chunk fails as soon as one of its trials exhausts the allowed draws
+    cfg = config_from_dict(small_raw(channel={"target_count": 4}))
+    monkeypatch.setattr(harness, "_TARGET_DRAWS", draws)
+    if fails:
+        with pytest.raises(ValueError, match="cannot host distinct target cells"):
+            draw_targets(cfg, *range(64))
+    else:
+        assert draw_targets(cfg, *range(64))[0].shape == (64, 4)
 
 
 def test_trial_context_crn_across_snr():
@@ -610,7 +643,7 @@ def test_compose_echo_calibration():
     chunk = _Chunk(cfg, [0])
     up = chunk.uplink("afdm")
     g = up["g"]
-    n_targets = len(chunk.ctxs[0].range_m)
+    n_targets = chunk.ctx.range_m.shape[1]
     expected = 10 ** (cfg.system.echo_power_offset_db / 20) * np.sqrt(up["p_ul"] / n_targets)
     assert g == pytest.approx(expected)
     # unit-magnitude target gains -> E|g*r_dl|^2 = g^2 * n_targets * E|s_dl|^2;
@@ -649,8 +682,8 @@ def test_sweep_cancellation_of_true_symbols_leaves_echo_and_noise(waveform):
     up = chunk.uplink(waveform)
     (r,), (sigma2,) = chunk.compose(up, (10.0,))
     syms = qam_map(up["bits"].reshape(-1), sys_.M).reshape(3, -1)
-    paths = [c.ul_ps for c in chunk.ctxs]
-    rebuilt = _transmit(sys_, layout, waveform, syms, Channels.stack(paths))
+    paths = [chunk.ctx.ul_ps.row(t) for t in range(3)]
+    rebuilt = _transmit(sys_, layout, waveform, syms, stack_channels(paths))
     echo_and_noise = up["g"] * chunk.r_dl + np.sqrt(sigma2) * chunk.noise_unit
     assert np.max(np.abs(r - rebuilt - echo_and_noise)) < 1e-10
     mod = {"afdm": dense_afdm_mod(sys_.N, L, sys_.c1, sys_.c2),
@@ -1009,6 +1042,28 @@ def test_run_sensing_pools_and_worker_count_invariance(monkeypatch):
             starts.clear()
             assert run_sensing(cfg, workers=workers) == want
             assert len(starts) == len(cfg.sweep.snr_db)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 9, 200])
+def test_sense_curves_equal_the_per_point_mode_and_parameter_loop(trials, monkeypatch):
+    # the one curve pass, bit for bit the loop over (SNR point, mode,
+    # parameter) it replaced: a column sums pairwise over its trials, in
+    # blocks of 8 above 8 trials and split in halves above 128
+    cfg = config_from_dict(small_raw(sweep={"trials": trials, "modes": list(MODES),
+                                            "snr_db": [0.0, 10.0, 20.0]}))
+    g = np.random.default_rng(trials)
+    per_snr = np.empty((3, trials, len(MODES), 5))
+    per_snr[..., :4] = (g.standard_normal((3, trials, len(MODES), 4)) ** 2
+                        * 10.0 ** g.integers(-6, 7, (3, trials, len(MODES), 4)))
+    per_snr[..., 4] = g.integers(0, 3, (3, trials, len(MODES)))
+    per_snr[:, 1::3, :, :2] = 0.0       # targets and estimates at range 0: the ratio's floor
+    monkeypatch.setattr(harness, "_per_snr", lambda chunk_fn, cfg, workers: per_snr)
+    got = run_sensing(cfg)
+    want = sense_curves_loop(cfg.sweep.snr_db, cfg.sweep.modes, per_snr)
+    assert list(got) == list(want)
+    for key, points in got.items():
+        assert repr([(p.snr_db, p.metric, p.trials, p.errors_counted, p.confidence_halfwidth)
+                     for p in points]) == repr(want[key])
 
 
 def test_run_sensing_output_structure():

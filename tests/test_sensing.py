@@ -9,6 +9,7 @@ from oracles import (
     atom_formula,
     correlator,
     dictionary_atoms,
+    dictionary_tables_loop,
     grid_atoms,
     match_targets_loop,
     omp_2d_residual,
@@ -328,6 +329,22 @@ def test_cross_correlation_table_equals_one_pick_at_a_time(case):
             for j in range(len(nus)):
                 col = np.fft.ifft(dic.spectra_conj[t] * spectra[j])[:, lags].T.ravel()
                 assert np.array_equal(dic.xcorr[t, j, dic.lag_index[i]].ravel(), col)
+
+
+@pytest.mark.parametrize("T", [1, 4, 64])
+@pytest.mark.parametrize("N, L", [(256, 272), (1024, 1088)])
+def test_dictionary_tables_equal_the_per_trial_loop(N, L, T):
+    # the tables of a block of trials from one inverse-FFT pass, bit for bit
+    # the per-trial loop they replaced; 64 trials of the desk (L = 272) and
+    # paper (L = 1088) grids span several blocks
+    g = np.random.default_rng(T)
+    s = random_complex(g, T * L).reshape(T, L)
+    taus, nus = np.arange(L - N), np.arange(-1, 2)
+    dic = build_dictionary(s, taus, nus, N)
+    xcorr, conj, energy = dictionary_tables_loop(s, taus, nus, N)
+    assert np.array_equal(dic.xcorr, xcorr)
+    assert np.array_equal(dic.spectra_conj, conj)
+    assert np.array_equal(dic.energy, energy)
 
 
 def test_omp_on_a_stack_equals_omp_on_each_trial():
